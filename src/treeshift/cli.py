@@ -3,7 +3,7 @@
 Reports are JSON objects with sorted keys (byte-identical across runs on
 identical inputs); rationals are rendered as ``p/q`` strings and floats
 with 17 significant digits.  Exit codes: 0 success / equivalent, 1 failed
-assertion or not equivalent, 2 malformed input, 3 tree invariant violated.
+assertion or not equivalent, 2 malformed input or arguments, 3 invariant violated.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ def _sha256(path: str) -> str:
 
 def _seed() -> int:
     return int(os.environ.get("TREESHIFT_SEED", DEFAULT_SEED))
+
+
+def _nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def _report(command: str, inputs: dict, results: dict) -> dict:
@@ -365,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--vertex", required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_nonnegative, required=True)
     p.add_argument("--kind", choices=(DIRICHLET, DUAL), default=DIRICHLET)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -385,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TreeFormatError as exc:
+    except (TreeFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except UnknownVertex as exc:

@@ -75,13 +75,5 @@ class OutsideDisc(TreeshiftError):
     """A kernel evaluation point lies outside the open unit disc."""
 
 
-class NotExact(TreeshiftError):
-    """A quantity was requested that the representation cannot certify.
-
-    Reserved for tree representations that cannot witness a finite
-    branching index; the prefix-plus-rays representation always can.
-    """
-
-
 class NotEquivalentError(TreeshiftError):
     """A unitary was requested for a pair of shifts that are not equivalent."""

@@ -11,13 +11,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfRange
-
-Rational = Fraction
 
 
 def pochhammer(x: int | Fraction, k: int) -> Fraction:
@@ -39,6 +37,16 @@ def pochhammer(x: int | Fraction, k: int) -> Fraction:
 def pochhammer_ratio(a: int | Fraction, b: int | Fraction, k: int) -> Fraction:
     """(a)_k / (b)_k in lowest terms."""
     return pochhammer(a, k) / pochhammer(b, k)
+
+
+def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:
+    """Yield (a)_n / (b)_n for n = 0..order by the exact step c_{n+1} = c_n (a+n)/(b+n)."""
+    if a < 1 or b < 1:
+        raise ValueError("bases must be at least 1")
+    c = Fraction(1)
+    for n in range(order + 1):
+        yield c
+        c = c * (a + n) / (b + n)
 
 
 def pochhammer_negative(x: int | Fraction, j: int) -> Fraction:

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import alternating_binomial_sum, pochhammer_ratio
+from .numerics import alternating_binomial_sum, pochhammer_ratios
 from .trees import Tree, Truncation
 
 DIRICHLET = "dirichlet"
@@ -200,22 +200,13 @@ class ShiftOperator:
         Depends only on the depth n of v: (n+q)_k/(n+1)_k for the Dirichlet
         shift and its reciprocal for the Cauchy dual.
         """
-        n = self.tree.depth_of(v)
-        if self.kind == DIRICHLET:
-            return pochhammer_ratio(n + self.q, n + 1, k)
-        return pochhammer_ratio(n + 1, n + self.q, k)
+        return self.moment_sequence(v, k)[k]
 
     def moment_sequence(self, v: str, kmax: int) -> list[Fraction]:
         """Moments for k = 0..kmax, built by the one-step recurrence."""
         n = self.tree.depth_of(v)
-        if self.kind == DIRICHLET:
-            a, b = n + self.q, n + 1
-        else:
-            a, b = n + 1, n + self.q
-        values = [Fraction(1)]
-        for k in range(kmax):
-            values.append(values[-1] * (a + k) / (b + k))
-        return values
+        a, b = (n + self.q, n + 1) if self.kind == DIRICHLET else (n + 1, n + self.q)
+        return list(pochhammer_ratios(a, b, kmax))
 
     def moment_via_matrix(self, v: str, k: int) -> float:
         """Squared norm of S^k e_v by repeated application (float oracle)."""
@@ -299,6 +290,12 @@ class ShiftOperator:
         return float(total)
 
 
+def require_q(q: int | Fraction) -> None:
+    """Reject a shift parameter outside its admissible range q >= 1."""
+    if q < 1:
+        raise InvalidQ(f"q must be at least 1, got {q}")
+
+
 def make_shift(
     tree: Tree,
     q: int | Fraction,
@@ -312,8 +309,7 @@ def make_shift(
     """
     if kind not in (DIRICHLET, DUAL):
         raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
-    if q < 1:
-        raise InvalidQ(f"q must be at least 1, got {q}")
+    require_q(q)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)

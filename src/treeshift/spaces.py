@@ -11,7 +11,8 @@ branch depth + 1 otherwise), the power-series kernel coefficients are
 and the corresponding squared-norm weights are the reciprocals.  All
 coefficient and norm computations are exact rationals; floating point
 enters only through kernel evaluation at points of the disc and the
-matrix oracle.
+matrix oracle.  Consecutive coefficients differ by one rational factor,
+so a series or norm through order N takes O(N) exact steps.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import pochhammer_ratio, radial_integral, radial_integral_quadrature
-from .shifts import DUAL, ShiftOperator
+from .numerics import pochhammer_ratios, radial_integral, radial_integral_quadrature
+from .shifts import DUAL, ShiftOperator, require_q
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -37,20 +38,29 @@ def block_weight_index(branch_depth: int | None) -> int:
     return 0 if branch_depth is None else branch_depth + 1
 
 
+def _block_coefficients(q: int | Fraction, l: int, order: int, space: str) -> Iterator[Fraction]:
+    """Kernel coefficients of block ``l`` for n = 0..order; Bergman swaps the Dirichlet pair."""
+    require_q(q)
+    if space == DIRICHLET_SPACE:
+        return pochhammer_ratios(l + 1, l + q, order)
+    if space == BERGMAN_SPACE:
+        return pochhammer_ratios(l + q, l + 1, order)
+    raise ValueError(f"unknown space {space!r}")
+
+
 def dirichlet_coefficient(q: int | Fraction, branch_depth: int | None, n: int) -> Fraction:
     """Kernel power-series coefficient of the Dirichlet-side space.
 
     ``branch_depth`` is None for the root-line block and the depth of the
     branching vertex otherwise.
     """
-    l = block_weight_index(branch_depth)
-    return pochhammer_ratio(l + 1, l + q, n)
+    *_, value = _block_coefficients(q, block_weight_index(branch_depth), n, DIRICHLET_SPACE)
+    return value
 
 
 def bergman_coefficient(q: int | Fraction, branch_depth: int | None, n: int) -> Fraction:
     """Kernel power-series coefficient of the Bergman-side space."""
-    l = block_weight_index(branch_depth)
-    return pochhammer_ratio(l + q, l + 1, n)
+    return 1 / dirichlet_coefficient(q, branch_depth, n)
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,9 @@ def kernel_block_series(
     q: int | Fraction, branch_depth: int | None, x: complex, order: int, space: str
 ) -> complex:
     """Partial sum through ``order`` of the block's kernel series at x = z conj(w)."""
-    if space == DIRICHLET_SPACE:
-        coeff = dirichlet_coefficient
-    elif space == BERGMAN_SPACE:
-        coeff = bergman_coefficient
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    total = 0j
-    power = 1 + 0j
-    for n in range(order + 1):
-        total += float(coeff(q, branch_depth, n)) * power
+    total, power = 0j, 1 + 0j
+    for coefficient in _block_coefficients(q, block_weight_index(branch_depth), order, space):
+        total += float(coefficient) * power
         power *= x
     return total
 
@@ -197,28 +200,30 @@ def graded_function(
     return GradedFunction(block_depths=depths, layers=tuple(built))
 
 
-def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
-    """Squared norm in the Dirichlet-side space (exact for rational input)."""
+def _graded_norm(f: GradedFunction, q: int | Fraction, dual: str) -> Fraction | float:
+    """Squared norm whose layer weights are the kernel coefficients of the
+    ``dual`` space, built once per distinct block depth (None: root line)."""
+    order = len(f.layers) - 1
+    depths = {None, *f.block_depths.values()}
+    weights = {d: list(_block_coefficients(q, block_weight_index(d), order, dual)) for d in depths}
     total = Fraction(0)
     for n, layer in enumerate(f.layers):
-        total = total + _sq(layer.root) * pochhammer_ratio(q, 1, n)
+        total = total + _sq(layer.root) * weights[None][n]
         for v, d in f.block_depths.items():
             square = layer.block_square(v)
             if square:
-                total = total + square * pochhammer_ratio(d + q + 1, d + 2, n)
+                total = total + square * weights[d][n]
     return total
+
+
+def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
+    """Squared norm in the Dirichlet-side space (exact for rational input)."""
+    return _graded_norm(f, q, BERGMAN_SPACE)
 
 
 def bergman_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     """Squared norm in the Bergman-side space (reciprocal layer weights)."""
-    total = Fraction(0)
-    for n, layer in enumerate(f.layers):
-        total = total + _sq(layer.root) * pochhammer_ratio(1, q, n)
-        for v, d in f.block_depths.items():
-            square = layer.block_square(v)
-            if square:
-                total = total + square * pochhammer_ratio(d + 2, d + q + 1, n)
-    return total
+    return _graded_norm(f, q, DIRICHLET_SPACE)
 
 
 def h2_norm_via_measure_decomposition(f: GradedFunction, q: int = 2) -> Fraction | float:
@@ -282,11 +287,9 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
 
 def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
     """Exact diagonal the oracle must reproduce at j = k = n."""
-    scalars = []
-    for block in shift.kernel_basis().blocks:
-        value = float(dirichlet_coefficient(shift.q, block.branch_depth, n))
-        scalars.extend([value] * block.dimension)
-    return np.diag(scalars)
+    blocks = shift.kernel_basis().blocks
+    values = [float(dirichlet_coefficient(shift.q, block.branch_depth, n)) for block in blocks]
+    return np.diag(np.repeat(values, [block.dimension for block in blocks]))
 
 
 # -- radial weights of the Bergman measure ----------------------------------------
@@ -352,17 +355,15 @@ def log_convexity_check(k: int, l: int, bound: int) -> PickReport:
     for the complete Pick property used here; it reduces to
     (l+n)(k+n-1) <= (l+n-1)(k+n), which holds exactly when l >= k.
     """
-    previous = Fraction(1)
-    current = Fraction(k) / l
+    c = list(pochhammer_ratios(k, l, bound + 1))
     for n in range(1, bound + 1):
-        following = current * (k + n) / (l + n)
-        if current * current > previous * following:
+        if c[n] * c[n] > c[n - 1] * c[n + 1]:
             return PickReport(passed=False, checked_through=bound, witness=n)
-        previous, current = current, following
     return PickReport(passed=True, checked_through=bound)
 
 
 def pick_property_check(q: int, branch_depth: int | None, bound: int) -> PickReport:
     """Log-convexity of a Dirichlet-side block's kernel coefficients."""
+    require_q(q)
     l_param = block_weight_index(branch_depth)
     return log_convexity_check(l_param + 1, l_param + q, bound)

@@ -202,9 +202,6 @@ class Tree:
             child_count=self.child_count(v),
         )
 
-    def is_branching(self, v: str) -> bool:
-        return self.child_count(v) >= 2
-
     # -- global structure -----------------------------------------------------
 
     def branching_vertices(self) -> tuple[tuple[str, int], ...]:

@@ -161,3 +161,44 @@ def test_reports_are_deterministic(tree_file, capsys):
     _code, first = _run(capsys, argv)
     _code, second = _run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["checks", "{tree}", "--q", "0", "--suite", "pick"],
+        ["checks", "{tree}", "--q", "0"],
+        ["moments", "{tree}", "--q", "0", "--vertex", "r", "--kmax", "2"],
+    ],
+    ids=["checks-pick", "checks-all", "moments"],
+)
+def test_q_below_one_exits_3(tree_file, capsys, argv):
+    path = tree_file(DOUBLE01)
+    assert main([arg.format(tree=path) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: q must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "{tree}", "--horizon", "-1"],
+        ["checks", "{tree}", "--q", "2", "--horizon", "0"],
+        ["validate", "{missing}"],
+        ["moments", "{tree}", "--q", "2", "--vertex", "r", "--kmax", "-1"],
+    ],
+    ids=["profile-negative-horizon", "checks-zero-horizon", "missing-file", "negative-kmax"],
+)
+def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
+    path, missing = tree_file(DOUBLE01), str(tmp_path / "missing.json")
+    try:
+        code = main([arg.format(tree=path, missing=missing) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the value before any command runs
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    # one error line, after argparse's usage lines when argparse rejected the value
+    *usage, last = captured.err.splitlines()
+    assert "error: " in last
+    assert not usage or usage[0].startswith("usage: ")

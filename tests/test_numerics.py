@@ -14,6 +14,7 @@ from treeshift import (
     radial_integral_quadrature,
 )
 from treeshift.errors import IndexOutOfRange
+from treeshift.numerics import pochhammer_ratios
 
 
 def test_pochhammer_values():
@@ -47,6 +48,25 @@ def test_pochhammer_ratio_values():
 )
 def test_pochhammer_ratio_reciprocity(a, b, k):
     assert pochhammer_ratio(a, b, k) * pochhammer_ratio(b, a, k) == 1
+
+
+@given(
+    a=st.integers(min_value=1, max_value=15),
+    b=st.integers(min_value=1, max_value=15),
+    order=st.integers(min_value=0, max_value=40),
+)
+def test_pochhammer_ratios_match_per_term_ratios(a, b, order):
+    expected = [pochhammer_ratio(a, b, n) for n in range(order + 1)]
+    assert list(pochhammer_ratios(a, b, order)) == expected
+
+
+def test_pochhammer_ratios_edges():
+    assert list(pochhammer_ratios(3, Fraction(5, 2), 2)) == [1, Fraction(6, 5), Fraction(48, 35)]
+    assert list(pochhammer_ratios(2, 3, -1)) == []
+    with pytest.raises(ValueError):
+        list(pochhammer_ratios(2, 0, 3))
+    with pytest.raises(ValueError):
+        list(pochhammer_ratios(0, 2, 3))
 
 
 def test_pochhammer_negative_exponent():

@@ -1,9 +1,13 @@
+import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from corpus import CORPUS, DOUBLE01, FORK2, LINE, SPLIT
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     DUAL,
@@ -19,16 +23,19 @@ from treeshift import (
     kernel_block_spec,
     kernel_matrix_oracle,
     kernel_oracle_expected,
+    kernel_series_order,
     log_convexity_check,
     make_shift,
     pick_property_check,
+    pochhammer_ratio,
     radial_weight,
     vec_add,
     vec_norm,
     vec_scale,
 )
-from treeshift.errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
+from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.shifts import DIRICHLET
+from treeshift.spaces import kernel_block_series
 
 
 def test_dirichlet_coefficients():
@@ -110,8 +117,6 @@ def test_kernel_apply_outside_disc():
 @pytest.mark.parametrize("space", ["dirichlet", "bergman"])
 @pytest.mark.parametrize("q", [2, 4])
 def test_kernel_series_order_bound_is_honest(space, q):
-    from treeshift import kernel_series_order
-
     spec = kernel_block_spec(DOUBLE01)
     z = w = 0.6
     order = kernel_series_order(q, space, abs(z * w), tol=1e-12)
@@ -285,3 +290,119 @@ def test_dirichlet_measure_weights():
         "r": Fraction(1, 2),
         "a": Fraction(1, 3),
     }
+
+
+# -- differential check of the one-step recurrence against per-n rebuilds --------
+
+
+def _reference_pair(q, l, space):
+    """Pochhammer pair (a, b) of the kernel coefficient (a)_n/(b)_n."""
+    return (l + 1, l + q) if space == "dirichlet" else (l + q, l + 1)
+
+
+def _reference_block_series(q, l, x, order, space):
+    """Kernel partial sum with every coefficient recomputed per n (O(order^2))."""
+    a, b = _reference_pair(q, l, space)
+    total = 0j
+    power = 1 + 0j
+    for n in range(order + 1):
+        total += float(pochhammer_ratio(a, b, n)) * power
+        power *= x
+    return total
+
+
+def _reference_norm(f, q, space):
+    """Squared norm with every layer weight recomputed per n; the weights
+    of a space are the kernel coefficients of the other one."""
+    dual = "bergman" if space == "dirichlet" else "dirichlet"
+
+    def weight(l, n):
+        return pochhammer_ratio(*_reference_pair(q, l, dual), n)
+
+    def square(c):
+        return Fraction(c) ** 2 if isinstance(c, (int, Fraction)) else abs(c) ** 2
+
+    total = Fraction(0)
+    for n, layer in enumerate(f.layers):
+        total = total + square(layer.root) * weight(0, n)
+        for v, d in f.block_depths.items():
+            block = layer.block_square(v)
+            if block:
+                total = total + block * weight(d + 1, n)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(min_value=1, max_value=6),
+    l=st.integers(min_value=0, max_value=12),
+    order=st.integers(min_value=0, max_value=300),
+    radius=st.floats(min_value=0.0, max_value=0.999),
+    angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+    space=st.sampled_from(["dirichlet", "bergman"]),
+)
+def test_block_series_equals_per_term_reference(q, l, order, radius, angle, space):
+    x = cmath.rect(radius, angle)
+    branch_depth = None if l == 0 else l - 1
+    expected = _reference_block_series(q, l, x, order, space)
+    assert kernel_block_series(q, branch_depth, x, order, space) == expected
+
+
+_rational_coords = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=7)
+)
+_complex_coords = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORPUS)),
+    q=st.integers(min_value=1, max_value=6),
+    exact=st.booleans(),
+    data=st.data(),
+)
+def test_norms_equal_per_term_reference(name, q, exact, data):
+    tree = CORPUS[name]
+    coords = _rational_coords if exact else _complex_coords
+    blocks = dict(tree.branching_vertices())
+    layer = st.tuples(
+        coords,
+        st.fixed_dictionaries(
+            {}, optional={v: st.lists(coords, max_size=c - 1) for v, c in blocks.items()}
+        ),
+    )
+    f = graded_function(tree, data.draw(st.lists(layer, max_size=60)))
+    assert dirichlet_norm(f, q) == _reference_norm(f, q, "dirichlet")
+    assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
+
+
+@pytest.mark.parametrize("space", ["dirichlet", "bergman"])
+def test_series_order_in_the_thousands_is_linear_time(space):
+    # q = 3 root line at x = 0.99: the coefficients are 2/((n+1)(n+2)) and
+    # (n+1)(n+2)/2, whose series have the closed forms below.
+    x = 0.99
+    order = kernel_series_order(3, space, x)
+    assert order == {"dirichlet": 3207, "bergman": 4898}[space]
+    started = time.perf_counter()
+    value = kernel_block_series(3, None, x, order, space)
+    elapsed = time.perf_counter() - started
+    if space == "dirichlet":
+        expected = 2 * (-math.log(1 - x) / x + (math.log(1 - x) + x) / x**2)
+    else:
+        expected = 1 / (1 - x) ** 3
+    assert value.real == pytest.approx(expected, rel=1e-12)
+    assert elapsed < 1.0, f"order {order} took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("q", [0, -1, Fraction(1, 2)])
+def test_q_below_one_is_rejected(q):
+    spec = kernel_block_spec(FORK2)
+    f = graded_function(FORK2, [(Fraction(1), {"r": (Fraction(1),)})])
+    with pytest.raises(InvalidQ):
+        kernel_apply(spec, q, "dirichlet", 0.1, 0.2, {None: (1.0,)}, order=5)
+    with pytest.raises(InvalidQ):
+        dirichlet_norm(f, q)
+    with pytest.raises(InvalidQ):
+        bergman_norm(f, q)
+    with pytest.raises(InvalidQ):
+        pick_property_check(q, None, 10)
