@@ -19,7 +19,6 @@ from .classify import (
     build_graded_unitary,
     cokernel_dimension,
     decide_equivalence,
-    forced_flat_residual,
     lift_graded_unitary,
     verify_intertwining,
 )

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, CoordinateVector, ShiftOperator, make_shift, vec_add, vec_scale
+from .shifts import DIRICHLET, ShiftOperator, make_shift
 from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
@@ -156,39 +156,32 @@ def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Grad
 
 @dataclass(frozen=True)
 class LiftedUnitary:
-    """Matrix form of the lifted map between the two truncations.
+    """Matched orthonormal columns of the lifted map between the two truncations.
 
-    ``source``/``target`` hold matched orthonormal columns; ``matrix`` is
-    the lifted operator and ``domain`` the column indices whose image
-    under one more application of the shift stays inside the truncation.
+    The lift sends ``source[:, i]`` to ``target[:, i]``, so it acts on a
+    coordinate array f as ``target @ (source.T @ f)``.  ``domain`` holds
+    the column indices whose image under one more application of the
+    shift stays inside the truncation; ``shifts`` are the two truncated
+    shifts the columns were pushed forward by.
     """
 
     source: np.ndarray
     target: np.ndarray
     domain: tuple[int, ...]
-    matrix: np.ndarray
-
-
-def _as_array(shift: ShiftOperator, vec: Mapping[str, complex]) -> np.ndarray:
-    out = np.zeros(len(shift.trunc.vertices))
-    for v, x in vec.items():
-        out[shift.trunc.index[v]] = complex(x).real
-    return out
+    shifts: tuple[ShiftOperator, ShiftOperator]
 
 
 def _lift_pairs(
     shift1: ShiftOperator,
     shift2: ShiftOperator,
-    pairs: Sequence[tuple[CoordinateVector, CoordinateVector, int]],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray, int]],
     check_norms: bool,
 ) -> LiftedUnitary:
-    mat1, mat2 = shift1.matrix(), shift2.matrix()
     cols1, cols2, domain = [], [], []
-    for vec1, vec2, max_power in pairs:
-        a1, a2 = _as_array(shift1, vec1), _as_array(shift2, vec2)
+    for a1, a2, max_power in pairs:
         for power in range(max_power + 1):
             if power:
-                a1, a2 = mat1 @ a1, mat2 @ a2
+                a1, a2 = shift1.act(a1), shift2.act(a2)
             n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
             if check_norms and abs(n1 - n2) > _NORM_MATCH_TOL * max(n1, n2):
                 raise AssertionError(
@@ -198,13 +191,11 @@ def _lift_pairs(
                 domain.append(len(cols1))
             cols1.append(a1 / n1)
             cols2.append(a2 / n2)
-    source = np.column_stack(cols1)
-    target = np.column_stack(cols2)
     return LiftedUnitary(
-        source=source,
-        target=target,
+        source=np.column_stack(cols1),
+        target=np.column_stack(cols2),
         domain=tuple(domain),
-        matrix=target @ source.T,
+        shifts=(shift1, shift2),
     )
 
 
@@ -216,15 +207,19 @@ def lift_graded_unitary(
     A kernel vector at support depth d is paired with its image and both
     are pushed forward by powers of the respective shifts; matching
     moments make the columns orthonormal on both sides, so the resulting
-    matrix is a genuine unitary between the truncated spaces.
+    map is a genuine unitary between the truncated spaces.
     """
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
     basis1 = {b.vertex: b for b in shift1.kernel_basis().blocks}
     basis2 = {b.vertex: b for b in shift2.kernel_basis().blocks}
 
-    pairs: list[tuple[CoordinateVector, CoordinateVector, int]] = [
-        ({tree1.root: 1.0}, {tree2.root: unitary.root_map}, depth)
+    pairs = [
+        (
+            shift1.to_array({tree1.root: 1.0}),
+            shift2.to_array({tree2.root: unitary.root_map}),
+            depth,
+        )
     ]
     for n in sorted(unitary.generations):
         if n + 2 > depth:
@@ -233,33 +228,25 @@ def lift_graded_unitary(
             )
         flat1 = [v for vertex in unitary.blocks1[n] for v in basis1[vertex].vectors]
         flat2 = [v for vertex in unitary.blocks2[n] for v in basis2[vertex].vectors]
-        matrix = unitary.generations[n]
+        images = np.column_stack([shift2.to_array(v) for v in flat2]) @ unitary.generations[n]
         for i, vec1 in enumerate(flat1):
-            image: CoordinateVector = {}
-            for j, vec2 in enumerate(flat2):
-                if matrix[j, i]:
-                    image = vec_add(image, vec_scale(matrix[j, i], vec2))
-            pairs.append((vec1, image, depth - (n + 1)))
+            pairs.append((shift1.to_array(vec1), images[:, i], depth - (n + 1)))
     return _lift_pairs(shift1, shift2, pairs, check_norms=True)
 
 
-def _residual(
-    shift1: ShiftOperator,
-    shift2: ShiftOperator,
-    lift: LiftedUnitary,
-    trials: int,
-    seed: int,
-) -> float:
-    mat1, mat2 = shift1.matrix(), shift2.matrix()
-    lifted = lift.matrix
-    columns = lift.source[:, list(lift.domain)]
+def _residual(lift: LiftedUnitary, trials: int, seed: int) -> float:
+    """Largest relative defect |U S1 f - S2 U f| / |f| over random f in the domain."""
+    shift1, shift2 = lift.shifts
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        f = columns @ rng.standard_normal(columns.shape[1])
-        gap = lifted @ (mat1 @ f) - mat2 @ (lifted @ f)
-        worst = max(worst, float(np.linalg.norm(gap) / np.linalg.norm(f)))
-    return worst
+    coefficients = np.zeros((lift.source.shape[1], trials))
+    coefficients[list(lift.domain)] = rng.standard_normal((trials, len(lift.domain))).T
+    f = lift.source @ coefficients
+
+    def lifted(a: np.ndarray) -> np.ndarray:
+        return lift.target @ (lift.source.T @ a)
+
+    gap = lifted(shift1.act(f)) - shift2.act(lifted(f))
+    return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(f, axis=0), initial=0.0))
 
 
 def verify_intertwining(
@@ -273,30 +260,4 @@ def verify_intertwining(
 ) -> float:
     """Largest relative intertwining defect of the lifted unitary over
     random test vectors supported strictly inside the truncation."""
-    lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
-    shift1 = make_shift(tree1, q, DIRICHLET, depth)
-    shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    return _residual(shift1, shift2, lift, trials, seed)
-
-
-def forced_flat_residual(
-    tree1: Tree, tree2: Tree, q: int, depth: int, trials: int = 16, seed: int = 42
-) -> float:
-    """Test hook: best-effort lift for a pair with equal cokernel totals.
-
-    Kernel vectors are paired in flat order regardless of generation, each
-    side normalized on its own.  When the depth profiles differ no
-    intertwiner exists and the residual stays bounded away from zero.
-    """
-    shift1 = make_shift(tree1, q, DIRICHLET, depth)
-    shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    flat1 = shift1.kernel_basis().all_vectors()
-    flat2 = shift2.kernel_basis().all_vectors()
-    if len(flat1) != len(flat2):
-        raise NotEquivalentError("cokernel dimensions differ; no pairing exists")
-    pairs = []
-    for (block1, vec1), (block2, vec2) in zip(flat1, flat2):
-        max_power = depth - max(block1.support_depth, block2.support_depth)
-        pairs.append((vec1, vec2, max_power))
-    lift = _lift_pairs(shift1, shift2, pairs, check_norms=False)
-    return _residual(shift1, shift2, lift, trials, seed)
+    return _residual(lift_graded_unitary(tree1, tree2, q, unitary, depth), trials, seed)

@@ -278,7 +278,9 @@ def _suite_cardid(tree: Tree, horizon: int, kmax: int = 5) -> list[dict]:
     return assertions
 
 
-def _suite_kernel(tree: Tree, q: int, seed: int, depth: int = 10, nmax: int = 5) -> list[dict]:
+def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
+    # the deepest block sits at depth branching_index(); its powers up to nmax must fit
+    depth = max(10, tree.branching_index() + nmax)
     shift = make_shift(tree, q, DUAL, depth)
     off_worst = 0.0
     diag_worst = 0.0

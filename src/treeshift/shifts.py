@@ -4,13 +4,17 @@ Two weight systems are built from the same tree: the Dirichlet shift,
 whose squared weight into a vertex v at depth n with sibling count s is
 (n + q - 1)/(n s), and its Cauchy dual, with squared weight
 n/((n + q - 1) s).  For each the squared weights are exact rationals;
-floating point appears only in matrix action.
+floating point appears only where the operator acts on coordinates.
 
 The operator acts on finitely supported vectors over the vertices of
-depth at most ``horizon``.  Applying the shift to a vector touching the
-horizon would push mass outside the truncation, so that raises
-``TruncationLoss`` instead of silently projecting: every exactness claim
-carries its validity region.
+depth at most ``horizon``, in two forms: sparse vertex-keyed dicts
+(``apply``), for vectors with small support, and coordinate arrays in
+truncation order (``act``), where the shift reweights the parent map in
+O(n).  Applying the sparse shift to a vector touching the horizon would
+push mass outside the truncation, so that raises ``TruncationLoss``
+instead of silently projecting: every exactness claim carries its
+validity region.  The array action drops that mass, so its callers keep
+their supports away from the horizon themselves.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ class ShiftOperator:
     horizon: int
     trunc: Truncation
     squared_weights: Mapping[str, Fraction]
-    weights: Mapping[str, float]
+    weights: np.ndarray  # float weight into each vertex, truncation order; 0 at the root
 
     # -- structure -------------------------------------------------------------
 
@@ -139,18 +143,37 @@ class ShiftOperator:
     def matrix(self) -> np.ndarray:
         """Dense matrix of the truncated operator in vertex coordinates.
 
-        Columns of horizon-depth vertices are zero; use only where no mass
-        reaches the horizon.
+        Reference for the array action ``act``; columns of horizon-depth
+        vertices are zero.
         """
-        n = len(self.trunc.vertices)
+        n = len(self.weights)
         mat = np.zeros((n, n))
-        index = self.trunc.index
-        for v, kids in self.trunc.children.items():
-            for u in kids:
-                mat[index[u], index[v]] = self.weights[u]
+        mat[np.arange(n), self.trunc.parent_index] = self.weights
         return mat
 
     # -- action ----------------------------------------------------------------
+
+    def to_array(self, f: Mapping[str, complex]) -> np.ndarray:
+        """Real parts of a sparse vector as a coordinate array in truncation order."""
+        out = np.zeros(len(self.weights))
+        for v, x in f.items():
+            out[self.trunc.index[v]] = complex(x).real
+        return out
+
+    def _column_weights(self, a: np.ndarray) -> np.ndarray:
+        return self.weights if a.ndim == 1 else self.weights[:, None]
+
+    def act(self, a: np.ndarray) -> np.ndarray:
+        """(S a)(u) = weight(u) a(parent(u)) on a coordinate array or a block
+        of columns; mass at the horizon leaves the truncation and drops."""
+        return self._column_weights(a) * a[self.trunc.parent_index]
+
+    def act_adjoint(self, a: np.ndarray) -> np.ndarray:
+        """(S* a)(v) = sum over children u of weight(u) a(u), as ``act``."""
+        weighted = self._column_weights(a) * a
+        out = np.zeros_like(weighted)
+        np.add.at(out, self.trunc.parent_index, weighted)
+        return out
 
     def _check_support(self, f: Mapping[str, complex], margin: int = 0) -> None:
         limit = self.horizon - margin
@@ -164,20 +187,22 @@ class ShiftOperator:
     def apply(self, f: Mapping[str, complex]) -> CoordinateVector:
         """(S f)(u) = weight(u) f(parent(u)); support moves one level down."""
         self._check_support(f, margin=1)
+        index = self.trunc.index
         out: CoordinateVector = {}
         for v, x in f.items():
             for u in self.trunc.children[v]:
-                out[u] = out.get(u, 0) + self.weights[u] * x
+                out[u] = out.get(u, 0) + self.weights.item(index[u]) * x
         return out
 
     def apply_adjoint(self, f: Mapping[str, complex]) -> CoordinateVector:
         """(S* f)(v) = sum over children u of weight(u) f(u); kills the root."""
         self._check_support(f)
+        index = self.trunc.index
         out: CoordinateVector = {}
         for u, x in f.items():
             v = self.trunc.parent[u]
             if v is not None:
-                out[v] = out.get(v, 0) + self.weights[u] * x
+                out[v] = out.get(v, 0) + self.weights.item(index[u]) * x
         return out
 
     def apply_power(self, f: Mapping[str, complex], k: int) -> CoordinateVector:
@@ -240,15 +265,6 @@ class ShiftOperator:
                     )
                 )
         return KernelBasis(blocks=tuple(blocks))
-
-    def kernel_basis_matrix(self, basis: KernelBasis | None = None) -> np.ndarray:
-        basis = basis or self.kernel_basis()
-        index = self.trunc.index
-        mat = np.zeros((len(self.trunc.vertices), basis.dimension))
-        for col, (_block, vec) in enumerate(basis.all_vectors()):
-            for v, x in vec.items():
-                mat[index[v], col] = x.real if isinstance(x, complex) else x
-        return mat
 
     # -- defect operator and self-commutator --------------------------------------
 
@@ -323,7 +339,7 @@ def make_shift(
             squared[v] = Fraction(n + q - 1) / (n * s)
         else:
             squared[v] = n / (Fraction(n + q - 1) * s)
-    weights = {v: math.sqrt(w) for v, w in squared.items()}
+    weights = np.array([math.sqrt(squared.get(v, 0)) for v in trunc.vertices])
     return ShiftOperator(
         tree=tree,
         q=q,

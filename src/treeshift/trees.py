@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     AncestorOutOfRange,
     CircuitDetected,
@@ -106,7 +108,9 @@ class Truncation:
 
     ``children`` maps each vertex to its children inside the truncation;
     vertices sitting exactly at the horizon map to an empty tuple even
-    though the underlying tree continues below them.
+    though the underlying tree continues below them.  ``parent_index[i]``
+    is the position of the parent of ``vertices[i]``; the root points to
+    itself.
     """
 
     horizon: int
@@ -116,6 +120,7 @@ class Truncation:
     depth: Mapping[str, int]
     parent: Mapping[str, str | None]
     children: Mapping[str, tuple[str, ...]]
+    parent_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -231,14 +236,18 @@ class Tree:
         generations: list[tuple[str, ...]] = [(self.root,)]
         parent: dict[str, str | None] = {self.root: None}
         children: dict[str, tuple[str, ...]] = {}
+        parent_index = [0]
+        start = 0
         for n in range(horizon):
             nxt: list[str] = []
-            for v in generations[n]:
+            for i, v in enumerate(generations[n], start):
                 kids = self.children_of(v)
                 children[v] = kids
                 for u in kids:
                     parent[u] = v
+                parent_index.extend([i] * len(kids))
                 nxt.extend(kids)
+            start += len(generations[n])
             generations.append(tuple(nxt))
         for v in generations[horizon]:
             children[v] = ()
@@ -253,13 +262,8 @@ class Tree:
             depth=depth,
             parent=parent,
             children=children,
+            parent_index=np.array(parent_index),
         )
-
-    def generation(self, n: int, horizon: int) -> tuple[str, ...]:
-        """All vertices at depth ``n``, rays materialized up to ``horizon``."""
-        if n > horizon:
-            raise HorizonExceeded(f"generation {n} beyond horizon {horizon}")
-        return self.truncate(horizon).generations[n]
 
     def sibling_count_chain(self, v: str, l: int) -> int:
         """Sibling count of the l-th ancestor of ``v`` (l = 0 is v itself).

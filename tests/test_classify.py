@@ -15,11 +15,13 @@ from treeshift import (
     build_tree,
     cokernel_dimension,
     decide_equivalence,
-    forced_flat_residual,
     lift_graded_unitary,
+    make_shift,
     verify_intertwining,
 )
+from treeshift.classify import _lift_pairs, _residual
 from treeshift.errors import InvalidQ, NotEquivalentError
+from treeshift.shifts import DIRICHLET
 
 
 def test_cokernel_dimensions():
@@ -163,14 +165,37 @@ def test_lift_is_unitary():
     unitary = build_graded_unitary(wide, split, 2, 6)
     lift = lift_graded_unitary(wide, split, 2, unitary, 10)
     n1 = lift.source.shape[0]
-    assert lift.matrix.shape == (lift.target.shape[0], n1)
+
+    def lifted(f):
+        return lift.target @ (lift.source.T @ f)
+
+    assert lifted(np.eye(n1)).shape == (lift.target.shape[0], n1)
     assert np.max(np.abs(lift.source.T @ lift.source - np.eye(n1))) < 1e-10
     rng = np.random.default_rng(5)
     for _ in range(10):
         f = rng.standard_normal(n1)
-        assert np.linalg.norm(lift.matrix @ f) == pytest.approx(
+        assert np.linalg.norm(lifted(f)) == pytest.approx(
             np.linalg.norm(f), rel=1e-10
         )
+
+
+def forced_flat_residual(tree1, tree2, q, depth):
+    """Best-effort lift for a pair with equal cokernel totals.
+
+    Kernel vectors are paired in flat order regardless of generation, each
+    side normalized on its own.  When the depth profiles differ no
+    intertwiner exists and the residual stays bounded away from zero.
+    """
+    shift1 = make_shift(tree1, q, DIRICHLET, depth)
+    shift2 = make_shift(tree2, q, DIRICHLET, depth)
+    flat1 = shift1.kernel_basis().all_vectors()
+    flat2 = shift2.kernel_basis().all_vectors()
+    assert len(flat1) == len(flat2)
+    pairs = [
+        (shift1.to_array(vec1), shift2.to_array(vec2), depth - max(block1.support_depth, block2.support_depth))
+        for (block1, vec1), (block2, vec2) in zip(flat1, flat2)
+    ]
+    return _residual(_lift_pairs(shift1, shift2, pairs, check_norms=False), trials=16, seed=42)
 
 
 def test_forced_pairing_residual_is_bounded_away_from_zero():

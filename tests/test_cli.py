@@ -155,6 +155,23 @@ def test_checks_suites_pass(tree_file, capsys, suite):
     assert results["total"] >= 1
 
 
+def _complete_binary(depth):
+    """Complete binary tree of the given depth with a ray on every leaf."""
+    children = {f"v{i}": [f"v{2 * i + 1}", f"v{2 * i + 2}"] for i in range(2**depth - 1)}
+    leaves = [f"v{i}" for i in range(2**depth - 1, 2 ** (depth + 1) - 1)]
+    return {"root": "v0", "children": children, "ray_leaves": leaves}
+
+
+@pytest.mark.parametrize("suite", ["kernel", "all"])
+@pytest.mark.parametrize("depth", [6, 7])
+def test_checks_pass_on_trees_branching_deeper_than_five(tree_file, capsys, suite, depth):
+    code, out = _run(
+        capsys, ["checks", tree_file(_complete_binary(depth)), "--q", "3", "--suite", suite]
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["all_passed"] is True
+
+
 def test_reports_are_deterministic(tree_file, capsys):
     path = tree_file(DOUBLE01)
     argv = ["checks", path, "--q", "3", "--suite", "all", "--horizon", "5"]

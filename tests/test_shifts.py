@@ -118,6 +118,19 @@ def test_dual_is_shift_times_inverse_gram(q):
     assert np.max(np.abs(dual.matrix() - dirichlet.matrix() @ gram_inverse)) < 1e-10
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("kind", [DIRICHLET, DUAL])
+def test_array_action_equals_dense_matrix(name, kind):
+    shift = make_shift(CORPUS[name], 3, kind, 6)
+    mat = shift.matrix()
+    rng = np.random.default_rng(11)
+    n = len(shift.trunc.vertices)
+    for a in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+        # mass at the horizon drops in both forms
+        assert np.array_equal(shift.act(a), mat @ a)
+        assert np.allclose(shift.act_adjoint(a), mat.T @ a, rtol=0, atol=1e-14)
+
+
 def test_moment_examples():
     line = make_shift(LINE, 1, DIRICHLET, 6)
     assert all(line.moment("r~2", k) == 1 for k in range(6))

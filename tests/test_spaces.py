@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from treeshift import (
     DUAL,
+    KernelBlockSpec,
+    PickReport,
     bergman_coefficient,
     bergman_norm,
     bergman_weight_moment,
@@ -34,6 +36,7 @@ from treeshift import (
     vec_scale,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
+from treeshift.numerics import pochhammer_ratios
 from treeshift.shifts import DIRICHLET
 from treeshift.spaces import kernel_block_series
 
@@ -280,6 +283,46 @@ def test_pick_property():
     for q in range(1, 7):
         for depth in (None, 0, 1, 5, 10):
             assert pick_property_check(q, depth, 100).passed
+
+
+def _reference_log_convexity(k, l, bound):
+    """Log-convexity compared as c_n^2 <= c_{n-1} c_{n+1} in exact Fractions."""
+    c = list(pochhammer_ratios(k, l, bound + 1))
+    for n in range(1, bound + 1):
+        if c[n] * c[n] > c[n - 1] * c[n + 1]:
+            return PickReport(passed=False, checked_through=bound, witness=n)
+    return PickReport(passed=True, checked_through=bound)
+
+
+_bases = st.one_of(
+    st.integers(min_value=-2, max_value=40),
+    st.fractions(min_value=0, max_value=40, max_denominator=7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=_bases, l=_bases, bound=st.integers(min_value=0, max_value=120))
+def test_log_convexity_equals_fraction_reference(k, l, bound):
+    try:
+        expected = _reference_log_convexity(k, l, bound)
+    except ValueError:
+        with pytest.raises(ValueError):
+            log_convexity_check(k, l, bound)
+        return
+    # PickReport equality compares passed, checked_through and witness
+    assert log_convexity_check(k, l, bound) == expected
+
+
+def test_kernel_apply_is_linear_in_the_number_of_blocks():
+    spec = KernelBlockSpec(blocks=((None, 0),) + tuple((f"v{i}", 1 + i % 9) for i in range(19_999)))
+    g = {block_id: (1.0,) for block_id, _l in spec.blocks}
+    started = time.perf_counter()
+    out = kernel_apply(spec, 2, "dirichlet", 0.3, 0.4, g, order=0)
+    elapsed = time.perf_counter() - started
+    assert len(out) == 20_000 and all(coords == (1.0,) for coords in out.values())
+    assert elapsed < 1.0, f"20,000 blocks took {elapsed:.2f}s"
+    with pytest.raises(UnknownVertex):
+        kernel_apply(spec, 2, "dirichlet", 0.3, 0.4, {"missing": (1.0,)}, order=0)
 
 
 def test_dirichlet_measure_weights():

@@ -85,18 +85,19 @@ def test_bad_vertex_ids(bad):
 
 def test_line_tree_is_just_a_ray():
     assert LINE.vertices == ("r",)
-    assert LINE.generation(4, 10) == ("r~4",)
+    assert LINE.truncate(10).generations[4] == ("r~4",)
     assert LINE.depth_of("r~4") == 4
     assert LINE.parent_of("r~1") == "r"
     assert LINE.parent_of("r~3") == "r~2"
 
 
 def test_generations(smallest):
-    assert smallest.generation(0, 5) == ("r",)
-    assert smallest.generation(1, 5) == ("a", "b")
-    assert smallest.generation(3, 5) == ("c~1", "d~1")
-    with pytest.raises(HorizonExceeded):
-        smallest.generation(6, 5)
+    generations = smallest.truncate(5).generations
+    assert generations[0] == ("r",)
+    assert generations[1] == ("a", "b")
+    assert generations[3] == ("c~1", "d~1")
+    # nothing is materialized beyond the horizon
+    assert len(generations) == 6
 
 
 def test_branching_vertices():
