@@ -26,7 +26,7 @@ from .classify import (
 )
 from .errors import TreeFormatError, TreeshiftError, UnknownVertex
 from .numerics import hausdorff_check
-from .shifts import DIRICHLET, DUAL, make_shift, vec_inner
+from .shifts import DIRICHLET, DUAL, make_shift
 from .spaces import (
     kernel_block_spec,
     kernel_matrix_oracle,
@@ -206,23 +206,26 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # -- check suites -------------------------------------------------------------------
 
 
+# the defect and hausdorff suites compute once per generation: defects and
+# moments depend on depth alone
 def _suite_defect(tree: Tree, q: int, horizon: int) -> list[dict]:
     shift = make_shift(tree, q, DIRICHLET, horizon)
     assertions = []
-    for v in shift.trunc.vertices:
-        defect = shift.q_isometry_defect(v, q)
-        assertions.append(
-            {"name": f"defect_zero[{v}]", "passed": defect == 0, "value": _rational(defect)}
-        )
-        if q >= 2:
-            lower = shift.q_isometry_defect(v, q - 1)
+    for gen in shift.trunc.generations:
+        defect = shift.q_isometry_defect(gen[0], q)
+        lower = shift.q_isometry_defect(gen[0], q - 1) if q >= 2 else None
+        for v in gen:
             assertions.append(
-                {
-                    "name": f"defect_nonzero_order_{q - 1}[{v}]",
-                    "passed": lower != 0,
-                    "value": _rational(lower),
-                }
+                {"name": f"defect_zero[{v}]", "passed": defect == 0, "value": _rational(defect)}
             )
+            if lower is not None:
+                assertions.append(
+                    {
+                        "name": f"defect_nonzero_order_{q - 1}[{v}]",
+                        "passed": lower != 0,
+                        "value": _rational(lower),
+                    }
+                )
     return assertions
 
 
@@ -230,17 +233,13 @@ def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[
     depth_cap = min(horizon, 10)
     shift = make_shift(tree, q, DUAL, horizon)
     assertions = []
-    for v in shift.trunc.vertices:
-        if shift.trunc.depth[v] > depth_cap:
-            continue
-        outcome = hausdorff_check(shift.moment_sequence(v, 2 * order + 2), order)
-        assertions.append(
-            {
-                "name": f"hausdorff_order_{order}[{v}]",
-                "passed": outcome.passed,
-                "violation": list(map(str, outcome.violation)) if outcome.violation else None,
-            }
-        )
+    for gen in shift.trunc.generations[: depth_cap + 1]:
+        outcome = hausdorff_check(shift.moment_sequence(gen[0], 2 * order + 2), order)
+        violation = list(map(str, outcome.violation)) if outcome.violation else None
+        for v in gen:
+            assertions.append(
+                {"name": f"hausdorff_order_{order}[{v}]", "passed": outcome.passed, "violation": violation}
+            )
     return assertions
 
 
@@ -293,13 +292,13 @@ def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
                 off_worst = max(off_worst, float(np.max(np.abs(block))))
     rng = np.random.default_rng(seed)
     inner_worst = 0.0
-    vertices = [v for v in shift.trunc.vertices if shift.trunc.depth[v] < depth]
+    # random coordinates below the horizon generation, zeros on it
+    inside = sum(map(len, shift.trunc.generations[:-1]))
+    f, g = np.zeros((2, len(shift.trunc.vertices)))
     for _ in range(8):
-        f = {v: rng.standard_normal() for v in vertices}
-        g = {v: rng.standard_normal() for v in vertices}
-        lhs = vec_inner(shift.apply(f), g)
-        rhs = vec_inner(f, shift.apply_adjoint(g))
-        inner_worst = max(inner_worst, abs(lhs - rhs))
+        f[:inside] = rng.standard_normal(inside)
+        g[:inside] = rng.standard_normal(inside)
+        inner_worst = max(inner_worst, float(abs(shift.act(f) @ g - f @ shift.act_adjoint(g))))
     return [
         {"name": "kernel_offdiagonal_zero", "passed": off_worst < 1e-10, "max_abs": _float(off_worst)},
         {"name": "kernel_diagonal_matches", "passed": diag_worst < 1e-10, "max_abs_error": _float(diag_worst)},

@@ -128,10 +128,9 @@ class ShiftOperator:
     # -- structure -------------------------------------------------------------
 
     def _depth(self, v: str) -> int:
-        depth = self.trunc.depth.get(v)
-        if depth is None:
+        if v not in self.trunc.index:
             raise UnknownVertex(f"{v!r} not materialized at horizon {self.horizon}")
-        return depth
+        return self.tree.depth_of(v)
 
     def row_sum(self, depth: int) -> Fraction:
         """Exact sum of squared weights over the children of a depth-n vertex."""
@@ -177,8 +176,11 @@ class ShiftOperator:
 
     def _check_support(self, f: Mapping[str, complex], margin: int = 0) -> None:
         limit = self.horizon - margin
+        index = self.trunc.index
+        # the vertices of depth <= limit are exactly the positions below ``end``
+        end = index[self.trunc.generations[limit][-1]] + 1 if limit >= 0 else 0
         for v in f:
-            if self._depth(v) > limit:
+            if index.get(v, end) >= end:
                 raise TruncationLoss(
                     f"support at depth {self._depth(v)} exceeds {limit} "
                     f"(horizon {self.horizon}, margin {margin})"
@@ -190,7 +192,7 @@ class ShiftOperator:
         index = self.trunc.index
         out: CoordinateVector = {}
         for v, x in f.items():
-            for u in self.trunc.children[v]:
+            for u in self.tree.children_of(v):
                 out[u] = out.get(u, 0) + self.weights.item(index[u]) * x
         return out
 
@@ -200,7 +202,7 @@ class ShiftOperator:
         index = self.trunc.index
         out: CoordinateVector = {}
         for u, x in f.items():
-            v = self.trunc.parent[u]
+            v = self.tree.parent_of(u)
             if v is not None:
                 out[v] = out.get(v, 0) + self.weights.item(index[u]) * x
         return out
@@ -330,15 +332,13 @@ def make_shift(
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
     squared: dict[str, Fraction] = {}
-    for v in trunc.vertices:
-        n = trunc.depth[v]
-        if n == 0:
-            continue
-        s = tree.sibling_count(v)
-        if kind == DIRICHLET:
-            squared[v] = Fraction(n + q - 1) / (n * s)
-        else:
-            squared[v] = n / (Fraction(n + q - 1) * s)
+    for n, gen in enumerate(trunc.generations[1:], 1):
+        for v in gen:
+            s = tree.sibling_count(v)
+            if kind == DIRICHLET:
+                squared[v] = Fraction(n + q - 1) / (n * s)
+            else:
+                squared[v] = n / (Fraction(n + q - 1) * s)
     weights = np.array([math.sqrt(squared.get(v, 0)) for v in trunc.vertices])
     return ShiftOperator(
         tree=tree,

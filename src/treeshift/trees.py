@@ -106,20 +106,17 @@ class DepthProfile:
 class Truncation:
     """All vertices of depth at most ``horizon``, rays materialized.
 
-    ``children`` maps each vertex to its children inside the truncation;
-    vertices sitting exactly at the horizon map to an empty tuple even
-    though the underlying tree continues below them.  ``parent_index[i]``
-    is the position of the parent of ``vertices[i]``; the root points to
-    itself.
+    ``generations[n]`` lists the vertices of depth n, children grouped by
+    parent in parent order; ``vertices`` concatenates the generations and
+    ``index`` inverts it.  ``parent_index[i]`` is the position of the
+    parent of ``vertices[i]``; the root points to itself.  Vertices at the
+    horizon have no children here although the tree continues below them.
     """
 
     horizon: int
     generations: tuple[tuple[str, ...], ...]
     vertices: tuple[str, ...]
     index: Mapping[str, int]
-    depth: Mapping[str, int]
-    parent: Mapping[str, str | None]
-    children: Mapping[str, tuple[str, ...]]
     parent_index: np.ndarray
 
 
@@ -234,34 +231,22 @@ class Tree:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         generations: list[tuple[str, ...]] = [(self.root,)]
-        parent: dict[str, str | None] = {self.root: None}
-        children: dict[str, tuple[str, ...]] = {}
         parent_index = [0]
         start = 0
         for n in range(horizon):
             nxt: list[str] = []
             for i, v in enumerate(generations[n], start):
                 kids = self.children_of(v)
-                children[v] = kids
-                for u in kids:
-                    parent[u] = v
                 parent_index.extend([i] * len(kids))
                 nxt.extend(kids)
             start += len(generations[n])
             generations.append(tuple(nxt))
-        for v in generations[horizon]:
-            children[v] = ()
         vertices = tuple(v for gen in generations for v in gen)
-        depth = {v: n for n, gen in enumerate(generations) for v in gen}
-        index = {v: i for i, v in enumerate(vertices)}
         return Truncation(
             horizon=horizon,
             generations=tuple(generations),
             vertices=vertices,
-            index=index,
-            depth=depth,
-            parent=parent,
-            children=children,
+            index={v: i for i, v in enumerate(vertices)},
             parent_index=np.array(parent_index),
         )
 
@@ -293,19 +278,23 @@ class Tree:
         """Label-independent form of the truncation at ``horizon``.
 
         Two trees truncated at the same horizon are isomorphic as rooted
-        directed trees exactly when their canonical forms coincide
-        (child subtrees are canonicalized recursively and sorted).
+        directed trees exactly when their canonical forms coincide: each
+        vertex's form is ``"(" + "".join(sorted(child forms)) + ")"``,
+        built bottom-up one generation at a time, so depth is not limited
+        by the recursion limit.
         """
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-
-        def canon(v: str, remaining: int) -> str:
-            if remaining == 0:
-                return "()"
-            parts = sorted(canon(u, remaining - 1) for u in self.children_of(v))
-            return "(" + "".join(parts) + ")"
-
-        return canon(self.root, horizon)
+        trunc = self.truncate(horizon)
+        below = ["()"] * len(trunc.generations[-1])
+        end = len(trunc.vertices)
+        for gen in reversed(trunc.generations[:-1]):
+            start = end - len(below)
+            offset = start - len(gen)
+            parts: list[list[str]] = [[] for _ in gen]
+            for form, i in zip(below, trunc.parent_index[start:end].tolist()):
+                parts[i - offset].append(form)
+            below = ["(" + "".join(sorted(forms)) + ")" for forms in parts]
+            end = start
+        return below[0]
 
 
 # -- construction and validation ---------------------------------------------
@@ -412,16 +401,11 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = Fraction(0)
-    descendants = [v]
+    # each step down divides by the sibling count of the child reached
+    layer = {v: Fraction(1)}
     for _ in range(k):
-        descendants = [u for w in descendants for u in tree.children_of(w)]
-    for u in descendants:
-        product = Fraction(1)
-        for l in range(k):
-            product /= tree.sibling_count_chain(u, l)
-        total += product
-    return total
+        layer = {u: p / tree.child_count(w) for w, p in layer.items() for u in tree.children_of(w)}
+    return sum(layer.values(), Fraction(0))
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Shared tree corpus: the five acceptance trees plus named witness pairs."""
+"""Shared tree corpus: the five acceptance trees plus named witness pairs,
+and a bounded hypothesis strategy for random prefix-plus-rays trees."""
+
+import random
+
+from hypothesis import strategies as st
 
 from treeshift import build_tree
 
@@ -31,3 +36,28 @@ SPLIT = build_tree(
     "r", {"r": ["a", "b"], "a": ["c", "d"], "b": ["e", "f"]}, ["c", "d", "e", "f"]
 )
 PROFILE_PAIR = (WIDE, SPLIT)
+
+
+@st.composite
+def prefix_trees(draw, max_vertices=8):
+    """A random explicit prefix of at most ``max_vertices`` vertices; vertex
+    i > 0 hangs below an earlier vertex, and every leaf carries a ray."""
+    size = draw(st.integers(1, max_vertices))
+    children: dict[str, list[str]] = {}
+    for i in range(1, size):
+        children.setdefault(f"v{draw(st.integers(0, i - 1))}", []).append(f"v{i}")
+    rays = [f"v{i}" for i in range(size) if f"v{i}" not in children]
+    return build_tree("v0", children, rays)
+
+
+def relabel_and_shuffle(tree, seed):
+    """The same tree with fresh vertex names and shuffled child orders."""
+    rng = random.Random(seed)
+    names = {v: f"v{i}" for i, v in enumerate(rng.sample(tree.vertices, len(tree.vertices)))}
+    children = {}
+    for v, kids in tree.children.items():
+        if kids:
+            shuffled = list(kids)
+            rng.shuffle(shuffled)
+            children[names[v]] = [names[u] for u in shuffled]
+    return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])

@@ -80,9 +80,7 @@ def test_criterion_3_subnormality_moment_criterion():
     for name, tree in CORPUS.items():
         for q in (2, 3, 4):
             dual = make_shift(tree, q, DUAL, 11)
-            for v in dual.trunc.vertices:
-                if dual.trunc.depth[v] > 10:
-                    continue
+            for v in (v for gen in dual.trunc.generations[:11] for v in gen):
                 if not hausdorff_check(dual.moment_sequence(v, 26), 12).passed:
                     failures.append((name, q, v, "dual sequence rejected"))
             dirichlet = make_shift(tree, q, DIRICHLET, 3)

@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from corpus import prefix_trees
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeshift.cli import main
+from treeshift import DIRICHLET, DUAL, make_shift
+from treeshift.cli import _rational, _suite_defect, _suite_hausdorff, main
+from treeshift.numerics import hausdorff_check
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
 FORK3 = {"root": "r", "children": {"r": ["a", "b", "c"]}, "ray_leaves": ["a", "b", "c"]}
@@ -219,3 +224,38 @@ def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
     *usage, last = captured.err.splitlines()
     assert "error: " in last
     assert not usage or usage[0].startswith("usage: ")
+
+
+def _defect_per_vertex(tree, q, horizon):
+    """Reference: the defect suite computed separately at every vertex."""
+    shift = make_shift(tree, q, DIRICHLET, horizon)
+    assertions = []
+    for v in shift.trunc.vertices:
+        defect = shift.q_isometry_defect(v, q)
+        assertions.append({"name": f"defect_zero[{v}]", "passed": defect == 0, "value": _rational(defect)})
+        if q >= 2:
+            lower = shift.q_isometry_defect(v, q - 1)
+            assertions.append(
+                {"name": f"defect_nonzero_order_{q - 1}[{v}]", "passed": lower != 0, "value": _rational(lower)}
+            )
+    return assertions
+
+
+def _hausdorff_per_vertex(tree, q, horizon, order=12):
+    """Reference: the Hausdorff suite computed separately at every vertex."""
+    shift = make_shift(tree, q, DUAL, horizon)
+    assertions = []
+    for v in shift.trunc.vertices:
+        if tree.depth_of(v) > min(horizon, 10):
+            continue
+        outcome = hausdorff_check(shift.moment_sequence(v, 2 * order + 2), order)
+        violation = list(map(str, outcome.violation)) if outcome.violation else None
+        assertions.append({"name": f"hausdorff_order_{order}[{v}]", "passed": outcome.passed, "violation": violation})
+    return assertions
+
+
+@settings(max_examples=25, deadline=None)
+@given(prefix_trees(max_vertices=6), st.integers(1, 4), st.integers(1, 5))
+def test_per_generation_suites_equal_per_vertex_reference(tree, q, horizon):
+    assert _suite_defect(tree, q, horizon) == _defect_per_vertex(tree, q, horizon)
+    assert _suite_hausdorff(tree, q, horizon) == _hausdorff_per_vertex(tree, q, horizon)

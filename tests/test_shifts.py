@@ -6,7 +6,7 @@ import pytest
 from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE
 
 from treeshift import DIRICHLET, DUAL, make_shift, vec_inner, vec_norm
-from treeshift.errors import InvalidQ, TruncationLoss, WrongQ
+from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import hausdorff_check
 
 
@@ -34,15 +34,13 @@ def test_invalid_q():
 def test_child_weight_sums_are_exact(name, q):
     tree = CORPUS[name]
     shift = make_shift(tree, q, DIRICHLET, 6)
-    for v in shift.trunc.vertices:
-        n = shift.trunc.depth[v]
-        if n >= shift.horizon:
-            continue
-        total = sum(
-            (shift.squared_weights[u] for u in shift.trunc.children[v]),
-            start=Fraction(0),
-        )
-        assert total == Fraction(n + q) / (n + 1)
+    for n, gen in enumerate(shift.trunc.generations[:-1]):
+        for v in gen:
+            total = sum(
+                (shift.squared_weights[u] for u in tree.children_of(v)),
+                start=Fraction(0),
+            )
+            assert total == Fraction(n + q) / (n + 1)
 
 
 def test_row_sum_range():
@@ -87,7 +85,7 @@ def test_adjoint_consistency(name):
     tree = CORPUS[name]
     shift = make_shift(tree, 3, DIRICHLET, 6)
     rng = np.random.default_rng(7)
-    inside = [v for v in shift.trunc.vertices if shift.trunc.depth[v] < shift.horizon]
+    inside = [v for gen in shift.trunc.generations[:-1] for v in gen]
     for _ in range(5):
         f = {v: rng.standard_normal() for v in inside}
         g = {v: rng.standard_normal() for v in shift.trunc.vertices}
@@ -98,13 +96,11 @@ def test_adjoint_consistency(name):
 
 def test_star_times_shift_is_diagonal():
     shift = make_shift(DOUBLE01, 3, DIRICHLET, 6)
-    for v in shift.trunc.vertices:
-        n = shift.trunc.depth[v]
-        if n >= shift.horizon:
-            continue
-        image = shift.apply_adjoint(shift.apply({v: 1.0}))
-        assert set(image) == {v}
-        assert image[v] == pytest.approx(float(Fraction(n + 3, n + 1)), abs=1e-13)
+    for n, gen in enumerate(shift.trunc.generations[:-1]):
+        for v in gen:
+            image = shift.apply_adjoint(shift.apply({v: 1.0}))
+            assert set(image) == {v}
+            assert image[v] == pytest.approx(float(Fraction(n + 3, n + 1)), abs=1e-13)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -113,7 +109,7 @@ def test_dual_is_shift_times_inverse_gram(q):
     dirichlet = make_shift(tree, q, DIRICHLET, 7)
     dual = make_shift(tree, q, DUAL, 7)
     gram_inverse = np.diag(
-        [1.0 / float(dirichlet.row_sum(dirichlet.trunc.depth[v])) for v in dirichlet.trunc.vertices]
+        [1.0 / float(dirichlet.row_sum(tree.depth_of(v))) for v in dirichlet.trunc.vertices]
     )
     assert np.max(np.abs(dual.matrix() - dirichlet.matrix() @ gram_inverse)) < 1e-10
 
@@ -150,7 +146,7 @@ def test_moment_matrix_oracle_agreement(name, q, kmax, kind):
     tree = CORPUS[name]
     shift = make_shift(tree, q, kind, 12)
     for v in shift.trunc.vertices:
-        depth = shift.trunc.depth[v]
+        depth = tree.depth_of(v)
         for k in range(kmax + 1):
             if depth + k > shift.horizon:
                 continue
@@ -248,6 +244,22 @@ def test_defect_operator_q1_acts_as_identity_on_kernel():
             assert image.get(v, 0.0) == pytest.approx(x, abs=1e-14)
 
 
+def test_support_check_edges():
+    shift = make_shift(FORK2, 2, DIRICHLET, 4)
+    for vertex in ("nope", "a~4", "a~0"):
+        with pytest.raises(UnknownVertex):
+            shift.apply({vertex: 1.0})
+        with pytest.raises(UnknownVertex):
+            shift.apply_adjoint({vertex: 1.0})
+    assert set(shift.apply({"a~2": 1.0, "b~2": 1.0})) == {"a~3", "b~3"}
+    with pytest.raises(TruncationLoss):
+        shift.apply({"a~2": 1.0, "b~3": 1.0})
+    assert set(shift.apply_adjoint({"a~3": 1.0})) == {"a~2"}
+    # a margin beyond the horizon leaves no admissible support at all
+    with pytest.raises(TruncationLoss):
+        make_shift(LINE, 6, DUAL, 4).defect_operator_apply({"r": 1.0})
+
+
 def test_defect_operator_on_root_of_line():
     dual = make_shift(LINE, 2, DUAL, 6)
     assert dual.defect_operator_apply({"r": 1.0}) == pytest.approx({"r": 1.0})
@@ -297,9 +309,7 @@ def test_self_commutator_line_q2_telescopes():
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_dual_moment_sequences_are_completely_monotone(q):
     shift = make_shift(DOUBLE01, q, DUAL, 11)
-    for v in shift.trunc.vertices:
-        if shift.trunc.depth[v] > 10:
-            continue
+    for v in (v for gen in shift.trunc.generations[:11] for v in gen):
         assert hausdorff_check(shift.moment_sequence(v, 26), 12).passed
 
 

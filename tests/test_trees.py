@@ -1,8 +1,10 @@
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, FORK3, LINE
+from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, FORK3, LINE, prefix_trees, relabel_and_shuffle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     VertexInfo,
@@ -149,6 +151,47 @@ def test_canonical_form_invariance():
     assert left.canonical_form(6) != FORK3.canonical_form(6)
 
 
+def _recursive_canonical_form(tree, horizon):
+    """Reference: the recursive form, limited by the recursion depth."""
+
+    def canon(v, remaining):
+        if remaining == 0:
+            return "()"
+        return "(" + "".join(sorted(canon(u, remaining - 1) for u in tree.children_of(v))) + ")"
+
+    return canon(tree.root, horizon)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_canonical_form_matches_recursive_reference(name):
+    tree = CORPUS[name]
+    for horizon in range(9):
+        assert tree.canonical_form(horizon) == _recursive_canonical_form(tree, horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(0, 6))
+def test_canonical_form_matches_recursive_reference_on_random_trees(tree, horizon):
+    assert tree.canonical_form(horizon) == _recursive_canonical_form(tree, horizon)
+
+
+def test_canonical_form_of_a_deep_line():
+    form = LINE.canonical_form(5000)
+    assert len(form) == 10_002
+    assert form == "(" * 5001 + ")" * 5001
+    with pytest.raises(ValueError):
+        LINE.canonical_form(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(0, 2**16))
+def test_canonical_form_and_profile_ignore_labels(tree, seed):
+    other = relabel_and_shuffle(tree, seed)
+    for horizon in (0, 3, 6):
+        assert tree.canonical_form(horizon) == other.canonical_form(horizon)
+        assert tree.depth_profile(horizon) == other.depth_profile(horizon)
+
+
 def test_vertex_info(smallest):
     root = smallest.vertex_info("r")
     assert (root.depth, root.sibling_count, root.child_count) == (0, 0, 2)
@@ -160,8 +203,15 @@ def test_vertex_info(smallest):
 
 def test_truncation_children_cut_at_horizon(smallest):
     trunc = smallest.truncate(2)
-    assert trunc.children["c"] == ()
-    assert trunc.children["r"] == ("a", "b")
+
+    def children(v):
+        i = trunc.index[v]
+        return tuple(trunc.vertices[j] for j in np.flatnonzero(trunc.parent_index == i) if j != i)
+
+    assert children("c") == ()
+    assert "c~1" not in trunc.index
+    assert children("r") == ("a", "b")
+    assert len(trunc.generations) == 3
     assert len(trunc.vertices) == 1 + 2 + 2
 
 
@@ -173,23 +223,34 @@ def test_sibling_chain_identity(name):
             assert sibling_chain_identity_sum(tree, v, k) == Fraction(1)
 
 
-def _relabel_and_shuffle(tree, seed):
-    rng = random.Random(seed)
-    names = {v: f"v{i}" for i, v in enumerate(rng.sample(tree.vertices, len(tree.vertices)))}
-    children = {}
-    for v, kids in tree.children.items():
-        if kids:
-            shuffled = list(kids)
-            rng.shuffle(shuffled)
-            children[names[v]] = [names[u] for u in shuffled]
-    return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
+def _ancestor_walk_sum(tree, v, k):
+    """Reference: climb k ancestors from every k-th descendant."""
+    descendants = [v]
+    for _ in range(k):
+        descendants = [u for w in descendants for u in tree.children_of(w)]
+    total = Fraction(0)
+    for u in descendants:
+        product = Fraction(1)
+        for l in range(k):
+            product /= tree.sibling_count_chain(u, l)
+        total += product
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(1, 5))
+def test_sibling_chain_sum_matches_ancestor_walk(tree, k):
+    for v in tree.vertices:
+        pushed = sibling_chain_identity_sum(tree, v, k)
+        assert isinstance(pushed, Fraction)
+        assert pushed == _ancestor_walk_sum(tree, v, k) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_profile_independent_of_labels_and_order(name, seed):
     tree = CORPUS[name]
-    other = _relabel_and_shuffle(tree, seed)
+    other = relabel_and_shuffle(tree, seed)
     assert dict(tree.depth_profile(6).entries) == dict(other.depth_profile(6).entries)
     assert tree.canonical_form(6) == other.canonical_form(6)
 
