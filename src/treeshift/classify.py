@@ -12,12 +12,12 @@ measured directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, ShiftOperator, make_shift
+from .shifts import DIRICHLET, ShiftOperator, helmert_columns, make_shift
 from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
@@ -155,48 +155,87 @@ def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Grad
 
 
 @dataclass(frozen=True)
+class BlockDiagonal:
+    """A block-diagonal matrix kept as its diagonal blocks, in order.
+
+    Supports ``.shape``, ``.T`` and ``@`` on an array or a block of columns.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return sum(b.shape[0] for b in self.blocks), sum(b.shape[1] for b in self.blocks)
+
+    @property
+    def T(self) -> BlockDiagonal:
+        return BlockDiagonal(tuple(b.T for b in self.blocks))
+
+    def __matmul__(self, a: np.ndarray) -> np.ndarray:
+        rows, cols = self.shape
+        if a.shape[0] != cols:
+            raise ValueError(f"cannot apply a {rows}x{cols} block-diagonal matrix to shape {a.shape}")
+        out = np.empty((rows, *a.shape[1:]), dtype=np.result_type(a.dtype, np.float64))
+        row = col = 0
+        for b in self.blocks:
+            out[row : row + b.shape[0]] = b @ a[col : col + b.shape[1]]
+            row += b.shape[0]
+            col += b.shape[1]
+        return out
+
+
+@dataclass(frozen=True)
 class LiftedUnitary:
     """Matched orthonormal columns of the lifted map between the two truncations.
 
     The lift sends ``source[:, i]`` to ``target[:, i]``, so it acts on a
-    coordinate array f as ``target @ (source.T @ f)``.  ``domain`` holds
-    the column indices whose image under one more application of the
-    shift stays inside the truncation; ``shifts`` are the two truncated
-    shifts the columns were pushed forward by.
+    coordinate array f as ``target @ (source.T @ f)``.  Both are
+    block-diagonal with one block per generation D: the root line and the
+    kernel blocks of generations below D, pushed forward onto generation
+    D.  ``domain`` holds the columns of the generations below the depth,
+    whose image under one more application of the shift stays inside the
+    truncation; ``shifts`` are the two truncated shifts the columns were
+    pushed forward by.
     """
 
-    source: np.ndarray
-    target: np.ndarray
+    source: BlockDiagonal
+    target: BlockDiagonal
     domain: tuple[int, ...]
     shifts: tuple[ShiftOperator, ShiftOperator]
 
 
-def _lift_pairs(
-    shift1: ShiftOperator,
-    shift2: ShiftOperator,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray, int]],
-    check_norms: bool,
-) -> LiftedUnitary:
-    cols1, cols2, domain = [], [], []
-    for a1, a2, max_power in pairs:
-        for power in range(max_power + 1):
-            if power:
-                a1, a2 = shift1.act(a1), shift2.act(a2)
-            n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
-            if check_norms and abs(n1 - n2) > _NORM_MATCH_TOL * max(n1, n2):
-                raise AssertionError(
-                    f"moment mismatch at power {power}: {n1} vs {n2}"
-                )
-            if power < max_power:
-                domain.append(len(cols1))
-            cols1.append(a1 / n1)
-            cols2.append(a2 / n2)
-    return LiftedUnitary(
-        source=np.column_stack(cols1),
-        target=np.column_stack(cols2),
-        domain=tuple(domain),
-        shifts=(shift1, shift2),
-    )
+def _next_block(
+    shift: ShiftOperator,
+    block: np.ndarray,
+    generation: int,
+    branching: tuple[str, ...],
+    mix: np.ndarray | None = None,
+) -> np.ndarray:
+    """One side's block on ``generation``: the previous generation's block
+    pushed forward, then the Helmert columns of the ``branching`` vertices
+    of the previous generation, times ``mix`` when given."""
+    trunc = shift.trunc
+    size = len(trunc.generations[generation])
+    start = trunc.index[trunc.generations[generation][0]]
+    parents = trunc.parent_index[start : start + size] - (start - block.shape[0])
+    pushed = shift.weights[start : start + size, None] * block[parents]
+    if not branching:
+        return pushed
+    kernel = helmert_columns(trunc, [shift.tree.children[v] for v in branching], start, size)
+    return np.hstack([pushed, kernel if mix is None else kernel @ mix])
+
+
+def _normalize_pair(block1: np.ndarray, block2: np.ndarray, generation: int) -> None:
+    """Check that matched columns have equal norms, then scale both to unit norm."""
+    n1, n2 = np.linalg.norm(block1, axis=0), np.linalg.norm(block2, axis=0)
+    bad = np.flatnonzero(np.abs(n1 - n2) > _NORM_MATCH_TOL * np.maximum(n1, n2))
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(
+            f"moment mismatch at generation {generation}, column {i}: {n1[i]} vs {n2[i]}"
+        )
+    block1 /= n1
+    block2 /= n2
 
 
 def lift_graded_unitary(
@@ -204,34 +243,37 @@ def lift_graded_unitary(
 ) -> LiftedUnitary:
     """Extend the cokernel unitary to the depth-``depth`` truncations.
 
-    A kernel vector at support depth d is paired with its image and both
-    are pushed forward by powers of the respective shifts; matching
-    moments make the columns orthonormal on both sides, so the resulting
-    map is a genuine unitary between the truncated spaces.
+    A kernel vector carried by generation n + 1 is paired with its image,
+    and both are pushed forward by powers of the respective shifts, so
+    every column lives on one generation: the lift is built one generation
+    block at a time.  Block D is block D - 1 pushed forward, followed by
+    the Helmert columns of the generation-(D - 1) branching vertices.
+    Matching moments make the columns orthonormal on both sides, so the
+    resulting map is a genuine unitary between the truncated spaces.
     """
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    basis1 = {b.vertex: b for b in shift1.kernel_basis().blocks}
-    basis2 = {b.vertex: b for b in shift2.kernel_basis().blocks}
-
-    pairs = [
-        (
-            shift1.to_array({tree1.root: 1.0}),
-            shift2.to_array({tree2.root: unitary.root_map}),
-            depth,
-        )
-    ]
     for n in sorted(unitary.generations):
         if n + 2 > depth:
             raise TruncationLoss(
                 f"generation {n} blocks need depth at least {n + 2}, got {depth}"
             )
-        flat1 = [v for vertex in unitary.blocks1[n] for v in basis1[vertex].vectors]
-        flat2 = [v for vertex in unitary.blocks2[n] for v in basis2[vertex].vectors]
-        images = np.column_stack([shift2.to_array(v) for v in flat2]) @ unitary.generations[n]
-        for i, vec1 in enumerate(flat1):
-            pairs.append((shift1.to_array(vec1), images[:, i], depth - (n + 1)))
-    return _lift_pairs(shift1, shift2, pairs, check_norms=True)
+    source, target = [np.array([[1.0]])], [np.array([[unitary.root_map]])]
+    _normalize_pair(source[0], target[0], 0)
+    for d in range(1, depth + 1):
+        block1 = _next_block(shift1, source[-1], d, unitary.blocks1.get(d - 1, ()))
+        block2 = _next_block(
+            shift2, target[-1], d, unitary.blocks2.get(d - 1, ()), unitary.generations.get(d - 1)
+        )
+        _normalize_pair(block1, block2, d)
+        source.append(block1)
+        target.append(block2)
+    return LiftedUnitary(
+        source=BlockDiagonal(tuple(source)),
+        target=BlockDiagonal(tuple(target)),
+        domain=tuple(range(sum(b.shape[1] for b in source[:-1]))),
+        shifts=(shift1, shift2),
+    )
 
 
 def _residual(lift: LiftedUnitary, trials: int, seed: int) -> float:
@@ -241,11 +283,9 @@ def _residual(lift: LiftedUnitary, trials: int, seed: int) -> float:
     coefficients = np.zeros((lift.source.shape[1], trials))
     coefficients[list(lift.domain)] = rng.standard_normal((trials, len(lift.domain))).T
     f = lift.source @ coefficients
-
-    def lifted(a: np.ndarray) -> np.ndarray:
-        return lift.target @ (lift.source.T @ a)
-
-    gap = lifted(shift1.act(f)) - shift2.act(lifted(f))
+    # U S1 f and U f in one application of U = target @ source.T
+    lifted = lift.target @ (lift.source.T @ np.hstack([shift1.act(f), f]))
+    gap = lifted[:, :trials] - shift2.act(lifted[:, trials:])
     return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(f, axis=0), initial=0.0))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -113,6 +113,36 @@ def _helmert_vectors(children: tuple[str, ...]) -> tuple[CoordinateVector, ...]:
     return tuple(vectors)
 
 
+def _helmert_matrix(m: int) -> np.ndarray:
+    """The m - 1 vectors of ``_helmert_vectors`` on m children, as columns."""
+    k = np.arange(1, m)
+    scale = 1.0 / np.sqrt(k * (k + 1))
+    out = np.triu(np.broadcast_to(scale, (m, m - 1)))
+    out[k, k - 1] = -k * scale
+    return out
+
+
+def helmert_columns(
+    trunc: Truncation, groups: Sequence[Sequence[str]], start: int, size: int
+) -> np.ndarray:
+    """The Helmert vectors of each sibling group, side by side as columns.
+
+    Rows are the ``size`` truncation positions from ``start``.  A group is
+    the children of one vertex, which sit at consecutive positions in
+    child order; groups of equal size are written in one step.
+    """
+    counts = np.array([len(kids) for kids in groups], dtype=np.int64)
+    rows = np.array([trunc.index[kids[0]] for kids in groups], dtype=np.int64) - start
+    cols = np.cumsum(counts - 1) - (counts - 1)
+    out = np.zeros((size, int(np.sum(counts - 1))))
+    for m in np.unique(counts).tolist():
+        picked = counts == m
+        r = rows[picked][:, None, None] + np.arange(m)[:, None]
+        c = cols[picked][:, None, None] + np.arange(m - 1)
+        out[r, c] = _helmert_matrix(m)
+    return out
+
+
 @dataclass(frozen=True)
 class ShiftOperator:
     """A Dirichlet or Cauchy-dual shift realized on a depth truncation."""
@@ -151,13 +181,6 @@ class ShiftOperator:
         return mat
 
     # -- action ----------------------------------------------------------------
-
-    def to_array(self, f: Mapping[str, complex]) -> np.ndarray:
-        """Real parts of a sparse vector as a coordinate array in truncation order."""
-        out = np.zeros(len(self.weights))
-        for v, x in f.items():
-            out[self.trunc.index[v]] = complex(x).real
-        return out
 
     def _column_weights(self, a: np.ndarray) -> np.ndarray:
         return self.weights if a.ndim == 1 else self.weights[:, None]
@@ -331,15 +354,23 @@ def make_shift(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
-    squared: dict[str, Fraction] = {}
-    for n, gen in enumerate(trunc.generations[1:], 1):
-        for v in gen:
-            s = tree.sibling_count(v)
-            if kind == DIRICHLET:
-                squared[v] = Fraction(n + q - 1) / (n * s)
-            else:
-                squared[v] = n / (Fraction(n + q - 1) * s)
-    weights = np.array([math.sqrt(squared.get(v, 0)) for v in trunc.vertices])
+    # the squared weight depends only on (depth n, sibling count s): one
+    # exact value per distinct pair, keyed n * stride + s
+    parent = trunc.parent_index
+    siblings = np.bincount(parent[1:])[parent]
+    depths = np.repeat(np.arange(horizon + 1), [len(gen) for gen in trunc.generations])
+    stride = int(siblings.max()) + 1
+    keys, inverse = np.unique(depths[1:] * stride + siblings[1:], return_inverse=True)
+    table = []
+    for key in keys.tolist():
+        n, s = divmod(key, stride)
+        if kind == DIRICHLET:
+            table.append(Fraction(n + q - 1) / (n * s))
+        else:
+            table.append(n / (Fraction(n + q - 1) * s))
+    squared = dict(zip(trunc.vertices[1:], np.array(table, dtype=object)[inverse]))
+    weights = np.zeros(len(trunc.vertices))
+    weights[1:] = np.array([math.sqrt(x) for x in table])[inverse]
     return ShiftOperator(
         tree=tree,
         q=q,

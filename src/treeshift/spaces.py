@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import pochhammer_ratios, radial_integral, radial_integral_quadrature
-from .shifts import DUAL, ShiftOperator, require_q
+from .shifts import DUAL, ShiftOperator, helmert_columns, require_q
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -257,22 +257,32 @@ def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:
 # -- matrix oracle ---------------------------------------------------------------
 
 
+def _kernel_blocks(shift: ShiftOperator) -> list[tuple[str, int]]:
+    """(branching vertex, depth) of each Helmert block of ``kernel_basis``, in its order."""
+    depths = ((v, shift.tree.depth_of(v)) for v, _count in shift.tree.branching_vertices())
+    return [(v, depth) for v, depth in depths if depth < shift.horizon]
+
+
 def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     """Compress S*^j S^k of the Cauchy-dual shift to the cokernel.
 
-    Computed numerically by the array action of the truncated shift; the result should
+    Computed numerically by the array action of the truncated shift on the
+    columns of ``kernel_basis``, built as one array; the result should
     vanish for j != k and be block-diagonal with the Dirichlet-side kernel
     coefficients on the diagonal for j = k.
     """
     if shift.kind != DUAL:
         raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
-    basis = shift.kernel_basis()
-    deepest = max(block.support_depth for block in basis.blocks)
+    blocks = _kernel_blocks(shift)
+    deepest = max((depth + 1 for _v, depth in blocks), default=0)
     if deepest + max(j, k) > shift.horizon:
         raise TruncationLoss(
             f"powers ({j}, {k}) from depth {deepest} leave horizon {shift.horizon}"
         )
-    columns = np.column_stack([shift.to_array(vec) for _block, vec in basis.all_vectors()])
+    size = len(shift.trunc.vertices)
+    groups = [shift.tree.children[v] for v, _depth in blocks]
+    # the root line, then the Helmert blocks
+    columns = np.hstack([np.eye(size, 1), helmert_columns(shift.trunc, groups, 0, size)])
     image = columns
     for _ in range(k):
         image = shift.act(image)
@@ -283,9 +293,10 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
 
 def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
     """Exact diagonal the oracle must reproduce at j = k = n."""
-    blocks = shift.kernel_basis().blocks
-    values = [float(dirichlet_coefficient(shift.q, block.branch_depth, n)) for block in blocks]
-    return np.diag(np.repeat(values, [block.dimension for block in blocks]))
+    blocks = [(None, 1)]  # (branch depth, dimension), the root line first
+    blocks += [(depth, len(shift.tree.children[v]) - 1) for v, depth in _kernel_blocks(shift)]
+    values = [float(dirichlet_coefficient(shift.q, depth, n)) for depth, _dim in blocks]
+    return np.diag(np.repeat(values, [dim for _depth, dim in blocks]))
 
 
 # -- radial weights of the Bergman measure ----------------------------------------

@@ -3,6 +3,7 @@ and a bounded hypothesis strategy for random prefix-plus-rays trees."""
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from treeshift import build_tree
@@ -50,6 +51,13 @@ def prefix_trees(draw, max_vertices=8):
     return build_tree("v0", children, rays)
 
 
+def complete_binary(depth):
+    """Complete binary tree of the given depth with a ray on every leaf, as JSON."""
+    children = {f"v{i}": [f"v{2 * i + 1}", f"v{2 * i + 2}"] for i in range(2**depth - 1)}
+    leaves = [f"v{i}" for i in range(2**depth - 1, 2 ** (depth + 1) - 1)]
+    return {"root": "v0", "children": children, "ray_leaves": leaves}
+
+
 def relabel_and_shuffle(tree, seed):
     """The same tree with fresh vertex names and shuffled child orders."""
     rng = random.Random(seed)
@@ -61,3 +69,11 @@ def relabel_and_shuffle(tree, seed):
             rng.shuffle(shuffled)
             children[names[v]] = [names[u] for u in shuffled]
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
+
+
+def to_array(shift, f):
+    """Real parts of a sparse vector as a coordinate array in truncation order."""
+    out = np.zeros(len(shift.weights))
+    for v, x in f.items():
+        out[shift.trunc.index[v]] = complex(x).real
+    return out

@@ -1,9 +1,24 @@
+import dataclasses
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
-from corpus import DEEP13, DOUBLE01, FORK3, LINE, PROFILE_PAIR, TOTALS_PAIR
+from corpus import (
+    DEEP13,
+    DOUBLE01,
+    FORK3,
+    LINE,
+    PROFILE_PAIR,
+    TOTALS_PAIR,
+    complete_binary,
+    prefix_trees,
+    relabel_and_shuffle,
+    to_array,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     EQUIVALENT,
@@ -17,10 +32,11 @@ from treeshift import (
     decide_equivalence,
     lift_graded_unitary,
     make_shift,
+    tree_from_json,
     verify_intertwining,
 )
-from treeshift.classify import _lift_pairs, _residual
-from treeshift.errors import InvalidQ, NotEquivalentError
+from treeshift.classify import _NORM_MATCH_TOL, LiftedUnitary, _residual
+from treeshift.errors import InvalidQ, NotEquivalentError, TruncationLoss
 from treeshift.shifts import DIRICHLET
 
 
@@ -170,13 +186,61 @@ def test_lift_is_unitary():
         return lift.target @ (lift.source.T @ f)
 
     assert lifted(np.eye(n1)).shape == (lift.target.shape[0], n1)
-    assert np.max(np.abs(lift.source.T @ lift.source - np.eye(n1))) < 1e-10
+    assert np.max(np.abs(lift.source.T @ (lift.source @ np.eye(n1)) - np.eye(n1))) < 1e-10
     rng = np.random.default_rng(5)
     for _ in range(10):
         f = rng.standard_normal(n1)
         assert np.linalg.norm(lifted(f)) == pytest.approx(
             np.linalg.norm(f), rel=1e-10
         )
+
+
+def _lift_pairs(shift1, shift2, pairs, check_norms):
+    """Reference lift: push each column pair on its own and keep dense n x c blocks.
+
+    ``pairs`` holds (source array, target array, highest power); the
+    columns below the highest power form the domain.
+    """
+    cols1, cols2, domain = [], [], []
+    for a1, a2, max_power in pairs:
+        for power in range(max_power + 1):
+            if power:
+                a1, a2 = shift1.act(a1), shift2.act(a2)
+            n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
+            if check_norms and abs(n1 - n2) > _NORM_MATCH_TOL * max(n1, n2):
+                raise AssertionError(f"moment mismatch at power {power}: {n1} vs {n2}")
+            if power < max_power:
+                domain.append(len(cols1))
+            cols1.append(a1 / n1)
+            cols2.append(a2 / n2)
+    return LiftedUnitary(
+        source=np.column_stack(cols1),
+        target=np.column_stack(cols2),
+        domain=tuple(domain),
+        shifts=(shift1, shift2),
+    )
+
+
+def reference_lift(tree1, tree2, q, unitary, depth):
+    """The lift built column by column from the dict kernel basis."""
+    shift1 = make_shift(tree1, q, DIRICHLET, depth)
+    shift2 = make_shift(tree2, q, DIRICHLET, depth)
+    basis1 = {b.vertex: b for b in shift1.kernel_basis().blocks}
+    basis2 = {b.vertex: b for b in shift2.kernel_basis().blocks}
+    pairs = [
+        (
+            to_array(shift1, {tree1.root: 1.0}),
+            to_array(shift2, {tree2.root: unitary.root_map}),
+            depth,
+        )
+    ]
+    for n in sorted(unitary.generations):
+        flat1 = [v for vertex in unitary.blocks1[n] for v in basis1[vertex].vectors]
+        flat2 = [v for vertex in unitary.blocks2[n] for v in basis2[vertex].vectors]
+        images = np.column_stack([to_array(shift2, v) for v in flat2]) @ unitary.generations[n]
+        for i, vec1 in enumerate(flat1):
+            pairs.append((to_array(shift1, vec1), images[:, i], depth - (n + 1)))
+    return _lift_pairs(shift1, shift2, pairs, check_norms=True)
 
 
 def forced_flat_residual(tree1, tree2, q, depth):
@@ -192,7 +256,7 @@ def forced_flat_residual(tree1, tree2, q, depth):
     flat2 = shift2.kernel_basis().all_vectors()
     assert len(flat1) == len(flat2)
     pairs = [
-        (shift1.to_array(vec1), shift2.to_array(vec2), depth - max(block1.support_depth, block2.support_depth))
+        (to_array(shift1, vec1), to_array(shift2, vec2), depth - max(block1.support_depth, block2.support_depth))
         for (block1, vec1), (block2, vec2) in zip(flat1, flat2)
     ]
     return _residual(_lift_pairs(shift1, shift2, pairs, check_norms=False), trials=16, seed=42)
@@ -201,3 +265,80 @@ def forced_flat_residual(tree1, tree2, q, depth):
 def test_forced_pairing_residual_is_bounded_away_from_zero():
     residual = forced_flat_residual(*TOTALS_PAIR, 2, 8)
     assert residual > 0.01
+
+
+def _lift_map(lift):
+    return lift.target @ (lift.source.T @ np.eye(lift.source.shape[0]))
+
+
+def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None):
+    unitary = build_graded_unitary(tree1, tree2, q, depth if horizon is None else horizon)
+    lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
+    reference = reference_lift(tree1, tree2, q, unitary, depth)
+    assert lift.source.shape == reference.source.shape
+    assert lift.target.shape == reference.target.shape
+    assert len(lift.domain) == len(reference.domain)
+    assert np.max(np.abs(_lift_map(lift) - _lift_map(reference))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 3))
+def test_block_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra):
+    _assert_lift_matches_reference(tree, relabel_and_shuffle(tree, seed), q, tree.branching_index() + 1 + extra)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [3, 6])
+def test_block_lift_matches_reference_on_profile_pair(q, depth):
+    _assert_lift_matches_reference(*PROFILE_PAIR, q, depth)
+
+
+def test_block_lift_matches_reference_below_a_limited_horizon():
+    # DEEP13 branches at depths 1 and 3; a unitary certified to horizon 1
+    # leaves the depth-3 block out, so the deeper generation blocks have
+    # more rows than columns
+    other = relabel_and_shuffle(DEEP13, 7)
+    assert decide_equivalence(DEEP13, other, 2, 1).result == EQUIVALENT_UP_TO_HORIZON
+    _assert_lift_matches_reference(DEEP13, other, 2, 7, horizon=1)
+    unitary = build_graded_unitary(DEEP13, other, 2, 1)
+    lift = lift_graded_unitary(DEEP13, other, 2, unitary, 7)
+    assert any(b.shape[0] > b.shape[1] for b in lift.source.blocks)
+    assert verify_intertwining(DEEP13, other, 2, unitary, 7) < 1e-12
+
+
+def test_non_unitary_generation_raises_moment_mismatch():
+    wide, split = PROFILE_PAIR
+    unitary = build_graded_unitary(wide, split, 2, 6)
+    stretched = dataclasses.replace(unitary, generations={**unitary.generations, 1: 2 * np.eye(2)})
+    with pytest.raises(AssertionError, match="moment mismatch"):
+        lift_graded_unitary(wide, split, 2, stretched, 8)
+    with pytest.raises(AssertionError, match="moment mismatch"):
+        reference_lift(wide, split, 2, stretched, 8)
+
+
+def test_lift_blocks_are_one_generation_each():
+    wide, split = PROFILE_PAIR
+    unitary = build_graded_unitary(wide, split, 3, 6)
+    lift = lift_graded_unitary(wide, split, 3, unitary, 7)
+    sizes = [len(gen) for gen in wide.truncate(7).generations]
+    assert [b.shape for b in lift.source.blocks] == [(n, n) for n in sizes]
+    assert [b.shape for b in lift.target.blocks] == [(n, n) for n in sizes]
+    assert lift.domain == tuple(range(sum(sizes[:-1])))
+
+
+def test_truncation_loss_when_blocks_need_more_depth():
+    wide, split = PROFILE_PAIR
+    unitary = build_graded_unitary(wide, split, 2, 6)
+    with pytest.raises(TruncationLoss, match="generation 1 blocks need depth at least 3"):
+        lift_graded_unitary(wide, split, 2, unitary, 2)
+
+
+def test_binary9_verify_at_depth_12_is_fast():
+    tree = tree_from_json(complete_binary(9))
+    unitary = build_graded_unitary(tree, tree, 2, 10)
+    verify_intertwining(tree, tree, 2, unitary, 12)  # warm up
+    start = time.perf_counter()
+    residual = verify_intertwining(tree, tree, 2, unitary, 12)
+    elapsed = time.perf_counter() - start
+    assert residual < 1e-8
+    assert elapsed < 0.25

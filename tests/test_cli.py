@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from corpus import prefix_trees
+from corpus import complete_binary, prefix_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,18 +160,11 @@ def test_checks_suites_pass(tree_file, capsys, suite):
     assert results["total"] >= 1
 
 
-def _complete_binary(depth):
-    """Complete binary tree of the given depth with a ray on every leaf."""
-    children = {f"v{i}": [f"v{2 * i + 1}", f"v{2 * i + 2}"] for i in range(2**depth - 1)}
-    leaves = [f"v{i}" for i in range(2**depth - 1, 2 ** (depth + 1) - 1)]
-    return {"root": "v0", "children": children, "ray_leaves": leaves}
-
-
 @pytest.mark.parametrize("suite", ["kernel", "all"])
 @pytest.mark.parametrize("depth", [6, 7])
 def test_checks_pass_on_trees_branching_deeper_than_five(tree_file, capsys, suite, depth):
     code, out = _run(
-        capsys, ["checks", tree_file(_complete_binary(depth)), "--q", "3", "--suite", suite]
+        capsys, ["checks", tree_file(complete_binary(depth)), "--q", "3", "--suite", suite]
     )
     assert code == 0
     assert json.loads(out)["results"]["all_passed"] is True

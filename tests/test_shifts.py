@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE
+from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE, prefix_trees, to_array
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import DIRICHLET, DUAL, make_shift, vec_inner, vec_norm
 from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import hausdorff_check
+from treeshift.shifts import helmert_columns
 
 
 def test_line_tree_weights_q2():
@@ -125,6 +128,56 @@ def test_array_action_equals_dense_matrix(name, kind):
         # mass at the horizon drops in both forms
         assert np.array_equal(shift.act(a), mat @ a)
         assert np.allclose(shift.act_adjoint(a), mat.T @ a, rtol=0, atol=1e-14)
+
+
+_KINDS = st.sampled_from([DIRICHLET, DUAL])
+_QS = st.sampled_from([1, 2, 3, 4, Fraction(5, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), q=_QS, kind=_KINDS, horizon=st.integers(1, 6))
+def test_weight_table_matches_per_vertex_formula(tree, q, kind, horizon):
+    shift = make_shift(tree, q, kind, horizon)
+    assert set(shift.squared_weights) == set(shift.trunc.vertices[1:])
+    assert shift.weights[0] == 0
+    for i, v in enumerate(shift.trunc.vertices[1:], 1):
+        n, s = tree.depth_of(v), tree.sibling_count(v)
+        if kind == DIRICHLET:
+            expected = Fraction(n + q - 1) / (n * s)
+        else:
+            expected = n / (Fraction(n + q - 1) * s)
+        assert shift.squared_weights[v] == expected
+        assert shift.weights[i] == math.sqrt(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), q=_QS, kind=_KINDS, horizon=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_array_action_equals_dict_action(tree, q, kind, horizon, seed):
+    shift = make_shift(tree, q, kind, horizon)
+    rng = np.random.default_rng(seed)
+    inside = sum(map(len, shift.trunc.generations[:-1]))
+    for limit in (inside, len(shift.trunc.vertices)):
+        # random values on a random subset of the first ``limit`` vertices
+        support = shift.trunc.vertices[:limit]
+        f = {v: x for v, x in zip(support, rng.standard_normal(limit)) if rng.random() < 0.6}
+        a = to_array(shift, f)
+        if limit == inside:  # the dict shift needs room below the support
+            assert np.array_equal(shift.act(a), to_array(shift, shift.apply(f)))
+        expected = to_array(shift, shift.apply_adjoint(f))
+        assert np.allclose(shift.act_adjoint(a), expected, rtol=1e-14, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(1, 5))
+def test_helmert_columns_equal_kernel_basis_vectors(tree, horizon):
+    shift = make_shift(tree, 2, DIRICHLET, horizon)
+    blocks = shift.kernel_basis().blocks[1:]  # the Helmert blocks, after the root line
+    groups = [tree.children[block.vertex] for block in blocks]
+    columns = helmert_columns(shift.trunc, groups, 0, len(shift.weights))
+    expected = [to_array(shift, vec) for block in blocks for vec in block.vectors]
+    assert columns.shape == (len(shift.weights), len(expected))
+    for column, vec in zip(columns.T, expected):
+        assert np.array_equal(column, vec)
 
 
 def test_moment_examples():
