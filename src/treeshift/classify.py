@@ -214,14 +214,12 @@ def _next_block(
     """One side's block on ``generation``: the previous generation's block
     pushed forward, then the Helmert columns of the ``branching`` vertices
     of the previous generation, times ``mix`` when given."""
-    trunc = shift.trunc
-    size = len(trunc.generations[generation])
-    start = trunc.index[trunc.generations[generation][0]]
-    parents = trunc.parent_index[start : start + size] - (start - block.shape[0])
-    pushed = shift.weights[start : start + size, None] * block[parents]
+    pushed = shift.push(block, generation)
     if not branching:
         return pushed
-    kernel = helmert_columns(trunc, [shift.tree.children[v] for v in branching], start, size)
+    trunc = shift.trunc
+    start = trunc.index[trunc.generations[generation][0]]
+    kernel = helmert_columns(trunc, [shift.tree.children[v] for v in branching], start, len(pushed))
     return np.hstack([pushed, kernel if mix is None else kernel @ mix])
 
 

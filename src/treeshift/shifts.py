@@ -197,6 +197,18 @@ class ShiftOperator:
         np.add.at(out, self.trunc.parent_index, weighted)
         return out
 
+    def push(self, block: np.ndarray, generation: int) -> np.ndarray:
+        """S on columns supported on generation - 1, given as that
+        generation's rows; returns the rows of ``generation``.  A push past
+        the horizon raises ``TruncationLoss`` instead of dropping the mass."""
+        if generation > self.horizon:
+            raise TruncationLoss(f"push onto generation {generation} leaves horizon {self.horizon}")
+        trunc = self.trunc
+        size = len(trunc.generations[generation])
+        start = trunc.index[trunc.generations[generation][0]]
+        parents = trunc.parent_index[start : start + size] - (start - block.shape[0])
+        return self.weights[start : start + size, None] * block[parents]
+
     def _check_support(self, f: Mapping[str, complex], margin: int = 0) -> None:
         limit = self.horizon - margin
         index = self.trunc.index

@@ -299,6 +299,79 @@ def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
     return np.diag(np.repeat(values, [dim for _depth, dim in blocks]))
 
 
+# float64 entries (256 MiB) allowed in one stacked column block or Gram matrix
+MAX_BLOCK_ENTRIES = 2**25
+
+
+def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, float]:
+    """The two maxima of ``kernel_matrix_oracle`` over all j, k <= nmax.
+
+    Returns (largest |entry| of the j != k compressions, largest |entry -
+    expected| of the j = k ones against ``kernel_oracle_expected``), each
+    entry read as <S^j a, S^k b> for cokernel columns a, b.  A column is
+    born on one generation g: the root line on 0, the Helmert columns of a
+    depth-(g - 1) branching vertex on g, so g is also its block index l.
+    S^p moves it to generation g + p, and pairs landing on different
+    generations vanish by support.  So each column is pushed once per
+    power, and the columns landing on generation L give one Gram matrix:
+    its sub-block of the columns born on g must be c I, with c the
+    Dirichlet coefficient of index g at power L - g, and the rest zero.
+
+    Raises ``ValueError`` when a stacked block or its Gram matrix would
+    exceed ``MAX_BLOCK_ENTRIES``, before allocating either.
+    """
+    if shift.kind != DUAL:
+        raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
+    trunc = shift.trunc
+    groups: dict[int, list[tuple[str, ...]]] = {}
+    for v, depth in _kernel_blocks(shift):
+        groups.setdefault(depth + 1, []).append(shift.tree.children[v])
+    last = max(groups, default=0) + nmax
+    if last > shift.horizon:
+        raise TruncationLoss(
+            f"powers up to {nmax} from generation {last - nmax} leave horizon {shift.horizon}"
+        )
+    born = [1] + [sum(len(kids) - 1 for kids in groups.get(g, ())) for g in range(1, last + 1)]
+    # the columns on a generation are orthogonal, so they are no more than its
+    # rows and the Gram matrix is no larger than the block
+    for landing in range(last + 1):
+        rows = len(trunc.generations[landing])
+        cols = sum(born[max(0, landing - nmax) : landing + 1])
+        if rows * cols > MAX_BLOCK_ENTRIES:
+            raise ValueError(
+                f"kernel check needs a {rows} x {cols} column block on generation {landing}, "
+                f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
+            )
+    coefficients = [
+        list(map(float, _block_coefficients(shift.q, g, nmax, DIRICHLET_SPACE))) for g in range(last + 1)
+    ]
+    off_worst = diag_worst = 0.0
+    block = np.ones((1, 1))  # the root line on generation 0
+    for landing in range(last + 1):
+        first = max(0, landing - nmax)  # births still alive, oldest first
+        if landing:
+            # columns born nmax generations back have had all their powers
+            retired = born[first - 1] if first else 0
+            block = shift.push(block[:, retired:], landing)
+            if landing in groups:
+                start = trunc.index[trunc.generations[landing][0]]
+                block = np.hstack([block, helmert_columns(trunc, groups[landing], start, len(block))])
+        sizes = born[first : landing + 1]
+        gram = block.T @ block
+        expected = [coefficients[g][landing - g] for g in range(first, landing + 1)]
+        gram[np.diag_indices_from(gram)] -= np.repeat(expected, sizes)
+        np.abs(gram, out=gram)
+        a = 0
+        for size in sizes:
+            b = a + size
+            diag_worst = max(diag_worst, float(np.max(gram[a:b, a:b], initial=0.0)))
+            off_worst = max(
+                off_worst, float(np.max(gram[a:b, :a], initial=0.0)), float(np.max(gram[a:b, b:], initial=0.0))
+            )
+            a = b
+    return off_worst, diag_worst
+
+
 # -- radial weights of the Bergman measure ----------------------------------------
 
 

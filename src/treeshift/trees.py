@@ -13,7 +13,7 @@ no global default.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -392,6 +392,26 @@ def build_tree(
 # -- identities ----------------------------------------------------------------
 
 
+def sibling_chain_identity_sums(tree: Tree, v: str, kmax: int) -> list[Fraction]:
+    """``sibling_chain_identity_sum(tree, v, k)`` for k = 1..kmax, from one
+    push of kmax levels below ``v``."""
+    if kmax < 1:
+        raise ValueError("k must be at least 1")
+    # each step down divides by the sibling count of the child reached
+    layer = {v: Fraction(1)}
+    sums = []
+    for _ in range(kmax):
+        below: dict[str, Fraction] = {}
+        for w, p in layer.items():
+            kids = tree.children_of(w)
+            share = p / len(kids)
+            for u in kids:
+                below[u] = share
+        layer = below
+        sums.append(sum(layer.values(), Fraction(0)))
+    return sums
+
+
 def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     """Sum over the k-th descendants of ``v`` of the product of reciprocal
     sibling counts along the chain back up to ``v``.
@@ -399,13 +419,7 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     Equals 1 exactly for every vertex and every k >= 1; computed in exact
     rational arithmetic.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    # each step down divides by the sibling count of the child reached
-    layer = {v: Fraction(1)}
-    for _ in range(k):
-        layer = {u: p / tree.child_count(w) for w, p in layer.items() for u in tree.children_of(w)}
-    return sum(layer.values(), Fraction(0))
+    return sibling_chain_identity_sums(tree, v, k)[-1]
 
 
 # -- JSON interchange ----------------------------------------------------------
@@ -415,7 +429,8 @@ def tree_from_json(obj: object) -> Tree:
     """Parse the strict tree schema and validate the result.
 
     Schema: ``{"root": id, "children": {id: [id, ...]}, "ray_leaves": [id]}``
-    with no extra keys; identifiers are nonempty strings without '~'.
+    with no extra keys; identifiers are nonempty strings without '~', and
+    each ray leaf is listed once.
     """
     if not isinstance(obj, dict):
         raise TreeFormatError("tree description must be a JSON object")
@@ -439,6 +454,9 @@ def tree_from_json(obj: object) -> Tree:
             _check_vertex_id(u)
     for v in rays:
         _check_vertex_id(v)
+    duplicates = sorted(v for v, count in Counter(rays).items() if count > 1)
+    if duplicates:
+        raise TreeFormatError(f"duplicate ray leaves: {duplicates}")
     return build_tree(_check_vertex_id(obj["root"]), children, rays)
 
 

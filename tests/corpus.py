@@ -58,6 +58,12 @@ def complete_binary(depth):
     return {"root": "v0", "children": children, "ray_leaves": leaves}
 
 
+def fan(size):
+    """Root with ``size`` children, each carrying a ray, as JSON."""
+    leaves = [f"c{i}" for i in range(size)]
+    return {"root": "r", "children": {"r": leaves}, "ray_leaves": leaves}
+
+
 def relabel_and_shuffle(tree, seed):
     """The same tree with fresh vertex names and shuffled child orders."""
     rng = random.Random(seed)

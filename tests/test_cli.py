@@ -1,7 +1,8 @@
 import json
+import time
 
 import pytest
-from corpus import complete_binary, prefix_trees
+from corpus import complete_binary, fan, prefix_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,28 @@ def test_checks_pass_on_trees_branching_deeper_than_five(tree_file, capsys, suit
     assert json.loads(out)["results"]["all_passed"] is True
 
 
+def test_kernel_suite_on_fan_2000_is_fast(tree_file, capsys):
+    path = tree_file(fan(2000))
+    started = time.perf_counter()
+    code, out = _run(capsys, ["checks", path, "--q", "2", "--suite", "kernel"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert json.loads(out)["results"]["all_passed"] is True
+    assert elapsed < 5.0
+
+
+def test_kernel_suite_refuses_blocks_over_the_size_limit(tree_file, capsys):
+    # 20,000 Helmert columns plus the root line on 20,000 rows: 3.2 GB per block
+    code = main(["checks", tree_file(fan(20000)), "--q", "2", "--suite", "kernel"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: kernel check needs a 20000 x 20000 column block on generation 1, "
+        "over the limit of 33554432 float64 entries per block"
+    ]
+
+
 def test_reports_are_deterministic(tree_file, capsys):
     path = tree_file(DOUBLE01)
     argv = ["checks", path, "--q", "3", "--suite", "all", "--horizon", "5"]
@@ -217,6 +240,15 @@ def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
     *usage, last = captured.err.splitlines()
     assert "error: " in last
     assert not usage or usage[0].startswith("usage: ")
+
+
+def test_duplicate_ray_leaves_exit_2(tree_file, capsys):
+    tree = {"root": "r", "children": {"r": ["a", "b"]}, "ray_leaves": ["a", "b", "b"]}
+    code = main(["validate", tree_file(tree)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: duplicate ray leaves: ['b']"]
 
 
 def _defect_per_vertex(tree, q, horizon):

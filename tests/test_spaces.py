@@ -1,11 +1,12 @@
 import cmath
+import dataclasses
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DOUBLE01, FORK2, LINE, SPLIT
+from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, LINE, SPLIT, WIDE, complete_binary, fan, prefix_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from treeshift import (
     bergman_coefficient,
     bergman_norm,
     bergman_weight_moment,
+    build_tree,
     dirichlet_coefficient,
     dirichlet_measure_weights,
     dirichlet_norm,
@@ -31,6 +33,7 @@ from treeshift import (
     pick_property_check,
     pochhammer_ratio,
     radial_weight,
+    tree_from_json,
     vec_add,
     vec_norm,
     vec_scale,
@@ -38,7 +41,8 @@ from treeshift import (
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import pochhammer_ratios
 from treeshift.shifts import DIRICHLET
-from treeshift.spaces import kernel_block_series
+from treeshift import spaces
+from treeshift.spaces import kernel_block_series, kernel_compression_maxima
 
 
 def test_dirichlet_coefficients():
@@ -87,6 +91,104 @@ def test_kernel_oracle_guards():
     dual = make_shift(FORK2, 2, DUAL, 4)
     with pytest.raises(TruncationLoss):
         kernel_matrix_oracle(dual, 4, 4)
+
+
+def _oracle_maxima(shift, nmax=5):
+    """Reference: the kernel suite's two maxima over every (j, k) oracle call."""
+    off = diag = 0.0
+    for j in range(nmax + 1):
+        for k in range(nmax + 1):
+            block = kernel_matrix_oracle(shift, j, k)
+            if j == k:
+                diag = max(diag, float(np.max(np.abs(block - kernel_oracle_expected(shift, k)))))
+            else:
+                off = max(off, float(np.max(np.abs(block))))
+    return off, diag
+
+
+def _suite_shift(tree, q, nmax=5):
+    """The dual shift at the depth the kernel suite truncates to."""
+    return make_shift(tree, q, DUAL, max(10, tree.branching_index() + nmax))
+
+
+def _assert_maxima_agree(shift):
+    pushed, reference = kernel_compression_maxima(shift, 5), _oracle_maxima(shift)
+    assert np.max(np.abs(np.subtract(pushed, reference))) <= 1e-14
+    assert max(pushed) < 1e-10 and max(reference) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(prefix_trees(), st.integers(1, 4))
+def test_kernel_maxima_equal_oracle_loop_on_random_trees(tree, q):
+    _assert_maxima_agree(_suite_shift(tree, q))
+
+
+@pytest.mark.parametrize(
+    "tree,q",
+    [
+        (tree_from_json(complete_binary(5)), 2),
+        (tree_from_json(complete_binary(7)), 3),
+        (tree_from_json(fan(100)), 2),
+        (DEEP13, 2),
+        (WIDE, 3),
+    ],
+    ids=["binary5", "binary7", "fan100", "deep13", "wide"],
+)
+def test_kernel_maxima_equal_oracle_loop(tree, q):
+    _assert_maxima_agree(_suite_shift(tree, q))
+
+
+# DEEP13 branches at depths 1 and 3 (one column each), WIDE at depths 0 and 1
+# (one and two columns): columns land on generations 1..9 and 1..7.  The
+# scaled vertex carries column mass: the first of its generation, or the one
+# on c's ray (DEEP13) or e's ray (WIDE, only the second Helmert column of a)
+# while a block still reaches it.
+PERTURBED = (
+    [(DEEP13, g, 0) for g in range(1, 10)]
+    + [(DEEP13, g, -1) for g in range(1, 8)]
+    + [(WIDE, g, 0) for g in range(1, 8)]
+    + [(WIDE, g, -2) for g in range(2, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "tree,landing,position",
+    PERTURBED,
+    ids=[f"{'deep13' if t is DEEP13 else 'wide'}-g{g}-{p}" for t, g, p in PERTURBED],
+)
+def test_perturbed_weight_fails_both_paths(tree, landing, position):
+    shift = _suite_shift(tree, 2)
+    weights = shift.weights.copy()
+    weights[shift.trunc.index[shift.trunc.generations[landing][position]]] *= 1 + 1e-6
+    perturbed = dataclasses.replace(shift, weights=weights)
+    pushed, reference = kernel_compression_maxima(perturbed, 5), _oracle_maxima(perturbed)
+    assert max(pushed) > 1e-10 and max(reference) > 1e-10
+    # S* stays the adjoint of the perturbed S, so both paths still read the same entries
+    assert np.allclose(pushed, reference, rtol=1e-6, atol=1e-14)
+
+
+def test_kernel_maxima_refuse_to_push_past_the_horizon():
+    shift = make_shift(DOUBLE01, 2, DUAL, 6)  # columns born on generation 2 need 2 + 5
+    with pytest.raises(TruncationLoss):
+        kernel_compression_maxima(shift, 5)
+    assert max(kernel_compression_maxima(shift, 4)) < 1e-10
+    with pytest.raises(TruncationLoss):
+        shift.push(np.ones((len(shift.trunc.generations[6]), 1)), 7)
+    with pytest.raises(ValueError):
+        kernel_compression_maxima(make_shift(DOUBLE01, 2, DIRICHLET, 10), 5)
+
+
+def test_kernel_maxima_refuse_blocks_over_the_limit(monkeypatch):
+    # a line to depth 6, then three rays: generation 7 carries 3 rows but only
+    # its 2 Helmert columns, the root line having retired after power 5
+    line = {f"v{i}": [f"v{i + 1}"] for i in range(6)}
+    tree = build_tree("v0", {**line, "v6": ["x", "y", "z"]}, ["x", "y", "z"])
+    shift = _suite_shift(tree, 2)
+    monkeypatch.setattr(spaces, "MAX_BLOCK_ENTRIES", 6)
+    assert max(kernel_compression_maxima(shift, 5)) < 1e-10
+    monkeypatch.setattr(spaces, "MAX_BLOCK_ENTRIES", 5)
+    with pytest.raises(ValueError, match="3 x 2 column block on generation 7"):
+        kernel_compression_maxima(shift, 5)
 
 
 def test_kernel_apply_at_origin_is_identity():

@@ -26,6 +26,7 @@ from treeshift.errors import (
     TreeFormatError,
     UnknownVertex,
 )
+from treeshift.trees import sibling_chain_identity_sums
 
 
 @pytest.fixture
@@ -246,6 +247,15 @@ def test_sibling_chain_sum_matches_ancestor_walk(tree, k):
         assert pushed == _ancestor_walk_sum(tree, v, k) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(1, 5))
+def test_one_push_gives_every_sibling_chain_sum(tree, kmax):
+    for v in tree.vertices:
+        sums = sibling_chain_identity_sums(tree, v, kmax)
+        assert sums == [sibling_chain_identity_sum(tree, v, k) for k in range(1, kmax + 1)]
+        assert all(isinstance(s, Fraction) and s == 1 for s in sums)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_profile_independent_of_labels_and_order(name, seed):
@@ -280,5 +290,7 @@ def test_json_schema_is_strict():
         tree_from_json({"root": "r", "children": {}})
     with pytest.raises(TreeFormatError):
         tree_from_json({"root": "r", "children": [], "ray_leaves": ["r"]})
+    with pytest.raises(TreeFormatError, match="duplicate ray leaves"):
+        tree_from_json({**good, "ray_leaves": ["r", "r"]})
     with pytest.raises(InvalidVertexId):
         tree_from_json({"root": "r", "children": {"r": ["x~1"]}, "ray_leaves": ["x~1"]})
