@@ -35,14 +35,9 @@ from .numerics import (
 from .shifts import (
     DIRICHLET,
     DUAL,
-    KernelBasis,
-    KernelBlock,
     ShiftOperator,
     make_shift,
-    vec_add,
-    vec_inner,
     vec_norm,
-    vec_scale,
 )
 from .spaces import (
     GradedFunction,

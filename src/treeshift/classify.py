@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, ShiftOperator, helmert_columns, make_shift
+from .shifts import DIRICHLET, ShiftOperator, kernel_columns, make_shift
 from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
@@ -104,23 +104,16 @@ class GradedUnitary:
     """Generation-by-generation unitary between the cokernel blocks.
 
     ``root_map`` sends the first root indicator to the second;
-    ``generations[n]`` is a unitary matrix between the flattened Helmert
-    coordinates of the generation-n branching blocks, whose vertex order
-    is recorded in ``blocks1``/``blocks2``.
+    ``generations[n]`` is a unitary matrix from the Helmert coordinates of
+    the first tree's generation-n branching vertices to the second's.  On
+    each side the coordinates are in breadth-first order, which is
+    truncation order: the branching vertices in generation order, each
+    one's Helmert vectors in child order.
     """
 
     q: int
     root_map: float
     generations: Mapping[int, np.ndarray]
-    blocks1: Mapping[int, tuple[str, ...]]
-    blocks2: Mapping[int, tuple[str, ...]]
-
-
-def _generation_blocks(tree: Tree) -> dict[int, tuple[str, ...]]:
-    out: dict[int, list[str]] = {}
-    for v, _count in tree.branching_vertices():
-        out.setdefault(tree.depth_of(v), []).append(v)
-    return {n: tuple(vs) for n, vs in out.items()}
 
 
 def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> GradedUnitary:
@@ -137,18 +130,10 @@ def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Grad
         # only reachable at q = 1, where equal totals do not force equal
         # profiles; the generation-by-generation construction needs them
         raise ValueError("graded construction needs matching depth profiles")
-    blocks1 = _generation_blocks(tree1)
-    blocks2 = _generation_blocks(tree2)
     generations = {
         n: np.eye(verdict.profile1.entry(n)) for n in sorted(verdict.profile1.entries)
     }
-    return GradedUnitary(
-        q=q,
-        root_map=1.0,
-        generations=generations,
-        blocks1={n: blocks1.get(n, ()) for n in generations},
-        blocks2={n: blocks2.get(n, ()) for n in generations},
-    )
+    return GradedUnitary(q=q, root_map=1.0, generations=generations)
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------
@@ -204,25 +189,6 @@ class LiftedUnitary:
     shifts: tuple[ShiftOperator, ShiftOperator]
 
 
-def _next_block(
-    shift: ShiftOperator,
-    block: np.ndarray,
-    generation: int,
-    branching: tuple[str, ...],
-    mix: np.ndarray | None = None,
-) -> np.ndarray:
-    """One side's block on ``generation``: the previous generation's block
-    pushed forward, then the Helmert columns of the ``branching`` vertices
-    of the previous generation, times ``mix`` when given."""
-    pushed = shift.push(block, generation)
-    if not branching:
-        return pushed
-    trunc = shift.trunc
-    start = trunc.index[trunc.generations[generation][0]]
-    kernel = helmert_columns(trunc, [shift.tree.children[v] for v in branching], start, len(pushed))
-    return np.hstack([pushed, kernel if mix is None else kernel @ mix])
-
-
 def _normalize_pair(block1: np.ndarray, block2: np.ndarray, generation: int) -> None:
     """Check that matched columns have equal norms, then scale both to unit norm."""
     n1, n2 = np.linalg.norm(block1, axis=0), np.linalg.norm(block2, axis=0)
@@ -245,7 +211,8 @@ def lift_graded_unitary(
     and both are pushed forward by powers of the respective shifts, so
     every column lives on one generation: the lift is built one generation
     block at a time.  Block D is block D - 1 pushed forward, followed by
-    the Helmert columns of the generation-(D - 1) branching vertices.
+    the kernel columns born on generation D, times the generation-(D - 1)
+    unitary on the second side.
     Matching moments make the columns orthonormal on both sides, so the
     resulting map is a genuine unitary between the truncated spaces.
     """
@@ -256,13 +223,14 @@ def lift_graded_unitary(
             raise TruncationLoss(
                 f"generation {n} blocks need depth at least {n + 2}, got {depth}"
             )
-    source, target = [np.array([[1.0]])], [np.array([[unitary.root_map]])]
+    source = [kernel_columns(shift1.trunc, 0)]
+    target = [kernel_columns(shift2.trunc, 0) * unitary.root_map]
     _normalize_pair(source[0], target[0], 0)
     for d in range(1, depth + 1):
-        block1 = _next_block(shift1, source[-1], d, unitary.blocks1.get(d - 1, ()))
-        block2 = _next_block(
-            shift2, target[-1], d, unitary.blocks2.get(d - 1, ()), unitary.generations.get(d - 1)
-        )
+        block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
+        if d - 1 in unitary.generations:
+            block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
+            block2 = np.hstack([block2, kernel_columns(shift2.trunc, d) @ unitary.generations[d - 1]])
         _normalize_pair(block1, block2, d)
         source.append(block1)
         target.append(block2)

@@ -26,7 +26,7 @@ from .classify import (
 )
 from .errors import TreeFormatError, TreeshiftError, UnknownVertex
 from .numerics import hausdorff_check
-from .shifts import DIRICHLET, DUAL, make_shift, vec_norm
+from .shifts import DIRICHLET, DUAL, make_shift, require_q, vec_norm
 from .spaces import (
     kernel_block_spec,
     kernel_compression_maxima,
@@ -265,7 +265,7 @@ def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[dict]:
     return assertions
 
 
-def _suite_cardid(tree: Tree, horizon: int, kmax: int = 5) -> list[dict]:
+def _suite_cardid(tree: Tree, kmax: int = 5) -> list[dict]:
     assertions = []
     for v in tree.vertices:
         sums = sibling_chain_identity_sums(tree, v, kmax)
@@ -287,7 +287,7 @@ def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
     rng = np.random.default_rng(seed)
     inner_worst = 0.0
     # random coordinates below the horizon generation, zeros on it
-    inside = sum(map(len, shift.trunc.generations[:-1]))
+    inside, _ = shift.trunc.span(shift.horizon)
     f, g = np.zeros((2, len(shift.trunc.vertices)))
     for _ in range(8):
         f[:inside] = rng.standard_normal(inside)
@@ -305,6 +305,10 @@ _SUITES = ("defect", "hausdorff", "pick", "cardid", "kernel")
 
 def _cmd_checks(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
+    # every suite gets the same checks, whether or not it reads q and the horizon
+    require_q(args.q)
+    if args.horizon < 1:
+        raise ValueError("horizon must be at least 1")
     suites = _SUITES if args.suite == "all" else (args.suite,)
     assertions: list[dict] = []
     for suite in suites:
@@ -315,7 +319,7 @@ def _cmd_checks(args: argparse.Namespace) -> int:
         elif suite == "pick":
             found = _suite_pick(tree, args.q)
         elif suite == "cardid":
-            found = _suite_cardid(tree, args.horizon)
+            found = _suite_cardid(tree)
         else:
             found = _suite_kernel(tree, args.q, _seed())
         for item in found:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -35,27 +35,6 @@ DUAL = "dual"
 
 # sparse coordinate vector: vertex id -> coefficient
 CoordinateVector = dict[str, complex]
-
-
-def vec_scale(c: complex, f: Mapping[str, complex]) -> CoordinateVector:
-    return {v: c * x for v, x in f.items()}
-
-
-def vec_add(f: Mapping[str, complex], g: Mapping[str, complex]) -> CoordinateVector:
-    out = dict(f)
-    for v, x in g.items():
-        out[v] = out.get(v, 0) + x
-    return out
-
-
-def vec_inner(f: Mapping[str, complex], g: Mapping[str, complex]) -> complex:
-    """Standard l2 pairing, conjugate-linear in the second argument."""
-    small, large = (f, g) if len(f) <= len(g) else (g, f)
-    total = 0j
-    for v in small:
-        if v in large:
-            total += f[v] * complex(g[v]).conjugate()
-    return total
 
 
 def vec_norm(f: Mapping[str, complex]) -> float:
@@ -122,19 +101,35 @@ def _helmert_matrix(m: int) -> np.ndarray:
     return out
 
 
-def helmert_columns(
-    trunc: Truncation, groups: Sequence[Sequence[str]], start: int, size: int
-) -> np.ndarray:
-    """The Helmert vectors of each sibling group, side by side as columns.
+def kernel_births(trunc: Truncation) -> list[int]:
+    """Number of columns of ker S* born on each generation 0..horizon.
 
-    Rows are the ``size`` truncation positions from ``start``.  A group is
-    the children of one vertex, which sit at consecutive positions in
-    child order; groups of equal size are written in one step.
+    The root line is born on generation 0.  Every vertex has a child, the
+    tree being leafless, so generation g gains |gen_g| - |gen_{g-1}|
+    Helmert columns from the vertices of generation g - 1 that branch.
     """
-    counts = np.array([len(kids) for kids in groups], dtype=np.int64)
-    rows = np.array([trunc.index[kids[0]] for kids in groups], dtype=np.int64) - start
+    sizes = [len(gen) for gen in trunc.generations]
+    return [1] + [b - a for a, b in zip(sizes, sizes[1:])]
+
+
+def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
+    """The columns of ker S* born on ``generation``, as that generation's rows.
+
+    Generation 0 carries the root line.  On a later generation the children
+    of one vertex sit at consecutive positions, so the sibling groups are
+    the runs of equal ``parent_index``; a group of m >= 2 carries the m - 1
+    vectors of ``_helmert_vectors`` in child order, groups in truncation
+    order.  Groups of equal size are written in one step.
+    """
+    if generation == 0:
+        return np.ones((1, 1))
+    start, end = trunc.span(generation)
+    parents = trunc.parent_index[start:end]
+    counts = np.bincount(parents - parents[0])  # run lengths: parents are sorted, none childless
+    branching = counts >= 2
+    rows, counts = (np.cumsum(counts) - counts)[branching], counts[branching]
     cols = np.cumsum(counts - 1) - (counts - 1)
-    out = np.zeros((size, int(np.sum(counts - 1))))
+    out = np.zeros((end - start, int(np.sum(counts - 1))))
     for m in np.unique(counts).tolist():
         picked = counts == m
         r = rows[picked][:, None, None] + np.arange(m)[:, None]
@@ -203,17 +198,15 @@ class ShiftOperator:
         the horizon raises ``TruncationLoss`` instead of dropping the mass."""
         if generation > self.horizon:
             raise TruncationLoss(f"push onto generation {generation} leaves horizon {self.horizon}")
-        trunc = self.trunc
-        size = len(trunc.generations[generation])
-        start = trunc.index[trunc.generations[generation][0]]
-        parents = trunc.parent_index[start : start + size] - (start - block.shape[0])
-        return self.weights[start : start + size, None] * block[parents]
+        start, end = self.trunc.span(generation)
+        parents = self.trunc.parent_index[start:end] - (start - block.shape[0])
+        return self.weights[start:end, None] * block[parents]
 
     def _check_support(self, f: Mapping[str, complex], margin: int = 0) -> None:
         limit = self.horizon - margin
         index = self.trunc.index
         # the vertices of depth <= limit are exactly the positions below ``end``
-        end = index[self.trunc.generations[limit][-1]] + 1 if limit >= 0 else 0
+        end = self.trunc.span(limit)[1] if limit >= 0 else 0
         for v in f:
             if index.get(v, end) >= end:
                 raise TruncationLoss(
@@ -316,8 +309,9 @@ class ShiftOperator:
         self._check_support(f, margin=self.q)
         result: CoordinateVector = {}
         for k in range(self.q + 1):
-            term = self.apply_power(self.apply_adjoint_power(f, k), k)
-            result = vec_add(result, vec_scale((-1) ** k * math.comb(self.q, k), term))
+            coefficient = (-1) ** k * math.comb(self.q, k)
+            for v, x in self.apply_power(self.apply_adjoint_power(f, k), k).items():
+                result[v] = result.get(v, 0) + coefficient * x
         return result
 
     def self_commutator_diagonal(self, v: str) -> Fraction:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import pochhammer_ratios, radial_integral, radial_integral_quadrature
-from .shifts import DUAL, ShiftOperator, helmert_columns, require_q
+from .shifts import DUAL, ShiftOperator, kernel_births, kernel_columns, require_q
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -257,32 +257,29 @@ def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:
 # -- matrix oracle ---------------------------------------------------------------
 
 
-def _kernel_blocks(shift: ShiftOperator) -> list[tuple[str, int]]:
-    """(branching vertex, depth) of each Helmert block of ``kernel_basis``, in its order."""
-    depths = ((v, shift.tree.depth_of(v)) for v, _count in shift.tree.branching_vertices())
-    return [(v, depth) for v, depth in depths if depth < shift.horizon]
-
-
 def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     """Compress S*^j S^k of the Cauchy-dual shift to the cokernel.
 
     Computed numerically by the array action of the truncated shift on the
-    columns of ``kernel_basis``, built as one array; the result should
-    vanish for j != k and be block-diagonal with the Dirichlet-side kernel
-    coefficients on the diagonal for j = k.
+    cokernel columns of every generation, placed on that generation's rows
+    of one array; the result should vanish for j != k and be block-diagonal
+    with the Dirichlet-side kernel coefficients on the diagonal for j = k.
     """
     if shift.kind != DUAL:
         raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
-    blocks = _kernel_blocks(shift)
-    deepest = max((depth + 1 for _v, depth in blocks), default=0)
+    trunc = shift.trunc
+    born = kernel_births(trunc)
+    deepest = max(g for g, count in enumerate(born) if count)
     if deepest + max(j, k) > shift.horizon:
         raise TruncationLoss(
             f"powers ({j}, {k}) from depth {deepest} leave horizon {shift.horizon}"
         )
-    size = len(shift.trunc.vertices)
-    groups = [shift.tree.children[v] for v, _depth in blocks]
-    # the root line, then the Helmert blocks
-    columns = np.hstack([np.eye(size, 1), helmert_columns(shift.trunc, groups, 0, size)])
+    columns = np.zeros((len(trunc.vertices), sum(born)))
+    col = 0
+    for g, count in enumerate(born):
+        start, end = trunc.span(g)
+        columns[start:end, col : col + count] = kernel_columns(trunc, g)
+        col += count
     image = columns
     for _ in range(k):
         image = shift.act(image)
@@ -292,11 +289,11 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
 
 
 def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
-    """Exact diagonal the oracle must reproduce at j = k = n."""
-    blocks = [(None, 1)]  # (branch depth, dimension), the root line first
-    blocks += [(depth, len(shift.tree.children[v]) - 1) for v, depth in _kernel_blocks(shift)]
-    values = [float(dirichlet_coefficient(shift.q, depth, n)) for depth, _dim in blocks]
-    return np.diag(np.repeat(values, [dim for _depth, dim in blocks]))
+    """Exact diagonal the oracle must reproduce at j = k = n: the columns
+    born on generation g carry the coefficient of block index l = g."""
+    born = kernel_births(shift.trunc)
+    values = [list(_block_coefficients(shift.q, g, n, DIRICHLET_SPACE))[-1] for g in range(len(born))]
+    return np.diag(np.repeat(np.array(values, dtype=float), born))
 
 
 # float64 entries (256 MiB) allowed in one stacked column block or Gram matrix
@@ -323,15 +320,12 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     if shift.kind != DUAL:
         raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
     trunc = shift.trunc
-    groups: dict[int, list[tuple[str, ...]]] = {}
-    for v, depth in _kernel_blocks(shift):
-        groups.setdefault(depth + 1, []).append(shift.tree.children[v])
-    last = max(groups, default=0) + nmax
+    born = kernel_births(trunc)
+    last = max(g for g, count in enumerate(born) if count) + nmax
     if last > shift.horizon:
         raise TruncationLoss(
             f"powers up to {nmax} from generation {last - nmax} leave horizon {shift.horizon}"
         )
-    born = [1] + [sum(len(kids) - 1 for kids in groups.get(g, ())) for g in range(1, last + 1)]
     # the columns on a generation are orthogonal, so they are no more than its
     # rows and the Gram matrix is no larger than the block
     for landing in range(last + 1):
@@ -346,16 +340,15 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
         list(map(float, _block_coefficients(shift.q, g, nmax, DIRICHLET_SPACE))) for g in range(last + 1)
     ]
     off_worst = diag_worst = 0.0
-    block = np.ones((1, 1))  # the root line on generation 0
+    block = kernel_columns(trunc, 0)
     for landing in range(last + 1):
         first = max(0, landing - nmax)  # births still alive, oldest first
         if landing:
             # columns born nmax generations back have had all their powers
             retired = born[first - 1] if first else 0
             block = shift.push(block[:, retired:], landing)
-            if landing in groups:
-                start = trunc.index[trunc.generations[landing][0]]
-                block = np.hstack([block, helmert_columns(trunc, groups[landing], start, len(block))])
+            if born[landing]:
+                block = np.hstack([block, kernel_columns(trunc, landing)])
         sizes = born[first : landing + 1]
         gram = block.T @ block
         expected = [coefficients[g][landing - g] for g in range(first, landing + 1)]

@@ -119,6 +119,11 @@ class Truncation:
     index: Mapping[str, int]
     parent_index: np.ndarray
 
+    def span(self, n: int) -> tuple[int, int]:
+        """Positions (start, end) of generation n in ``vertices``."""
+        start = self.index[self.generations[n][0]]
+        return start, start + len(self.generations[n])
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -285,15 +290,12 @@ class Tree:
         """
         trunc = self.truncate(horizon)
         below = ["()"] * len(trunc.generations[-1])
-        end = len(trunc.vertices)
-        for gen in reversed(trunc.generations[:-1]):
-            start = end - len(below)
-            offset = start - len(gen)
-            parts: list[list[str]] = [[] for _ in gen]
+        for n in reversed(range(horizon)):
+            (offset, start), (_, end) = trunc.span(n), trunc.span(n + 1)
+            parts: list[list[str]] = [[] for _ in trunc.generations[n]]
             for form, i in zip(below, trunc.parent_index[start:end].tolist()):
                 parts[i - offset].append(form)
             below = ["(" + "".join(sorted(forms)) + ")" for forms in parts]
-            end = start
         return below[0]
 
 

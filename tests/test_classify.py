@@ -225,8 +225,7 @@ def reference_lift(tree1, tree2, q, unitary, depth):
     """The lift built column by column from the dict kernel basis."""
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    basis1 = {b.vertex: b for b in shift1.kernel_basis().blocks}
-    basis2 = {b.vertex: b for b in shift2.kernel_basis().blocks}
+    blocks1, blocks2 = shift1.kernel_basis().blocks, shift2.kernel_basis().blocks
     pairs = [
         (
             to_array(shift1, {tree1.root: 1.0}),
@@ -235,8 +234,9 @@ def reference_lift(tree1, tree2, q, unitary, depth):
         )
     ]
     for n in sorted(unitary.generations):
-        flat1 = [v for vertex in unitary.blocks1[n] for v in basis1[vertex].vectors]
-        flat2 = [v for vertex in unitary.blocks2[n] for v in basis2[vertex].vectors]
+        # the dict basis lists its blocks breadth-first, the coordinate order of the unitary
+        flat1 = [v for b in blocks1 if b.branch_depth == n for v in b.vectors]
+        flat2 = [v for b in blocks2 if b.branch_depth == n for v in b.vectors]
         images = np.column_stack([to_array(shift2, v) for v in flat2]) @ unitary.generations[n]
         for i, vec1 in enumerate(flat1):
             pairs.append((to_array(shift1, vec1), images[:, i], depth - (n + 1)))
@@ -271,14 +271,25 @@ def _lift_map(lift):
     return lift.target @ (lift.source.T @ np.eye(lift.source.shape[0]))
 
 
-def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None):
+def _random_orthogonal(unitary, seed):
+    """``unitary`` with a seeded random orthogonal matrix on every generation."""
+    rng = np.random.default_rng(seed)
+    mixed = {n: np.linalg.qr(rng.standard_normal(u.shape))[0] for n, u in unitary.generations.items()}
+    return dataclasses.replace(unitary, generations=mixed)
+
+
+def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None, mix_seed=None):
     unitary = build_graded_unitary(tree1, tree2, q, depth if horizon is None else horizon)
+    if mix_seed is not None:
+        unitary = _random_orthogonal(unitary, mix_seed)
     lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
     reference = reference_lift(tree1, tree2, q, unitary, depth)
     assert lift.source.shape == reference.source.shape
     assert lift.target.shape == reference.target.shape
     assert len(lift.domain) == len(reference.domain)
     assert np.max(np.abs(_lift_map(lift) - _lift_map(reference))) < 1e-12
+    if mix_seed is not None:
+        assert verify_intertwining(tree1, tree2, q, unitary, depth) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,6 +315,34 @@ def test_block_lift_matches_reference_below_a_limited_horizon():
     lift = lift_graded_unitary(DEEP13, other, 2, unitary, 7)
     assert any(b.shape[0] > b.shape[1] for b in lift.source.blocks)
     assert verify_intertwining(DEEP13, other, 2, unitary, 7) < 1e-12
+
+
+# a non-identity unitary pins the coordinate order of each generation: a
+# permutation of the columns on one side no longer cancels
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 3))
+def test_mixed_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra):
+    other = relabel_and_shuffle(tree, seed)
+    _assert_lift_matches_reference(tree, other, q, tree.branching_index() + 1 + extra, mix_seed=seed)
+
+
+_BINARY3 = tree_from_json(complete_binary(3))
+# (tree1, tree2, depth, horizon of the unitary); binary 3 has a 4 x 4
+# generation, whose random orthogonal matrix is not symmetric
+MIXED_PAIRS = {
+    "wide-split": (*PROFILE_PAIR, 7, None),
+    "split-wide": (*reversed(PROFILE_PAIR), 7, None),
+    "deep13": (DEEP13, relabel_and_shuffle(DEEP13, 7), 8, None),
+    "deep13-limited": (DEEP13, relabel_and_shuffle(DEEP13, 7), 7, 1),
+    "binary3": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 6, None),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("pair", sorted(MIXED_PAIRS))
+def test_mixed_lift_matches_reference(pair, q):
+    tree1, tree2, depth, horizon = MIXED_PAIRS[pair]
+    _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=horizon, mix_seed=q)
 
 
 def test_non_unitary_generation_raises_moment_mismatch():

@@ -242,6 +242,25 @@ def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
     assert not usage or usage[0].startswith("usage: ")
 
 
+@pytest.mark.parametrize("suite", ["defect", "hausdorff", "pick", "cardid", "kernel", "all"])
+@pytest.mark.parametrize(
+    "flags,code,error",
+    [
+        (["--q", "2", "--horizon", "-5"], 2, "error: horizon must be at least 1"),
+        (["--q", "2", "--horizon", "0"], 2, "error: horizon must be at least 1"),
+        (["--q", "0"], 3, "error: q must be at least 1, got 0"),
+        (["--q", "0", "--horizon", "-5"], 3, "error: q must be at least 1, got 0"),
+    ],
+    ids=["negative-horizon", "zero-horizon", "zero-q", "both"],
+)
+def test_checks_reject_bad_arguments_in_every_suite(tree_file, capsys, suite, flags, code, error):
+    # also the suites that never read q or the horizon
+    assert main(["checks", tree_file(DOUBLE01), "--suite", suite, *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [error]
+
+
 def test_duplicate_ray_leaves_exit_2(tree_file, capsys):
     tree = {"root": "r", "children": {"r": ["a", "b"]}, "ray_leaves": ["a", "b", "b"]}
     code = main(["validate", tree_file(tree)])

@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE, prefix_trees, to_array
+from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE, complete_binary, fan, prefix_trees, to_array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift import DIRICHLET, DUAL, make_shift, vec_inner, vec_norm
+from treeshift import DIRICHLET, DUAL, cokernel_dimension, make_shift, tree_from_json, vec_norm
 from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import hausdorff_check
-from treeshift.shifts import helmert_columns
+from treeshift.shifts import kernel_columns
+
+
+def vec_inner(f, g):
+    """l2 pairing of two sparse vectors, conjugate-linear in the second."""
+    return sum((x * complex(g[v]).conjugate() for v, x in f.items() if v in g), 0j)
 
 
 def test_line_tree_weights_q2():
@@ -169,15 +174,44 @@ def test_array_action_equals_dict_action(tree, q, kind, horizon, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(tree=prefix_trees(), horizon=st.integers(1, 5))
-def test_helmert_columns_equal_kernel_basis_vectors(tree, horizon):
+def test_kernel_columns_equal_kernel_basis_vectors(tree, horizon):
     shift = make_shift(tree, 2, DIRICHLET, horizon)
-    blocks = shift.kernel_basis().blocks[1:]  # the Helmert blocks, after the root line
-    groups = [tree.children[block.vertex] for block in blocks]
-    columns = helmert_columns(shift.trunc, groups, 0, len(shift.weights))
-    expected = [to_array(shift, vec) for block in blocks for vec in block.vectors]
-    assert columns.shape == (len(shift.weights), len(expected))
-    for column, vec in zip(columns.T, expected):
-        assert np.array_equal(column, vec)
+    blocks = shift.kernel_basis().blocks
+    for g in range(horizon + 1):
+        start, end = shift.trunc.span(g)
+        columns = kernel_columns(shift.trunc, g)
+        # the root line on generation 0, else the blocks of the depth-(g - 1) vertices in order
+        born = [block for block in blocks if block.support_depth == g]
+        expected = [to_array(shift, vec)[start:end] for block in born for vec in block.vectors]
+        assert columns.shape == (end - start, len(expected))
+        for column, vec in zip(columns.T, expected):
+            assert np.array_equal(column, vec)
+
+
+def _kernel_column_counts(tree, horizon):
+    trunc = tree.truncate(horizon)
+    counts = [kernel_columns(trunc, g).shape[1] for g in range(horizon + 1)]
+    profile = tree.depth_profile(horizon)
+    assert counts[0] == 1
+    assert counts[1:] == [profile.entry(g - 1) for g in range(1, horizon + 1)]
+    if horizon > tree.branching_index():
+        assert sum(counts) == cokernel_dimension(tree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(1, 8))
+def test_kernel_column_counts_follow_depth_profile(tree, horizon):
+    _kernel_column_counts(tree, horizon)
+
+
+@pytest.mark.parametrize(
+    "tree,horizon",
+    [(tree_from_json(complete_binary(d)), h) for d, h in ((3, 2), (3, 5), (6, 8))]
+    + [(tree_from_json(fan(m)), h) for m, h in ((2, 1), (50, 1), (50, 4))],
+    ids=["binary3-h2", "binary3-h5", "binary6-h8", "fan2-h1", "fan50-h1", "fan50-h4"],
+)
+def test_kernel_column_counts_on_binary_and_fan_trees(tree, horizon):
+    _kernel_column_counts(tree, horizon)
 
 
 def test_moment_examples():

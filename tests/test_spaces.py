@@ -34,9 +34,7 @@ from treeshift import (
     pochhammer_ratio,
     radial_weight,
     tree_from_json,
-    vec_add,
     vec_norm,
-    vec_scale,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import pochhammer_ratios
@@ -281,6 +279,15 @@ def test_dirichlet_norm_equals_moment_aggregation(name, q):
         assert dirichlet_norm(f, q) == expected
 
 
+def _combine(terms):
+    """The sparse vector sum of c * vec over the (c, vec) pairs."""
+    out = {}
+    for c, vec in terms:
+        for v, x in vec.items():
+            out[v] = out.get(v, 0) + c * x
+    return out
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_single_layer_norm_matches_vertex_space_matrix_route(q):
     tree = DOUBLE01
@@ -290,10 +297,10 @@ def test_single_layer_norm_matches_vertex_space_matrix_route(q):
     for n in range(4):
         layers = [(0, {})] * n + [(Fraction(1, 5), coords)]
         f = graded_function(tree, layers)
-        vector = vec_scale(float(Fraction(1, 5)), {tree.root: 1.0})
-        for v, block_coords in coords.items():
-            for coeff, vec in zip(block_coords, basis[v].vectors):
-                vector = vec_add(vector, vec_scale(float(coeff), vec))
+        vector = _combine(
+            [(float(Fraction(1, 5)), {tree.root: 1.0})]
+            + [(float(c), vec) for v, cs in coords.items() for c, vec in zip(cs, basis[v].vectors)]
+        )
         pushed = shift.apply_power(vector, n)
         assert vec_norm(pushed) ** 2 == pytest.approx(float(dirichlet_norm(f, q)), rel=1e-12)
 
