@@ -380,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
-    p.add_argument("--horizon", type=int, default=8)
+    horizon_help = "truncation depth; only the defect and hausdorff suites read it"
+    p.add_argument("--horizon", type=int, default=8, help=horizon_help)
     p.set_defaults(handler=_cmd_checks)
 
     return parser

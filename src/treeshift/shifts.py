@@ -47,21 +47,18 @@ class KernelBlock:
 
     ``vertex`` is None for the root line (spanned by the root indicator)
     and a branching vertex otherwise, in which case the vectors form a
-    Helmert basis of the zero-sum functions on its children.
+    Helmert basis of the zero-sum functions on its children.  ``l`` is the
+    block's birth generation, the depth of the vertices carrying its
+    vectors: 0 for the root line, the branching depth + 1 otherwise.
     """
 
     vertex: str | None
-    branch_depth: int | None
+    l: int
     vectors: tuple[CoordinateVector, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-    @property
-    def support_depth(self) -> int:
-        """Depth of the vertices carrying the block's vectors."""
-        return 0 if self.branch_depth is None else self.branch_depth + 1
 
 
 @dataclass(frozen=True)
@@ -283,17 +280,11 @@ class ShiftOperator:
     def kernel_basis(self) -> KernelBasis:
         """Orthonormal basis of ker S*: root line plus one Helmert block per
         branching vertex whose children lie inside the truncation."""
-        blocks = [KernelBlock(vertex=None, branch_depth=None, vectors=({self.tree.root: 1.0},))]
+        blocks = [KernelBlock(vertex=None, l=0, vectors=({self.tree.root: 1.0},))]
         for v, _count in self.tree.branching_vertices():
-            depth = self.tree.depth_of(v)
-            if depth < self.horizon:
-                blocks.append(
-                    KernelBlock(
-                        vertex=v,
-                        branch_depth=depth,
-                        vectors=_helmert_vectors(self.tree.children[v]),
-                    )
-                )
+            l = self.tree.depth_of(v) + 1
+            if l <= self.horizon:
+                blocks.append(KernelBlock(vertex=v, l=l, vectors=_helmert_vectors(self.tree.children[v])))
         return KernelBasis(blocks=tuple(blocks))
 
     # -- defect operator and self-commutator --------------------------------------

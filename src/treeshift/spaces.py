@@ -91,10 +91,13 @@ def kernel_block_series(
     return total
 
 
-def kernel_series_order(
-    q: int, space: str, radius: float, tol: float = 1e-12
-) -> int:
-    """Smallest truncation order whose remainder bound stays below ``tol``.
+# remainder bound that ``kernel_series_order`` keeps a truncated series below
+SERIES_TAIL_TOL = 1e-12
+
+
+def kernel_series_order(q: int, space: str, radius: float) -> int:
+    """Smallest truncation order whose remainder bound stays below
+    ``SERIES_TAIL_TOL``.
 
     Dirichlet-side coefficients are bounded by 1, giving the geometric
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
@@ -109,7 +112,7 @@ def kernel_series_order(
         bound = radius ** (n + 1) / (1.0 - radius)
         if space == BERGMAN_SPACE:
             bound *= float(n + q) ** (q - 1)
-        if bound < tol:
+        if bound < SERIES_TAIL_TOL:
             return n
         n += 1
 
@@ -146,31 +149,23 @@ def kernel_apply(
 # -- graded functions and their norms ------------------------------------------
 
 
-def _sq(x) -> Fraction | float:
-    """Squared modulus, exact for rational input."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x) ** 2
-    return abs(x) ** 2
-
-
-@dataclass(frozen=True)
-class GradedLayer:
-    """Coefficient of one power of z: a root coordinate plus, per branching
-    vertex, coordinates in that block's Helmert basis."""
-
-    root: complex | Fraction
-    blocks: Mapping[str, tuple[complex | Fraction, ...]]
-
-    def block_square(self, v: str) -> Fraction | float:
-        return sum((_sq(c) for c in self.blocks.get(v, ())), start=Fraction(0))
+def _square(coords: Sequence) -> Fraction | float:
+    """Squared norm of a coordinate tuple, exact for rational input."""
+    return sum(c * c if isinstance(c, (int, Fraction)) else abs(c) ** 2 for c in coords)
 
 
 @dataclass(frozen=True)
 class GradedFunction:
-    """Finitely supported power series with cokernel-valued coefficients."""
+    """Finitely supported power series with cokernel-valued coefficients.
 
-    block_depths: Mapping[str, int]
-    layers: tuple[GradedLayer, ...]
+    ``blocks`` maps each block id to its index l in the tree's block order
+    (``kernel_block_spec``: the root line None with l = 0 first).
+    ``layers[n]`` is the coefficient of z^n: block id -> coordinates in that
+    block's basis, the root line's as a 1-tuple; absent blocks are zero.
+    """
+
+    blocks: Mapping[str | None, int]
+    layers: tuple[Mapping[str | None, tuple], ...]
 
 
 def graded_function(
@@ -183,7 +178,6 @@ def graded_function(
     dimension; missing entries are zero.
     """
     branching = dict(tree.branching_vertices())
-    depths = {v: tree.depth_of(v) for v in branching}
     built = []
     for root_coeff, blocks in layers:
         for v, coords in blocks.items():
@@ -191,25 +185,21 @@ def graded_function(
                 raise UnknownVertex(f"{v!r} is not a branching vertex")
             if len(coords) > branching[v] - 1:
                 raise ValueError(f"block {v!r} has dimension {branching[v] - 1}")
-        built.append(
-            GradedLayer(root=root_coeff, blocks={v: tuple(c) for v, c in blocks.items()})
-        )
-    return GradedFunction(block_depths=depths, layers=tuple(built))
+        built.append({None: (root_coeff,), **{v: tuple(c) for v, c in blocks.items()}})
+    return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
 def _graded_norm(f: GradedFunction, q: int | Fraction, dual: str) -> Fraction | float:
     """Squared norm whose layer weights are the kernel coefficients of the
-    ``dual`` space, built once per distinct block depth (None: root line)."""
+    ``dual`` space, built once per distinct block index l."""
     order = len(f.layers) - 1
-    depths = {None, *f.block_depths.values()}
-    weights = {d: list(_block_coefficients(q, block_weight_index(d), order, dual)) for d in depths}
+    weights = {l: list(_block_coefficients(q, l, order, dual)) for l in set(f.blocks.values())}
     total = Fraction(0)
     for n, layer in enumerate(f.layers):
-        total = total + _sq(layer.root) * weights[None][n]
-        for v, d in f.block_depths.items():
-            square = layer.block_square(v)
+        for b, l in f.blocks.items():
+            square = _square(layer.get(b, ()))
             if square:
-                total = total + square * weights[d][n]
+                total = total + square * weights[l][n]
     return total
 
 
@@ -223,35 +213,25 @@ def bergman_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     return _graded_norm(f, q, DIRICHLET_SPACE)
 
 
-def h2_norm_via_measure_decomposition(f: GradedFunction, q: int = 2) -> Fraction | float:
+def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
     """Squared q=2 norm split as Hardy energy plus weighted Dirichlet energy.
 
-    The density of the boundary measure is 1 on the root line and
-    1/(depth+2) on the block of each branching vertex, so the energy term
-    of layer n carries the factor n.  Agrees with :func:`dirichlet_norm`
-    at q = 2 exactly.
+    The density of the boundary measure is 1/(l+1) on the block of index l,
+    so the energy term of layer n carries the factor n.  Agrees with
+    :func:`dirichlet_norm` at q = 2 exactly.
     """
-    if q != 2:
-        raise WrongQ("measure decomposition is specific to q = 2")
     total = Fraction(0)
     for n, layer in enumerate(f.layers):
-        hardy = _sq(layer.root) + sum(
-            (layer.block_square(v) for v in f.block_depths), start=Fraction(0)
-        )
-        energy = _sq(layer.root) + sum(
-            (layer.block_square(v) / (d + 2) for v, d in f.block_depths.items()),
-            start=Fraction(0),
-        )
-        total = total + hardy + n * energy
+        for b, l in f.blocks.items():
+            square = _square(layer.get(b, ()))
+            if square:
+                total = total + square * (1 + Fraction(n, l + 1))
     return total
 
 
 def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:
     """Blockwise density of the boundary measure representing the q=2 norm."""
-    weights: dict[str | None, Fraction] = {None: Fraction(1)}
-    for v, _count in tree.branching_vertices():
-        weights[v] = Fraction(1, tree.depth_of(v) + 2)
-    return weights
+    return {b: Fraction(1, l + 1) for b, l in kernel_block_spec(tree).blocks}
 
 
 # -- matrix oracle ---------------------------------------------------------------

@@ -82,13 +82,7 @@ class DepthProfile:
 
     def same_as(self, other: "DepthProfile") -> bool:
         """Entrywise equality on the region both profiles certify."""
-        limit = min(self.horizon, other.horizon)
-        if self.exact_beyond_horizon and other.exact_beyond_horizon:
-            return dict(self.entries) == dict(other.entries)
-        for n in range(limit + 1):
-            if self.entries.get(n, 0) != other.entries.get(n, 0):
-                return False
-        return True
+        return self.first_difference(other) is None
 
     def first_difference(self, other: "DepthProfile") -> int | None:
         """Smallest certified generation where the two profiles differ."""
@@ -399,16 +393,18 @@ def sibling_chain_identity_sums(tree: Tree, v: str, kmax: int) -> list[Fraction]
     push of kmax levels below ``v``."""
     if kmax < 1:
         raise ValueError("k must be at least 1")
-    # each step down divides by the sibling count of the child reached
+    # each step down divides by the sibling count of the child reached; an
+    # only child keeps its parent's share
     layer = {v: Fraction(1)}
     sums = []
     for _ in range(kmax):
         below: dict[str, Fraction] = {}
         for w, p in layer.items():
             kids = tree.children_of(w)
-            share = p / len(kids)
+            if len(kids) > 1:
+                p = p / len(kids)
             for u in kids:
-                below[u] = share
+                below[u] = p
         layer = below
         sums.append(sum(layer.values(), Fraction(0)))
     return sums
@@ -474,6 +470,6 @@ def load_tree(path: str) -> Tree:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise TreeFormatError(f"invalid JSON: {exc}") from exc
     return tree_from_json(obj)

@@ -133,6 +133,22 @@ def test_decide_equivalence_is_an_equivalence_relation(q):
                     assert related[i, k]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    trees=st.lists(prefix_trees(max_vertices=6), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+    q=st.integers(1, 4),
+    horizon=st.integers(1, 6),
+)
+def test_decide_equivalence_laws_on_prefix_trees(trees, seed, q, horizon):
+    a, b, c = trees
+    assert decide_equivalence(a, relabel_and_shuffle(a, seed), q, horizon).equivalent
+    ab, ba = decide_equivalence(a, b, q, horizon), decide_equivalence(b, a, q, horizon)
+    assert (ab.result, ab.certainty, ab.witness) == (ba.result, ba.certainty, ba.witness)
+    if ab.equivalent and decide_equivalence(b, c, q, horizon).equivalent:
+        assert decide_equivalence(a, c, q, horizon).equivalent
+
+
 def test_equivalence_at_higher_q_implies_equivalence_at_one():
     trees = [_random_tree(seed) for seed in range(12)]
     for t1, t2 in itertools.combinations(trees, 2):
@@ -235,8 +251,8 @@ def reference_lift(tree1, tree2, q, unitary, depth):
     ]
     for n in sorted(unitary.generations):
         # the dict basis lists its blocks breadth-first, the coordinate order of the unitary
-        flat1 = [v for b in blocks1 if b.branch_depth == n for v in b.vectors]
-        flat2 = [v for b in blocks2 if b.branch_depth == n for v in b.vectors]
+        flat1 = [v for b in blocks1 if b.l == n + 1 for v in b.vectors]
+        flat2 = [v for b in blocks2 if b.l == n + 1 for v in b.vectors]
         images = np.column_stack([to_array(shift2, v) for v in flat2]) @ unitary.generations[n]
         for i, vec1 in enumerate(flat1):
             pairs.append((to_array(shift1, vec1), images[:, i], depth - (n + 1)))
@@ -256,7 +272,7 @@ def forced_flat_residual(tree1, tree2, q, depth):
     flat2 = shift2.kernel_basis().all_vectors()
     assert len(flat1) == len(flat2)
     pairs = [
-        (to_array(shift1, vec1), to_array(shift2, vec2), depth - max(block1.support_depth, block2.support_depth))
+        (to_array(shift1, vec1), to_array(shift2, vec2), depth - max(block1.l, block2.l))
         for (block1, vec1), (block2, vec2) in zip(flat1, flat2)
     ]
     return _residual(_lift_pairs(shift1, shift2, pairs, check_norms=False), trials=16, seed=42)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import time
 
@@ -303,3 +305,54 @@ def _hausdorff_per_vertex(tree, q, horizon, order=12):
 def test_per_generation_suites_equal_per_vertex_reference(tree, q, horizon):
     assert _suite_defect(tree, q, horizon) == _defect_per_vertex(tree, q, horizon)
     assert _suite_hausdorff(tree, q, horizon) == _hausdorff_per_vertex(tree, q, horizon)
+
+
+# -- fuzzed tree files: every input ends in a documented exit code -----------------
+
+# a small id pool makes duplicates, cycles and two-parent vertices likely; the
+# last four entries are not valid ids
+_ids = st.sampled_from(["r", "a", "b", "c", "d"] * 3 + ["r~1", "", 0, None])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_well_typed = st.fixed_dictionaries(
+    {
+        "root": _ids,
+        "children": st.dictionaries(
+            st.sampled_from(["r", "a", "b", "c", "d", "a~2"]), st.lists(_ids, max_size=3), max_size=4
+        ),
+        "ray_leaves": st.lists(_ids, max_size=5),
+    }
+)
+_wrong_types = st.fixed_dictionaries(
+    {},
+    optional={"root": _json_values, "children": _json_values, "ray_leaves": _json_values, "extra": _json_values},
+)
+_tree_texts = st.one_of(
+    _well_typed.map(json.dumps),
+    _well_typed.map(json.dumps),
+    _wrong_types.map(json.dumps),
+    st.text(max_size=20),
+    st.integers(500, 5000).map(lambda n: "[" * n + "]" * n),  # nesting deeper than the parser's limit
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "tree.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_tree_texts)
+def test_fuzzed_tree_files_exit_with_a_documented_code(fuzz_path, text):
+    # lone surrogates become bytes that are not UTF-8
+    fuzz_path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    for argv in (
+        ["validate", str(fuzz_path)],
+        ["profile", str(fuzz_path), "--horizon", "3"],
+        ["checks", str(fuzz_path), "--q", "2", "--suite", "pick"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)

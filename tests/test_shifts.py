@@ -181,7 +181,7 @@ def test_kernel_columns_equal_kernel_basis_vectors(tree, horizon):
         start, end = shift.trunc.span(g)
         columns = kernel_columns(shift.trunc, g)
         # the root line on generation 0, else the blocks of the depth-(g - 1) vertices in order
-        born = [block for block in blocks if block.support_depth == g]
+        born = [block for block in blocks if block.l == g]
         expected = [to_array(shift, vec)[start:end] for block in born for vec in block.vectors]
         assert columns.shape == (end - start, len(expected))
         for column, vec in zip(columns.T, expected):
@@ -301,7 +301,7 @@ def test_powers_of_kernel_vectors_stay_orthogonal(q):
     columns = []
     for block, vec in shift.kernel_basis().all_vectors():
         current = dict(vec)
-        for power in range(shift.horizon - block.support_depth + 1):
+        for power in range(shift.horizon - block.l + 1):
             if power:
                 current = shift.apply(current)
             columns.append({v: x / vec_norm(current) for v, x in current.items()})
