@@ -32,13 +32,7 @@ from .numerics import (
     radial_integral,
     radial_integral_quadrature,
 )
-from .shifts import (
-    DIRICHLET,
-    DUAL,
-    ShiftOperator,
-    make_shift,
-    vec_norm,
-)
+from .shifts import DIRICHLET, DUAL, ShiftOperator, make_shift
 from .spaces import (
     GradedFunction,
     KernelBlockSpec,

@@ -62,38 +62,26 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Equiva
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidQ(f"q must be a positive integer, got {q!r}")
+    witness = None
     if q == 1:
         # totals are representation-exact; extend the horizon so the
         # reported profiles are certified complete
-        h1 = max(horizon, tree1.branching_index())
-        h2 = max(horizon, tree2.branching_index())
-        p1, p2 = tree1.depth_profile(h1), tree2.depth_profile(h2)
-        same = cokernel_dimension(tree1) == cokernel_dimension(tree2)
-        return EquivalenceVerdict(
-            q=q,
-            result=EQUIVALENT if same else NOT_EQUIVALENT,
-            certainty=EXACT,
-            witness=None,
-            profile1=p1,
-            profile2=p2,
-        )
-    p1, p2 = tree1.depth_profile(horizon), tree2.depth_profile(horizon)
-    witness = p1.first_difference(p2)
-    if witness is not None:
-        return EquivalenceVerdict(
-            q=q,
-            result=NOT_EQUIVALENT,
-            certainty=EXACT,
-            witness=witness,
-            profile1=p1,
-            profile2=p2,
-        )
-    both_exact = p1.exact_beyond_horizon and p2.exact_beyond_horizon
+        p1 = tree1.depth_profile(max(horizon, tree1.branching_index()))
+        p2 = tree2.depth_profile(max(horizon, tree2.branching_index()))
+        equal = cokernel_dimension(tree1) == cokernel_dimension(tree2)
+        exact = True
+    else:
+        p1, p2 = tree1.depth_profile(horizon), tree2.depth_profile(horizon)
+        witness = p1.first_difference(p2)
+        equal = witness is None
+        # a witness is exact; agreement is exact when both profiles are
+        exact = not equal or (p1.exact_beyond_horizon and p2.exact_beyond_horizon)
+    result = EQUIVALENT if exact else EQUIVALENT_UP_TO_HORIZON
     return EquivalenceVerdict(
         q=q,
-        result=EQUIVALENT if both_exact else EQUIVALENT_UP_TO_HORIZON,
-        certainty=EXACT if both_exact else HORIZON_LIMITED,
-        witness=None,
+        result=result if equal else NOT_EQUIVALENT,
+        certainty=EXACT if exact else HORIZON_LIMITED,
+        witness=witness,
         profile1=p1,
         profile2=p2,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .classify import (
 )
 from .errors import TreeFormatError, TreeshiftError, UnknownVertex
 from .numerics import hausdorff_check
-from .shifts import DIRICHLET, DUAL, make_shift, require_q, vec_norm
+from .shifts import DIRICHLET, DUAL, make_shift, require_q
 from .spaces import (
     kernel_block_spec,
     kernel_compression_maxima,
@@ -176,11 +177,15 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     check = {"ran": False, "horizon": horizon}
     if depth + args.kmax <= horizon:
         worst = 0.0
-        vec = {args.vertex: 1.0}  # S^k e_v, one application of S per k
+        # S^k e_v as a column on generation depth + k, one push per k
+        start, end = shift.trunc.span(depth)
+        column = np.zeros((end - start, 1))
+        column[shift.trunc.index[args.vertex] - start] = 1.0
         for k in range(args.kmax + 1):
             if k:
-                vec = shift.apply(vec)
-            oracle = vec_norm(vec) ** 2
+                column = shift.push(column, depth + k)
+            # squares summed in truncation order, then the norm squared
+            oracle = math.sqrt(sum(abs(x) ** 2 for x in column[:, 0].tolist())) ** 2
             worst = max(worst, abs(oracle - float(exact[k])) / float(exact[k]))
         check = {
             "ran": True,

@@ -6,15 +6,15 @@ whose squared weight into a vertex v at depth n with sibling count s is
 n/((n + q - 1) s).  For each the squared weights are exact rationals;
 floating point appears only where the operator acts on coordinates.
 
-The operator acts on finitely supported vectors over the vertices of
-depth at most ``horizon``, in two forms: sparse vertex-keyed dicts
-(``apply``), for vectors with small support, and coordinate arrays in
-truncation order (``act``), where the shift reweights the parent map in
-O(n).  Applying the sparse shift to a vector touching the horizon would
-push mass outside the truncation, so that raises ``TruncationLoss``
-instead of silently projecting: every exactness claim carries its
-validity region.  The array action drops that mass, so its callers keep
-their supports away from the horizon themselves.
+The operator acts on coordinate arrays in truncation order (``act``,
+``act_adjoint``, ``push``), where the shift reweights the parent map in
+O(n).  The array action drops mass at the horizon, so its callers keep
+their supports away from it themselves.  The vertex-keyed methods
+(``apply`` and its relatives) are adapters over the same action: they
+take a sparse dict, check its support and return the nonzero
+coordinates of the image.  A support that the shift would push outside
+the truncation raises ``TruncationLoss`` instead of being silently
+projected: every exactness claim carries its validity region.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ DUAL = "dual"
 
 # sparse coordinate vector: vertex id -> coefficient
 CoordinateVector = dict[str, complex]
-
-
-def vec_norm(f: Mapping[str, complex]) -> float:
-    return math.sqrt(sum(abs(x) ** 2 for x in f.values()))
 
 
 @dataclass(frozen=True)
@@ -73,24 +69,12 @@ class KernelBasis:
         return tuple((b, v) for b in self.blocks for v in b.vectors)
 
 
-def _helmert_vectors(children: tuple[str, ...]) -> tuple[CoordinateVector, ...]:
-    """Orthonormal basis of the zero-sum functions on ``children``.
-
-    The k-th vector is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)) with k
-    leading ones; deterministic in the given child order.
-    """
-    m = len(children)
-    vectors = []
-    for k in range(1, m):
-        scale = 1.0 / math.sqrt(k * (k + 1))
-        vec: CoordinateVector = {children[i]: scale for i in range(k)}
-        vec[children[k]] = -k * scale
-        vectors.append(vec)
-    return tuple(vectors)
-
-
 def _helmert_matrix(m: int) -> np.ndarray:
-    """The m - 1 vectors of ``_helmert_vectors`` on m children, as columns."""
+    """Orthonormal basis of the zero-sum functions on m children, as columns.
+
+    Column k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)) with k leading ones,
+    k = 1..m-1; deterministic in child order.
+    """
     k = np.arange(1, m)
     scale = 1.0 / np.sqrt(k * (k + 1))
     out = np.triu(np.broadcast_to(scale, (m, m - 1)))
@@ -115,7 +99,7 @@ def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
     Generation 0 carries the root line.  On a later generation the children
     of one vertex sit at consecutive positions, so the sibling groups are
     the runs of equal ``parent_index``; a group of m >= 2 carries the m - 1
-    vectors of ``_helmert_vectors`` in child order, groups in truncation
+    columns of ``_helmert_matrix`` in child order, groups in truncation
     order.  Groups of equal size are written in one step.
     """
     if generation == 0:
@@ -133,6 +117,12 @@ def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
         c = cols[picked][:, None, None] + np.arange(m - 1)
         out[r, c] = _helmert_matrix(m)
     return out
+
+
+def _iterate(step, a: np.ndarray, k: int) -> np.ndarray:
+    for _ in range(k):
+        a = step(a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -199,50 +189,45 @@ class ShiftOperator:
         parents = self.trunc.parent_index[start:end] - (start - block.shape[0])
         return self.weights[start:end, None] * block[parents]
 
-    def _check_support(self, f: Mapping[str, complex], margin: int = 0) -> None:
+    # -- vertex-keyed adapters ------------------------------------------------------
+
+    def _to_array(self, f: Mapping[str, complex], margin: int = 0) -> np.ndarray:
+        """``f`` as a coordinate array, complex when a value is.  The first
+        vertex of ``f`` outside the truncation raises ``UnknownVertex``, the
+        first one deeper than horizon - margin ``TruncationLoss``."""
         limit = self.horizon - margin
-        index = self.trunc.index
         # the vertices of depth <= limit are exactly the positions below ``end``
         end = self.trunc.span(limit)[1] if limit >= 0 else 0
-        for v in f:
-            if index.get(v, end) >= end:
+        complex_values = any(isinstance(x, complex) for x in f.values())
+        out = np.zeros(len(self.weights), dtype=complex if complex_values else float)
+        for v, x in f.items():
+            i = self.trunc.index.get(v, end)
+            if i >= end:
                 raise TruncationLoss(
                     f"support at depth {self._depth(v)} exceeds {limit} "
                     f"(horizon {self.horizon}, margin {margin})"
                 )
+            out[i] = x
+        return out
+
+    def _to_dict(self, a: np.ndarray) -> CoordinateVector:
+        """The nonzero coordinates of ``a``, keyed by vertex in truncation order."""
+        return {self.trunc.vertices[i]: a.item(i) for i in np.flatnonzero(a).tolist()}
 
     def apply(self, f: Mapping[str, complex]) -> CoordinateVector:
-        """(S f)(u) = weight(u) f(parent(u)); support moves one level down."""
-        self._check_support(f, margin=1)
-        index = self.trunc.index
-        out: CoordinateVector = {}
-        for v, x in f.items():
-            for u in self.tree.children_of(v):
-                out[u] = out.get(u, 0) + self.weights.item(index[u]) * x
-        return out
+        """``act`` on a sparse vector; its support must stay above the horizon."""
+        return self._to_dict(self.act(self._to_array(f, margin=1)))
 
     def apply_adjoint(self, f: Mapping[str, complex]) -> CoordinateVector:
-        """(S* f)(v) = sum over children u of weight(u) f(u); kills the root."""
-        self._check_support(f)
-        index = self.trunc.index
-        out: CoordinateVector = {}
-        for u, x in f.items():
-            v = self.tree.parent_of(u)
-            if v is not None:
-                out[v] = out.get(v, 0) + self.weights.item(index[u]) * x
-        return out
+        """``act_adjoint`` on a sparse vector; kills the root."""
+        return self._to_dict(self.act_adjoint(self._to_array(f)))
 
     def apply_power(self, f: Mapping[str, complex], k: int) -> CoordinateVector:
-        out = dict(f)
-        for _ in range(k):
-            out = self.apply(out)
-        return out
+        """S^k on a sparse vector supported at depth at most horizon - k."""
+        return self._to_dict(_iterate(self.act, self._to_array(f, margin=k), k))
 
     def apply_adjoint_power(self, f: Mapping[str, complex], k: int) -> CoordinateVector:
-        out = dict(f)
-        for _ in range(k):
-            out = self.apply_adjoint(out)
-        return out
+        return self._to_dict(_iterate(self.act_adjoint, self._to_array(f), k))
 
     # -- moments and defects -----------------------------------------------------
 
@@ -262,10 +247,8 @@ class ShiftOperator:
 
     def moment_via_matrix(self, v: str, k: int) -> float:
         """Squared norm of S^k e_v by repeated application (float oracle)."""
-        if self._depth(v) + k > self.horizon:
-            raise TruncationLoss(f"power {k} from depth {self._depth(v)} leaves the truncation")
-        out = self.apply_power({v: 1.0}, k)
-        return vec_norm(out) ** 2
+        a = _iterate(self.act, self._to_array({v: 1.0}, margin=k), k)
+        return float(a @ a)
 
     def q_isometry_defect(self, v: str, order: int) -> Fraction:
         """Signed binomial sum of the moment sequence at ``v``.
@@ -278,13 +261,21 @@ class ShiftOperator:
     # -- cokernel ----------------------------------------------------------------
 
     def kernel_basis(self) -> KernelBasis:
-        """Orthonormal basis of ker S*: root line plus one Helmert block per
-        branching vertex whose children lie inside the truncation."""
-        blocks = [KernelBlock(vertex=None, l=0, vectors=({self.tree.root: 1.0},))]
-        for v, _count in self.tree.branching_vertices():
-            l = self.tree.depth_of(v) + 1
-            if l <= self.horizon:
-                blocks.append(KernelBlock(vertex=v, l=l, vectors=_helmert_vectors(self.tree.children[v])))
+        """Orthonormal basis of ker S*, read off ``kernel_columns``: the root
+        line, then one Helmert block per branching vertex whose children lie
+        inside the truncation, in breadth-first order."""
+        blocks = []
+        for l, generation in enumerate(self.trunc.generations):
+            columns = kernel_columns(self.trunc, l).T
+            # the first nonzero row of a column is a child of its block's vertex
+            rows = self.trunc.span(l)[0] + np.argmax(columns != 0, axis=1)
+            vectors: dict[int, list[CoordinateVector]] = {}
+            for owner, column in zip(self.trunc.parent_index[rows].tolist(), columns):
+                support = np.flatnonzero(column).tolist()
+                vectors.setdefault(owner, []).append({generation[i]: column.item(i) for i in support})
+            for owner, vecs in vectors.items():
+                vertex = None if l == 0 else self.trunc.vertices[owner]
+                blocks.append(KernelBlock(vertex=vertex, l=l, vectors=tuple(vecs)))
         return KernelBasis(blocks=tuple(blocks))
 
     # -- defect operator and self-commutator --------------------------------------
@@ -297,13 +288,12 @@ class ShiftOperator:
         """
         if not isinstance(self.q, int):
             raise WrongQ("defect operator requires integer q")
-        self._check_support(f, margin=self.q)
-        result: CoordinateVector = {}
+        down = self._to_array(f, margin=self.q)  # S*^k f, k = 0..q
+        result = np.zeros_like(down)
         for k in range(self.q + 1):
-            coefficient = (-1) ** k * math.comb(self.q, k)
-            for v, x in self.apply_power(self.apply_adjoint_power(f, k), k).items():
-                result[v] = result.get(v, 0) + coefficient * x
-        return result
+            result += (-1) ** k * math.comb(self.q, k) * _iterate(self.act, down, k)
+            down = self.act_adjoint(down)
+        return self._to_dict(result)
 
     def self_commutator_diagonal(self, v: str) -> Fraction:
         """Exact diagonal entry <[S*, S] e_v, e_v>."""

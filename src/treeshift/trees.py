@@ -157,7 +157,7 @@ class Tree:
             k = int(tail)
         except ValueError:
             raise UnknownVertex(v) from None
-        if k < 1:
+        if k < 1 or tail != str(k):  # one name per vertex: no sign, spaces or leading zeros
             raise UnknownVertex(v)
         return base, k
 
@@ -331,14 +331,18 @@ def build_tree(
                 raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
             parent[u] = v
 
-    if root in parent:
-        seen = {root}
-        current: str | None = parent[root]
+    def check_parent_chain(v: str) -> None:
+        """Raise CircuitDetected when the parent chain from ``v`` loops."""
+        seen = set()
+        current: str | None = v
         while current is not None and current not in seen:
             seen.add(current)
             current = parent.get(current)
         if current is not None:
             raise CircuitDetected(f"circuit through {current!r}")
+
+    if root in parent:
+        check_parent_chain(root)
         raise MultipleRoots(f"declared root {root!r} has a parent")
 
     for v in universe:
@@ -357,15 +361,9 @@ def build_tree(
             queue.append(u)
 
     missing = (universe | rays) - set(order)
+    for v in sorted(missing):
+        check_parent_chain(v)
     if missing:
-        for v in sorted(missing):
-            seen = set()
-            current = v
-            while current is not None and current not in seen:
-                seen.add(current)
-                current = parent.get(current)
-            if current is not None:
-                raise CircuitDetected(f"circuit through {current!r}")
         raise Disconnected(f"unreachable vertices: {sorted(missing)}")
 
     full_children = {v: child_map.get(v, ()) for v in order}

@@ -1,12 +1,16 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
-and a bounded hypothesis strategy for random prefix-plus-rays trees."""
+a bounded hypothesis strategy for random prefix-plus-rays trees, and
+per-vertex references for the shift's vertex-keyed methods."""
 
+import math
 import random
 
 import numpy as np
 from hypothesis import strategies as st
 
 from treeshift import build_tree
+from treeshift.errors import TruncationLoss, UnknownVertex, WrongQ
+from treeshift.shifts import KernelBasis, KernelBlock
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -83,3 +87,95 @@ def to_array(shift, f):
     for v, x in f.items():
         out[shift.trunc.index[v]] = complex(x).real
     return out
+
+
+# -- per-vertex references for the vertex-keyed shift methods ----------------------
+# They walk the tree vertex by vertex, independently of the parent-map arrays.
+
+
+def vec_norm(f):
+    return math.sqrt(sum(abs(x) ** 2 for x in f.values()))
+
+
+def check_support(shift, f, margin=0):
+    """Every vertex of ``f``, in order, lies in the truncation at depth at
+    most horizon - margin."""
+    for v in f:
+        if v not in shift.trunc.index:
+            raise UnknownVertex(v)
+        if shift.tree.depth_of(v) > shift.horizon - margin:
+            raise TruncationLoss(v)
+
+
+def dict_apply(shift, f):
+    """(S f)(u) = weight(u) f(parent(u)); support moves one level down."""
+    check_support(shift, f, margin=1)
+    out = {}
+    for v, x in f.items():
+        for u in shift.tree.children_of(v):
+            out[u] = out.get(u, 0) + shift.weights.item(shift.trunc.index[u]) * x
+    return out
+
+
+def dict_apply_adjoint(shift, f):
+    """(S* f)(v) = sum over children u of weight(u) f(u); kills the root."""
+    check_support(shift, f)
+    out = {}
+    for u, x in f.items():
+        v = shift.tree.parent_of(u)
+        if v is not None:
+            out[v] = out.get(v, 0) + shift.weights.item(shift.trunc.index[u]) * x
+    return out
+
+
+def dict_apply_power(shift, f, k):
+    check_support(shift, f, margin=k)
+    out = dict(f)
+    for _ in range(k):
+        out = dict_apply(shift, out)
+    return out
+
+
+def dict_apply_adjoint_power(shift, f, k):
+    check_support(shift, f)
+    out = dict(f)
+    for _ in range(k):
+        out = dict_apply_adjoint(shift, out)
+    return out
+
+
+def dict_defect_operator_apply(shift, f):
+    """sum_k (-1)^k C(q,k) S^k S*^k f, one vertex at a time."""
+    if not isinstance(shift.q, int):
+        raise WrongQ(shift.q)
+    check_support(shift, f, margin=shift.q)
+    result = {}
+    for k in range(shift.q + 1):
+        coefficient = (-1) ** k * math.comb(shift.q, k)
+        for v, x in dict_apply_power(shift, dict_apply_adjoint_power(shift, f, k), k).items():
+            result[v] = result.get(v, 0) + coefficient * x
+    return result
+
+
+def helmert_vectors(children):
+    """Orthonormal basis of the zero-sum functions on ``children``: the k-th
+    vector is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)) with k leading ones."""
+    vectors = []
+    for k in range(1, len(children)):
+        scale = 1.0 / math.sqrt(k * (k + 1))
+        vec = {children[i]: scale for i in range(k)}
+        vec[children[k]] = -k * scale
+        vectors.append(vec)
+    return tuple(vectors)
+
+
+def reference_kernel_basis(shift):
+    """ker S* from the tree: the root line, then one Helmert block per
+    branching vertex whose children lie inside the truncation, breadth-first."""
+    tree = shift.tree
+    blocks = [KernelBlock(vertex=None, l=0, vectors=({tree.root: 1.0},))]
+    for v, _count in tree.branching_vertices():
+        l = tree.depth_of(v) + 1
+        if l <= shift.horizon:
+            blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children[v])))
+    return KernelBasis(blocks=tuple(blocks))

@@ -14,6 +14,7 @@ from corpus import (
     TOTALS_PAIR,
     complete_binary,
     prefix_trees,
+    reference_kernel_basis,
     relabel_and_shuffle,
     to_array,
 )
@@ -238,10 +239,10 @@ def _lift_pairs(shift1, shift2, pairs, check_norms):
 
 
 def reference_lift(tree1, tree2, q, unitary, depth):
-    """The lift built column by column from the dict kernel basis."""
+    """The lift built column by column from the per-vertex reference kernel basis."""
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    blocks1, blocks2 = shift1.kernel_basis().blocks, shift2.kernel_basis().blocks
+    blocks1, blocks2 = reference_kernel_basis(shift1).blocks, reference_kernel_basis(shift2).blocks
     pairs = [
         (
             to_array(shift1, {tree1.root: 1.0}),
@@ -250,7 +251,7 @@ def reference_lift(tree1, tree2, q, unitary, depth):
         )
     ]
     for n in sorted(unitary.generations):
-        # the dict basis lists its blocks breadth-first, the coordinate order of the unitary
+        # the reference lists its blocks breadth-first, the coordinate order of the unitary
         flat1 = [v for b in blocks1 if b.l == n + 1 for v in b.vectors]
         flat2 = [v for b in blocks2 if b.l == n + 1 for v in b.vectors]
         images = np.column_stack([to_array(shift2, v) for v in flat2]) @ unitary.generations[n]
@@ -268,8 +269,8 @@ def forced_flat_residual(tree1, tree2, q, depth):
     """
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    flat1 = shift1.kernel_basis().all_vectors()
-    flat2 = shift2.kernel_basis().all_vectors()
+    flat1 = reference_kernel_basis(shift1).all_vectors()
+    flat2 = reference_kernel_basis(shift2).all_vectors()
     assert len(flat1) == len(flat2)
     pairs = [
         (to_array(shift1, vec1), to_array(shift2, vec2), depth - max(block1.l, block2.l))

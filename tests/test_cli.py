@@ -151,6 +151,15 @@ def test_moments_csv_and_unknown_vertex(tree_file, capsys):
     assert main(["moments", path, "--q", "2", "--vertex", "zz", "--kmax", "2"]) == 2
 
 
+@pytest.mark.parametrize("vertex", ["b~01", "b~+1", "b~ 1", "b~1_0", "b~0", "b~-1", "a~1", "a~b"])
+@pytest.mark.parametrize("kmax", ["0", "2"])
+def test_moments_refuses_ray_names_that_are_not_vertices(tree_file, vertex, kmax):
+    # a ray vertex has one name, <leaf>~<k> with k >= 1 written in canonical decimal
+    argv = ["moments", tree_file(DOUBLE01), "--q", "2", f"--vertex={vertex}", "--kmax", kmax]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 2
+
+
 @pytest.mark.parametrize("suite", ["defect", "hausdorff", "pick", "cardid", "kernel"])
 def test_checks_suites_pass(tree_file, capsys, suite):
     code, out = _run(
@@ -344,15 +353,41 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "tree.json"
 
 
+# vertex names for ``moments --vertex``: explicit and unknown ids, '~' inside
+# explicit ids, and ray positions on ray leaves (b, c) and elsewhere: valid
+# ones of bounded depth, 0, -1 and non-canonical spellings
+_ray_tails = st.one_of(
+    st.integers(-1, 8).map(str), st.sampled_from(["", "~", "x", "1~2", "01", "+1", " 1", "1_0"])
+)
+_vertex_names = st.one_of(
+    st.sampled_from(["r", "a", "b", "zz", "~", "a~b~1"]),
+    st.builds(lambda v, t: f"{v}~{t}", st.sampled_from(["r", "b", "c", "zz"]), _ray_tails),
+    st.text(max_size=4),
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(text=_tree_texts)
-def test_fuzzed_tree_files_exit_with_a_documented_code(fuzz_path, text):
+@given(
+    text=_tree_texts,
+    vertex=_vertex_names,
+    kmax=st.integers(0, 4),
+    horizon=st.sampled_from([None, "0", "1", "3", "12"]),
+)
+def test_fuzzed_tree_files_exit_with_a_documented_code(fuzz_path, text, vertex, kmax, horizon):
     # lone surrogates become bytes that are not UTF-8
     fuzz_path.write_text(text, encoding="utf-8", errors="surrogatepass")
-    for argv in (
-        ["validate", str(fuzz_path)],
-        ["profile", str(fuzz_path), "--horizon", "3"],
-        ["checks", str(fuzz_path), "--q", "2", "--suite", "pick"],
-    ):
+    valid_path = fuzz_path.with_name("double01.json")
+    valid_path.write_text(json.dumps(DOUBLE01))
+    moments = ["--q", "2", f"--vertex={vertex}", "--kmax", str(kmax)]
+    moments += [] if horizon is None else ["--horizon", horizon]
+    cases = [
+        (["validate", str(fuzz_path)], (0, 1, 2, 3)),
+        (["profile", str(fuzz_path), "--horizon", "3"], (0, 1, 2, 3)),
+        (["checks", str(fuzz_path), "--q", "2", "--suite", "pick"], (0, 1, 2, 3)),
+        (["moments", str(fuzz_path), *moments], (0, 1, 2, 3)),
+        # on a valid tree a vertex name is either reported on or refused as input
+        (["moments", str(valid_path), *moments], (0, 2)),
+    ]
+    for argv, codes in cases:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(argv) in (0, 1, 2, 3)
+            assert main(argv) in codes

@@ -1,13 +1,33 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DOUBLE01, FORK2, FORK3, LINE, complete_binary, fan, prefix_trees, to_array
+from corpus import (
+    CORPUS,
+    DOUBLE01,
+    FORK2,
+    FORK3,
+    LINE,
+    complete_binary,
+    dict_apply,
+    dict_apply_adjoint,
+    dict_apply_adjoint_power,
+    dict_apply_power,
+    dict_defect_operator_apply,
+    fan,
+    prefix_trees,
+    reference_kernel_basis,
+    to_array,
+    vec_norm,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift import DIRICHLET, DUAL, cokernel_dimension, make_shift, tree_from_json, vec_norm
+import treeshift
+from treeshift import DIRICHLET, DUAL, cokernel_dimension, make_shift, tree_from_json
 from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import hausdorff_check
 from treeshift.shifts import kernel_columns
@@ -167,16 +187,86 @@ def test_array_action_equals_dict_action(tree, q, kind, horizon, seed):
         f = {v: x for v, x in zip(support, rng.standard_normal(limit)) if rng.random() < 0.6}
         a = to_array(shift, f)
         if limit == inside:  # the dict shift needs room below the support
-            assert np.array_equal(shift.act(a), to_array(shift, shift.apply(f)))
-        expected = to_array(shift, shift.apply_adjoint(f))
+            assert np.array_equal(shift.act(a), to_array(shift, dict_apply(shift, f)))
+        expected = to_array(shift, dict_apply_adjoint(shift, f))
         assert np.allclose(shift.act_adjoint(a), expected, rtol=1e-14, atol=1e-14)
+
+
+def _outcome(method, f):
+    """The image of ``f``, or the type of the package error raised instead."""
+    try:
+        return method(f)
+    except (TruncationLoss, UnknownVertex, WrongQ) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tree=prefix_trees(),
+    q=_QS,
+    kind=_KINDS,
+    horizon=st.integers(1, 6),
+    k=st.integers(0, 3),
+    complex_values=st.booleans(),
+    offender=st.sampled_from([None, "unknown", "deep"]),
+    seed=st.integers(0, 2**16),
+)
+def test_vertex_keyed_adapters_equal_per_vertex_references(
+    tree, q, kind, horizon, k, complex_values, offender, seed
+):
+    shift = make_shift(tree, q, kind, horizon)
+    rng = np.random.default_rng(seed)
+    vertices = shift.trunc.vertices
+    values = rng.standard_normal(len(vertices))
+    if complex_values:
+        values = values + 1j * rng.standard_normal(len(vertices))
+    f = {v: x for v, x in zip(vertices, values.tolist()) if rng.random() < 0.6}
+    cases = [
+        (shift.apply, lambda g: dict_apply(shift, g), 1),
+        (shift.apply_adjoint, lambda g: dict_apply_adjoint(shift, g), 0),
+        (lambda g: shift.apply_power(g, k), lambda g: dict_apply_power(shift, g, k), k),
+        (lambda g: shift.apply_adjoint_power(g, k), lambda g: dict_apply_adjoint_power(shift, g, k), 0),
+        (shift.defect_operator_apply, lambda g: dict_defect_operator_apply(shift, g), q if isinstance(q, int) else 0),
+    ]
+    for method, reference, margin in cases:
+        # the admissible support, plus one offender at a random place
+        items = [(v, x) for v, x in f.items() if tree.depth_of(v) <= horizon - margin]
+        if offender == "unknown":
+            items.insert(int(rng.integers(len(items) + 1)), ("nowhere", 1.0))
+        elif offender == "deep" and margin > 0:
+            items.insert(int(rng.integers(len(items) + 1)), (vertices[-1], 1.0))
+        got, expected = _outcome(method, dict(items)), _outcome(reference, dict(items))
+        if isinstance(got, type) or isinstance(expected, type):
+            assert got is expected
+            continue
+        # the adapters return the nonzero coordinates only
+        assert set(got) <= set(expected)
+        scale = 1 + max(map(abs, expected.values()), default=0)
+        for v, x in expected.items():
+            assert abs(got.get(v, 0) - x) <= 1e-12 * scale
+
+
+_ADAPTERS = {"apply", "apply_adjoint", "apply_power", "apply_adjoint_power"}
+
+
+def test_only_shifts_uses_the_vertex_keyed_adapters():
+    # the package computes on arrays; a new dict path outside shifts.py is a fork
+    found = []
+    for path in sorted(Path(treeshift.__file__).parent.glob("*.py")):
+        if path.name != "shifts.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in _ADAPTERS:
+                    found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found
 
 
 @settings(max_examples=40, deadline=None)
 @given(tree=prefix_trees(), horizon=st.integers(1, 5))
 def test_kernel_columns_equal_kernel_basis_vectors(tree, horizon):
     shift = make_shift(tree, 2, DIRICHLET, horizon)
-    blocks = shift.kernel_basis().blocks
+    reference = reference_kernel_basis(shift)
+    assert shift.kernel_basis() == reference
+    blocks = reference.blocks
     for g in range(horizon + 1):
         start, end = shift.trunc.span(g)
         columns = kernel_columns(shift.trunc, g)

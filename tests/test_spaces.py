@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, LINE, SPLIT, WIDE, complete_binary, fan, prefix_trees
+from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, LINE, SPLIT, WIDE, complete_binary, fan, prefix_trees, vec_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,6 @@ from treeshift import (
     pochhammer_ratio,
     radial_weight,
     tree_from_json,
-    vec_norm,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import pochhammer_ratios
