@@ -46,7 +46,7 @@ EXIT_INVARIANT = 3
 
 
 def _rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x)
 
 
 def _float(x: float) -> str:
@@ -126,6 +126,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    if args.verify_depth is not None and args.verify_depth < 1:
+        raise ValueError("--verify-depth must be at least 1")
     tree1, tree2 = load_tree(args.tree1), load_tree(args.tree2)
     verdict = decide_equivalence(tree1, tree2, args.q, args.horizon)
     results = {
@@ -220,27 +222,21 @@ def _suite_defect(tree: Tree, q: int, horizon: int) -> list[dict]:
     assertions = []
     for gen in shift.trunc.generations:
         defect = shift.q_isometry_defect(gen[0], q)
-        lower = shift.q_isometry_defect(gen[0], q - 1) if q >= 2 else None
+        rows = [("defect_zero", defect == 0, _rational(defect))]
+        if q >= 2:
+            lower = shift.q_isometry_defect(gen[0], q - 1)
+            rows.append((f"defect_nonzero_order_{q - 1}", lower != 0, _rational(lower)))
         for v in gen:
-            assertions.append(
-                {"name": f"defect_zero[{v}]", "passed": defect == 0, "value": _rational(defect)}
-            )
-            if lower is not None:
-                assertions.append(
-                    {
-                        "name": f"defect_nonzero_order_{q - 1}[{v}]",
-                        "passed": lower != 0,
-                        "value": _rational(lower),
-                    }
-                )
+            for name, passed, value in rows:
+                assertions.append({"name": f"{name}[{v}]", "passed": passed, "value": value})
     return assertions
 
 
 def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[dict]:
-    depth_cap = min(horizon, 10)
-    shift = make_shift(tree, q, DUAL, horizon)
+    # only depths 0..10 are checked, so no deeper truncation is built
+    shift = make_shift(tree, q, DUAL, min(horizon, 10))
     assertions = []
-    for gen in shift.trunc.generations[: depth_cap + 1]:
+    for gen in shift.trunc.generations:
         outcome = hausdorff_check(shift.moment_sequence(gen[0], 2 * order + 2), order)
         violation = list(map(str, outcome.violation)) if outcome.violation else None
         for v in gen:

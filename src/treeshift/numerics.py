@@ -1,8 +1,10 @@
 """Exact rational helpers: rising factorials, finite differences, disc integrals.
 
-Everything that feeds an identity check stays in ``fractions.Fraction``;
-floating point enters only through the Gauss-Legendre cross-check of the
-radial integrals.
+Everything that feeds an identity check stays exact.  The finite-difference
+checks bring their inputs once onto integer numerators over a common
+denominator, compute on those integers, and build a ``fractions.Fraction``
+only for a value they return; floating point enters only through the
+Gauss-Legendre cross-check of the radial integrals.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def pochhammer_negative(x: int | Fraction, j: int) -> Fraction:
     return 1 / pochhammer(x - j, j)
 
 
+def _common_numerators(values: Sequence) -> tuple[list[int], int]:
+    """Numerators over D = lcm of the denominators, and D; each value is
+    converted exactly with ``Fraction``."""
+    fractions = [Fraction(x) for x in values]
+    denominator = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (denominator // x.denominator) for x in fractions], denominator
+
+
 def alternating_binomial_sum(
     seq: Sequence[Fraction], q: int, at: int = 0
 ) -> Fraction:
@@ -73,9 +83,9 @@ def alternating_binomial_sum(
         raise ValueError("q and at must be nonnegative")
     if at + q >= len(seq):
         raise IndexOutOfRange(f"window [{at}, {at + q}] exceeds length {len(seq)}")
-    return sum(
-        (-1) ** k * math.comb(q, k) * Fraction(seq[at + k]) for k in range(q + 1)
-    )
+    numerators, denominator = _common_numerators([seq[at + k] for k in range(q + 1)])
+    total = sum((-1) ** k * math.comb(q, k) * n for k, n in enumerate(numerators))
+    return Fraction(total, denominator)
 
 
 @dataclass(frozen=True)
@@ -101,13 +111,15 @@ def hausdorff_check(seq: Sequence[Fraction], order: int) -> HausdorffReport:
         raise ValueError("order must be nonnegative")
     if order >= len(seq):
         raise IndexOutOfRange(f"order {order} needs at least {order + 1} values")
-    current = [Fraction(x) for x in seq]
+    # row m holds (-1)^m delta^m seq as numerators over the common
+    # denominator, so every entry of every row must be nonnegative
+    current, denominator = _common_numerators(seq)
     for m in range(order + 1):
-        sign = -1 if m % 2 else 1
-        for k, value in enumerate(current):
-            if sign * value < 0:
-                return HausdorffReport(passed=False, order=order, violation=(m, k, value))
-        current = [current[k + 1] - current[k] for k in range(len(current) - 1)]
+        if min(current) < 0:
+            k = next(k for k, value in enumerate(current) if value < 0)
+            violation = (m, k, Fraction((-1) ** m * current[k], denominator))
+            return HausdorffReport(passed=False, order=order, violation=violation)
+        current = [a - b for a, b in zip(current, current[1:])]
     return HausdorffReport(passed=True, order=order)
 
 

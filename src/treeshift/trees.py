@@ -13,6 +13,7 @@ no global default.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -391,20 +392,22 @@ def sibling_chain_identity_sums(tree: Tree, v: str, kmax: int) -> list[Fraction]
     push of kmax levels below ``v``."""
     if kmax < 1:
         raise ValueError("k must be at least 1")
-    # each step down divides by the sibling count of the child reached; an
-    # only child keeps its parent's share
-    layer = {v: Fraction(1)}
+    # a vertex's share is 1/p, p the product of the sibling counts along its
+    # chain; an only child keeps its parent's p.  Each level's sum is one
+    # Fraction over the lcm of its p's
+    layer = {v: 1}
     sums = []
     for _ in range(kmax):
-        below: dict[str, Fraction] = {}
+        below: dict[str, int] = {}
         for w, p in layer.items():
             kids = tree.children_of(w)
             if len(kids) > 1:
-                p = p / len(kids)
+                p *= len(kids)
             for u in kids:
                 below[u] = p
         layer = below
-        sums.append(sum(layer.values(), Fraction(0)))
+        denominator = math.lcm(*set(layer.values()))
+        sums.append(Fraction(sum(denominator // p for p in layer.values()), denominator))
     return sums
 
 

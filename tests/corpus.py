@@ -1,15 +1,18 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
-a bounded hypothesis strategy for random prefix-plus-rays trees, and
-per-vertex references for the shift's vertex-keyed methods."""
+a bounded hypothesis strategy for random prefix-plus-rays trees,
+per-vertex references for the shift's vertex-keyed methods, and Fraction
+references for the exact difference checks."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from treeshift import build_tree
-from treeshift.errors import TruncationLoss, UnknownVertex, WrongQ
+from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
+from treeshift.numerics import HausdorffReport
 from treeshift.shifts import KernelBasis, KernelBlock
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
@@ -179,3 +182,32 @@ def reference_kernel_basis(shift):
         if l <= shift.horizon:
             blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children[v])))
     return KernelBasis(blocks=tuple(blocks))
+
+
+# -- Fraction references for the integer-numerator checks in numerics ------------
+# One Fraction operation per step, as the checks were first written.
+
+
+def reference_alternating_binomial_sum(seq, q, at=0):
+    """sum_k (-1)^k C(q,k) seq[at+k], term by term in Fractions."""
+    if q < 0 or at < 0:
+        raise ValueError("q and at must be nonnegative")
+    if at + q >= len(seq):
+        raise IndexOutOfRange(f"window [{at}, {at + q}] exceeds length {len(seq)}")
+    return sum((-1) ** k * math.comb(q, k) * Fraction(seq[at + k]) for k in range(q + 1))
+
+
+def reference_hausdorff_check(seq, order):
+    """The Fraction difference table, every (m, k) entry sign-tested."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order >= len(seq):
+        raise IndexOutOfRange(f"order {order} needs at least {order + 1} values")
+    current = [Fraction(x) for x in seq]
+    for m in range(order + 1):
+        sign = -1 if m % 2 else 1
+        for k, value in enumerate(current):
+            if sign * value < 0:
+                return HausdorffReport(passed=False, order=order, violation=(m, k, value))
+        current = [current[k + 1] - current[k] for k in range(len(current) - 1)]
+    return HausdorffReport(passed=True, order=order)

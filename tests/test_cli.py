@@ -192,6 +192,18 @@ def test_kernel_suite_on_fan_2000_is_fast(tree_file, capsys):
     assert elapsed < 5.0
 
 
+def test_hausdorff_suite_at_a_deep_horizon_truncates_at_depth_ten(tree_file, capsys):
+    path = tree_file(fan(2000))
+    argv = ["checks", path, "--q", "2", "--suite", "hausdorff", "--horizon"]
+    _code, shallow = _run(capsys, argv + ["10"])
+    started = time.perf_counter()
+    code, deep = _run(capsys, argv + ["1000"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert json.loads(deep)["results"] == json.loads(shallow)["results"]
+    assert elapsed < 2.0
+
+
 def test_kernel_suite_refuses_blocks_over_the_size_limit(tree_file, capsys):
     # 20,000 Helmert columns plus the root line on 20,000 rows: 3.2 GB per block
     code = main(["checks", tree_file(fan(20000)), "--q", "2", "--suite", "kernel"])
@@ -270,6 +282,18 @@ def test_checks_reject_bad_arguments_in_every_suite(tree_file, capsys, suite, fl
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("pair", ["equivalent", "inequivalent"])
+def test_equiv_rejects_verify_depth_below_one(tree_file, capsys, depth, pair):
+    other = DOUBLE01 if pair == "equivalent" else FORK3
+    f1, f2 = tree_file(DOUBLE01, "t1.json"), tree_file(other, "t2.json")
+    argv = ["equiv", f1, f2, "--q", "2", "--horizon", "6", "--verify-depth", depth]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --verify-depth must be at least 1"]
 
 
 def test_duplicate_ray_leaves_exit_2(tree_file, capsys):

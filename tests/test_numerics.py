@@ -1,12 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
+from corpus import LINE, reference_alternating_binomial_sum, reference_hausdorff_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
+    DIRICHLET,
+    DUAL,
     alternating_binomial_sum,
     hausdorff_check,
+    make_shift,
     pochhammer,
     pochhammer_negative,
     pochhammer_ratio,
@@ -135,6 +140,54 @@ def test_hausdorff_monotone_in_order():
 def test_hausdorff_needs_enough_values():
     with pytest.raises(IndexOutOfRange):
         hausdorff_check([Fraction(1)] * 3, 3)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_checks_equal_fraction_references(seq):
+    """Every order and every window, orders and windows out of range included."""
+    for order in range(-1, len(seq) + 1):
+        got = _outcome(hausdorff_check, seq, order)
+        assert got == _outcome(reference_hausdorff_check, seq, order)
+        if not isinstance(got, tuple) and got.violation is not None:
+            assert type(got.violation[2]) is Fraction
+    for q in range(-1, len(seq) + 1):
+        for at in range(-1, len(seq) - q + 1):
+            got = _outcome(alternating_binomial_sum, seq, q, at)
+            assert got == _outcome(reference_alternating_binomial_sum, seq, q, at)
+            assert isinstance(got, tuple) or type(got) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(), st.fractions(), st.floats()), max_size=10))
+def test_exact_checks_equal_fraction_references_on_mixed_sequences(seq):
+    _assert_checks_equal_fraction_references(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 12), st.sampled_from([DIRICHLET, DUAL]))
+def test_exact_checks_equal_fraction_references_on_moment_sequences(q, depth, kind):
+    # the line has one vertex per depth 0..12; 27 moments, as the hausdorff suite reads
+    shift = make_shift(LINE, q, kind, 12)
+    _assert_checks_equal_fraction_references(shift.moment_sequence(shift.trunc.vertices[depth], 26))
+
+
+def test_hausdorff_check_at_order_120_is_fast():
+    # dual moments at depth 10 for q = 4: (11)_k/(14)_k, 2 * 120 + 3 terms
+    seq = list(pochhammer_ratios(11, 14, 242))
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        report = hausdorff_check(seq, 120)
+        timings.append(time.perf_counter() - started)
+    assert report.passed
+    assert min(timings) < 0.05
 
 
 def test_radial_integral_monomials():

@@ -238,9 +238,19 @@ def test_truncation_children_cut_at_horizon(smallest):
     assert len(trunc.vertices) == 1 + 2 + 2
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+# the corpus, plus a tree whose second level mixes chain products 4 and 6,
+# neither of which divides the other
+CHAIN_TREES = {
+    **CORPUS,
+    "fork2x3": build_tree(
+        "r", {"r": ["a", "b"], "a": ["c", "d"], "b": ["e", "f", "g"]}, ["c", "d", "e", "f", "g"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_TREES))
 def test_sibling_chain_identity(name):
-    tree = CORPUS[name]
+    tree = CHAIN_TREES[name]
     for v in tree.vertices:
         for k in range(1, 6):
             assert sibling_chain_identity_sum(tree, v, k) == Fraction(1)
