@@ -3,7 +3,7 @@
 Two weight systems are built from the same tree: the Dirichlet shift,
 whose squared weight into a vertex v at depth n with sibling count s is
 (n + q - 1)/(n s), and its Cauchy dual, with squared weight
-n/((n + q - 1) s).  For each the squared weights are exact rationals;
+n/((n + q - 1) s), both read off ``moment_bases`` as exact rationals;
 floating point appears only where the operator acts on coordinates.
 
 The operator acts on coordinate arrays in truncation order (``act``,
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class ShiftOperator:
     kind: str
     horizon: int
     trunc: Truncation
-    squared_weights: Mapping[str, Fraction]
     weights: np.ndarray  # float weight into each vertex, truncation order; 0 at the root
 
     # -- structure -------------------------------------------------------------
@@ -146,10 +145,13 @@ class ShiftOperator:
 
     def row_sum(self, depth: int) -> Fraction:
         """Exact sum of squared weights over the children of a depth-n vertex."""
-        n = depth
-        if self.kind == DIRICHLET:
-            return Fraction(n + self.q) / (n + 1)
-        return Fraction(n + 1) / (n + self.q)
+        a, b = moment_bases(self.q, self.kind, depth)
+        return Fraction(a) / b
+
+    def squared_weight(self, v: str) -> Fraction:
+        """Exact squared weight into ``v``; 0 at the root, as ``weights[0]``."""
+        depth = self._depth(v)
+        return self.row_sum(depth - 1) / self.tree.sibling_count(v) if depth else Fraction(0)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of the truncated operator in vertex coordinates.
@@ -184,7 +186,7 @@ class ShiftOperator:
         generation's rows; returns the rows of ``generation``.  A push past
         the horizon raises ``TruncationLoss`` instead of dropping the mass."""
         if generation > self.horizon:
-            raise TruncationLoss(f"push onto generation {generation} leaves horizon {self.horizon}")
+            raise TruncationLoss(f"push onto generation {generation} needs horizon {generation}, have {self.horizon}")
         start, end = self.trunc.span(generation)
         parents = self.trunc.parent_index[start:end] - (start - block.shape[0])
         return self.weights[start:end, None] * block[parents]
@@ -203,9 +205,11 @@ class ShiftOperator:
         for v, x in f.items():
             i = self.trunc.index.get(v, end)
             if i >= end:
+                depth = self._depth(v)  # an unmaterialized vertex raises UnknownVertex first
+                deepest = max(self.tree.depth_of(u) for u in f if self.tree.contains(u))
                 raise TruncationLoss(
-                    f"support at depth {self._depth(v)} exceeds {limit} "
-                    f"(horizon {self.horizon}, margin {margin})"
+                    f"support at depth {depth} exceeds {limit} "
+                    f"(horizon {self.horizon}, margin {margin}); needs horizon {deepest + margin}"
                 )
             out[i] = x
         return out
@@ -232,18 +236,12 @@ class ShiftOperator:
     # -- moments and defects -----------------------------------------------------
 
     def moment(self, v: str, k: int) -> Fraction:
-        """Exact squared norm of S^k applied to the basis vector at ``v``.
-
-        Depends only on the depth n of v: (n+q)_k/(n+1)_k for the Dirichlet
-        shift and its reciprocal for the Cauchy dual.
-        """
+        """Exact squared norm of S^k e_v, which depends on the depth of v alone."""
         return self.moment_sequence(v, k)[k]
 
     def moment_sequence(self, v: str, kmax: int) -> list[Fraction]:
         """Moments for k = 0..kmax, built by the one-step recurrence."""
-        n = self.tree.depth_of(v)
-        a, b = (n + self.q, n + 1) if self.kind == DIRICHLET else (n + 1, n + self.q)
-        return list(pochhammer_ratios(a, b, kmax))
+        return list(depth_moments(self.q, self.kind, self.tree.depth_of(v), kmax))
 
     def moment_via_matrix(self, v: str, k: int) -> float:
         """Squared norm of S^k e_v by repeated application (float oracle)."""
@@ -297,31 +295,40 @@ class ShiftOperator:
 
     def self_commutator_diagonal(self, v: str) -> Fraction:
         """Exact diagonal entry <[S*, S] e_v, e_v>."""
-        depth = self._depth(v)
-        entry = self.row_sum(depth)
-        if v != self.tree.root:
-            entry -= self.squared_weights[v]
-        return entry
+        return self.row_sum(self._depth(v)) - self.squared_weight(v)
 
     def self_commutator_partial_trace(self, depth_cap: int) -> float:
-        """Partial trace of [S*, S] over the vertices of depth <= depth_cap.
-
-        Diagnostic partial sum only; trace-class membership itself is a
-        qualitative statement.
-        """
+        """Partial trace of [S*, S] over the vertices of depth <= depth_cap, a
+        diagnostic partial sum.  The squared weights into generation n + 1 sum
+        to |gen_n| row_sum(n), so it telescopes to |gen_cap| row_sum(cap)."""
         if depth_cap >= self.horizon:
-            raise TruncationLoss("depth_cap must stay below the horizon")
-        total = Fraction(0)
-        for gen in self.trunc.generations[: depth_cap + 1]:
-            for v in gen:
-                total += self.self_commutator_diagonal(v)
-        return float(total)
+            raise TruncationLoss(f"depth_cap {depth_cap} needs horizon {depth_cap + 1}, have {self.horizon}")
+        if depth_cap < 0:
+            return 0.0
+        return float(len(self.trunc.generations[depth_cap]) * self.row_sum(depth_cap))
 
 
 def require_q(q: int | Fraction) -> None:
     """Reject a shift parameter outside its admissible range q >= 1."""
     if q < 1:
         raise InvalidQ(f"q must be at least 1, got {q}")
+
+
+def moment_bases(q: int | Fraction, kind: str, n: int) -> tuple:
+    """Bases (a, b) with ||S^k e_v||^2 = (a)_k/(b)_k at a depth-n vertex v:
+    (n + q, n + 1) for the Dirichlet shift, swapped for its Cauchy dual.
+    Every depth-only number of the package reads off this pair."""
+    require_q(q)
+    if kind == DIRICHLET:
+        return n + q, n + 1
+    if kind == DUAL:
+        return n + 1, n + q
+    raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
+
+
+def depth_moments(q: int | Fraction, kind: str, n: int, kmax: int) -> Iterator[Fraction]:
+    """Moments of a depth-n vertex for k = 0..kmax; q and kind are checked at the call."""
+    return pochhammer_ratios(*moment_bases(q, kind, n), kmax)
 
 
 def make_shift(
@@ -335,9 +342,7 @@ def make_shift(
     The truncation depth is always explicit; exactness guarantees are
     stated relative to it.
     """
-    if kind not in (DIRICHLET, DUAL):
-        raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
-    require_q(q)
+    moment_bases(q, kind, 0)  # rejects an unknown kind and q < 1 before truncating
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
@@ -351,11 +356,8 @@ def make_shift(
     table = []
     for key in keys.tolist():
         n, s = divmod(key, stride)
-        if kind == DIRICHLET:
-            table.append(Fraction(n + q - 1) / (n * s))
-        else:
-            table.append(n / (Fraction(n + q - 1) * s))
-    squared = dict(zip(trunc.vertices[1:], np.array(table, dtype=object)[inverse]))
+        a, b = moment_bases(q, kind, n - 1)
+        table.append(Fraction(a) / (b * s))
     weights = np.zeros(len(trunc.vertices))
     weights[1:] = np.array([math.sqrt(x) for x in table])[inverse]
     return ShiftOperator(
@@ -364,6 +366,5 @@ def make_shift(
         kind=kind,
         horizon=horizon,
         trunc=trunc,
-        squared_weights=squared,
         weights=weights,
     )

@@ -3,10 +3,11 @@ carried by a tree shift.
 
 Both spaces decompose over the same blocks: the root line plus one block
 per branching vertex.  Indexing each block by l (0 for the root line,
-branch depth + 1 otherwise), the power-series kernel coefficients are
+depth(v) + 1 for a branching vertex v), the kernel coefficients of block l
+are the moments at depth l (``shifts.moment_bases``) of one of the shifts:
 
-    holomorphic Dirichlet side:  (l+1)_n / (l+q)_n
-    Bergman side:                (l+q)_n / (l+1)_n
+    holomorphic Dirichlet side:  (l+1)_n / (l+q)_n   (Cauchy dual)
+    Bergman side:                (l+q)_n / (l+1)_n   (Dirichlet shift)
 
 and the corresponding squared-norm weights are the reciprocals.  All
 coefficient and norm computations are exact rationals; floating point
@@ -17,50 +18,35 @@ so a series or norm through order N takes O(N) exact steps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import pochhammer_ratios, radial_integral, radial_integral_quadrature
-from .shifts import DUAL, ShiftOperator, kernel_births, kernel_columns, require_q
+from .numerics import pochhammer_ratio, radial_integral, radial_integral_quadrature
+from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
 BERGMAN_SPACE = "bergman"
 
-
-def block_weight_index(branch_depth: int | None) -> int:
-    """Radial-weight index l of a block: 0 for the root line, depth+1 else."""
-    return 0 if branch_depth is None else branch_depth + 1
+# the shift whose depth-l moments are a space's kernel coefficients of block l
+_KERNEL_KIND = {DIRICHLET_SPACE: DUAL, BERGMAN_SPACE: DIRICHLET}
 
 
-def _block_coefficients(q: int | Fraction, l: int, order: int, space: str) -> Iterator[Fraction]:
-    """Kernel coefficients of block ``l`` for n = 0..order; Bergman swaps the Dirichlet pair."""
-    require_q(q)
-    if space == DIRICHLET_SPACE:
-        return pochhammer_ratios(l + 1, l + q, order)
-    if space == BERGMAN_SPACE:
-        return pochhammer_ratios(l + q, l + 1, order)
-    raise ValueError(f"unknown space {space!r}")
+def dirichlet_coefficient(q: int | Fraction, l: int, n: int) -> Fraction:
+    """Kernel power-series coefficient of the Dirichlet-side space on
+    block ``l``: the n-th Cauchy-dual moment at depth l."""
+    return pochhammer_ratio(*moment_bases(q, DUAL, l), n)
 
 
-def dirichlet_coefficient(q: int | Fraction, branch_depth: int | None, n: int) -> Fraction:
-    """Kernel power-series coefficient of the Dirichlet-side space.
-
-    ``branch_depth`` is None for the root-line block and the depth of the
-    branching vertex otherwise.
-    """
-    *_, value = _block_coefficients(q, block_weight_index(branch_depth), n, DIRICHLET_SPACE)
-    return value
-
-
-def bergman_coefficient(q: int | Fraction, branch_depth: int | None, n: int) -> Fraction:
+def bergman_coefficient(q: int | Fraction, l: int, n: int) -> Fraction:
     """Kernel power-series coefficient of the Bergman-side space."""
-    return 1 / dirichlet_coefficient(q, branch_depth, n)
+    return 1 / dirichlet_coefficient(q, l, n)
 
 
 @dataclass(frozen=True)
@@ -80,12 +66,12 @@ def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
     return KernelBlockSpec(blocks=tuple(blocks))
 
 
-def kernel_block_series(
-    q: int | Fraction, branch_depth: int | None, x: complex, order: int, space: str
-) -> complex:
-    """Partial sum through ``order`` of the block's kernel series at x = z conj(w)."""
+def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space: str) -> complex:
+    """Partial sum through ``order`` of block ``l``'s kernel series at x = z conj(w)."""
+    if space not in _KERNEL_KIND:
+        raise ValueError(f"unknown space {space!r}")
     total, power = 0j, 1 + 0j
-    for coefficient in _block_coefficients(q, block_weight_index(branch_depth), order, space):
+    for coefficient in depth_moments(q, _KERNEL_KIND[space], l, order):
         total += float(coefficient) * power
         power *= x
     return total
@@ -139,9 +125,7 @@ def kernel_apply(
     for block_id, coords in g.items():
         if block_id not in weight_index:
             raise UnknownVertex(f"no block {block_id!r}")
-        l = weight_index[block_id]
-        branch_depth = None if l == 0 else l - 1
-        factor = kernel_block_series(q, branch_depth, x, order, space)
+        factor = kernel_block_series(q, weight_index[block_id], x, order, space)
         out[block_id] = tuple(factor * c for c in coords)
     return out
 
@@ -189,28 +173,34 @@ def graded_function(
     return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
-def _graded_norm(f: GradedFunction, q: int | Fraction, dual: str) -> Fraction | float:
-    """Squared norm whose layer weights are the kernel coefficients of the
-    ``dual`` space, built once per distinct block index l."""
-    order = len(f.layers) - 1
-    weights = {l: list(_block_coefficients(q, l, order, dual)) for l in set(f.blocks.values())}
+def _graded_sum(f: GradedFunction, weight: Callable[[int, int], Fraction]) -> Fraction | float:
+    """Sum over layers n and blocks of index l of the block's squared
+    coordinates times ``weight(l, n)``, exact for rational input."""
     total = Fraction(0)
     for n, layer in enumerate(f.layers):
         for b, l in f.blocks.items():
             square = _square(layer.get(b, ()))
             if square:
-                total = total + square * weights[l][n]
+                total = total + square * weight(l, n)
     return total
+
+
+def _graded_norm(f: GradedFunction, q: int | Fraction, kind: str) -> Fraction | float:
+    """Squared norm whose layer weights are the ``kind`` shift's moments at
+    depth l, built once per distinct block index l."""
+    order = len(f.layers) - 1
+    weights = {l: list(depth_moments(q, kind, l, order)) for l in set(f.blocks.values())}
+    return _graded_sum(f, lambda l, n: weights[l][n])
 
 
 def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     """Squared norm in the Dirichlet-side space (exact for rational input)."""
-    return _graded_norm(f, q, BERGMAN_SPACE)
+    return _graded_norm(f, q, DIRICHLET)
 
 
 def bergman_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     """Squared norm in the Bergman-side space (reciprocal layer weights)."""
-    return _graded_norm(f, q, DIRICHLET_SPACE)
+    return _graded_norm(f, q, DUAL)
 
 
 def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
@@ -218,15 +208,10 @@ def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
 
     The density of the boundary measure is 1/(l+1) on the block of index l,
     so the energy term of layer n carries the factor n.  Agrees with
-    :func:`dirichlet_norm` at q = 2 exactly.
+    :func:`dirichlet_norm` at q = 2 exactly; the weight is written out, not
+    read off the moments, so that the two routes stay independent.
     """
-    total = Fraction(0)
-    for n, layer in enumerate(f.layers):
-        for b, l in f.blocks.items():
-            square = _square(layer.get(b, ()))
-            if square:
-                total = total + square * (1 + Fraction(n, l + 1))
-    return total
+    return _graded_sum(f, lambda l, n: 1 + Fraction(n, l + 1))
 
 
 def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:
@@ -237,6 +222,19 @@ def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:
 # -- matrix oracle ---------------------------------------------------------------
 
 
+def _births_in_reach(shift: ShiftOperator, power: int) -> list[int]:
+    """``kernel_births`` of a Cauchy-dual shift whose truncation holds ``power``
+    pushes of every column born inside it; else ``TruncationLoss`` names the
+    smallest horizon that does, which may take in deeper births."""
+    if shift.kind != DUAL:
+        raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
+    births = [0] + [shift.tree.depth_of(v) + 1 for v, _ in shift.tree.branching_vertices()]
+    needed = next(h for h in itertools.count(shift.horizon) if max(g for g in births if g <= h) + power <= h)
+    if needed > shift.horizon:
+        raise TruncationLoss(f"powers up to {power} leave horizon {shift.horizon}; needs horizon {needed}")
+    return kernel_births(shift.trunc)
+
+
 def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     """Compress S*^j S^k of the Cauchy-dual shift to the cokernel.
 
@@ -245,15 +243,8 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     of one array; the result should vanish for j != k and be block-diagonal
     with the Dirichlet-side kernel coefficients on the diagonal for j = k.
     """
-    if shift.kind != DUAL:
-        raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
+    born = _births_in_reach(shift, max(j, k))
     trunc = shift.trunc
-    born = kernel_births(trunc)
-    deepest = max(g for g, count in enumerate(born) if count)
-    if deepest + max(j, k) > shift.horizon:
-        raise TruncationLoss(
-            f"powers ({j}, {k}) from depth {deepest} leave horizon {shift.horizon}"
-        )
     columns = np.zeros((len(trunc.vertices), sum(born)))
     col = 0
     for g, count in enumerate(born):
@@ -272,7 +263,7 @@ def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
     """Exact diagonal the oracle must reproduce at j = k = n: the columns
     born on generation g carry the coefficient of block index l = g."""
     born = kernel_births(shift.trunc)
-    values = [list(_block_coefficients(shift.q, g, n, DIRICHLET_SPACE))[-1] for g in range(len(born))]
+    values = [dirichlet_coefficient(shift.q, g, n) for g in range(len(born))]
     return np.diag(np.repeat(np.array(values, dtype=float), born))
 
 
@@ -297,15 +288,9 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     Raises ``ValueError`` when a stacked block or its Gram matrix would
     exceed ``MAX_BLOCK_ENTRIES``, before allocating either.
     """
-    if shift.kind != DUAL:
-        raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
+    born = _births_in_reach(shift, nmax)
     trunc = shift.trunc
-    born = kernel_births(trunc)
     last = max(g for g, count in enumerate(born) if count) + nmax
-    if last > shift.horizon:
-        raise TruncationLoss(
-            f"powers up to {nmax} from generation {last - nmax} leave horizon {shift.horizon}"
-        )
     # the columns on a generation are orthogonal, so they are no more than its
     # rows and the Gram matrix is no larger than the block
     for landing in range(last + 1):
@@ -316,9 +301,7 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
                 f"kernel check needs a {rows} x {cols} column block on generation {landing}, "
                 f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
             )
-    coefficients = [
-        list(map(float, _block_coefficients(shift.q, g, nmax, DIRICHLET_SPACE))) for g in range(last + 1)
-    ]
+    coefficients = [list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)]
     off_worst = diag_worst = 0.0
     block = kernel_columns(trunc, 0)
     for landing in range(last + 1):
@@ -417,7 +400,10 @@ def log_convexity_check(k: int, l: int, bound: int) -> PickReport:
 
 
 def pick_property_check(q: int, branch_depth: int | None, bound: int) -> PickReport:
-    """Log-convexity of a Dirichlet-side block's kernel coefficients."""
-    require_q(q)
-    l_param = block_weight_index(branch_depth)
-    return log_convexity_check(l_param + 1, l_param + q, bound)
+    """Log-convexity of a Dirichlet-side block's kernel coefficients.
+
+    ``branch_depth`` is None for the root line and the depth of the
+    branching vertex otherwise; the block's index is l = branch_depth + 1.
+    """
+    l = 0 if branch_depth is None else branch_depth + 1
+    return log_convexity_check(*moment_bases(q, DUAL, l), bound)

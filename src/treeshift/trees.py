@@ -39,6 +39,9 @@ RAY_SEPARATOR = "~"
 
 _TREE_FILE_KEYS = {"root", "children", "ray_leaves"}
 
+# vertices one truncation may hold: a shift takes about 320 bytes per vertex, 2.7 GB in all
+MAX_TRUNCATION_VERTICES = 2**23
+
 
 @dataclass(frozen=True)
 class VertexInfo:
@@ -227,9 +230,18 @@ class Tree:
         return 0 if deepest is None else deepest + 1
 
     def truncate(self, horizon: int) -> Truncation:
-        """Materialize every vertex of depth at most ``horizon``."""
+        """Materialize every vertex of depth at most ``horizon``; more than
+        ``MAX_TRUNCATION_VERTICES`` raise ``ValueError`` before any is built."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        # the explicit vertices, plus horizon - depth(r) below each ray leaf r
+        size = sum(n <= horizon for n in self.depths.values())
+        size += sum(max(0, horizon - self.depths[r]) for r in self.ray_leaves)
+        if size > MAX_TRUNCATION_VERTICES:
+            raise ValueError(
+                f"truncation at horizon {horizon} would hold {size} vertices, "
+                f"over the limit of {MAX_TRUNCATION_VERTICES}"
+            )
         generations: list[tuple[str, ...]] = [(self.root,)]
         parent_index = [0]
         start = 0

@@ -1,16 +1,17 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
 a bounded hypothesis strategy for random prefix-plus-rays trees,
-per-vertex references for the shift's vertex-keyed methods, and Fraction
-references for the exact difference checks."""
+per-vertex references for the shift's vertex-keyed methods and its
+self-commutator, and Fraction references for the exact difference checks."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treeshift import build_tree
+from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport
 from treeshift.shifts import KernelBasis, KernelBlock
@@ -84,6 +85,11 @@ def relabel_and_shuffle(tree, seed):
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
 
 
+def named_horizon(error):
+    """The horizon a ``TruncationLoss`` message says would succeed."""
+    return int(re.search(r"needs horizon (\d+)", str(error)).group(1))
+
+
 def to_array(shift, f):
     """Real parts of a sparse vector as a coordinate array in truncation order."""
     out = np.zeros(len(shift.weights))
@@ -145,6 +151,32 @@ def dict_apply_adjoint_power(shift, f, k):
     for _ in range(k):
         out = dict_apply_adjoint(shift, out)
     return out
+
+
+def squared_weight_formula(tree, q, kind, v):
+    """(n + q - 1)/(n s) into a vertex at depth n >= 1 with s siblings for
+    the Dirichlet shift, n/((n + q - 1) s) for its dual; 0 at the root."""
+    n = tree.depth_of(v)
+    if n == 0:
+        return Fraction(0)
+    s = tree.sibling_count(v)
+    if kind == DIRICHLET:
+        return Fraction(n + q - 1) / (n * s)
+    return n / (Fraction(n + q - 1) * s)
+
+
+def per_vertex_partial_trace(shift, depth_cap):
+    """Sum over the vertices v of depth <= depth_cap of ||S e_v||^2 - ||S* e_v||^2,
+    the diagonal of [S*, S], with every squared weight from the formula."""
+
+    def weight(v):
+        return squared_weight_formula(shift.tree, shift.q, shift.kind, v)
+
+    total = Fraction(0)
+    for gen in shift.trunc.generations[: depth_cap + 1]:
+        for v in gen:
+            total += sum(map(weight, shift.tree.children_of(v))) - weight(v)
+    return total
 
 
 def dict_defect_operator_apply(shift, f):

@@ -216,6 +216,21 @@ def test_kernel_suite_refuses_blocks_over_the_size_limit(tree_file, capsys):
     ]
 
 
+def test_moments_refuses_a_truncation_over_the_vertex_limit(tree_file, capsys):
+    # c0 sits at depth 1, so kmax 1,000 asks for 20,001 + 20,000 x 1,000 vertices
+    path = tree_file(fan(20000))
+    started = time.perf_counter()
+    code = main(["moments", path, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: truncation at horizon 1001 would hold 20020001 vertices, over the limit of 8388608"
+    ]
+    assert elapsed < 1.0
+
+
 def test_reports_are_deterministic(tree_file, capsys):
     path = tree_file(DOUBLE01)
     argv = ["checks", path, "--q", "3", "--suite", "all", "--horizon", "5"]

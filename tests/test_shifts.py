@@ -18,6 +18,8 @@ from corpus import (
     dict_apply_power,
     dict_defect_operator_apply,
     fan,
+    named_horizon,
+    per_vertex_partial_trace,
     prefix_trees,
     reference_kernel_basis,
     to_array,
@@ -42,14 +44,14 @@ def test_line_tree_weights_q2():
     dirichlet = make_shift(LINE, 2, DIRICHLET, 6)
     dual = make_shift(LINE, 2, DUAL, 6)
     for n in range(1, 6):
-        assert dirichlet.squared_weights[f"r~{n}"] == Fraction(n + 1, n)
-        assert dual.squared_weights[f"r~{n}"] == Fraction(n, n + 1)
+        assert dirichlet.squared_weight(f"r~{n}") == Fraction(n + 1, n)
+        assert dual.squared_weight(f"r~{n}") == Fraction(n, n + 1)
 
 
 def test_fork_weights_q3():
     shift = make_shift(FORK2, 3, DIRICHLET, 4)
-    assert shift.squared_weights["a"] == Fraction(3, 2)
-    assert shift.squared_weights["b"] == Fraction(3, 2)
+    assert shift.squared_weight("a") == Fraction(3, 2)
+    assert shift.squared_weight("b") == Fraction(3, 2)
 
 
 def test_invalid_q():
@@ -65,7 +67,7 @@ def test_child_weight_sums_are_exact(name, q):
     for n, gen in enumerate(shift.trunc.generations[:-1]):
         for v in gen:
             total = sum(
-                (shift.squared_weights[u] for u in tree.children_of(v)),
+                (shift.squared_weight(u) for u in tree.children_of(v)),
                 start=Fraction(0),
             )
             assert total == Fraction(n + q) / (n + 1)
@@ -163,15 +165,15 @@ _QS = st.sampled_from([1, 2, 3, 4, Fraction(5, 2)])
 @given(tree=prefix_trees(), q=_QS, kind=_KINDS, horizon=st.integers(1, 6))
 def test_weight_table_matches_per_vertex_formula(tree, q, kind, horizon):
     shift = make_shift(tree, q, kind, horizon)
-    assert set(shift.squared_weights) == set(shift.trunc.vertices[1:])
     assert shift.weights[0] == 0
+    assert shift.squared_weight(tree.root) == 0
     for i, v in enumerate(shift.trunc.vertices[1:], 1):
         n, s = tree.depth_of(v), tree.sibling_count(v)
         if kind == DIRICHLET:
             expected = Fraction(n + q - 1) / (n * s)
         else:
             expected = n / (Fraction(n + q - 1) * s)
-        assert shift.squared_weights[v] == expected
+        assert shift.squared_weight(v) == expected
         assert shift.weights[i] == math.sqrt(expected)
 
 
@@ -481,6 +483,53 @@ def test_self_commutator_line_q2_telescopes():
     assert tail < 1e-3
     with pytest.raises(TruncationLoss):
         shift.self_commutator_partial_trace(1001)
+
+
+# integer and rational q >= 1
+_ANY_Q = st.one_of(st.integers(1, 5), st.fractions(min_value=1, max_value=5, max_denominator=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), q=_ANY_Q, kind=_KINDS, horizon=st.integers(1, 7), data=st.data())
+def test_partial_trace_closed_form_equals_per_vertex_sum(tree, q, kind, horizon, data):
+    shift = make_shift(tree, q, kind, horizon)
+    cap = data.draw(st.integers(0, horizon - 1))
+    assert shift.self_commutator_partial_trace(cap) == float(per_vertex_partial_trace(shift, cap))
+
+
+def test_push_past_the_horizon_names_the_horizon_it_needs():
+    block = np.ones((3, 1))  # generation 3 of DOUBLE01: c~1, d~1, b~2
+    with pytest.raises(TruncationLoss) as excinfo:
+        make_shift(DOUBLE01, 2, DUAL, 2).push(block, 4)
+    needed = named_horizon(excinfo.value)
+    assert make_shift(DOUBLE01, 2, DUAL, needed).push(block, 4).shape == (3, 1)
+    with pytest.raises(TruncationLoss):
+        make_shift(DOUBLE01, 2, DUAL, needed - 1).push(block, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), k=st.integers(1, 3), horizon=st.integers(1, 6), data=st.data())
+def test_support_past_the_horizon_names_the_smallest_horizon_that_holds_it(tree, k, horizon, data):
+    shift = make_shift(tree, 2, DIRICHLET, horizon)
+    support = data.draw(st.lists(st.sampled_from(shift.trunc.vertices), min_size=1, max_size=5, unique=True))
+    f = {v: 1.0 for v in support}
+    try:
+        shift.apply_power(f, k)
+        return
+    except TruncationLoss as exc:
+        needed = named_horizon(exc)
+    make_shift(tree, 2, DIRICHLET, needed).apply_power(f, k)
+    with pytest.raises(TruncationLoss):
+        make_shift(tree, 2, DIRICHLET, needed - 1).apply_power(f, k)
+
+
+def test_partial_trace_past_the_horizon_names_the_horizon_it_needs():
+    with pytest.raises(TruncationLoss) as excinfo:
+        make_shift(FORK2, 2, DIRICHLET, 5).self_commutator_partial_trace(5)
+    needed = named_horizon(excinfo.value)
+    assert make_shift(FORK2, 2, DIRICHLET, needed).self_commutator_partial_trace(5) > 0
+    with pytest.raises(TruncationLoss):
+        make_shift(FORK2, 2, DIRICHLET, needed - 1).self_commutator_partial_trace(5)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -6,7 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from corpus import CORPUS, DEEP13, DOUBLE01, FORK2, LINE, SPLIT, WIDE, complete_binary, fan, prefix_trees, vec_norm
+from corpus import (
+    CORPUS,
+    DEEP13,
+    DOUBLE01,
+    FORK2,
+    LINE,
+    SPLIT,
+    WIDE,
+    complete_binary,
+    fan,
+    named_horizon,
+    prefix_trees,
+    vec_norm,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +31,7 @@ from treeshift import (
     bergman_norm,
     bergman_weight_moment,
     build_tree,
+    cokernel_dimension,
     dirichlet_coefficient,
     dirichlet_measure_weights,
     dirichlet_norm,
@@ -43,22 +57,22 @@ from treeshift.spaces import kernel_block_series, kernel_compression_maxima
 
 
 def test_dirichlet_coefficients():
-    assert all(dirichlet_coefficient(1, block, 5) == 1 for block in (None, 0, 3))
-    assert dirichlet_coefficient(2, None, 3) == Fraction(1, 4)
-    assert dirichlet_coefficient(2, 0, 1) == Fraction(2, 3)
+    assert all(dirichlet_coefficient(1, l, 5) == 1 for l in (0, 1, 4))
+    assert dirichlet_coefficient(2, 0, 3) == Fraction(1, 4)
+    assert dirichlet_coefficient(2, 1, 1) == Fraction(2, 3)
 
 
 def test_bergman_coefficients():
-    assert [bergman_coefficient(2, None, n) for n in range(5)] == [1, 2, 3, 4, 5]
-    assert bergman_coefficient(3, 1, 2) == Fraction(5, 2)
-    for block in (None, 0, 2):
+    assert [bergman_coefficient(2, 0, n) for n in range(5)] == [1, 2, 3, 4, 5]
+    assert bergman_coefficient(3, 2, 2) == Fraction(5, 2)
+    for l in (0, 1, 3):
         for n in range(8):
-            assert bergman_coefficient(3, block, n) * dirichlet_coefficient(3, block, n) == 1
+            assert bergman_coefficient(3, l, n) * dirichlet_coefficient(3, l, n) == 1
 
 
 def test_kernel_coefficient_monotonicity():
     for q in (2, 3, 4):
-        for block in (None, 0, 1):
+        for block in (0, 1, 2):
             dirichlet = [dirichlet_coefficient(q, block, n) for n in range(12)]
             bergman = [bergman_coefficient(q, block, n) for n in range(12)]
             assert dirichlet[0] == bergman[0] == 1
@@ -173,6 +187,26 @@ def test_kernel_maxima_refuse_to_push_past_the_horizon():
         shift.push(np.ones((len(shift.trunc.generations[6]), 1)), 7)
     with pytest.raises(ValueError):
         kernel_compression_maxima(make_shift(DOUBLE01, 2, DIRICHLET, 10), 5)
+
+
+@pytest.mark.parametrize("tree", [FORK2, DOUBLE01, DEEP13], ids=["fork2", "double01", "deep13"])
+def test_kernel_oracle_past_the_horizon_names_the_horizon_it_needs(tree):
+    with pytest.raises(TruncationLoss) as excinfo:
+        kernel_matrix_oracle(make_shift(tree, 2, DUAL, 2), 1, 3)
+    needed = named_horizon(excinfo.value)
+    assert kernel_matrix_oracle(make_shift(tree, 2, DUAL, needed), 1, 3).shape[0] == cokernel_dimension(tree)
+    with pytest.raises(TruncationLoss):
+        kernel_matrix_oracle(make_shift(tree, 2, DUAL, needed - 1), 1, 3)
+
+
+@pytest.mark.parametrize("tree", [FORK2, DOUBLE01, DEEP13], ids=["fork2", "double01", "deep13"])
+def test_kernel_maxima_past_the_horizon_name_the_horizon_they_need(tree):
+    with pytest.raises(TruncationLoss) as excinfo:
+        kernel_compression_maxima(make_shift(tree, 2, DUAL, 2), 4)
+    needed = named_horizon(excinfo.value)
+    assert max(kernel_compression_maxima(make_shift(tree, 2, DUAL, needed), 4)) < 1e-10
+    with pytest.raises(TruncationLoss):
+        kernel_compression_maxima(make_shift(tree, 2, DUAL, needed - 1), 4)
 
 
 def test_kernel_maxima_refuse_blocks_over_the_limit(monkeypatch):
@@ -391,6 +425,26 @@ def test_pick_property():
             assert pick_property_check(q, depth, 100).passed
 
 
+# integer and rational q >= 1
+_ANY_Q = st.one_of(st.integers(1, 6), st.fractions(min_value=1, max_value=6, max_denominator=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=prefix_trees(), q=_ANY_Q, l=st.integers(0, 5), n=st.integers(0, 12))
+def test_kernel_coefficients_are_shift_moments_at_depth_l(tree, q, l, n):
+    # block l's coefficients are the moments of any depth-l vertex
+    v = tree.truncate(l).generations[l][0]
+    assert dirichlet_coefficient(q, l, n) == make_shift(tree, q, DUAL, l + 1).moment(v, n)
+    assert bergman_coefficient(q, l, n) == make_shift(tree, q, DIRICHLET, l + 1).moment(v, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=_ANY_Q, depth=st.integers(0, 20), bound=st.integers(0, 60))
+def test_pick_check_is_log_convexity_of_the_block_bases(q, depth, bound):
+    assert pick_property_check(q, depth, bound) == log_convexity_check(depth + 2, depth + 1 + q, bound)
+    assert pick_property_check(q, None, bound) == log_convexity_check(1, q, bound)
+
+
 def _reference_log_convexity(k, l, bound):
     """Log-convexity compared as c_n^2 <= c_{n-1} c_{n+1} in exact Fractions."""
     c = list(pochhammer_ratios(k, l, bound + 1))
@@ -493,9 +547,8 @@ def _reference_norm(f, q, space):
 )
 def test_block_series_equals_per_term_reference(q, l, order, radius, angle, space):
     x = cmath.rect(radius, angle)
-    branch_depth = None if l == 0 else l - 1
     expected = _reference_block_series(q, l, x, order, space)
-    assert kernel_block_series(q, branch_depth, x, order, space) == expected
+    assert kernel_block_series(q, l, x, order, space) == expected
 
 
 _rational_coords = st.builds(
@@ -534,7 +587,7 @@ def test_series_order_in_the_thousands_is_linear_time(space):
     order = kernel_series_order(3, space, x)
     assert order == {"dirichlet": 3207, "bergman": 4898}[space]
     started = time.perf_counter()
-    value = kernel_block_series(3, None, x, order, space)
+    value = kernel_block_series(3, 0, x, order, space)
     elapsed = time.perf_counter() - started
     if space == "dirichlet":
         expected = 2 * (-math.log(1 - x) / x + (math.log(1 - x) + x) / x**2)

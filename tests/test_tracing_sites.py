@@ -53,8 +53,8 @@ COUNTED_CALLS = {
     "shifts.kernel_basis": [((_SHIFT,), {})],
     "classify.lift_graded_unitary": [((*PROFILE_PAIR, 2, _UNITARY, 6), {})],
     "spaces.kernel_block_series": [
-        ((2, None, 0.25, 12, "dirichlet"), {}),
-        ((2, 1, 0.25), {"order": 12, "space": "bergman"}),
+        ((2, 0, 0.25, 12, "dirichlet"), {}),
+        ((2, 2, 0.25), {"order": 12, "space": "bergman"}),
     ],
 }
 COUNTED = [s for s in _NAMESPACE["SPAN_SITES"] if s[3] is not None]

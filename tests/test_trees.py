@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from treeshift.errors import (
     TreeFormatError,
     UnknownVertex,
 )
+from treeshift import trees
 from treeshift.trees import sibling_chain_identity_sums
 
 
@@ -236,6 +238,26 @@ def test_truncation_children_cut_at_horizon(smallest):
     assert children("r") == ("a", "b")
     assert len(trunc.generations) == 3
     assert len(trunc.vertices) == 1 + 2 + 2
+
+
+def test_truncate_refuses_more_vertices_than_the_limit(monkeypatch):
+    # DOUBLE01 at horizon 4: 5 explicit vertices, 3 below the ray leaf b, 2 below each of c, d
+    assert len(DOUBLE01.truncate(4).vertices) == 12
+    monkeypatch.setattr(trees, "MAX_TRUNCATION_VERTICES", 12)
+    DOUBLE01.truncate(4)
+    with pytest.raises(ValueError, match="horizon 5 would hold 15 vertices, over the limit of 12$"):
+        DOUBLE01.truncate(5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(0, 8))
+def test_truncation_limit_counts_exactly_the_vertices_built(tree, horizon):
+    size = len(tree.truncate(horizon).vertices)
+    with mock.patch.object(trees, "MAX_TRUNCATION_VERTICES", size):
+        tree.truncate(horizon)
+    with mock.patch.object(trees, "MAX_TRUNCATION_VERTICES", size - 1):
+        with pytest.raises(ValueError, match=f"would hold {size} vertices"):
+            tree.truncate(horizon)
 
 
 # the corpus, plus a tree whose second level mixes chain products 4 and 6,
