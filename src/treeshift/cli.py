@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -81,8 +82,34 @@ def _report(command: str, inputs: dict, results: dict) -> dict:
     }
 
 
+_HOLE = "\x00treeshift-hole\x00"  # a cut-out value, found by its key and indentation
+_HOLE_TEXT = json.dumps(_HOLE)
+_ITEM = "\n      "  # an assertion, one level below the "assertions" key of "results"
+
+
+def _cut(text: str, key: str, start: int = 0) -> tuple[str, str]:
+    """``text`` split around the hole that is the value of the first ``key`` past ``start``."""
+    cut = text.index(key + _HOLE_TEXT, start) + len(key)
+    return text[:cut], text[cut + len(_HOLE_TEXT) :]
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Print ``json.dumps(report, indent=2, sort_keys=True)``, rendering each distinct
+    assertion body once and escaping each name with the C escaper of ``ensure_ascii``."""
+    assertions = report["results"].get("assertions")
+    if not assertions:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return
+    text = json.dumps({**report, "results": {**report["results"], "assertions": _HOLE}}, indent=2, sort_keys=True)
+    head, tail = _cut(text, '\n    "assertions": ', text.index('\n  "results": '))  # past "results", not in "inputs"
+    templates, items = {}, []
+    for a in assertions:
+        key = repr({**a, "name": None})  # tells True, 1 and 1.0 apart, and None from [], as JSON does
+        if key not in templates:
+            body = json.dumps({**a, "name": _HOLE}, indent=2, sort_keys=True).replace("\n", _ITEM)
+            templates[key] = _cut(body, _ITEM + '  "name": ')
+        items.append(encode_basestring_ascii(a["name"]).join(templates[key]))
+    print(head + "[" + _ITEM + ("," + _ITEM).join(items) + "\n    ]" + tail)
 
 
 def _profile_payload(tree: Tree, horizon: int) -> dict:

@@ -182,21 +182,23 @@ class ShiftOperator:
         return out
 
     def push(self, block: np.ndarray, generation: int) -> np.ndarray:
-        """S on columns supported on generation - 1, given as that
-        generation's rows; returns the rows of ``generation``.  A push past
-        the horizon raises ``TruncationLoss`` instead of dropping the mass."""
+        """S on columns supported on generation - 1, given as that generation's
+        rows (another row count raises ``ValueError``); returns the rows of ``generation``.
+        A push past the horizon raises ``TruncationLoss`` instead of dropping the mass."""
         if generation > self.horizon:
             raise TruncationLoss(f"push onto generation {generation} needs horizon {generation}, have {self.horizon}")
         start, end = self.trunc.span(generation)
-        parents = self.trunc.parent_index[start:end] - (start - block.shape[0])
+        if block.shape[0] != (rows := len(self.trunc.generations[generation - 1])):
+            raise ValueError(f"push onto generation {generation} needs {rows} rows, got {block.shape[0]}")
+        parents = self.trunc.parent_index[start:end] - (start - rows)
         return self.weights[start:end, None] * block[parents]
 
     # -- vertex-keyed adapters ------------------------------------------------------
 
     def _to_array(self, f: Mapping[str, complex], margin: int = 0) -> np.ndarray:
-        """``f`` as a coordinate array, complex when a value is.  The first
-        vertex of ``f`` outside the truncation raises ``UnknownVertex``, the
-        first one deeper than horizon - margin ``TruncationLoss``."""
+        """``f`` as a coordinate array, complex when a value is.  The first vertex of
+        ``f`` outside the truncation raises ``UnknownVertex`` if the tree lacks it, else
+        ``TruncationLoss``: it is deeper than horizon - margin."""
         limit = self.horizon - margin
         # the vertices of depth <= limit are exactly the positions below ``end``
         end = self.trunc.span(limit)[1] if limit >= 0 else 0
@@ -205,7 +207,7 @@ class ShiftOperator:
         for v, x in f.items():
             i = self.trunc.index.get(v, end)
             if i >= end:
-                depth = self._depth(v)  # an unmaterialized vertex raises UnknownVertex first
+                depth = self.tree.depth_of(v)  # a vertex not in the tree raises UnknownVertex first
                 deepest = max(self.tree.depth_of(u) for u in f if self.tree.contains(u))
                 raise TruncationLoss(
                     f"support at depth {depth} exceeds {limit} "

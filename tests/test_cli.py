@@ -5,11 +5,11 @@ import time
 
 import pytest
 from corpus import complete_binary, fan, prefix_trees
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshift import DIRICHLET, DUAL, make_shift
-from treeshift.cli import _rational, _suite_defect, _suite_hausdorff, main
+from treeshift.cli import _HOLE, _SUITES, _emit, _rational, _suite_defect, _suite_hausdorff, main
 from treeshift.numerics import hausdorff_check
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
@@ -430,3 +430,136 @@ def test_fuzzed_tree_files_exit_with_a_documented_code(fuzz_path, text, vertex, 
     for argv, codes in cases:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in codes
+
+
+# escape-needing, non-ASCII and placeholder-like vertex names
+_ODD_NAMES = ['"', "\\", "\n", "\x00", "é", "☃", "\U0001f600", "\ud800", _HOLE]
+_odd_ids = st.lists(st.sampled_from(["a", "b", *_ODD_NAMES]), min_size=1, max_size=3).map("".join)
+
+
+@pytest.mark.parametrize("suite", [*_SUITES, "all"])
+@pytest.mark.parametrize("q", ["1", "2", "3"])
+def test_reports_are_the_stdlib_rendering_of_their_json(tree_file, capsys, suite, q):
+    tree = {"root": "r", "children": {"r": _ODD_NAMES, _HOLE: ["c", "d"]}, "ray_leaves": ["c", "d", *_ODD_NAMES[:-1]]}
+    code, out = _run(capsys, ["checks", tree_file(tree), "--q", q, "--suite", suite, "--horizon", "4"])
+    assert code in (0, 1)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert any(_HOLE in a["name"] for a in json.loads(out)["results"]["assertions"]) == (suite != "kernel")
+
+
+def _emitted(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report)
+    return out.getvalue()
+
+
+# few distinct scalars, so that bodies repeat and differ only by True, 1 and 1.0
+_body_values = st.recursive(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None, "0", "1/2", _HOLE]) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["name", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+_body_fields = st.sampled_from(["max_abs", "passed", "suite", "value", "values", "violation", "witness"])
+_assertion_lists = st.lists(
+    st.builds(
+        lambda name, body, first: {"name": name, **body} if first else {**body, "name": name},
+        st.one_of(_odd_ids, st.sampled_from(_ODD_NAMES), st.text(max_size=4)),
+        st.dictionaries(_body_fields, _body_values, max_size=3),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _reports(draw):
+    assertions = draw(_assertion_lists)
+    failed = [a["name"] for a in assertions if not a.get("passed")] + draw(st.lists(st.sampled_from(_ODD_NAMES)))
+    results = {"assertions": assertions, "total": len(assertions), "failed": failed, "all_passed": not failed}
+    if draw(st.booleans()):
+        results = draw(st.dictionaries(st.sampled_from(["all_passed", "profile", "verdict"]), _body_values))
+    inputs = draw(st.dictionaries(st.sampled_from(["assertions", "q", "tree"]), _body_values, max_size=3))
+    return {"command": "checks", "inputs": inputs, "results": results, "schema": 1, "tool": "treeshift"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reports())
+@example({"command": "checks", "inputs": {}, "results": {"assertions": [], "failed": []}})
+@example({"inputs": {"assertions": _HOLE}, "results": {"assertions": [{"name": _HOLE}], "failed": [_HOLE]}})
+@example(
+    {"inputs": {}, "results": {"assertions": [{"name": n, "value": v} for n, v in zip("abcd", [True, 1, 1.0, True])]}}
+)
+@example({"inputs": {}, "results": {"assertions": [{"name": "a", "v": None}, {"name": "b", "v": []}, {"name": "c", "v": [[]]}]}})
+def test_emit_is_the_stdlib_rendering(report):
+    assert _emitted(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _named_dicts(obj):
+    """The number of dicts with a "name" key in ``obj``: assertions, in a report."""
+    if isinstance(obj, dict):
+        return ("name" in obj) + sum(map(_named_dicts, obj.values()))
+    return sum(map(_named_dicts, obj)) if isinstance(obj, list) else 0
+
+
+def test_emit_renders_each_distinct_assertion_body_once(tree_file, capsys, monkeypatch):
+    rendered = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, obj, *args, **kwargs):
+        rendered.append(_named_dicts(obj) if self.indent is not None else 0)
+        return iterencode(self, obj, *args, **kwargs)
+
+    path = tree_file(fan(300))
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    code, out = _run(capsys, ["checks", path, "--q", "2", "--suite", "defect"])
+    monkeypatch.undo()
+    assert code == 0
+    assertions = json.loads(out)["results"]["assertions"]
+    bodies = {json.dumps({**a, "name": None}, sort_keys=True) for a in assertions}
+    assert len(assertions) == 2 * (1 + 300 * 8) and len(bodies) < 20
+    # the stdlib renders all 4,802 assertions, one indented render each
+    assert sum(rendered) <= len(bodies) + 1
+
+
+# tree files whose vertex ids need escaping: a random valid prefix, renamed
+@st.composite
+def _odd_tree_texts(draw):
+    tree = draw(prefix_trees(max_vertices=5))
+    names = dict(zip(tree.vertices, draw(st.lists(_odd_ids, min_size=len(tree.vertices), unique=True))))
+    children = {names[v]: [names[c] for c in kids] for v, kids in tree.children.items() if kids}
+    return json.dumps({"root": names[tree.root], "children": children, "ray_leaves": [names[v] for v in tree.ray_leaves]})
+
+
+_int_flags = st.sampled_from(["1", "2", "3", "1", "2", "3", "7", "0", "-1", "x"])  # mostly valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # two odd trees to one malformed text in the first file
+    texts=st.tuples(st.integers(0, 2).flatmap(lambda i: _odd_tree_texts() if i else _tree_texts), _odd_tree_texts()),
+    suite=st.sampled_from([*_SUITES, "all"]),
+    q=_int_flags,
+    horizon=_int_flags,
+    verify=st.one_of(st.none(), _int_flags),
+)
+def test_fuzzed_checks_and_equiv_reports_are_stdlib_json(fuzz_path, texts, suite, q, horizon, verify):
+    paths = [fuzz_path.with_name(f"tree{i}.json") for i in range(2)]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    verify_flags = [] if verify is None else ["--verify-depth", verify]
+    for argv in (
+        ["checks", str(paths[0]), "--suite", suite, "--q", q, "--horizon", horizon],
+        ["equiv", *map(str, paths), "--q", q, "--horizon", horizon, *verify_flags],
+        ["equiv", str(paths[1]), str(paths[1]), "--q", q, "--horizon", horizon, *verify_flags],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value that is not an integer
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n"

@@ -425,11 +425,17 @@ def test_defect_operator_q1_acts_as_identity_on_kernel():
 
 def test_support_check_edges():
     shift = make_shift(FORK2, 2, DIRICHLET, 4)
-    for vertex in ("nope", "a~4", "a~0"):
+    for vertex in ("nope", "a~0"):
         with pytest.raises(UnknownVertex):
             shift.apply({vertex: 1.0})
         with pytest.raises(UnknownVertex):
             shift.apply_adjoint({vertex: 1.0})
+    # a tree vertex below the horizon is too deep, not unknown: depth 5 plus the margin
+    for method, needed in (("apply", 6), ("apply_adjoint", 5)):
+        with pytest.raises(TruncationLoss) as excinfo:
+            getattr(shift, method)({"a~4": 1.0})
+        assert named_horizon(excinfo.value) == needed
+        assert getattr(make_shift(FORK2, 2, DIRICHLET, needed), method)({"a~4": 1.0})
     assert set(shift.apply({"a~2": 1.0, "b~2": 1.0})) == {"a~3", "b~3"}
     with pytest.raises(TruncationLoss):
         shift.apply({"a~2": 1.0, "b~3": 1.0})
@@ -505,6 +511,14 @@ def test_push_past_the_horizon_names_the_horizon_it_needs():
     assert make_shift(DOUBLE01, 2, DUAL, needed).push(block, 4).shape == (3, 1)
     with pytest.raises(TruncationLoss):
         make_shift(DOUBLE01, 2, DUAL, needed - 1).push(block, 4)
+
+
+def test_push_refuses_a_block_with_another_row_count():
+    shift = make_shift(DOUBLE01, 2, DUAL, 4)
+    assert shift.push(np.ones((3, 1)), 4).shape == (3, 1)  # generation 3 has 3 vertices
+    for rows in (2, 4):
+        with pytest.raises(ValueError, match=f"needs 3 rows, got {rows}"):
+            shift.push(np.ones((rows, 1)), 4)
 
 
 @settings(max_examples=60, deadline=None)
