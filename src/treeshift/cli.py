@@ -9,6 +9,7 @@ assertion or not equivalent, 2 malformed input or arguments, 3 invariant violate
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ from .spaces import (
     log_convexity_check,
     pick_property_check,
 )
-from .trees import Tree, load_tree, sibling_chain_identity_sums
+from .trees import Tree, load_tree
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -209,7 +210,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         # S^k e_v as a column on generation depth + k, one push per k
         start, end = shift.trunc.span(depth)
         column = np.zeros((end - start, 1))
-        column[shift.trunc.index[args.vertex] - start] = 1.0
+        column[shift.trunc.position(args.vertex) - start] = 1.0
         for k in range(args.kmax + 1):
             if k:
                 column = shift.push(column, depth + k)
@@ -294,17 +295,29 @@ def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[dict]:
 
 
 def _suite_cardid(tree: Tree, kmax: int = 5) -> list[dict]:
-    assertions = []
-    for v in tree.vertices:
-        sums = sibling_chain_identity_sums(tree, v, kmax)
-        assertions.append(
-            {
-                "name": f"sibling_chain_sum_one[{v}]",
-                "passed": all(s == 1 for s in sums),
-                "values": [_rational(s) for s in sums],
-            }
-        )
-    return assertions
+    # with P(u) the product of the child counts above u, a Python int exact past 2**63, the
+    # k-th descendants u of v sum to P(v) sum(1 / P(u)) = P(v) T / L: L is the lcm of the P's
+    # of their generation, and T sums the integers L // P(u) over sibling runs up k generations
+    trunc = tree.truncate(max(tree.depths.values()) + kmax)
+    parent = trunc.parent_index
+    counts = np.bincount(parent[1:]).astype(object)
+    products = np.ones(len(parent), dtype=object)
+    sums: list[list] = [[] for _ in tree.vertices]  # by explicit id, k = 1..kmax
+    for landing in range(1, trunc.horizon + 1):
+        start, end = trunc.span(landing)
+        products[start:end] = products[parent[start:end]] * counts[parent[start:end]]
+        lcm = math.lcm(*set(products[start:end].tolist()))
+        pulled = lcm // products[start:end]
+        for n in range(landing - 1, max(-1, landing - kmax - 1), -1):
+            pulled = np.add.reduceat(pulled, np.flatnonzero(np.diff(parent[start:end], prepend=-1)))
+            start, end = trunc.span(n)
+            mine = trunc.ray_step[start:end] == 0
+            for e, p, t in zip(trunc.explicit[start:end][mine].tolist(), products[start:end][mine], pulled[mine]):
+                sums[e].append(1 if p * t == lcm else Fraction(p * t, lcm))
+    return [
+        {"name": f"sibling_chain_sum_one[{v}]", "passed": all(s == 1 for s in row), "values": list(map(_rational, row))}
+        for v, row in zip(tree.vertices, sums)
+    ]
 
 
 def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
@@ -316,7 +329,7 @@ def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
     inner_worst = 0.0
     # random coordinates below the horizon generation, zeros on it
     inside, _ = shift.trunc.span(shift.horizon)
-    f, g = np.zeros((2, len(shift.trunc.vertices)))
+    f, g = np.zeros((2, len(shift.weights)))
     for _ in range(8):
         f[:inside] = rng.standard_normal(inside)
         g[:inside] = rng.standard_normal(inside)
@@ -368,6 +381,7 @@ def _cmd_checks(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, shared by in-process callers of ``main``
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeshift",

@@ -89,8 +89,7 @@ def kernel_births(trunc: Truncation) -> list[int]:
     tree being leafless, so generation g gains |gen_g| - |gen_{g-1}|
     Helmert columns from the vertices of generation g - 1 that branch.
     """
-    sizes = [len(gen) for gen in trunc.generations]
-    return [1] + [b - a for a, b in zip(sizes, sizes[1:])]
+    return [1] + np.diff(trunc.offsets, 2).tolist()
 
 
 def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
@@ -139,7 +138,7 @@ class ShiftOperator:
     # -- structure -------------------------------------------------------------
 
     def _depth(self, v: str) -> int:
-        if v not in self.trunc.index:
+        if self.trunc.position(v) is None:
             raise UnknownVertex(f"{v!r} not materialized at horizon {self.horizon}")
         return self.tree.depth_of(v)
 
@@ -187,8 +186,10 @@ class ShiftOperator:
         A push past the horizon raises ``TruncationLoss`` instead of dropping the mass."""
         if generation > self.horizon:
             raise TruncationLoss(f"push onto generation {generation} needs horizon {generation}, have {self.horizon}")
+        if generation < 1:
+            raise ValueError(f"cannot push onto generation {generation}: generation 0 has no parent generation")
         start, end = self.trunc.span(generation)
-        if block.shape[0] != (rows := len(self.trunc.generations[generation - 1])):
+        if block.shape[0] != (rows := start - self.trunc.span(generation - 1)[0]):
             raise ValueError(f"push onto generation {generation} needs {rows} rows, got {block.shape[0]}")
         parents = self.trunc.parent_index[start:end] - (start - rows)
         return self.weights[start:end, None] * block[parents]
@@ -205,8 +206,8 @@ class ShiftOperator:
         complex_values = any(isinstance(x, complex) for x in f.values())
         out = np.zeros(len(self.weights), dtype=complex if complex_values else float)
         for v, x in f.items():
-            i = self.trunc.index.get(v, end)
-            if i >= end:
+            i = self.trunc.position(v)
+            if i is None or i >= end:
                 depth = self.tree.depth_of(v)  # a vertex not in the tree raises UnknownVertex first
                 deepest = max(self.tree.depth_of(u) for u in f if self.tree.contains(u))
                 raise TruncationLoss(
@@ -307,7 +308,8 @@ class ShiftOperator:
             raise TruncationLoss(f"depth_cap {depth_cap} needs horizon {depth_cap + 1}, have {self.horizon}")
         if depth_cap < 0:
             return 0.0
-        return float(len(self.trunc.generations[depth_cap]) * self.row_sum(depth_cap))
+        start, end = self.trunc.span(depth_cap)
+        return float((end - start) * self.row_sum(depth_cap))
 
 
 def require_q(q: int | Fraction) -> None:
@@ -352,7 +354,7 @@ def make_shift(
     # exact value per distinct pair, keyed n * stride + s
     parent = trunc.parent_index
     siblings = np.bincount(parent[1:])[parent]
-    depths = np.repeat(np.arange(horizon + 1), [len(gen) for gen in trunc.generations])
+    depths = np.repeat(np.arange(horizon + 1), np.diff(trunc.offsets))
     stride = int(siblings.max()) + 1
     keys, inverse = np.unique(depths[1:] * stride + siblings[1:], return_inverse=True)
     table = []
@@ -360,7 +362,7 @@ def make_shift(
         n, s = divmod(key, stride)
         a, b = moment_bases(q, kind, n - 1)
         table.append(Fraction(a) / (b * s))
-    weights = np.zeros(len(trunc.vertices))
+    weights = np.zeros(len(parent))
     weights[1:] = np.array([math.sqrt(x) for x in table])[inverse]
     return ShiftOperator(
         tree=tree,

@@ -245,7 +245,7 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     """
     born = _births_in_reach(shift, max(j, k))
     trunc = shift.trunc
-    columns = np.zeros((len(trunc.vertices), sum(born)))
+    columns = np.zeros((len(shift.weights), sum(born)))
     col = 0
     for g, count in enumerate(born):
         start, end = trunc.span(g)
@@ -293,8 +293,7 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     last = max(g for g, count in enumerate(born) if count) + nmax
     # the columns on a generation are orthogonal, so they are no more than its
     # rows and the Gram matrix is no larger than the block
-    for landing in range(last + 1):
-        rows = len(trunc.generations[landing])
+    for landing, rows in enumerate(np.diff(trunc.offsets)[: last + 1].tolist()):
         cols = sum(born[max(0, landing - nmax) : landing + 1])
         if rows * cols > MAX_BLOCK_ENTRIES:
             raise ValueError(

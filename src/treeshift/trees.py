@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -102,25 +103,53 @@ class DepthProfile:
 
 @dataclass(frozen=True)
 class Truncation:
-    """All vertices of depth at most ``horizon``, rays materialized.
+    """All vertices of depth at most ``horizon``, rays materialized, as arrays.
 
-    ``generations[n]`` lists the vertices of depth n, children grouped by
-    parent in parent order; ``vertices`` concatenates the generations and
-    ``index`` inverts it.  ``parent_index[i]`` is the position of the
-    parent of ``vertices[i]``; the root points to itself.  Vertices at the
-    horizon have no children here although the tree continues below them.
+    Generation n holds the positions ``offsets[n]:offsets[n + 1]``, children
+    grouped by parent in parent order; ``parent_index`` maps a position to its
+    parent's, the root to itself.  Position i is ``tree.vertices[explicit[i]]``
+    if ``ray_step[i]`` is 0, else the ray vertex ``<that leaf>~<ray_step[i]>``.
+    Horizon vertices have no children here although the tree goes on below them.
+    ``generations``, ``vertices`` and ``index`` name the positions on first access.
     """
 
+    tree: Tree
     horizon: int
-    generations: tuple[tuple[str, ...], ...]
-    vertices: tuple[str, ...]
-    index: Mapping[str, int]
     parent_index: np.ndarray
+    offsets: np.ndarray
+    explicit: np.ndarray
+    ray_step: np.ndarray
 
     def span(self, n: int) -> tuple[int, int]:
-        """Positions (start, end) of generation n in ``vertices``."""
-        start = self.index[self.generations[n][0]]
-        return start, start + len(self.generations[n])
+        """Positions (start, end) of generation n."""
+        if not 0 <= n <= self.horizon:
+            raise IndexError(f"generation {n} is outside 0..{self.horizon}")
+        return int(self.offsets[n]), int(self.offsets[n + 1])
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        names, pairs = self.tree.vertices, zip(self.explicit.tolist(), self.ray_step.tolist())
+        return tuple(f"{names[e]}{RAY_SEPARATOR}{k}" if k else names[e] for e, k in pairs)
+
+    @cached_property
+    def generations(self) -> tuple[tuple[str, ...], ...]:
+        bounds = self.offsets.tolist()
+        return tuple(self.vertices[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def position(self, v: str) -> int | None:
+        """Position of vertex ``v``, parsing its name once; None if the truncation lacks it."""
+        try:
+            base, k = (v, 0) if self.tree.is_explicit(v) else self.tree._split_ray(v)
+        except UnknownVertex:
+            return None
+        if (n := self.tree.depths[base] + k) > self.horizon:
+            return None
+        start, end = self.span(n)  # a generation holds each explicit id at most once
+        return start + int(np.argmax(self.explicit[start:end] == self.tree._ids[base]))
 
 
 @dataclass(frozen=True)
@@ -137,6 +166,11 @@ class Tree:
     ray_leaves: frozenset[str]
     parents: Mapping[str, str]  # explicit non-root vertex -> parent
     depths: Mapping[str, int]  # explicit vertex -> depth
+
+    @cached_property
+    def _ids(self) -> Mapping[str, int]:
+        """Explicit vertex -> its position in ``vertices``, the id a truncation stores."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     # -- vertex classification ------------------------------------------------
 
@@ -242,24 +276,35 @@ class Tree:
                 f"truncation at horizon {horizon} would hold {size} vertices, "
                 f"over the limit of {MAX_TRUNCATION_VERTICES}"
             )
-        generations: list[tuple[str, ...]] = [(self.root,)]
-        parent_index = [0]
-        start = 0
-        for n in range(horizon):
-            nxt: list[str] = []
-            for i, v in enumerate(generations[n], start):
-                kids = self.children_of(v)
-                parent_index.extend([i] * len(kids))
-                nxt.extend(kids)
-            start += len(generations[n])
-            generations.append(tuple(nxt))
-        vertices = tuple(v for gen in generations for v in gen)
+        # explicit ids are breadth-first, so the explicit vertices of one depth take
+        # consecutive ids in generation order; a ray vertex keeps its leaf's id
+        kids = np.array([len(self.children[v]) for v in self.vertices])
+        deepest = max(self.depths.values())
+        parents, explicit, steps = [np.zeros(1, int)], [np.zeros(1, int)], [np.zeros(1, int)]
+        start, first = 0, 1
+        for _ in range(min(horizon, deepest)):
+            count = np.maximum(kids[explicit[-1]], 1)
+            parents.append(np.repeat(np.arange(start, start + len(count)), count))
+            e, k = np.repeat(explicit[-1], count), np.repeat(steps[-1], count) + 1
+            branch = kids[e] > 0
+            born = int(np.count_nonzero(branch))
+            e[branch], k[branch] = np.arange(first, first + born), 0
+            start, first = start + len(count), first + born
+            explicit.append(e)
+            steps.append(k)
+        # below the deepest explicit vertex every vertex has one child, the next on its ray
+        below, width = max(0, horizon - deepest), len(explicit[-1])
+        sizes = [len(e) for e in explicit] + [width] * below
+        parents.append(np.arange(start, start + width * below))
+        explicit.append(np.tile(explicit[-1], below))
+        steps.append(np.tile(steps[-1], below) + np.repeat(np.arange(1, below + 1), width))
         return Truncation(
+            tree=self,
             horizon=horizon,
-            generations=tuple(generations),
-            vertices=vertices,
-            index={v: i for i, v in enumerate(vertices)},
-            parent_index=np.array(parent_index),
+            parent_index=np.concatenate(parents),
+            offsets=np.concatenate([[0], np.cumsum(sizes)]),
+            explicit=np.concatenate(explicit),
+            ray_step=np.concatenate(steps),
         )
 
     def sibling_count_chain(self, v: str, l: int) -> int:
@@ -296,10 +341,10 @@ class Tree:
         by the recursion limit.
         """
         trunc = self.truncate(horizon)
-        below = ["()"] * len(trunc.generations[-1])
+        below = ["()"] * int(trunc.offsets[-1] - trunc.offsets[-2])
         for n in reversed(range(horizon)):
             (offset, start), (_, end) = trunc.span(n), trunc.span(n + 1)
-            parts: list[list[str]] = [[] for _ in trunc.generations[n]]
+            parts: list[list[str]] = [[] for _ in range(start - offset)]
             for form, i in zip(below, trunc.parent_index[start:end].tolist()):
                 parts[i - offset].append(form)
             below = ["(" + "".join(sorted(forms)) + ")" for forms in parts]

@@ -1,7 +1,8 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
-a bounded hypothesis strategy for random prefix-plus-rays trees,
-per-vertex references for the shift's vertex-keyed methods and its
-self-commutator, and Fraction references for the exact difference checks."""
+a bounded hypothesis strategy for random prefix-plus-rays trees, a
+name-walking truncation reference, per-vertex references for the shift's
+vertex-keyed methods and its self-commutator, and Fraction references for
+the exact difference checks."""
 
 import math
 import random
@@ -83,6 +84,31 @@ def relabel_and_shuffle(tree, seed):
             rng.shuffle(shuffled)
             children[names[v]] = [names[u] for u in shuffled]
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
+
+
+def comb(depth):
+    """Spine of ``depth`` + 1 vertices; each spine vertex above the last has two
+    children, the next spine vertex and a ray leaf, so chain products reach 2**depth."""
+    children = {f"s{i}": [f"s{i + 1}", f"t{i + 1}"] for i in range(depth)}
+    leaves = [f"t{i}" for i in range(1, depth + 1)] + [f"s{depth}"]
+    return build_tree("s0", children, leaves)
+
+
+def reference_truncate(tree, horizon):
+    """(generations, parent_index) of the truncation at ``horizon``, walking the
+    tree by vertex name: each generation is its parents' ``children_of``."""
+    generations = [(tree.root,)]
+    parent_index = [0]
+    start = 0
+    for n in range(horizon):
+        nxt = []
+        for i, v in enumerate(generations[n], start):
+            kids = tree.children_of(v)
+            parent_index.extend([i] * len(kids))
+            nxt.extend(kids)
+        start += len(generations[n])
+        generations.append(tuple(nxt))
+    return tuple(generations), parent_index
 
 
 def named_horizon(error):

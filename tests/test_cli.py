@@ -4,13 +4,25 @@ import json
 import time
 
 import pytest
-from corpus import complete_binary, fan, prefix_trees
+from corpus import comb, complete_binary, fan, prefix_trees
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeshift import DIRICHLET, DUAL, make_shift
-from treeshift.cli import _HOLE, _SUITES, _emit, _rational, _suite_defect, _suite_hausdorff, main
+from treeshift import DIRICHLET, DUAL, Tree, make_shift, tree_from_json
+from treeshift.cli import (
+    _HOLE,
+    _SUITES,
+    _build_parser,
+    _emit,
+    _rational,
+    _suite_cardid,
+    _suite_defect,
+    _suite_hausdorff,
+    main,
+)
 from treeshift.numerics import hausdorff_check
+from treeshift.spaces import kernel_compression_maxima
+from treeshift.trees import sibling_chain_identity_sums
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
 FORK3 = {"root": "r", "children": {"r": ["a", "b", "c"]}, "ray_leaves": ["a", "b", "c"]}
@@ -353,6 +365,61 @@ def _hausdorff_per_vertex(tree, q, horizon, order=12):
 def test_per_generation_suites_equal_per_vertex_reference(tree, q, horizon):
     assert _suite_defect(tree, q, horizon) == _defect_per_vertex(tree, q, horizon)
     assert _suite_hausdorff(tree, q, horizon) == _hausdorff_per_vertex(tree, q, horizon)
+
+
+def _cardid_reference(tree, kmax=5):
+    """Reference: the cardid suite from one push below every explicit vertex."""
+    assertions = []
+    for v in tree.vertices:
+        sums = sibling_chain_identity_sums(tree, v, kmax)
+        passed, values = all(s == 1 for s in sums), [_rational(s) for s in sums]
+        assertions.append({"name": f"sibling_chain_sum_one[{v}]", "passed": passed, "values": values})
+    return assertions
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(1, 5))
+def test_cardid_suite_equals_the_per_vertex_sums(tree, kmax):
+    assert _suite_cardid(tree, kmax) == _cardid_reference(tree, kmax)
+
+
+def test_cardid_stays_exact_past_2_to_the_63():
+    # the chain products of the depth-66 comb reach 2**66 on its deepest ray leaf
+    tree = comb(66)
+    found = _suite_cardid(tree)
+    assert found == _cardid_reference(tree)
+    assert len(found) == 133 and all(a["passed"] and a["values"] == ["1"] * 5 for a in found)
+
+
+def test_array_paths_build_no_vertex_names(tree_file, capsys, monkeypatch):
+    # only the defect and hausdorff suites name every vertex; these paths read arrays
+    built = []
+    truncate = Tree.truncate
+
+    def recording(tree, horizon):
+        built.append(truncate(tree, horizon))
+        return built[-1]
+
+    monkeypatch.setattr(Tree, "truncate", recording)
+    shift = make_shift(tree_from_json(fan(20000)), 2, DUAL, 10)
+    with pytest.raises(ValueError, match="over the limit"):
+        kernel_compression_maxima(shift, 5)
+    kernel_compression_maxima(make_shift(tree_from_json(fan(300)), 2, DUAL, 10), 5)
+    checks = ["checks", tree_file(fan(300), "fan300.json"), "--q", "2", "--suite"]
+    for argv in (
+        checks + ["kernel"],
+        checks + ["cardid"],
+        ["moments", tree_file(fan(1000)), "--q", "2", "--vertex", "c0", "--kmax", "400"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 5
+    for trunc in built:
+        assert not {"generations", "vertices", "index"} & vars(trunc).keys()
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
 
 
 # -- fuzzed tree files: every input ends in a documented exit code -----------------

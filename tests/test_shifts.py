@@ -521,6 +521,15 @@ def test_push_refuses_a_block_with_another_row_count():
             shift.push(np.ones((rows, 1)), 4)
 
 
+def test_push_refuses_generations_without_a_parent_generation():
+    # generation 4 of DOUBLE01 has 3 vertices; a 1-row block once read it as generation -1
+    shift = make_shift(DOUBLE01, 2, DUAL, 4)
+    for generation in (0, -1):
+        for rows in (1, 3):
+            with pytest.raises(ValueError, match="generation 0 has no parent generation"):
+                shift.push(np.ones((rows, 1)), generation)
+
+
 @settings(max_examples=60, deadline=None)
 @given(tree=prefix_trees(), k=st.integers(1, 3), horizon=st.integers(1, 6), data=st.data())
 def test_support_past_the_horizon_names_the_smallest_horizon_that_holds_it(tree, k, horizon, data):

@@ -12,6 +12,7 @@ from corpus import (
     LINE,
     PROFILE_PAIR,
     prefix_trees,
+    reference_truncate,
     relabel_and_shuffle,
 )
 from hypothesis import given, settings
@@ -258,6 +259,40 @@ def test_truncation_limit_counts_exactly_the_vertices_built(tree, horizon):
     with mock.patch.object(trees, "MAX_TRUNCATION_VERTICES", size - 1):
         with pytest.raises(ValueError, match=f"would hold {size} vertices"):
             tree.truncate(horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(0, 8))
+def test_array_truncation_equals_the_name_walking_reference(tree, horizon):
+    generations, parent_index = reference_truncate(tree, horizon)
+    vertices = tuple(v for gen in generations for v in gen)
+    trunc = tree.truncate(horizon)
+    assert trunc.parent_index.tolist() == parent_index
+    start = 0
+    for n, gen in enumerate(generations):
+        assert trunc.span(n) == (start, start + len(gen))
+        start += len(gen)
+    for n in (-1, horizon + 1):
+        with pytest.raises(IndexError, match=f"generation {n} is outside 0..{horizon}"):
+            trunc.span(n)
+    assert trunc.generations == generations
+    assert trunc.vertices == vertices
+    assert trunc.index == {v: i for i, v in enumerate(vertices)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(0, 8))
+def test_position_agrees_with_the_name_index(tree, horizon):
+    trunc = tree.truncate(horizon)
+    for v, i in trunc.index.items():
+        assert trunc.position(v) == i
+    deeper = set(tree.truncate(horizon + 2).vertices) | set(tree.vertices)
+    absent = deeper - set(trunc.vertices)
+    absent |= {"nope", f"{tree.root}~", f"{tree.root}~~1"}
+    absent |= {f"{v}~1" for v in tree.vertices if v not in tree.ray_leaves}
+    absent |= {f"{r}~{tail}" for r in tree.ray_leaves for tail in ("0", "01", "-1", "+1", " 1", "x")}
+    for v in absent:
+        assert trunc.position(v) is None, v
 
 
 # the corpus, plus a tree whose second level mixes chain products 4 and 6,
