@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, ShiftOperator, kernel_columns, make_shift
+from .shifts import DIRICHLET, ShiftOperator, kernel_births, kernel_columns, make_shift
 from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
@@ -28,6 +28,18 @@ EXACT = "exact"
 HORIZON_LIMITED = "horizon_limited"
 
 _NORM_MATCH_TOL = 1e-10
+
+# float64 entries (256 MiB) allowed in one generation block of the graded unitary or its lift
+MAX_BLOCK_ENTRIES = 2**25
+
+
+def _refuse_block(rows: int, cols: int, generation: int, what: str) -> None:
+    """``ValueError`` for a rows x cols block over ``MAX_BLOCK_ENTRIES``, raised before allocating it."""
+    if rows * cols > MAX_BLOCK_ENTRIES:
+        raise ValueError(
+            f"{what} needs a {rows} x {cols} block on generation {generation}, "
+            f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
+        )
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,8 @@ def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Grad
         # only reachable at q = 1, where equal totals do not force equal
         # profiles; the generation-by-generation construction needs them
         raise ValueError("graded construction needs matching depth profiles")
+    for n, count in verdict.profile1.entries.items():
+        _refuse_block(count, count, n, "graded unitary")
     generations = {
         n: np.eye(verdict.profile1.entry(n)) for n in sorted(verdict.profile1.entries)
     }
@@ -211,6 +225,10 @@ def lift_graded_unitary(
             raise TruncationLoss(
                 f"generation {n} blocks need depth at least {n + 2}, got {depth}"
             )
+    # block d holds every column born on generations 0..d, on the rows of generation d
+    columns = np.cumsum(kernel_births(shift1.trunc)).tolist()
+    for d, rows in enumerate(np.diff(shift1.trunc.offsets).tolist()):
+        _refuse_block(rows, columns[d], d, "lift")
     source = [kernel_columns(shift1.trunc, 0)]
     target = [kernel_columns(shift2.trunc, 0) * unitary.root_map]
     _normalize_pair(source[0], target[0], 0)

@@ -95,22 +95,30 @@ def _cut(text: str, key: str, start: int = 0) -> tuple[str, str]:
 
 
 def _emit(report: dict) -> None:
-    """Print ``json.dumps(report, indent=2, sort_keys=True)``, rendering each distinct
-    assertion body once and escaping each name with the C escaper of ``ensure_ascii``."""
-    assertions = report["results"].get("assertions")
-    if not assertions:
+    """Print ``json.dumps(report, indent=2, sort_keys=True)``, with the assertion groups of its
+    results expanded: a group (rows, names) stands for {**body, "name": f"{prefix}[{v}]"} for
+    each name v, then each row (prefix, body); a name None stands for the bare prefix.  Each
+    distinct row body is rendered once, and each name escaped once by the C escaper of ``ensure_ascii``."""
+    groups = report["results"].get("assertions")
+    if groups is None:
         print(json.dumps(report, indent=2, sort_keys=True))
         return
     text = json.dumps({**report, "results": {**report["results"], "assertions": _HOLE}}, indent=2, sort_keys=True)
     head, tail = _cut(text, '\n    "assertions": ', text.index('\n  "results": '))  # past "results", not in "inputs"
     templates, items = {}, []
-    for a in assertions:
-        key = repr({**a, "name": None})  # tells True, 1 and 1.0 apart, and None from [], as JSON does
-        if key not in templates:
-            body = json.dumps({**a, "name": _HOLE}, indent=2, sort_keys=True).replace("\n", _ITEM)
-            templates[key] = _cut(body, _ITEM + '  "name": ')
-        items.append(encode_basestring_ascii(a["name"]).join(templates[key]))
-    print(head + "[" + _ITEM + ("," + _ITEM).join(items) + "\n    ]" + tail)
+    for rows, names in groups:
+        parts = []
+        for prefix, body in rows:
+            key = repr(body)  # tells True, 1 and 1.0 apart, and None from [], as JSON does
+            if key not in templates:
+                rendered = json.dumps({**body, "name": _HOLE}, indent=2, sort_keys=True).replace("\n", _ITEM)
+                templates[key] = _cut(rendered, _ITEM + '  "name": ')
+            before, after = templates[key]
+            parts.append((before + encode_basestring_ascii(prefix)[:-1], after))
+        for v in names:
+            name = '"' if v is None else "[" + encode_basestring_ascii(v)[1:-1] + ']"'
+            items.extend(before + name + after for before, after in parts)
+    print(head + ("[" + _ITEM + ("," + _ITEM).join(items) + "\n    ]" if items else "[]") + tail)
 
 
 def _profile_payload(tree: Tree, horizon: int) -> dict:
@@ -243,84 +251,71 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # -- check suites -------------------------------------------------------------------
 
 
-# the defect and hausdorff suites compute once per generation: defects and
-# moments depend on depth alone
-def _suite_defect(tree: Tree, q: int, horizon: int) -> list[dict]:
+# a suite returns assertion groups (rows, names), expanded as ``_emit`` says: the
+# defect and hausdorff suites one per generation, as defects and moments depend
+# on depth alone, the others one per assertion
+
+def _suite_defect(tree: Tree, q: int, horizon: int) -> list[tuple]:
     shift = make_shift(tree, q, DIRICHLET, horizon)
-    assertions = []
+    groups = []
     for gen in shift.trunc.generations:
         defect = shift.q_isometry_defect(gen[0], q)
-        rows = [("defect_zero", defect == 0, _rational(defect))]
+        rows = [("defect_zero", {"passed": defect == 0, "value": _rational(defect)})]
         if q >= 2:
             lower = shift.q_isometry_defect(gen[0], q - 1)
-            rows.append((f"defect_nonzero_order_{q - 1}", lower != 0, _rational(lower)))
-        for v in gen:
-            for name, passed, value in rows:
-                assertions.append({"name": f"{name}[{v}]", "passed": passed, "value": value})
-    return assertions
+            rows.append((f"defect_nonzero_order_{q - 1}", {"passed": lower != 0, "value": _rational(lower)}))
+        groups.append((rows, gen))
+    return groups
 
 
-def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[dict]:
+def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[tuple]:
     # only depths 0..10 are checked, so no deeper truncation is built
     shift = make_shift(tree, q, DUAL, min(horizon, 10))
-    assertions = []
+    groups = []
     for gen in shift.trunc.generations:
         outcome = hausdorff_check(shift.moment_sequence(gen[0], 2 * order + 2), order)
         violation = list(map(str, outcome.violation)) if outcome.violation else None
-        for v in gen:
-            assertions.append(
-                {"name": f"hausdorff_order_{order}[{v}]", "passed": outcome.passed, "violation": violation}
-            )
-    return assertions
+        groups.append(([(f"hausdorff_order_{order}", {"passed": outcome.passed, "violation": violation})], gen))
+    return groups
 
 
-def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[dict]:
-    assertions = []
+def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[tuple]:
+    groups = []
     for block_id, l_param in kernel_block_spec(tree).blocks:
-        branch_depth = None if l_param == 0 else l_param - 1
-        report = pick_property_check(q, branch_depth, bound)
-        name = "root" if block_id is None else block_id
-        assertions.append(
-            {"name": f"pick_log_convexity[{name}]", "passed": report.passed, "witness": report.witness}
-        )
+        report = pick_property_check(q, None if l_param == 0 else l_param - 1, bound)
+        body = {"passed": report.passed, "witness": report.witness}
+        groups.append(([("pick_log_convexity", body)], ["root" if block_id is None else block_id]))
     control = log_convexity_check(2, 1, bound)
-    assertions.append(
-        {
-            "name": "pick_reversed_parameters_fail",
-            "passed": not control.passed and control.witness == 1,
-            "witness": control.witness,
-        }
-    )
-    return assertions
+    body = {"passed": not control.passed and control.witness == 1, "witness": control.witness}
+    return groups + [([("pick_reversed_parameters_fail", body)], [None])]
 
 
-def _suite_cardid(tree: Tree, kmax: int = 5) -> list[dict]:
+def _suite_cardid(tree: Tree, kmax: int = 5) -> list[tuple]:
     # with P(u) the product of the child counts above u, a Python int exact past 2**63, the
-    # k-th descendants u of v sum to P(v) sum(1 / P(u)) = P(v) T / L: L is the lcm of the P's
-    # of their generation, and T sums the integers L // P(u) over sibling runs up k generations
-    trunc = tree.truncate(max(tree.depths.values()) + kmax)
-    parent = trunc.parent_index
-    counts = np.bincount(parent[1:]).astype(object)
-    products = np.ones(len(parent), dtype=object)
-    sums: list[list] = [[] for _ in tree.vertices]  # by explicit id, k = 1..kmax
-    for landing in range(1, trunc.horizon + 1):
-        start, end = trunc.span(landing)
-        products[start:end] = products[parent[start:end]] * counts[parent[start:end]]
-        lcm = math.lcm(*set(products[start:end].tolist()))
-        pulled = lcm // products[start:end]
-        for n in range(landing - 1, max(-1, landing - kmax - 1), -1):
-            pulled = np.add.reduceat(pulled, np.flatnonzero(np.diff(parent[start:end], prepend=-1)))
-            start, end = trunc.span(n)
-            mine = trunc.ray_step[start:end] == 0
-            for e, p, t in zip(trunc.explicit[start:end][mine].tolist(), products[start:end][mine], pulled[mine]):
-                sums[e].append(1 if p * t == lcm else Fraction(p * t, lcm))
-    return [
-        {"name": f"sibling_chain_sum_one[{v}]", "passed": all(s == 1 for s in row), "values": list(map(_rational, row))}
-        for v, row in zip(tree.vertices, sums)
-    ]
+    # k-th descendants u of v sum to P(v) sum(1 / P(u)) = N_k(v) / N_0(v): N_0(u) = L // P(u)
+    # for L the lcm of the P's, and N_k sums N_(k-1) over the explicit children, which sit in
+    # one run per vertex; a ray leaf's ray vertices keep its P, so it keeps N_0
+    ids = tree._ids
+    counts = [len(tree.children[v]) for v in tree.vertices]
+    products = [1] * len(counts)
+    for i, v in enumerate(tree.vertices[1:], 1):
+        products[i] = products[ids[tree.parents[v]]] * counts[ids[tree.parents[v]]]
+    rays = np.array([v in tree.ray_leaves for v in tree.vertices])
+    runs = np.cumsum([0] + counts)[:-1][~rays]  # the first child of each inner vertex, less one
+    lcm = math.lcm(*set(products))
+    levels = [np.array([lcm // p for p in products], dtype=object)]
+    for _ in range(kmax):
+        levels.append(levels[0].copy())
+        levels[-1][~rays] = np.add.reduceat(levels[-2][1:], runs)
+    groups = []
+    for v, (n0, *row) in zip(tree.vertices, np.array(levels).T.tolist()):
+        passed = all(n == n0 for n in row)
+        values = ["1"] * kmax if passed else [_rational(Fraction(n, n0)) for n in row]
+        groups.append(([("sibling_chain_sum_one", {"passed": passed, "values": values})], [v]))
+    return groups
 
 
-def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
+def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[tuple]:
     # the deepest block sits at depth branching_index(); its powers up to nmax must fit
     depth = max(10, tree.branching_index() + nmax)
     shift = make_shift(tree, q, DUAL, depth)
@@ -333,11 +328,13 @@ def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[dict]:
     for _ in range(8):
         f[:inside] = rng.standard_normal(inside)
         g[:inside] = rng.standard_normal(inside)
-        inner_worst = max(inner_worst, float(abs(shift.act(f) @ g - f @ shift.act_adjoint(g))))
+        # exactly rounded sums: a BLAS dot's roundoff grows with the length and varies with its thread count
+        sides = math.fsum((shift.act(f) * g).tolist()), math.fsum((f * shift.act_adjoint(g)).tolist())
+        inner_worst = max(inner_worst, abs(sides[0] - sides[1]))
     return [
-        {"name": "kernel_offdiagonal_zero", "passed": off_worst < 1e-10, "max_abs": _float(off_worst)},
-        {"name": "kernel_diagonal_matches", "passed": diag_worst < 1e-10, "max_abs_error": _float(diag_worst)},
-        {"name": "adjoint_consistency", "passed": inner_worst < 1e-12, "max_abs_error": _float(inner_worst)},
+        ([("kernel_offdiagonal_zero", {"passed": off_worst < 1e-10, "max_abs": _float(off_worst)})], [None]),
+        ([("kernel_diagonal_matches", {"passed": diag_worst < 1e-10, "max_abs_error": _float(diag_worst)})], [None]),
+        ([("adjoint_consistency", {"passed": inner_worst < 1e-12, "max_abs_error": _float(inner_worst)})], [None]),
     ]
 
 
@@ -351,7 +348,7 @@ def _cmd_checks(args: argparse.Namespace) -> int:
     if args.horizon < 1:
         raise ValueError("horizon must be at least 1")
     suites = _SUITES if args.suite == "all" else (args.suite,)
-    assertions: list[dict] = []
+    groups: list[tuple] = []
     for suite in suites:
         if suite == "defect":
             found = _suite_defect(tree, args.q, args.horizon)
@@ -363,13 +360,17 @@ def _cmd_checks(args: argparse.Namespace) -> int:
             found = _suite_cardid(tree)
         else:
             found = _suite_kernel(tree, args.q, _seed())
-        for item in found:
-            item["suite"] = suite
-        assertions.extend(found)
-    failed = [a["name"] for a in assertions if not a["passed"]]
+        for rows, _names in found:
+            for _prefix, body in rows:
+                body["suite"] = suite
+        groups.extend(found)
+    failed = []
+    for rows, names in groups:
+        if bad := [prefix for prefix, body in rows if not body["passed"]]:
+            failed.extend(prefix if v is None else f"{prefix}[{v}]" for v in names for prefix in bad)
     results = {
-        "assertions": assertions,
-        "total": len(assertions),
+        "assertions": groups,
+        "total": sum(len(rows) * len(names) for rows, names in groups),
         "failed": failed,
         "all_passed": not failed,
     }

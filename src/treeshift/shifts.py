@@ -92,22 +92,27 @@ def kernel_births(trunc: Truncation) -> list[int]:
     return [1] + np.diff(trunc.offsets, 2).tolist()
 
 
+def sibling_runs(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first index, length) of each run of two or more equal entries of ``parents``,
+    a slice of ``parent_index`` past the root: the sibling groups that branch.
+    The children of one vertex sit at consecutive positions, so the runs are sorted."""
+    counts = np.bincount(parents - parents[0])
+    branching = counts >= 2
+    return (np.cumsum(counts) - counts)[branching], counts[branching]
+
+
 def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
     """The columns of ker S* born on ``generation``, as that generation's rows.
 
-    Generation 0 carries the root line.  On a later generation the children
-    of one vertex sit at consecutive positions, so the sibling groups are
-    the runs of equal ``parent_index``; a group of m >= 2 carries the m - 1
-    columns of ``_helmert_matrix`` in child order, groups in truncation
-    order.  Groups of equal size are written in one step.
+    Generation 0 carries the root line.  On a later generation each group of
+    m >= 2 siblings (``sibling_runs``) carries the m - 1 columns of
+    ``_helmert_matrix`` in child order, groups in truncation order.  Groups
+    of equal size are written in one step.
     """
     if generation == 0:
         return np.ones((1, 1))
     start, end = trunc.span(generation)
-    parents = trunc.parent_index[start:end]
-    counts = np.bincount(parents - parents[0])  # run lengths: parents are sorted, none childless
-    branching = counts >= 2
-    rows, counts = (np.cumsum(counts) - counts)[branching], counts[branching]
+    rows, counts = sibling_runs(trunc.parent_index[start:end])
     cols = np.cumsum(counts - 1) - (counts - 1)
     out = np.zeros((end - start, int(np.sum(counts - 1))))
     for m in np.unique(counts).tolist():

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import pochhammer_ratio, radial_integral, radial_integral_quadrature
-from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases
+from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, sibling_runs
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -267,63 +267,65 @@ def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
     return np.diag(np.repeat(np.array(values, dtype=float), born))
 
 
-# float64 entries (256 MiB) allowed in one stacked column block or Gram matrix
-MAX_BLOCK_ENTRIES = 2**25
-
-
 def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, float]:
-    """The two maxima of ``kernel_matrix_oracle`` over all j, k <= nmax.
+    """The two maxima of ``kernel_matrix_oracle`` over all j, k <= nmax, in closed form.
 
     Returns (largest |entry| of the j != k compressions, largest |entry -
     expected| of the j = k ones against ``kernel_oracle_expected``), each
-    entry read as <S^j a, S^k b> for cokernel columns a, b.  A column is
-    born on one generation g: the root line on 0, the Helmert columns of a
-    depth-(g - 1) branching vertex on g, so g is also its block index l.
-    S^p moves it to generation g + p, and pairs landing on different
-    generations vanish by support.  So each column is pushed once per
-    power, and the columns landing on generation L give one Gram matrix:
-    its sub-block of the columns born on g must be c I, with c the
-    Dirichlet coefficient of index g at power L - g, and the rest zero.
+    entry read as <S^j a, S^k b> for cokernel columns a, b.  The S^p e_u of one
+    generation have disjoint supports, so every entry is fixed by d_p(u) =
+    ||S^p e_u||^2, one ``np.bincount`` over ``parent_index`` per power.  A group
+    of m siblings c_i, with d_i = d_p(c_i) and S_k = sum_(i<k) d_i, carries the
+    Helmert columns h_k (k = 1..m-1) born on their generation g:
 
-    Raises ``ValueError`` when a stacked block or its Gram matrix would
-    exceed ``MAX_BLOCK_ENTRIES``, before allocating either.
+    - <S^p h_k, S^p h_k> = (S_k + k^2 d_k)/(k(k+1)), against the coefficient
+      of index g at power p; columns of other groups are disjoint from h_k;
+    - <S^p h_j, S^p h_k> = (S_j - j d_j)/sqrt(j(j+1)k(k+1)) for j < k, largest
+      at k = j + 1;
+    - a column born t + 1 generations above g equals x w_i on c_i, x its value
+      at the group's parent P after t pushes, so its overlap with S^p h_k is
+      |x| |sum_(i<k) w_i d_i - k w_k d_k| / sqrt(k(k+1)).  The largest |x| is
+      A_t(P): A_0 is the largest |Helmert entry| at a position (1 at the
+      root) and A_t = |w| A_(t-1)(parent), taken over t <= nmax - p - 1.
+
+    Sums run over d_i - d_0 inside each group, so roundoff scales with the
+    deviation from depth-only values, not with the group width.
     """
     born = _births_in_reach(shift, nmax)
-    trunc = shift.trunc
-    last = max(g for g, count in enumerate(born) if count) + nmax
-    # the columns on a generation are orthogonal, so they are no more than its
-    # rows and the Gram matrix is no larger than the block
-    for landing, rows in enumerate(np.diff(trunc.offsets)[: last + 1].tolist()):
-        cols = sum(born[max(0, landing - nmax) : landing + 1])
-        if rows * cols > MAX_BLOCK_ENTRIES:
-            raise ValueError(
-                f"kernel check needs a {rows} x {cols} column block on generation {landing}, "
-                f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
-            )
-    coefficients = [list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)]
-    off_worst = diag_worst = 0.0
-    block = kernel_columns(trunc, 0)
-    for landing in range(last + 1):
-        first = max(0, landing - nmax)  # births still alive, oldest first
-        if landing:
-            # columns born nmax generations back have had all their powers
-            retired = born[first - 1] if first else 0
-            block = shift.push(block[:, retired:], landing)
-            if born[landing]:
-                block = np.hstack([block, kernel_columns(trunc, landing)])
-        sizes = born[first : landing + 1]
-        gram = block.T @ block
-        expected = [coefficients[g][landing - g] for g in range(first, landing + 1)]
-        gram[np.diag_indices_from(gram)] -= np.repeat(expected, sizes)
-        np.abs(gram, out=gram)
-        a = 0
-        for size in sizes:
-            b = a + size
-            diag_worst = max(diag_worst, float(np.max(gram[a:b, a:b], initial=0.0)))
-            off_worst = max(
-                off_worst, float(np.max(gram[a:b, :a], initial=0.0)), float(np.max(gram[a:b, b:], initial=0.0))
-            )
-            a = b
+    parent, w = shift.trunc.parent_index, shift.weights
+    d = np.ones((nmax + 1, len(parent)))
+    for p in range(1, nmax + 1):
+        d[p] = np.bincount(parent, w * w * d[p - 1], minlength=len(parent))
+    children = np.bincount(parent[1:], minlength=len(parent))
+    place = np.arange(len(parent)) - (np.cumsum(children) - children + 1)[parent]  # index among siblings
+    # entries -sqrt(i/(i+1)) of h_i and 1/sqrt((i+1)(i+2)) of h_(i+1) at child i, 1/sqrt(2) at child 0
+    helmert = np.sqrt(np.maximum(place, 0.5) / np.maximum(place + 1, 1))
+    reach = [np.where(children[parent] < 2, 0.0, helmert)]
+    reach[0][0] = 1.0  # the root line
+    for _ in range(nmax - 1):
+        reach.append(np.abs(w) * reach[-1][parent])
+    reach = np.maximum.accumulate(reach)[::-1]  # row p: the largest A_t over t <= nmax - p - 1
+    last = int(np.flatnonzero(born)[-1])  # the deepest birth
+    coefficients = np.array([list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)])
+    diag_worst = float(np.max(np.abs(d[:, 0] - coefficients[0])))
+    off_worst = 0.0
+    firsts, sizes = sibling_runs(parent[1:])
+    generation = np.searchsorted(shift.trunc.offsets, firsts + 1, side="right") - 1
+    for m in np.unique(sizes).tolist():
+        picked = sizes == m
+        kids = firsts[picked][:, None] + 1 + np.arange(m)
+        k = np.arange(1.0, m)
+        dk = d[:, kids]  # (power, group, child)
+        dev = dk - dk[..., :1]
+        prefix = np.cumsum(dev[..., :-1], axis=-1)
+        expected = coefficients[generation[picked]].T[..., None]
+        diagonal = dk[..., :1] - expected + (prefix + k * k * dev[..., 1:]) / (k * (k + 1))
+        same = np.abs(prefix - k * dev[..., 1:])[..., :-1] / np.sqrt(k * (k + 1) * (k + 1) * (k + 2))[:-1]
+        diag_worst = max(diag_worst, float(np.max(np.abs(diagonal))), float(np.max(same, initial=0.0)))
+        moved = w[kids] * dk[:-1]
+        moved -= moved[..., :1]
+        overlap = np.abs(np.cumsum(moved[..., :-1], axis=-1) - k * moved[..., 1:]) / np.sqrt(k * (k + 1))
+        off_worst = max(off_worst, float(np.max(overlap * reach[:, parent[kids[:, 0]], None], initial=0.0)))
     return off_worst, diag_worst
 
 

@@ -140,6 +140,17 @@ class Truncation:
     def index(self) -> Mapping[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """The positions down to generation top = min(horizon, deepest explicit depth)
+        sorted by explicit id, stably, so id e at ray step k is ``order[starts[e] + k]``;
+        then top and its width: below top, a ray moves ``width`` positions per generation."""
+        top = min(self.horizon, max(self.tree.depths.values()))
+        ids = self.explicit[: self.offsets[top + 1]]
+        counts = np.bincount(ids, minlength=len(self.tree.vertices))
+        width = int(self.offsets[top + 1] - self.offsets[top])
+        return np.argsort(ids, kind="stable"), np.cumsum(counts) - counts, top, width
+
     def position(self, v: str) -> int | None:
         """Position of vertex ``v``, parsing its name once; None if the truncation lacks it."""
         try:
@@ -148,8 +159,9 @@ class Truncation:
             return None
         if (n := self.tree.depths[base] + k) > self.horizon:
             return None
-        start, end = self.span(n)  # a generation holds each explicit id at most once
-        return start + int(np.argmax(self.explicit[start:end] == self.tree._ids[base]))
+        order, starts, top, width = self._runs
+        below = max(0, n - top)
+        return int(order[starts[self.tree._ids[base]] + k - below]) + below * width
 
 
 @dataclass(frozen=True)

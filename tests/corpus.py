@@ -1,8 +1,9 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
 a bounded hypothesis strategy for random prefix-plus-rays trees, a
 name-walking truncation reference, per-vertex references for the shift's
-vertex-keyed methods and its self-commutator, and Fraction references for
-the exact difference checks."""
+vertex-keyed methods and its self-commutator, the pushed-column reference
+for the kernel suite's closed form, and Fraction references for the exact
+difference checks."""
 
 import math
 import random
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport
-from treeshift.shifts import KernelBasis, KernelBlock
+from treeshift.shifts import DUAL, KernelBasis, KernelBlock, depth_moments, kernel_columns
+from treeshift.spaces import _births_in_reach
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -240,6 +242,41 @@ def reference_kernel_basis(shift):
         if l <= shift.horizon:
             blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children[v])))
     return KernelBasis(blocks=tuple(blocks))
+
+
+def dense_compression_maxima(shift, nmax):
+    """Reference for ``spaces.kernel_compression_maxima``: each cokernel column
+    pushed once per power, and one Gram matrix of the columns landing on each
+    generation.  Its sub-block of the columns born on g must be c I, with c the
+    Dirichlet coefficient of index g at power L - g, and the rest zero."""
+    born = _births_in_reach(shift, nmax)
+    trunc = shift.trunc
+    last = max(g for g, count in enumerate(born) if count) + nmax
+    coefficients = [list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)]
+    off_worst = diag_worst = 0.0
+    block = kernel_columns(trunc, 0)
+    for landing in range(last + 1):
+        first = max(0, landing - nmax)  # births still alive, oldest first
+        if landing:
+            # columns born nmax generations back have had all their powers
+            retired = born[first - 1] if first else 0
+            block = shift.push(block[:, retired:], landing)
+            if born[landing]:
+                block = np.hstack([block, kernel_columns(trunc, landing)])
+        sizes = born[first : landing + 1]
+        gram = block.T @ block
+        expected = [coefficients[g][landing - g] for g in range(first, landing + 1)]
+        gram[np.diag_indices_from(gram)] -= np.repeat(expected, sizes)
+        np.abs(gram, out=gram)
+        a = 0
+        for size in sizes:
+            b = a + size
+            diag_worst = max(diag_worst, float(np.max(gram[a:b, a:b], initial=0.0)))
+            off_worst = max(
+                off_worst, float(np.max(gram[a:b, :a], initial=0.0)), float(np.max(gram[a:b, b:], initial=0.0))
+            )
+            a = b
+    return off_worst, diag_worst
 
 
 # -- Fraction references for the integer-numerator checks in numerics ------------

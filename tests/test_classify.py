@@ -36,6 +36,7 @@ from treeshift import (
     tree_from_json,
     verify_intertwining,
 )
+from treeshift import classify
 from treeshift.classify import _NORM_MATCH_TOL, LiftedUnitary, _residual
 from treeshift.errors import InvalidQ, NotEquivalentError, TruncationLoss
 from treeshift.shifts import DIRICHLET
@@ -387,6 +388,22 @@ def test_truncation_loss_when_blocks_need_more_depth():
     unitary = build_graded_unitary(wide, split, 2, 6)
     with pytest.raises(TruncationLoss, match="generation 1 blocks need depth at least 3"):
         lift_graded_unitary(wide, split, 2, unitary, 2)
+
+
+def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):
+    # DOUBLE01 has generations of 1, 2, 3, 3, ... vertices carrying 1, 2, 3, 3, ... lifted
+    # columns, so its largest lift block is 3 x 3; FORK3's graded unitary is one 2 x 2 block
+    unitary = build_graded_unitary(DOUBLE01, DOUBLE01, 2, 6)
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 9)
+    assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10) < 1e-12
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 8)
+    with pytest.raises(ValueError, match="^lift needs a 3 x 3 block on generation 2, over the limit of 8 float64"):
+        verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 4)
+    build_graded_unitary(FORK3, FORK3, 2, 6)
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 3)
+    with pytest.raises(ValueError, match="^graded unitary needs a 2 x 2 block on generation 0, over the limit of 3"):
+        build_graded_unitary(FORK3, FORK3, 2, 6)
 
 
 def test_binary9_verify_at_depth_12_is_fast():

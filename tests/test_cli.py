@@ -216,14 +216,30 @@ def test_hausdorff_suite_at_a_deep_horizon_truncates_at_depth_ten(tree_file, cap
     assert elapsed < 2.0
 
 
-def test_kernel_suite_refuses_blocks_over_the_size_limit(tree_file, capsys):
-    # 20,000 Helmert columns plus the root line on 20,000 rows: 3.2 GB per block
-    code = main(["checks", tree_file(fan(20000)), "--q", "2", "--suite", "kernel"])
+@pytest.mark.parametrize("tree", [fan(20000), complete_binary(13)], ids=["fan20000", "binary13"])
+def test_kernel_suite_on_wide_trees_passes_in_closed_form(tree_file, capsys, tree):
+    # 20,000 Helmert columns plus the root line on 20,000 rows would be 3.2 GB as one dense block
+    started = time.perf_counter()
+    code, out = _run(capsys, ["checks", tree_file(tree), "--q", "2", "--suite", "kernel"])
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["all_passed"] is True
+    assert elapsed < 2.0
+    if tree["root"] == "v0":  # binary 13: both maxima far below the tolerance
+        off, diag = results["assertions"][:2]
+        assert float(off["max_abs"]) < 1e-12 and float(diag["max_abs_error"]) < 1e-12
+
+
+def test_equiv_verify_refuses_a_graded_unitary_block_over_the_limit(tree_file, capsys):
+    # fan 20,000 would allocate a 19,999 x 19,999 identity, 3.2 GB, before the lift
+    path = tree_file(fan(20000))
+    code = main(["equiv", path, path, "--q", "2", "--horizon", "6", "--verify-depth", "5"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: kernel check needs a 20000 x 20000 column block on generation 1, "
+        "error: graded unitary needs a 19999 x 19999 block on generation 0, "
         "over the limit of 33554432 float64 entries per block"
     ]
 
@@ -332,6 +348,16 @@ def test_duplicate_ray_leaves_exit_2(tree_file, capsys):
     assert captured.err.splitlines() == ["error: duplicate ray leaves: ['b']"]
 
 
+def _expand(groups):
+    """The assertions that suite groups (rows, names) stand for, vertex-major."""
+    return [
+        {**body, "name": prefix if v is None else f"{prefix}[{v}]"}
+        for rows, names in groups
+        for v in names
+        for prefix, body in rows
+    ]
+
+
 def _defect_per_vertex(tree, q, horizon):
     """Reference: the defect suite computed separately at every vertex."""
     shift = make_shift(tree, q, DIRICHLET, horizon)
@@ -363,8 +389,8 @@ def _hausdorff_per_vertex(tree, q, horizon, order=12):
 @settings(max_examples=25, deadline=None)
 @given(prefix_trees(max_vertices=6), st.integers(1, 4), st.integers(1, 5))
 def test_per_generation_suites_equal_per_vertex_reference(tree, q, horizon):
-    assert _suite_defect(tree, q, horizon) == _defect_per_vertex(tree, q, horizon)
-    assert _suite_hausdorff(tree, q, horizon) == _hausdorff_per_vertex(tree, q, horizon)
+    assert _expand(_suite_defect(tree, q, horizon)) == _defect_per_vertex(tree, q, horizon)
+    assert _expand(_suite_hausdorff(tree, q, horizon)) == _hausdorff_per_vertex(tree, q, horizon)
 
 
 def _cardid_reference(tree, kmax=5):
@@ -380,15 +406,28 @@ def _cardid_reference(tree, kmax=5):
 @settings(max_examples=40, deadline=None)
 @given(prefix_trees(), st.integers(1, 5))
 def test_cardid_suite_equals_the_per_vertex_sums(tree, kmax):
-    assert _suite_cardid(tree, kmax) == _cardid_reference(tree, kmax)
+    assert _expand(_suite_cardid(tree, kmax)) == _cardid_reference(tree, kmax)
 
 
 def test_cardid_stays_exact_past_2_to_the_63():
     # the chain products of the depth-66 comb reach 2**66 on its deepest ray leaf
     tree = comb(66)
-    found = _suite_cardid(tree)
+    found = _expand(_suite_cardid(tree))
     assert found == _cardid_reference(tree)
     assert len(found) == 133 and all(a["passed"] and a["values"] == ["1"] * 5 for a in found)
+
+
+def test_cardid_reaches_kmax_below_each_ray_leaf_only(tree_file, capsys):
+    # 1,000 ray leaves at depth 1 beside an explicit spine down to depth 10,001: truncating every
+    # ray to the spine's depth + 5 would take 10,016,007 vertices
+    spine = {f"s{i}": [f"s{i + 1}"] for i in range(10000)}
+    leaves = [f"x{j}" for j in range(1000)]
+    obj = {"root": "r", "children": {"r": leaves + ["s0"], **spine}, "ray_leaves": leaves + ["s10000"]}
+    assert _expand(_suite_cardid(tree_from_json(obj))) == _cardid_reference(tree_from_json(obj))
+    code, out = _run(capsys, ["checks", tree_file(obj), "--q", "2", "--suite", "cardid"])
+    assert code == 0
+    assertions = json.loads(out)["results"]["assertions"]
+    assert len(assertions) == 11002 and all(a["values"] == ["1"] * 5 for a in assertions)
 
 
 def test_array_paths_build_no_vertex_names(tree_file, capsys, monkeypatch):
@@ -401,19 +440,16 @@ def test_array_paths_build_no_vertex_names(tree_file, capsys, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(Tree, "truncate", recording)
-    shift = make_shift(tree_from_json(fan(20000)), 2, DUAL, 10)
-    with pytest.raises(ValueError, match="over the limit"):
-        kernel_compression_maxima(shift, 5)
-    kernel_compression_maxima(make_shift(tree_from_json(fan(300)), 2, DUAL, 10), 5)
+    assert max(kernel_compression_maxima(make_shift(tree_from_json(fan(20000)), 2, DUAL, 10), 5)) < 1e-10
     checks = ["checks", tree_file(fan(300), "fan300.json"), "--q", "2", "--suite"]
     for argv in (
         checks + ["kernel"],
-        checks + ["cardid"],
+        checks + ["cardid"],  # runs on the explicit vertices, with no truncation
         ["moments", tree_file(fan(1000)), "--q", "2", "--vertex", "c0", "--kmax", "400"],
     ):
         assert main(argv) == 0
     capsys.readouterr()
-    assert len(built) == 5
+    assert len(built) == 3
     for trunc in built:
         assert not {"generations", "vertices", "index"} & vars(trunc).keys()
 
@@ -527,39 +563,48 @@ _body_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["name", "x"]), inner, max_size=2),
     max_leaves=4,
 )
-_body_fields = st.sampled_from(["max_abs", "passed", "suite", "value", "values", "violation", "witness"])
-_assertion_lists = st.lists(
-    st.builds(
-        lambda name, body, first: {"name": name, **body} if first else {**body, "name": name},
-        st.one_of(_odd_ids, st.sampled_from(_ODD_NAMES), st.text(max_size=4)),
-        st.dictionaries(_body_fields, _body_values, max_size=3),
-        st.booleans(),
+_body_fields = st.sampled_from(["max_abs", "name", "passed", "suite", "value", "values", "violation", "witness"])
+_odd_texts = st.one_of(_odd_ids, st.sampled_from(_ODD_NAMES), st.text(max_size=4))
+# groups (rows, names): each name, None for the bare prefix, stands for every row
+_group_lists = st.lists(
+    st.tuples(
+        st.lists(st.tuples(_odd_texts, st.dictionaries(_body_fields, _body_values, max_size=3)), max_size=3),
+        st.lists(st.none() | _odd_texts, max_size=4),
     ),
-    max_size=12,
+    max_size=6,
 )
 
 
 @st.composite
 def _reports(draw):
-    assertions = draw(_assertion_lists)
+    groups = draw(_group_lists)
+    assertions = _expand(groups)
     failed = [a["name"] for a in assertions if not a.get("passed")] + draw(st.lists(st.sampled_from(_ODD_NAMES)))
-    results = {"assertions": assertions, "total": len(assertions), "failed": failed, "all_passed": not failed}
+    results = {"assertions": groups, "total": len(assertions), "failed": failed, "all_passed": not failed}
     if draw(st.booleans()):
         results = draw(st.dictionaries(st.sampled_from(["all_passed", "profile", "verdict"]), _body_values))
     inputs = draw(st.dictionaries(st.sampled_from(["assertions", "q", "tree"]), _body_values, max_size=3))
     return {"command": "checks", "inputs": inputs, "results": results, "schema": 1, "tool": "treeshift"}
 
 
+def _stdlib(report):
+    """``json.dumps`` of ``report`` with its assertion groups expanded."""
+    results = report["results"]
+    if "assertions" in results:
+        report = {**report, "results": {**results, "assertions": _expand(results["assertions"])}}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @settings(max_examples=80, deadline=None)
 @given(_reports())
 @example({"command": "checks", "inputs": {}, "results": {"assertions": [], "failed": []}})
-@example({"inputs": {"assertions": _HOLE}, "results": {"assertions": [{"name": _HOLE}], "failed": [_HOLE]}})
-@example(
-    {"inputs": {}, "results": {"assertions": [{"name": n, "value": v} for n, v in zip("abcd", [True, 1, 1.0, True])]}}
-)
-@example({"inputs": {}, "results": {"assertions": [{"name": "a", "v": None}, {"name": "b", "v": []}, {"name": "c", "v": [[]]}]}})
+@example({"inputs": {}, "results": {"assertions": [([("a", {})], []), ([], ["b"])]}})
+@example({"inputs": {"assertions": _HOLE}, "results": {"assertions": [([(_HOLE, {})], [None, _HOLE])], "failed": [_HOLE]}})
+@example({"inputs": {}, "results": {"assertions": [([("v", {"value": v}) for v in [True, 1, 1.0, True]], ["a", None])]}})
+@example({"inputs": {}, "results": {"assertions": [([(n, {"v": v}) for n, v in zip("abc", [None, [], [[]]])], [None])]}})
+@example({"inputs": {}, "results": {"assertions": [([("p", {"name": "shadowed", "x": 1})], ["v"])]}})
 def test_emit_is_the_stdlib_rendering(report):
-    assert _emitted(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert _emitted(report) == _stdlib(report)
 
 
 def _named_dicts(obj):
@@ -609,16 +654,26 @@ _int_flags = st.sampled_from(["1", "2", "3", "1", "2", "3", "7", "0", "-1", "x"]
     q=_int_flags,
     horizon=_int_flags,
     verify=st.one_of(st.none(), _int_flags),
+    kind=st.sampled_from(["dirichlet", "dual", "dirichlet", "dual", "bergman", ""]),
+    kmax=_int_flags,
+    data=st.data(),
 )
-def test_fuzzed_checks_and_equiv_reports_are_stdlib_json(fuzz_path, texts, suite, q, horizon, verify):
+def test_fuzzed_checks_and_equiv_reports_are_stdlib_json(fuzz_path, texts, suite, q, horizon, verify, kind, kmax, data):
+    # a vertex of the second (valid) tree, a ray position below one, or a name of any shape
+    tree = json.loads(texts[1])
+    names = st.sampled_from([tree["root"], *(v for kids in tree["children"].values() for v in kids)])
+    vertex = data.draw(st.one_of(names, st.builds(lambda v, t: f"{v}~{t}", names, _ray_tails), _vertex_names))
     paths = [fuzz_path.with_name(f"tree{i}.json") for i in range(2)]
     for path, text in zip(paths, texts):
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
     verify_flags = [] if verify is None else ["--verify-depth", verify]
+    moments = ["--q", q, f"--vertex={vertex}", "--kmax", kmax, f"--kind={kind}"]
     for argv in (
         ["checks", str(paths[0]), "--suite", suite, "--q", q, "--horizon", horizon],
         ["equiv", *map(str, paths), "--q", q, "--horizon", horizon, *verify_flags],
         ["equiv", str(paths[1]), str(paths[1]), "--q", q, "--horizon", horizon, *verify_flags],
+        ["moments", str(paths[0]), *moments],
+        ["moments", str(paths[1]), *moments, "--horizon", horizon],
     ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

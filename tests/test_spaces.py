@@ -15,6 +15,7 @@ from corpus import (
     SPLIT,
     WIDE,
     complete_binary,
+    dense_compression_maxima,
     fan,
     named_horizon,
     prefix_trees,
@@ -30,7 +31,6 @@ from treeshift import (
     bergman_coefficient,
     bergman_norm,
     bergman_weight_moment,
-    build_tree,
     cokernel_dimension,
     dirichlet_coefficient,
     dirichlet_measure_weights,
@@ -52,7 +52,6 @@ from treeshift import (
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import pochhammer_ratios
 from treeshift.shifts import DIRICHLET
-from treeshift import spaces
 from treeshift.spaces import kernel_block_series, kernel_compression_maxima
 
 
@@ -123,15 +122,23 @@ def _suite_shift(tree, q, nmax=5):
 
 
 def _assert_maxima_agree(shift):
-    pushed, reference = kernel_compression_maxima(shift, 5), _oracle_maxima(shift)
-    assert np.max(np.abs(np.subtract(pushed, reference))) <= 1e-14
-    assert max(pushed) < 1e-10 and max(reference) < 1e-10
+    closed, reference = kernel_compression_maxima(shift, 5), _oracle_maxima(shift)
+    assert np.max(np.abs(np.subtract(closed, reference))) <= 1e-14
+    assert max(closed) < 1e-10 and max(reference) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
 @given(prefix_trees(), st.integers(1, 4))
 def test_kernel_maxima_equal_oracle_loop_on_random_trees(tree, q):
     _assert_maxima_agree(_suite_shift(tree, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_trees(), st.integers(1, 4), st.integers(0, 6))
+def test_kernel_maxima_equal_the_pushed_gram_reference(tree, q, nmax):
+    shift = make_shift(tree, q, DUAL, max(10, tree.branching_index() + nmax))
+    closed, dense = kernel_compression_maxima(shift, nmax), dense_compression_maxima(shift, nmax)
+    assert np.max(np.abs(np.subtract(closed, dense))) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -172,10 +179,11 @@ def test_perturbed_weight_fails_both_paths(tree, landing, position):
     weights = shift.weights.copy()
     weights[shift.trunc.index[shift.trunc.generations[landing][position]]] *= 1 + 1e-6
     perturbed = dataclasses.replace(shift, weights=weights)
-    pushed, reference = kernel_compression_maxima(perturbed, 5), _oracle_maxima(perturbed)
-    assert max(pushed) > 1e-10 and max(reference) > 1e-10
-    # S* stays the adjoint of the perturbed S, so both paths still read the same entries
-    assert np.allclose(pushed, reference, rtol=1e-6, atol=1e-14)
+    closed, reference = kernel_compression_maxima(perturbed, 5), _oracle_maxima(perturbed)
+    assert max(closed) > 1e-10 and max(reference) > 1e-10
+    # S* stays the adjoint of the perturbed S, so every path still reads the same entries
+    assert np.allclose(closed, reference, rtol=1e-6, atol=1e-14)
+    assert np.allclose(closed, dense_compression_maxima(perturbed, 5), rtol=1e-6, atol=1e-14)
 
 
 def test_kernel_maxima_refuse_to_push_past_the_horizon():
@@ -207,19 +215,6 @@ def test_kernel_maxima_past_the_horizon_name_the_horizon_they_need(tree):
     assert max(kernel_compression_maxima(make_shift(tree, 2, DUAL, needed), 4)) < 1e-10
     with pytest.raises(TruncationLoss):
         kernel_compression_maxima(make_shift(tree, 2, DUAL, needed - 1), 4)
-
-
-def test_kernel_maxima_refuse_blocks_over_the_limit(monkeypatch):
-    # a line to depth 6, then three rays: generation 7 carries 3 rows but only
-    # its 2 Helmert columns, the root line having retired after power 5
-    line = {f"v{i}": [f"v{i + 1}"] for i in range(6)}
-    tree = build_tree("v0", {**line, "v6": ["x", "y", "z"]}, ["x", "y", "z"])
-    shift = _suite_shift(tree, 2)
-    monkeypatch.setattr(spaces, "MAX_BLOCK_ENTRIES", 6)
-    assert max(kernel_compression_maxima(shift, 5)) < 1e-10
-    monkeypatch.setattr(spaces, "MAX_BLOCK_ENTRIES", 5)
-    with pytest.raises(ValueError, match="3 x 2 column block on generation 7"):
-        kernel_compression_maxima(shift, 5)
 
 
 def test_kernel_apply_at_origin_is_identity():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +12,7 @@ from corpus import (
     FORK3,
     LINE,
     PROFILE_PAIR,
+    fan,
     prefix_trees,
     reference_truncate,
     relabel_and_shuffle,
@@ -293,6 +295,18 @@ def test_position_agrees_with_the_name_index(tree, horizon):
     absent |= {f"{r}~{tail}" for r in tree.ray_leaves for tail in ("0", "01", "-1", "+1", " 1", "x")}
     for v in absent:
         assert trunc.position(v) is None, v
+
+
+def test_position_takes_constant_time_per_vertex():
+    # a scan of the vertex's generation would take 200,000 steps per lookup; a ray
+    # continues past the deepest explicit vertex arithmetically
+    m = 200000
+    trunc = tree_from_json(fan(m)).truncate(3)
+    picked = range(0, m, 10)
+    started = time.perf_counter()
+    assert [trunc.position(f"c{i}") for i in picked] == [1 + i for i in picked]
+    assert [trunc.position(f"c{i}~2") for i in picked] == [1 + 2 * m + i for i in picked]
+    assert time.perf_counter() - started < 1.0
 
 
 # the corpus, plus a tree whose second level mixes chain products 4 and 6,
