@@ -74,6 +74,8 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Equiva
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidQ(f"q must be a positive integer, got {q!r}")
+    if horizon < 0:  # q = 1 extends the horizon below, which would hide a negative one
+        raise ValueError("horizon must be nonnegative")
     witness = None
     if q == 1:
         # totals are representation-exact; extend the horizon so the

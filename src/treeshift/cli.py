@@ -36,7 +36,7 @@ from .spaces import (
     log_convexity_check,
     pick_property_check,
 )
-from .trees import Tree, load_tree
+from .trees import Tree, load_tree, sibling_chain_sums
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
@@ -291,24 +291,8 @@ def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[tuple]:
 
 
 def _suite_cardid(tree: Tree, kmax: int = 5) -> list[tuple]:
-    # with P(u) the product of the child counts above u, a Python int exact past 2**63, the
-    # k-th descendants u of v sum to P(v) sum(1 / P(u)) = N_k(v) / N_0(v): N_0(u) = L // P(u)
-    # for L the lcm of the P's, and N_k sums N_(k-1) over the explicit children, which sit in
-    # one run per vertex; a ray leaf's ray vertices keep its P, so it keeps N_0
-    ids = tree._ids
-    counts = [len(tree.children[v]) for v in tree.vertices]
-    products = [1] * len(counts)
-    for i, v in enumerate(tree.vertices[1:], 1):
-        products[i] = products[ids[tree.parents[v]]] * counts[ids[tree.parents[v]]]
-    rays = np.array([v in tree.ray_leaves for v in tree.vertices])
-    runs = np.cumsum([0] + counts)[:-1][~rays]  # the first child of each inner vertex, less one
-    lcm = math.lcm(*set(products))
-    levels = [np.array([lcm // p for p in products], dtype=object)]
-    for _ in range(kmax):
-        levels.append(levels[0].copy())
-        levels[-1][~rays] = np.add.reduceat(levels[-2][1:], runs)
     groups = []
-    for v, (n0, *row) in zip(tree.vertices, np.array(levels).T.tolist()):
+    for v, (n0, *row) in zip(tree.vertices, sibling_chain_sums(tree, kmax)):
         passed = all(n == n0 for n in row)
         values = ["1"] * kmax if passed else [_rational(Fraction(n, n0)) for n in row]
         groups.append(([("sibling_chain_sum_one", {"passed": passed, "values": values})], [v]))

@@ -60,10 +60,8 @@ class KernelBlockSpec:
 
 
 def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
-    blocks: list[tuple[str | None, int]] = [(None, 0)]
-    for v, _count in tree.branching_vertices():
-        blocks.append((v, tree.depth_of(v) + 1))
-    return KernelBlockSpec(blocks=tuple(blocks))
+    blocks = ((v, tree.depths[v] + 1) for v, _count in tree.branching_vertices())
+    return KernelBlockSpec(blocks=((None, 0), *blocks))
 
 
 def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space: str) -> complex:
@@ -89,6 +87,8 @@ def kernel_series_order(q: int, space: str, radius: float) -> int:
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
     (n+q)^(q-1), which multiplies the bound.
     """
+    if space not in _KERNEL_KIND:
+        raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:
         raise OutsideDisc(f"radius {radius}")
     if radius == 0.0:
@@ -228,7 +228,7 @@ def _births_in_reach(shift: ShiftOperator, power: int) -> list[int]:
     smallest horizon that does, which may take in deeper births."""
     if shift.kind != DUAL:
         raise ValueError("kernel oracle is defined through the Cauchy-dual shift")
-    births = [0] + [shift.tree.depth_of(v) + 1 for v, _ in shift.tree.branching_vertices()]
+    births = [l for _block, l in kernel_block_spec(shift.tree).blocks]
     needed = next(h for h in itertools.count(shift.horizon) if max(g for g in births if g <= h) + power <= h)
     if needed > shift.horizon:
         raise TruncationLoss(f"powers up to {power} leave horizon {shift.horizon}; needs horizon {needed}")

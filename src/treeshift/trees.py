@@ -79,12 +79,6 @@ class DepthProfile:
             raise HorizonExceeded(f"profile not certified at generation {n}")
         return self.entries.get(n, 0)
 
-    def total(self) -> int:
-        """Sum of all entries; meaningful when the profile is exact."""
-        if not self.exact_beyond_horizon:
-            raise HorizonExceeded("total of a horizon-limited profile")
-        return sum(self.entries.values())
-
     def same_as(self, other: "DepthProfile") -> bool:
         """Entrywise equality on the region both profiles certify."""
         return self.first_difference(other) is None
@@ -255,25 +249,25 @@ class Tree:
 
     # -- global structure -----------------------------------------------------
 
+    @cached_property
+    def _child_counts(self) -> np.ndarray:
+        """Explicit child count of each vertex of ``vertices``; 0 for a ray leaf."""
+        return np.array([len(self.children[v]) for v in self.vertices])
+
+    @cached_property
+    def _branching(self) -> tuple[tuple[str, int], ...]:
+        return tuple((v, c) for v, c in zip(self.vertices, self._child_counts.tolist()) if c >= 2)
+
     def branching_vertices(self) -> tuple[tuple[str, int], ...]:
         """Vertices with at least two children, breadth-first, with counts.
 
         Ray vertices never branch, so the explicit prefix is exhaustive.
         """
-        return tuple(
-            (v, len(self.children[v]))
-            for v in self.vertices
-            if v not in self.ray_leaves and len(self.children[v]) >= 2
-        )
-
-    def max_branching_depth(self) -> int | None:
-        depths = [self.depths[v] for v, _ in self.branching_vertices()]
-        return max(depths) if depths else None
+        return self._branching
 
     def branching_index(self) -> int:
         """0 when no vertex branches, else 1 + depth of the deepest one."""
-        deepest = self.max_branching_depth()
-        return 0 if deepest is None else deepest + 1
+        return max((self.depths[v] + 1 for v, _ in self._branching), default=0)
 
     def truncate(self, horizon: int) -> Truncation:
         """Materialize every vertex of depth at most ``horizon``; more than
@@ -290,7 +284,7 @@ class Tree:
             )
         # explicit ids are breadth-first, so the explicit vertices of one depth take
         # consecutive ids in generation order; a ray vertex keeps its leaf's id
-        kids = np.array([len(self.children[v]) for v in self.vertices])
+        kids = self._child_counts
         deepest = max(self.depths.values())
         parents, explicit, steps = [np.zeros(1, int)], [np.zeros(1, int)], [np.zeros(1, int)]
         start, first = 0, 1
@@ -335,12 +329,10 @@ class Tree:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         entries: dict[int, int] = {}
-        for v, count in self.branching_vertices():
-            n = self.depths[v]
-            if n <= horizon:
+        for v, count in self._branching:
+            if (n := self.depths[v]) <= horizon:
                 entries[n] = entries.get(n, 0) + (count - 1)
-        deepest = self.max_branching_depth()
-        exact = deepest is None or deepest <= horizon
+        exact = self.branching_index() <= horizon + 1
         return DepthProfile(entries=entries, horizon=horizon, exact_beyond_horizon=exact)
 
     def canonical_form(self, horizon: int) -> str:
@@ -379,16 +371,20 @@ def build_tree(
 ) -> Tree:
     """Validate a children-map description and return an immutable Tree.
 
-    Raises the specific structural error on violation: MultipleParents,
-    CircuitDetected, MultipleRoots, Disconnected, RayLeafHasChildren or
-    LeafWithoutRay.
+    The one check of the vertex ids (InvalidVertexId) and of repeated ray leaves
+    (TreeFormatError); raises the specific structural error on violation:
+    MultipleParents, CircuitDetected, MultipleRoots, Disconnected,
+    RayLeafHasChildren or LeafWithoutRay.
     """
     root = _check_vertex_id(root)
     child_map = {
         _check_vertex_id(v): tuple(_check_vertex_id(u) for u in kids)
         for v, kids in children.items()
     }
-    rays = frozenset(_check_vertex_id(v) for v in ray_leaves)
+    listed = [_check_vertex_id(v) for v in ray_leaves]
+    if duplicates := sorted(v for v, count in Counter(listed).items() if count > 1):
+        raise TreeFormatError(f"duplicate ray leaves: {duplicates}")
+    rays = frozenset(listed)
 
     universe = {root} | set(child_map)
     for kids in child_map.values():
@@ -456,28 +452,30 @@ def build_tree(
 # -- identities ----------------------------------------------------------------
 
 
-def sibling_chain_identity_sums(tree: Tree, v: str, kmax: int) -> list[Fraction]:
-    """``sibling_chain_identity_sum(tree, v, k)`` for k = 1..kmax, from one
-    push of kmax levels below ``v``."""
+def sibling_chain_sums(tree: Tree, kmax: int) -> list[list[int]]:
+    """Per explicit vertex v, in ``tree.vertices`` order, integers [N_0, ..., N_kmax] with
+    N_k / N_0 = ``sibling_chain_identity_sum(tree, v, k)``; O(explicit vertices x kmax).
+
+    With P(u) the product of the child counts above u (a Python int, exact past 2**63), the
+    k-th descendants u of v sum to P(v) sum(1 / P(u)): N_0(u) = L // P(u) for L the lcm of
+    the P's, and N_k sums N_(k-1) over the explicit children, which sit in one run per vertex;
+    a ray leaf keeps N_0, as its ray vertices keep its P.
+    """
     if kmax < 1:
         raise ValueError("k must be at least 1")
-    # a vertex's share is 1/p, p the product of the sibling counts along its
-    # chain; an only child keeps its parent's p.  Each level's sum is one
-    # Fraction over the lcm of its p's
-    layer = {v: 1}
-    sums = []
+    ids, counts = tree._ids, tree._child_counts.tolist()
+    products = [1] * len(counts)
+    for i, v in enumerate(tree.vertices[1:], 1):
+        parent = ids[tree.parents[v]]
+        products[i] = products[parent] * counts[parent]
+    inner = tree._child_counts > 0
+    runs = np.cumsum([0] + counts)[:-1][inner]  # the first child of each inner vertex, less one
+    lcm = math.lcm(*set(products))
+    levels = [np.array([lcm // p for p in products], dtype=object)]
     for _ in range(kmax):
-        below: dict[str, int] = {}
-        for w, p in layer.items():
-            kids = tree.children_of(w)
-            if len(kids) > 1:
-                p *= len(kids)
-            for u in kids:
-                below[u] = p
-        layer = below
-        denominator = math.lcm(*set(layer.values()))
-        sums.append(Fraction(sum(denominator // p for p in layer.values()), denominator))
-    return sums
+        levels.append(levels[0].copy())
+        levels[-1][inner] = np.add.reduceat(levels[-2][1:], runs)
+    return np.array(levels).T.tolist()
 
 
 def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
@@ -485,20 +483,24 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     sibling counts along the chain back up to ``v``.
 
     Equals 1 exactly for every vertex and every k >= 1; computed in exact
-    rational arithmetic.
+    rational arithmetic by :func:`sibling_chain_sums`, a ray vertex by its ray leaf.
     """
-    return sibling_chain_identity_sums(tree, v, k)[-1]
+    sums = sibling_chain_sums(tree, k)
+    base = v if tree.is_explicit(v) else tree._split_ray(v)[0]
+    n0, *_, nk = sums[tree._ids[base]]
+    return Fraction(nk, n0)
 
 
 # -- JSON interchange ----------------------------------------------------------
 
 
 def tree_from_json(obj: object) -> Tree:
-    """Parse the strict tree schema and validate the result.
+    """Check the strict tree schema, then build and validate the tree.
 
     Schema: ``{"root": id, "children": {id: [id, ...]}, "ray_leaves": [id]}``
-    with no extra keys; identifiers are nonempty strings without '~', and
-    each ray leaf is listed once.
+    with no extra keys.  Only the keys and container types are checked here;
+    :func:`build_tree` checks the ids (nonempty strings without '~'), that
+    each ray leaf is listed once, and the structure.
     """
     if not isinstance(obj, dict):
         raise TreeFormatError("tree description must be a JSON object")
@@ -515,17 +517,9 @@ def tree_from_json(obj: object) -> Tree:
     if not isinstance(rays, list):
         raise TreeFormatError("'ray_leaves' must be a list")
     for v, kids in children.items():
-        _check_vertex_id(v)
         if not isinstance(kids, list):
             raise TreeFormatError(f"children of {v!r} must be a list")
-        for u in kids:
-            _check_vertex_id(u)
-    for v in rays:
-        _check_vertex_id(v)
-    duplicates = sorted(v for v, count in Counter(rays).items() if count > 1)
-    if duplicates:
-        raise TreeFormatError(f"duplicate ray leaves: {duplicates}")
-    return build_tree(_check_vertex_id(obj["root"]), children, rays)
+    return build_tree(obj["root"], children, rays)
 
 
 def tree_to_json(tree: Tree) -> dict:

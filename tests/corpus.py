@@ -1,9 +1,9 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
 a bounded hypothesis strategy for random prefix-plus-rays trees, a
-name-walking truncation reference, per-vertex references for the shift's
-vertex-keyed methods and its self-commutator, the pushed-column reference
-for the kernel suite's closed form, and Fraction references for the exact
-difference checks."""
+name-walking truncation reference, the sibling-chain sums walked by vertex
+name, per-vertex references for the shift's vertex-keyed methods and its
+self-commutator, the pushed-column reference for the kernel suite's closed
+form, and Fraction references for the exact difference checks."""
 
 import math
 import random
@@ -111,6 +111,30 @@ def reference_truncate(tree, horizon):
         start += len(generations[n])
         generations.append(tuple(nxt))
     return tuple(generations), parent_index
+
+
+def sibling_chain_identity_sums(tree, v, kmax):
+    """Reference: ``sibling_chain_identity_sum(tree, v, k)`` for k = 1..kmax, from
+    one push of kmax levels below ``v`` by vertex name."""
+    if kmax < 1:
+        raise ValueError("k must be at least 1")
+    # a vertex's share is 1/p, p the product of the sibling counts along its
+    # chain; an only child keeps its parent's p.  Each level's sum is one
+    # Fraction over the lcm of its p's
+    layer = {v: 1}
+    sums = []
+    for _ in range(kmax):
+        below = {}
+        for w, p in layer.items():
+            kids = tree.children_of(w)
+            if len(kids) > 1:
+                p *= len(kids)
+            for u in kids:
+                below[u] = p
+        layer = below
+        denominator = math.lcm(*set(layer.values()))
+        sums.append(Fraction(sum(denominator // p for p in layer.values()), denominator))
+    return sums
 
 
 def named_horizon(error):

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from corpus import comb, complete_binary, fan, prefix_trees
+from corpus import comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from treeshift.cli import (
 )
 from treeshift.numerics import hausdorff_check
 from treeshift.spaces import kernel_compression_maxima
-from treeshift.trees import sibling_chain_identity_sums
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
 FORK3 = {"root": "r", "children": {"r": ["a", "b", "c"]}, "ray_leaves": ["a", "b", "c"]}
@@ -337,6 +336,17 @@ def test_equiv_rejects_verify_depth_below_one(tree_file, capsys, depth, pair):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: --verify-depth must be at least 1"]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify-depth", "4"]], ids=["plain", "verify"])
+@pytest.mark.parametrize("q", ["1", "2"])
+def test_equiv_rejects_a_negative_horizon_for_every_q(tree_file, capsys, q, verify):
+    # q = 1 extends the horizon to the branching index, which must not hide a negative one
+    path = tree_file(DOUBLE01)
+    assert main(["equiv", path, path, "--q", q, "--horizon", "-5", *verify]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: horizon must be nonnegative"]
 
 
 def test_duplicate_ray_leaves_exit_2(tree_file, capsys):

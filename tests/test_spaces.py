@@ -243,6 +243,11 @@ def test_kernel_apply_q2_root_block_is_log_series():
 def test_kernel_apply_outside_disc():
     with pytest.raises(OutsideDisc):
         kernel_apply(kernel_block_spec(LINE), 2, "dirichlet", 1.0, 0.5, {None: (1,)}, 5)
+    # an unknown space is refused by the series and by its order alike
+    with pytest.raises(ValueError, match="^unknown space 'nonsense'$"):
+        kernel_series_order(2, "nonsense", 0.5)
+    with pytest.raises(ValueError, match="^unknown space 'nonsense'$"):
+        kernel_block_series(2, 0, 0.25, 5, "nonsense")
 
 
 @pytest.mark.parametrize("space", ["dirichlet", "bergman"])

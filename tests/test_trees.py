@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 from unittest import mock
@@ -16,6 +17,7 @@ from corpus import (
     prefix_trees,
     reference_truncate,
     relabel_and_shuffle,
+    sibling_chain_identity_sums,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,6 @@ from treeshift.errors import (
     UnknownVertex,
 )
 from treeshift import trees
-from treeshift.trees import sibling_chain_identity_sums
 
 
 @pytest.fixture
@@ -124,6 +125,7 @@ def test_branching_vertices():
         "r", {"r": ["a", "b"], "a": ["c", "d", "e"], "b": ["f"]}, ["c", "d", "e", "f"]
     )
     assert tree.branching_vertices() == (("r", 2), ("a", 3))
+    assert tree.branching_vertices() is tree.branching_vertices()  # derived once per tree
 
 
 def test_branching_index():
@@ -344,7 +346,7 @@ def _ancestor_walk_sum(tree, v, k):
 @settings(max_examples=40, deadline=None)
 @given(prefix_trees(), st.integers(1, 5))
 def test_sibling_chain_sum_matches_ancestor_walk(tree, k):
-    for v in tree.vertices:
+    for v in (*tree.vertices, *(f"{r}~2" for r in tree.ray_leaves)):
         pushed = sibling_chain_identity_sum(tree, v, k)
         assert isinstance(pushed, Fraction)
         assert pushed == _ancestor_walk_sum(tree, v, k) == 1
@@ -397,3 +399,17 @@ def test_json_schema_is_strict():
         tree_from_json({**good, "ray_leaves": ["r", "r"]})
     with pytest.raises(InvalidVertexId):
         tree_from_json({"root": "r", "children": {"r": ["x~1"]}, "ray_leaves": ["x~1"]})
+    # build_tree is the one validator, so it refuses a repeated ray leaf too
+    with pytest.raises(TreeFormatError, match=r"^duplicate ray leaves: \['a'\]$"):
+        build_tree("r", {"r": ["a", "b"]}, ray_leaves=["a", "a"])
+
+
+def test_load_checks_each_vertex_id_once(tmp_path, monkeypatch):
+    path = tmp_path / "fan300.json"
+    path.write_text(json.dumps(fan(300)))
+    checked = []
+    check = trees._check_vertex_id
+    monkeypatch.setattr(trees, "_check_vertex_id", lambda v: checked.append(v) or check(v))
+    assert len(trees.load_tree(str(path)).vertices) == 301
+    # the root, the one children key, its 300 children and the 300 ray leaves
+    assert len(checked) == 1 + 1 + 300 + 300
