@@ -27,7 +27,6 @@ from .numerics import (
     alternating_binomial_sum,
     hausdorff_check,
     pochhammer,
-    pochhammer_negative,
     pochhammer_ratio,
     radial_integral,
     radial_integral_quadrature,
@@ -37,7 +36,6 @@ from .spaces import (
     GradedFunction,
     KernelBlockSpec,
     PickReport,
-    RadialWeightFamily,
     bergman_coefficient,
     bergman_norm,
     bergman_weight_moment,
@@ -59,7 +57,6 @@ from .trees import (
     DepthProfile,
     Tree,
     Truncation,
-    VertexInfo,
     build_tree,
     load_tree,
     sibling_chain_identity_sum,

@@ -113,19 +113,17 @@ class GradedUnitary:
     one's Helmert vectors in child order.
     """
 
-    q: int
     root_map: float
     generations: Mapping[int, np.ndarray]
 
 
-def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> GradedUnitary:
-    """Construct the canonical graded unitary for an equivalent pair.
+def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
+    """Construct the canonical graded unitary for the pair ``verdict`` decided.
 
     Blocks are ordered by (generation, breadth-first vertex order) and
     each generation gets the identity matrix in Helmert coordinates; any
     choice of unitaries works, the identity is the deterministic one.
     """
-    verdict = decide_equivalence(tree1, tree2, q, horizon)
     if verdict.result == NOT_EQUIVALENT:
         raise NotEquivalentError(f"shifts differ (witness generation {verdict.witness})")
     if not verdict.profile1.same_as(verdict.profile2):
@@ -137,7 +135,7 @@ def build_graded_unitary(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Grad
     generations = {
         n: np.eye(verdict.profile1.entry(n)) for n in sorted(verdict.profile1.entries)
     }
-    return GradedUnitary(q=q, root_map=1.0, generations=generations)
+    return GradedUnitary(root_map=1.0, generations=generations)
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------

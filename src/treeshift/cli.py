@@ -27,7 +27,7 @@ from .classify import (
     decide_equivalence,
     verify_intertwining,
 )
-from .errors import TreeFormatError, TreeshiftError, UnknownVertex
+from .errors import TreeFormatError, TreeshiftError, TruncationLoss, UnknownVertex
 from .numerics import hausdorff_check
 from .shifts import DIRICHLET, DUAL, make_shift, require_q
 from .spaces import (
@@ -178,7 +178,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     }
     if args.verify_depth is not None and verdict.equivalent:
         if verdict.profile1.same_as(verdict.profile2):
-            unitary = build_graded_unitary(tree1, tree2, args.q, args.horizon)
+            unitary = build_graded_unitary(verdict)
             residual = verify_intertwining(
                 tree1, tree2, args.q, unitary, args.verify_depth, seed=_seed()
             )
@@ -206,8 +206,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
-    if not tree.contains(args.vertex):
-        raise UnknownVertex(args.vertex)
     depth = tree.depth_of(args.vertex)
     horizon = args.horizon if args.horizon is not None else max(1, depth + args.kmax)
     shift = make_shift(tree, args.q, args.kind, horizon)
@@ -418,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (TreeFormatError, ValueError, OSError) as exc:
+    except (TreeFormatError, TruncationLoss, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except UnknownVertex as exc:

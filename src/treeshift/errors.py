@@ -3,7 +3,9 @@
 Two families matter to callers: ``TreeFormatError`` covers malformed input
 (bad JSON schema, illegal vertex identifiers) while ``TreeshiftError``
 subclasses signal semantic violations in otherwise well-formed input.
-The CLI maps the former to exit code 2 and the latter to exit code 3.
+The CLI maps the former to exit code 2 and the latter to exit code 3, except
+``UnknownVertex`` and ``TruncationLoss``: both name an argument the user chose
+(a vertex, a depth), so they exit 2 as well.
 """
 
 
@@ -49,10 +51,6 @@ class UnknownVertex(TreeshiftError):
 
 class HorizonExceeded(TreeshiftError):
     """A query asked for a depth beyond the stated truncation horizon."""
-
-
-class AncestorOutOfRange(TreeshiftError):
-    """An ancestor walk stepped past the root."""
 
 
 class IndexOutOfRange(TreeshiftError):

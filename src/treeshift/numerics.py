@@ -51,18 +51,6 @@ def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Itera
         c = c * (a + n) / (b + n)
 
 
-def pochhammer_negative(x: int | Fraction, j: int) -> Fraction:
-    """Rising factorial at a negative exponent: (x)_{-j} = 1/(x-j)_j.
-
-    Requires x - j >= 1 so the reciprocal product stays positive.
-    """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if x - j < 1:
-        raise ValueError("(x)_{-j} needs x - j >= 1")
-    return 1 / pochhammer(x - j, j)
-
-
 def _common_numerators(values: Sequence) -> tuple[list[int], int]:
     """Numerators over D = lcm of the denominators, and D; each value is
     converted exactly with ``Fraction``."""
@@ -123,17 +111,13 @@ def hausdorff_check(seq: Sequence[Fraction], order: int) -> HausdorffReport:
     return HausdorffReport(passed=True, order=order)
 
 
-def radial_integral(coefficients: Mapping[int, Fraction] | Sequence[Fraction]) -> Fraction:
+def radial_integral(coefficients: Mapping[int, Fraction]) -> Fraction:
     """Integral over the unit disc, normalized area measure, of a radial
-    polynomial given by coefficients of |z|^(2j).
+    polynomial given by its coefficients {j: c} of |z|^(2j).
 
     Uses the exact moments int |z|^(2j) dA = 1/(j+1).
     """
-    if isinstance(coefficients, Mapping):
-        items = coefficients.items()
-    else:
-        items = enumerate(coefficients)
-    return sum((Fraction(c) / (j + 1) for j, c in items), start=Fraction(0))
+    return sum((Fraction(c) / (j + 1) for j, c in coefficients.items()), start=Fraction(0))
 
 
 @lru_cache(maxsize=None)

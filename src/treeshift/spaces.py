@@ -332,24 +332,9 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
 # -- radial weights of the Bergman measure ----------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialWeightFamily:
-    """Polynomial-in-|z|^2 density w_l attached to a block of index l.
-
-    ``coefficients`` maps the exponent j of |z|^(2j) to its exact
-    coefficient.
-    """
-
-    q: int
-    l: int
-    coefficients: Mapping[int, Fraction]
-
-    def __call__(self, t: float) -> float:
-        return float(sum(float(c) * t**j for j, c in self.coefficients.items()))
-
-
-def radial_weight(q: int, l: int) -> RadialWeightFamily:
-    """Exact coefficients of w_l for integer q >= 2 and l >= 0."""
+def radial_weight(q: int, l: int) -> dict[int, Fraction]:
+    """Exact coefficients {j: c} of |z|^(2j) in the polynomial density w_l
+    of the block of index l, for integer q >= 2 and l >= 0."""
     if q < 2:
         raise WrongQ("radial weights require integer q >= 2")
     if l < 0:
@@ -359,7 +344,7 @@ def radial_weight(q: int, l: int) -> RadialWeightFamily:
     for i in range(1, q):
         denominator = (-1) ** (i - 1) * math.factorial(i - 1) * math.factorial(q - 1 - i)
         coefficients[i + l - 1] = prefactor / denominator
-    return RadialWeightFamily(q=q, l=l, coefficients=coefficients)
+    return coefficients
 
 
 def bergman_weight_moment(q: int, l: int, n: int) -> tuple[Fraction, float]:
@@ -368,10 +353,9 @@ def bergman_weight_moment(q: int, l: int, n: int) -> tuple[Fraction, float]:
     The exact value equals the Bergman-side squared-norm weight
     (l+1)_n/(l+q)_n of the block with radial index l.
     """
-    family = radial_weight(q, l)
-    shifted = {j + n: c for j, c in family.coefficients.items()}
-    exact = radial_integral(shifted)
-    quad = radial_integral_quadrature(lambda t: t**n * family(t))
+    weight = radial_weight(q, l)
+    exact = radial_integral({j + n: c for j, c in weight.items()})
+    quad = radial_integral_quadrature(lambda t: t**n * sum(float(c) * t**j for j, c in weight.items()))
     return exact, quad
 
 

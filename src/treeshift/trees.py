@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    AncestorOutOfRange,
     CircuitDetected,
     Disconnected,
     HorizonExceeded,
@@ -42,19 +41,6 @@ _TREE_FILE_KEYS = {"root", "children", "ray_leaves"}
 
 # vertices one truncation may hold: a shift takes about 320 bytes per vertex, 2.7 GB in all
 MAX_TRUNCATION_VERTICES = 2**23
-
-
-@dataclass(frozen=True)
-class VertexInfo:
-    """Depth, sibling count and child count of a single vertex.
-
-    ``sibling_count`` counts the children of the parent (including the
-    vertex itself) and is 0 for the root, whose sibling set is empty.
-    """
-
-    depth: int
-    sibling_count: int
-    child_count: int
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,7 @@ class Truncation:
     parent's, the root to itself.  Position i is ``tree.vertices[explicit[i]]``
     if ``ray_step[i]`` is 0, else the ray vertex ``<that leaf>~<ray_step[i]>``.
     Horizon vertices have no children here although the tree goes on below them.
-    ``generations``, ``vertices`` and ``index`` name the positions on first access.
+    ``generations`` and ``vertices`` name the positions on first access.
     """
 
     tree: Tree
@@ -129,10 +115,6 @@ class Truncation:
     def generations(self) -> tuple[tuple[str, ...], ...]:
         bounds = self.offsets.tolist()
         return tuple(self.vertices[a:b] for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def index(self) -> Mapping[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -228,9 +210,6 @@ class Tree:
         base, k = self._split_ray(v)
         return (f"{base}{RAY_SEPARATOR}{k + 1}",)
 
-    def child_count(self, v: str) -> int:
-        return len(self.children_of(v))
-
     def sibling_count(self, v: str) -> int:
         """Number of children of the parent; 0 for the root."""
         parent = self.parent_of(v)
@@ -238,14 +217,7 @@ class Tree:
             if v != self.root:
                 raise UnknownVertex(v)
             return 0
-        return self.child_count(parent)
-
-    def vertex_info(self, v: str) -> VertexInfo:
-        return VertexInfo(
-            depth=self.depth_of(v),
-            sibling_count=self.sibling_count(v),
-            child_count=self.child_count(v),
-        )
+        return len(self.children_of(parent))
 
     # -- global structure -----------------------------------------------------
 
@@ -312,18 +284,6 @@ class Tree:
             explicit=np.concatenate(explicit),
             ray_step=np.concatenate(steps),
         )
-
-    def sibling_count_chain(self, v: str, l: int) -> int:
-        """Sibling count of the l-th ancestor of ``v`` (l = 0 is v itself).
-
-        The ancestor must be a non-root vertex, i.e. l < depth(v).
-        """
-        if l < 0 or l >= self.depth_of(v):
-            raise AncestorOutOfRange(f"ancestor {l} of {v!r}")
-        current = v
-        for _ in range(l):
-            current = self.parent_of(current)  # type: ignore[assignment]
-        return self.sibling_count(current)
 
     def depth_profile(self, horizon: int) -> DepthProfile:
         if horizon < 0:

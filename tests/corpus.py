@@ -146,7 +146,7 @@ def to_array(shift, f):
     """Real parts of a sparse vector as a coordinate array in truncation order."""
     out = np.zeros(len(shift.weights))
     for v, x in f.items():
-        out[shift.trunc.index[v]] = complex(x).real
+        out[shift.trunc.position(v)] = complex(x).real
     return out
 
 
@@ -162,7 +162,7 @@ def check_support(shift, f, margin=0):
     """Every vertex of ``f``, in order, lies in the truncation at depth at
     most horizon - margin."""
     for v in f:
-        if v not in shift.trunc.index:
+        if shift.trunc.position(v) is None:
             raise UnknownVertex(v)
         if shift.tree.depth_of(v) > shift.horizon - margin:
             raise TruncationLoss(v)
@@ -174,7 +174,7 @@ def dict_apply(shift, f):
     out = {}
     for v, x in f.items():
         for u in shift.tree.children_of(v):
-            out[u] = out.get(u, 0) + shift.weights.item(shift.trunc.index[u]) * x
+            out[u] = out.get(u, 0) + shift.weights.item(shift.trunc.position(u)) * x
     return out
 
 
@@ -185,7 +185,7 @@ def dict_apply_adjoint(shift, f):
     for u, x in f.items():
         v = shift.tree.parent_of(u)
         if v is not None:
-            out[v] = out.get(v, 0) + shift.weights.item(shift.trunc.index[u]) * x
+            out[v] = out.get(v, 0) + shift.weights.item(shift.trunc.position(u)) * x
     return out
 
 

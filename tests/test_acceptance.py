@@ -199,7 +199,7 @@ def test_criterion_8_classification():
         if decide_equivalence(wide, split, q, 8).result != EQUIVALENT:
             failures.append(f"profile pair not equivalent at q={q}")
     for q in (1, 2, 3, 4):
-        unitary = build_graded_unitary(wide, split, q, 8)
+        unitary = build_graded_unitary(decide_equivalence(wide, split, q, 8))
         residual = verify_intertwining(wide, split, q, unitary, 12)
         if residual >= 1e-8:
             failures.append((q, residual))

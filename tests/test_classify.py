@@ -161,27 +161,27 @@ def test_equivalence_at_higher_q_implies_equivalence_at_one():
 
 def test_graded_unitary_shapes():
     other = build_tree("s", {"s": ["x", "y"], "y": ["u", "w"]}, ["x", "u", "w"])
-    unitary = build_graded_unitary(DOUBLE01, other, 3, 6)
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, other, 3, 6))
     assert sorted(unitary.generations) == [0, 1]
     assert unitary.generations[1].shape == (1, 1)
     assert unitary.generations[1][0, 0] == 1.0
-    line_unitary = build_graded_unitary(LINE, LINE, 2, 4)
+    line_unitary = build_graded_unitary(decide_equivalence(LINE, LINE, 2, 4))
     assert line_unitary.generations == {}
-    wide_unitary = build_graded_unitary(*PROFILE_PAIR, 2, 6)
+    wide_unitary = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2, 6))
     assert wide_unitary.generations[1].shape == (2, 2)
     assert np.array_equal(wide_unitary.generations[1], np.eye(2))
 
 
 def test_graded_unitary_requires_equivalence():
     with pytest.raises(NotEquivalentError):
-        build_graded_unitary(*TOTALS_PAIR, 2, 6)
+        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 2, 6))
     # equivalent at q = 1, but no graded unitary exists across profiles
     with pytest.raises(ValueError):
-        build_graded_unitary(*TOTALS_PAIR, 1, 6)
+        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 1, 6))
 
 
 def test_identity_pair_residual_is_roundoff():
-    unitary = build_graded_unitary(DOUBLE01, DOUBLE01, 2, 6)
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2, 6))
     residual = verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
     assert residual < 1e-12
 
@@ -189,14 +189,14 @@ def test_identity_pair_residual_is_roundoff():
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_profile_pair_intertwines(q):
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(wide, split, q, 6)
+    unitary = build_graded_unitary(decide_equivalence(wide, split, q, 6))
     residual = verify_intertwining(wide, split, q, unitary, 12)
     assert residual < 1e-8
 
 
 def test_lift_is_unitary():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(wide, split, 2, 6)
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
     lift = lift_graded_unitary(wide, split, 2, unitary, 10)
     n1 = lift.source.shape[0]
 
@@ -297,7 +297,7 @@ def _random_orthogonal(unitary, seed):
 
 
 def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None, mix_seed=None):
-    unitary = build_graded_unitary(tree1, tree2, q, depth if horizon is None else horizon)
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, q, depth if horizon is None else horizon))
     if mix_seed is not None:
         unitary = _random_orthogonal(unitary, mix_seed)
     lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
@@ -329,7 +329,7 @@ def test_block_lift_matches_reference_below_a_limited_horizon():
     other = relabel_and_shuffle(DEEP13, 7)
     assert decide_equivalence(DEEP13, other, 2, 1).result == EQUIVALENT_UP_TO_HORIZON
     _assert_lift_matches_reference(DEEP13, other, 2, 7, horizon=1)
-    unitary = build_graded_unitary(DEEP13, other, 2, 1)
+    unitary = build_graded_unitary(decide_equivalence(DEEP13, other, 2, 1))
     lift = lift_graded_unitary(DEEP13, other, 2, unitary, 7)
     assert any(b.shape[0] > b.shape[1] for b in lift.source.blocks)
     assert verify_intertwining(DEEP13, other, 2, unitary, 7) < 1e-12
@@ -365,7 +365,7 @@ def test_mixed_lift_matches_reference(pair, q):
 
 def test_non_unitary_generation_raises_moment_mismatch():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(wide, split, 2, 6)
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
     stretched = dataclasses.replace(unitary, generations={**unitary.generations, 1: 2 * np.eye(2)})
     with pytest.raises(AssertionError, match="moment mismatch"):
         lift_graded_unitary(wide, split, 2, stretched, 8)
@@ -375,7 +375,7 @@ def test_non_unitary_generation_raises_moment_mismatch():
 
 def test_lift_blocks_are_one_generation_each():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(wide, split, 3, 6)
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 3, 6))
     lift = lift_graded_unitary(wide, split, 3, unitary, 7)
     sizes = [len(gen) for gen in wide.truncate(7).generations]
     assert [b.shape for b in lift.source.blocks] == [(n, n) for n in sizes]
@@ -385,7 +385,7 @@ def test_lift_blocks_are_one_generation_each():
 
 def test_truncation_loss_when_blocks_need_more_depth():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(wide, split, 2, 6)
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
     with pytest.raises(TruncationLoss, match="generation 1 blocks need depth at least 3"):
         lift_graded_unitary(wide, split, 2, unitary, 2)
 
@@ -393,22 +393,22 @@ def test_truncation_loss_when_blocks_need_more_depth():
 def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):
     # DOUBLE01 has generations of 1, 2, 3, 3, ... vertices carrying 1, 2, 3, 3, ... lifted
     # columns, so its largest lift block is 3 x 3; FORK3's graded unitary is one 2 x 2 block
-    unitary = build_graded_unitary(DOUBLE01, DOUBLE01, 2, 6)
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2, 6))
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 9)
     assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10) < 1e-12
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 8)
     with pytest.raises(ValueError, match="^lift needs a 3 x 3 block on generation 2, over the limit of 8 float64"):
         verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 4)
-    build_graded_unitary(FORK3, FORK3, 2, 6)
+    build_graded_unitary(decide_equivalence(FORK3, FORK3, 2, 6))
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 3)
     with pytest.raises(ValueError, match="^graded unitary needs a 2 x 2 block on generation 0, over the limit of 3"):
-        build_graded_unitary(FORK3, FORK3, 2, 6)
+        build_graded_unitary(decide_equivalence(FORK3, FORK3, 2, 6))
 
 
 def test_binary9_verify_at_depth_12_is_fast():
     tree = tree_from_json(complete_binary(9))
-    unitary = build_graded_unitary(tree, tree, 2, 10)
+    unitary = build_graded_unitary(decide_equivalence(tree, tree, 2, 10))
     verify_intertwining(tree, tree, 2, unitary, 12)  # warm up
     start = time.perf_counter()
     residual = verify_intertwining(tree, tree, 2, unitary, 12)

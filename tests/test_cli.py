@@ -4,11 +4,11 @@ import json
 import time
 
 import pytest
-from corpus import comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
+from corpus import SPLIT, WIDE, comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeshift import DIRICHLET, DUAL, Tree, make_shift, tree_from_json
+from treeshift import DIRICHLET, DUAL, Tree, classify, cli, decide_equivalence, make_shift, tree_from_json, tree_to_json
 from treeshift.cli import (
     _HOLE,
     _SUITES,
@@ -116,6 +116,21 @@ def test_equiv_verify_residual(tree_file, capsys):
     intertwining = json.loads(out)["results"]["intertwining"]
     assert float(intertwining["residual"]) < 1e-12
     assert intertwining["seed"] == 42
+
+
+def test_equiv_verify_decides_equivalence_once(tree_file, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decide_equivalence(*args)
+
+    monkeypatch.setattr(cli, "decide_equivalence", counted)
+    monkeypatch.setattr(classify, "decide_equivalence", counted)
+    f1, f2 = tree_file(tree_to_json(WIDE), "wide.json"), tree_file(tree_to_json(SPLIT), "split.json")
+    code, _out = _run(capsys, ["equiv", f1, f2, "--q", "2", "--horizon", "6", "--verify-depth", "12"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_equiv_verify_q1_without_matching_profiles(tree_file, capsys):
@@ -289,8 +304,10 @@ def test_q_below_one_exits_3(tree_file, capsys, argv):
         ["checks", "{tree}", "--q", "2", "--horizon", "0"],
         ["validate", "{missing}"],
         ["moments", "{tree}", "--q", "2", "--vertex", "r", "--kmax", "-1"],
+        # the generation-0 block is lifted from depth 2 on
+        ["equiv", "{tree}", "{tree}", "--q", "2", "--horizon", "0", "--verify-depth", "1"],
     ],
-    ids=["profile-negative-horizon", "checks-zero-horizon", "missing-file", "negative-kmax"],
+    ids=["profile-negative-horizon", "checks-zero-horizon", "missing-file", "negative-kmax", "shallow-verify-depth"],
 )
 def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
     path, missing = tree_file(DOUBLE01), str(tmp_path / "missing.json")
@@ -305,6 +322,8 @@ def test_bad_arguments_exit_2(tree_file, tmp_path, capsys, argv):
     *usage, last = captured.err.splitlines()
     assert "error: " in last
     assert not usage or usage[0].startswith("usage: ")
+    if "--verify-depth" in argv:
+        assert captured.err.splitlines() == ["error: generation 0 blocks need depth at least 2, got 1"]
 
 
 @pytest.mark.parametrize("suite", ["defect", "hausdorff", "pick", "cardid", "kernel", "all"])

@@ -13,7 +13,6 @@ from treeshift import (
     hausdorff_check,
     make_shift,
     pochhammer,
-    pochhammer_negative,
     pochhammer_ratio,
     radial_integral,
     radial_integral_quadrature,
@@ -72,14 +71,6 @@ def test_pochhammer_ratios_edges():
         list(pochhammer_ratios(2, 0, 3))
     with pytest.raises(ValueError):
         list(pochhammer_ratios(0, 2, 3))
-
-
-def test_pochhammer_negative_exponent():
-    # (5)_{-2} = 1/(3)_2 = 1/12
-    assert pochhammer_negative(5, 2) == Fraction(1, 12)
-    assert pochhammer_negative(7, 0) == 1
-    with pytest.raises(ValueError):
-        pochhammer_negative(3, 3)
 
 
 def test_alternating_sum_examples():
@@ -191,7 +182,7 @@ def test_hausdorff_check_at_order_120_is_fast():
 
 
 def test_radial_integral_monomials():
-    assert radial_integral([Fraction(1)]) == 1
+    assert radial_integral({0: Fraction(1)}) == 1
     assert radial_integral({1: Fraction(1)}) == Fraction(1, 2)
     assert radial_integral({2: Fraction(1)}) == Fraction(1, 3)
     assert radial_integral({0: Fraction(2), 3: Fraction(-4)}) == 2 - Fraction(4, 4)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from corpus import DOUBLE01, PROFILE_PAIR
 
-from treeshift import DIRICHLET, DUAL, build_graded_unitary, make_shift
+from treeshift import DIRICHLET, DUAL, build_graded_unitary, decide_equivalence, make_shift
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -43,7 +43,7 @@ def test_traced_site_resolves(module_name, attr):
 
 
 _SHIFT = make_shift(DOUBLE01, 2, DUAL, 6)
-_UNITARY = build_graded_unitary(*PROFILE_PAIR, 2, 6)
+_UNITARY = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2, 6))
 
 # positional and keyword arguments of one real call per counted site
 COUNTED_CALLS = {

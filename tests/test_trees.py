@@ -23,14 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
-    VertexInfo,
     build_tree,
     sibling_chain_identity_sum,
     tree_from_json,
     tree_to_json,
 )
 from treeshift.errors import (
-    AncestorOutOfRange,
     CircuitDetected,
     Disconnected,
     HorizonExceeded,
@@ -134,15 +132,6 @@ def test_branching_index():
     assert DOUBLE01.branching_index() == 2
 
 
-def test_sibling_count_chain():
-    ray_vertex = "a~1"  # depth 2 in the 2-way fork
-    assert FORK2.sibling_count_chain(ray_vertex, 0) == 1
-    assert FORK2.sibling_count_chain(ray_vertex, 1) == 2
-    assert FORK2.sibling_count_chain("a", 0) == 2
-    with pytest.raises(AncestorOutOfRange):
-        FORK2.sibling_count_chain("a", 1)
-
-
 def test_depth_profiles():
     assert dict(FORK3.depth_profile(5).entries) == {0: 2}
     assert FORK3.depth_profile(5).exact_beyond_horizon
@@ -222,24 +211,21 @@ def test_canonical_form_and_profile_ignore_labels(tree, seed):
         assert tree.depth_profile(horizon) == other.depth_profile(horizon)
 
 
-def test_vertex_info(smallest):
-    root = smallest.vertex_info("r")
-    assert (root.depth, root.sibling_count, root.child_count) == (0, 0, 2)
-    assert smallest.vertex_info("a") == VertexInfo(depth=1, sibling_count=2, child_count=1)
-    assert smallest.vertex_info("c~2").depth == 4
+def test_sibling_count(smallest):
+    assert [smallest.sibling_count(v) for v in ("r", "a", "c", "c~2")] == [0, 2, 1, 1]
     with pytest.raises(UnknownVertex):
-        smallest.vertex_info("nope")
+        smallest.sibling_count("nope")
 
 
 def test_truncation_children_cut_at_horizon(smallest):
     trunc = smallest.truncate(2)
 
     def children(v):
-        i = trunc.index[v]
+        i = trunc.position(v)
         return tuple(trunc.vertices[j] for j in np.flatnonzero(trunc.parent_index == i) if j != i)
 
     assert children("c") == ()
-    assert "c~1" not in trunc.index
+    assert trunc.position("c~1") is None
     assert children("r") == ("a", "b")
     assert len(trunc.generations) == 3
     assert len(trunc.vertices) == 1 + 2 + 2
@@ -281,14 +267,14 @@ def test_array_truncation_equals_the_name_walking_reference(tree, horizon):
             trunc.span(n)
     assert trunc.generations == generations
     assert trunc.vertices == vertices
-    assert trunc.index == {v: i for i, v in enumerate(vertices)}
+    assert [trunc.position(v) for v in vertices] == list(range(len(vertices)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(tree=prefix_trees(), horizon=st.integers(0, 8))
 def test_position_agrees_with_the_name_index(tree, horizon):
     trunc = tree.truncate(horizon)
-    for v, i in trunc.index.items():
+    for i, v in enumerate(trunc.vertices):
         assert trunc.position(v) == i
     deeper = set(tree.truncate(horizon + 2).vertices) | set(tree.vertices)
     absent = deeper - set(trunc.vertices)
@@ -337,8 +323,9 @@ def _ancestor_walk_sum(tree, v, k):
     total = Fraction(0)
     for u in descendants:
         product = Fraction(1)
-        for l in range(k):
-            product /= tree.sibling_count_chain(u, l)
+        for _ in range(k):
+            product /= tree.sibling_count(u)
+            u = tree.parent_of(u)
         total += product
     return total
 
