@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -278,11 +279,12 @@ def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[
 
 
 def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[tuple]:
+    # the check reads l alone, and breadth-first blocks come in runs of equal l: one check and group per run
     groups = []
-    for block_id, l_param in kernel_block_spec(tree).blocks:
-        report = pick_property_check(q, None if l_param == 0 else l_param - 1, bound)
+    for l, run in itertools.groupby(kernel_block_spec(tree).blocks, key=lambda block: block[1]):
+        report = pick_property_check(q, None if l == 0 else l - 1, bound)
         body = {"passed": report.passed, "witness": report.witness}
-        groups.append(([("pick_log_convexity", body)], ["root" if block_id is None else block_id]))
+        groups.append(([("pick_log_convexity", body)], ["root" if block_id is None else block_id for block_id, _l in run]))
     control = log_convexity_check(2, 1, bound)
     body = {"passed": not control.passed and control.witness == 1, "witness": control.witness}
     return groups + [([("pick_reversed_parameters_fail", body)], [None])]

@@ -4,7 +4,12 @@ Everything that feeds an identity check stays exact.  The finite-difference
 checks bring their inputs once onto integer numerators over a common
 denominator, compute on those integers, and build a ``fractions.Fraction``
 only for a value they return; floating point enters only through the
-Gauss-Legendre cross-check of the radial integrals.
+Gauss-Legendre cross-check of the radial integrals.  Likewise the
+depth-only ratios (a)_n/(b)_n come as integer pairs: for integer bases
+they telescope to (lo)_m/(lo+n)_m or its reciprocal, m = |b - a|, two
+products of m factors, and the moving one takes one exact integer step
+per n.  A pair's quotient u / v is the correctly rounded double of the
+ratio, the same as ``float`` of its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,14 +46,36 @@ def pochhammer_ratio(a: int | Fraction, b: int | Fraction, k: int) -> Fraction:
     return pochhammer(a, k) / pochhammer(b, k)
 
 
-def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:
-    """Yield (a)_n / (b)_n for n = 0..order by the exact step c_{n+1} = c_n (a+n)/(b+n)."""
+def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
+    """Yield integers (u, v) with u / v = (a)_n / (b)_n for n = 0..order, not in lowest terms.
+
+    Integer bases telescope: with lo, hi = sorted((a, b)) and m = hi - lo,
+    (a)_n / (b)_n is (lo)_m / (lo+n)_m or its reciprocal, so one product is
+    fixed and the other moves by the exact step Q_(n+1) = Q_n (hi+n) // (lo+n);
+    both stay below (hi+order)^m.  Other rational bases take the step
+    c_(n+1) = c_n (a+n)/(b+n) in ``Fraction``.
+    """
     if a < 1 or b < 1:
         raise ValueError("bases must be at least 1")
+    a, b = Fraction(a), Fraction(b)
+    if a.denominator == b.denominator == 1:
+        lo, hi = sorted((int(a), int(b)))
+        fixed = moving = math.prod(range(lo, hi))
+        rising = a > b  # the moving product is the numerator
+        for n in range(order + 1):
+            yield (moving, fixed) if rising else (fixed, moving)
+            moving = moving * (hi + n) // (lo + n)
+        return
     c = Fraction(1)
     for n in range(order + 1):
-        yield c
+        yield c.numerator, c.denominator
         c = c * (a + n) / (b + n)
+
+
+def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:
+    """Yield (a)_n / (b)_n for n = 0..order in lowest terms, from ``pochhammer_ratio_terms``."""
+    for u, v in pochhammer_ratio_terms(a, b, order):
+        yield Fraction(u, v)
 
 
 def _common_numerators(values: Sequence) -> tuple[list[int], int]:

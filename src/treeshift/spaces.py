@@ -12,8 +12,15 @@ are the moments at depth l (``shifts.moment_bases``) of one of the shifts:
 and the corresponding squared-norm weights are the reciprocals.  All
 coefficient and norm computations are exact rationals; floating point
 enters only through kernel evaluation at points of the disc and the
-matrix oracle.  Consecutive coefficients differ by one rational factor,
-so a series or norm through order N takes O(N) exact steps.
+matrix oracle.  For integer q the coefficients telescope:
+
+    (l+1)_n / (l+q)_n = prod_(i=1..q-1) (l+i) / (l+n+i),
+
+a fixed integer over a moving one, each of q - 1 factors
+(``numerics.pochhammer_ratio_terms``), so a series or norm through order N
+takes O(N) steps on integers below (l+N+q)^(q-1).  A series coefficient is
+the integer quotient u / v, which Python rounds correctly: the same double
+as ``float`` of the exact rational.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import pochhammer_ratio, radial_integral, radial_integral_quadrature
+from .numerics import pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
 from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, sibling_runs
 from .trees import Tree
 
@@ -69,8 +76,8 @@ def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     total, power = 0j, 1 + 0j
-    for coefficient in depth_moments(q, _KERNEL_KIND[space], l, order):
-        total += float(coefficient) * power
+    for u, v in pochhammer_ratio_terms(*moment_bases(q, _KERNEL_KIND[space], l), order):
+        total += (u / v) * power
         power *= x
     return total
 
@@ -85,22 +92,36 @@ def kernel_series_order(q: int, space: str, radius: float) -> int:
 
     Dirichlet-side coefficients are bounded by 1, giving the geometric
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
-    (n+q)^(q-1), which multiplies the bound.
+    (n+q)^(q-1), which multiplies the bound.  That factor makes the bound
+    rise before it falls, so the answer is 0 or lies past the peak at
+    n + q = (q-1)/(-ln r).  Newton's method on the log bound, concave in n,
+    finds the crossing from the right of that peak; single steps on the
+    bound itself then settle on the first order below tolerance.
     """
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:
         raise OutsideDisc(f"radius {radius}")
-    if radius == 0.0:
+    growth = q - 1 if space == BERGMAN_SPACE else 0
+
+    def bound(n: int) -> float:
+        return radius ** (n + 1) / (1.0 - radius) * float(n + q) ** growth
+
+    if bound(0) < SERIES_TAIL_TOL:
         return 0
-    n = 0
-    while True:
-        bound = radius ** (n + 1) / (1.0 - radius)
-        if space == BERGMAN_SPACE:
-            bound *= float(n + q) ** (q - 1)
-        if bound < SERIES_TAIL_TOL:
-            return n
+    log_r, target = math.log(radius), math.log(SERIES_TAIL_TOL) + math.log1p(-radius)
+    m = max(float(q), -2 * growth / log_r)  # m = n + q, on the falling side of the peak
+    for _ in range(100):
+        step = (growth * math.log(m) + (m - q + 1) * log_r - target) / (growth / m + log_r)
+        m -= step
+        if abs(step) < 0.5:
+            break
+    n = max(0, math.ceil(m - q))
+    while n > 0 and bound(n - 1) < SERIES_TAIL_TOL:
+        n -= 1
+    while bound(n) >= SERIES_TAIL_TOL:
         n += 1
+    return n
 
 
 def kernel_apply(
@@ -115,19 +136,18 @@ def kernel_apply(
     """Apply the truncated kernel at (z, w) to block coordinates ``g``.
 
     Each block of the kernel acts as the scalar partial sum of its series,
-    so coordinates scale blockwise.  Blocks missing from ``g`` are zero.
+    so coordinates scale blockwise; the series is summed once per distinct
+    block index l among the blocks of ``g``.  Blocks missing from ``g`` are zero.
     """
     if abs(z) >= 1 or abs(w) >= 1:
         raise OutsideDisc(f"|z|={abs(z)}, |w|={abs(w)}")
     x = complex(z) * complex(w).conjugate()
     weight_index = dict(spec.blocks)
-    out: dict[str | None, tuple[complex, ...]] = {}
-    for block_id, coords in g.items():
+    for block_id in g:
         if block_id not in weight_index:
             raise UnknownVertex(f"no block {block_id!r}")
-        factor = kernel_block_series(q, weight_index[block_id], x, order, space)
-        out[block_id] = tuple(factor * c for c in coords)
-    return out
+    factors = {l: kernel_block_series(q, l, x, order, space) for l in dict.fromkeys(weight_index[b] for b in g)}
+    return {block_id: tuple(factors[weight_index[block_id]] * c for c in coords) for block_id, coords in g.items()}
 
 
 # -- graded functions and their norms ------------------------------------------

@@ -18,10 +18,11 @@ from treeshift.cli import (
     _suite_cardid,
     _suite_defect,
     _suite_hausdorff,
+    _suite_pick,
     main,
 )
 from treeshift.numerics import hausdorff_check
-from treeshift.spaces import kernel_compression_maxima
+from treeshift.spaces import kernel_block_spec, kernel_compression_maxima, pick_property_check
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
 FORK3 = {"root": "r", "children": {"r": ["a", "b", "c"]}, "ray_leaves": ["a", "b", "c"]}
@@ -436,6 +437,39 @@ def _cardid_reference(tree, kmax=5):
 @given(prefix_trees(), st.integers(1, 5))
 def test_cardid_suite_equals_the_per_vertex_sums(tree, kmax):
     assert _expand(_suite_cardid(tree, kmax)) == _cardid_reference(tree, kmax)
+
+
+def _pick_reference(tree, q, bound=100):
+    """Reference: the pick suite checked separately on every block."""
+    assertions = []
+    for block_id, l in kernel_block_spec(tree).blocks:
+        report = pick_property_check(q, None if l == 0 else l - 1, bound)
+        name = "root" if block_id is None else block_id
+        assertions.append({"name": f"pick_log_convexity[{name}]", "passed": report.passed, "witness": report.witness})
+    return assertions
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(1, 5))
+def test_pick_suite_equals_the_per_block_checks(tree, q):
+    *blocks, control = _expand(_suite_pick(tree, q))
+    assert blocks == _pick_reference(tree, q)
+    assert control == {"name": "pick_reversed_parameters_fail", "passed": True, "witness": 1}
+
+
+def test_pick_suite_checks_each_block_index_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pick_property_check(*args)
+
+    monkeypatch.setattr(cli, "pick_property_check", counted)
+    tree = tree_from_json(complete_binary(13))
+    groups = _suite_pick(tree, 2)
+    # 8,191 branching blocks and the root line, on 14 distinct block indices
+    assert len(_expand(groups)) == 8_193
+    assert calls == [(2, None, 100)] + [(2, depth, 100) for depth in range(13)]
 
 
 def test_cardid_stays_exact_past_2_to_the_63():

@@ -18,7 +18,7 @@ from treeshift import (
     radial_integral_quadrature,
 )
 from treeshift.errors import IndexOutOfRange
-from treeshift.numerics import pochhammer_ratios
+from treeshift.numerics import pochhammer_ratio_terms, pochhammer_ratios
 
 
 def test_pochhammer_values():
@@ -62,6 +62,25 @@ def test_pochhammer_ratio_reciprocity(a, b, k):
 def test_pochhammer_ratios_match_per_term_ratios(a, b, order):
     expected = [pochhammer_ratio(a, b, n) for n in range(order + 1)]
     assert list(pochhammer_ratios(a, b, order)) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(7, 7 + gap) for gap in range(-6, 7)] + [(4, 3 + Fraction(3)), (4, 3 + Fraction(5, 2)), (Fraction(7, 3), 2)],
+)
+def test_pochhammer_ratio_terms_equal_per_term_ratios(a, b):
+    terms = list(pochhammer_ratio_terms(a, b, 300))
+    assert len(terms) == 301
+    for n, (u, v) in enumerate(terms):
+        assert type(u) is int and type(v) is int
+        assert Fraction(u, v) == pochhammer_ratio(a, b, n)
+
+
+def test_pochhammer_ratio_terms_edges():
+    assert list(pochhammer_ratio_terms(3, 3, 2)) == [(1, 1)] * 3
+    assert list(pochhammer_ratio_terms(2, 3, -1)) == []
+    with pytest.raises(ValueError):
+        list(pochhammer_ratio_terms(Fraction(1, 2), 2, 3))
 
 
 def test_pochhammer_ratios_edges():

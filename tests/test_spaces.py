@@ -19,9 +19,10 @@ from corpus import (
     fan,
     named_horizon,
     prefix_trees,
+    reference_series_order,
     vec_norm,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
@@ -47,6 +48,7 @@ from treeshift import (
     pick_property_check,
     pochhammer_ratio,
     radial_weight,
+    spaces,
     tree_from_json,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
@@ -595,6 +597,52 @@ def test_series_order_in_the_thousands_is_linear_time(space):
         expected = 1 / (1 - x) ** 3
     assert value.real == pytest.approx(expected, rel=1e-12)
     assert elapsed < 1.0, f"order {order} took {elapsed:.2f}s"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(min_value=1, max_value=6),
+    space=st.sampled_from(["dirichlet", "bergman"]),
+    radius=st.floats(min_value=0.0, max_value=0.9999),
+)
+@example(q=3, space="bergman", radius=0.9999)  # N = 635,629
+@example(q=6, space="bergman", radius=1e-3)
+@example(q=1, space="dirichlet", radius=5e-324)
+def test_series_order_equals_the_walk_over_every_order(q, space, radius):
+    assert kernel_series_order(q, space, radius) == reference_series_order(q, space, radius)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    l=st.integers(min_value=0, max_value=12),
+    order=st.integers(min_value=0, max_value=300),
+    x=st.complex_numbers(max_magnitude=0.999, allow_nan=False, allow_infinity=False),
+    space=st.sampled_from(["dirichlet", "bergman"]),
+)
+def test_block_series_of_an_integral_fraction_q_equals_the_integer_q(l, order, x, space):
+    assert kernel_block_series(Fraction(3), l, x, order, space) == kernel_block_series(3, l, x, order, space)
+
+
+def test_kernel_apply_sums_one_series_per_block_index(monkeypatch):
+    calls = []
+
+    def counted(q, l, x, order, space):
+        calls.append(l)
+        return kernel_block_series(q, l, x, order, space)
+
+    monkeypatch.setattr(spaces, "kernel_block_series", counted)
+    spec = kernel_block_spec(tree_from_json(complete_binary(8)))
+    g = {block_id: (1.0, 2.0) for block_id, _l in spec.blocks}
+    out = kernel_apply(spec, 2, "dirichlet", 0.9, 0.5, g, order=50)
+    # the root line and 255 branching blocks on 9 distinct block indices
+    assert len(out) == 256 and sorted(calls) == list(range(9))
+    for block_id, l in spec.blocks:
+        factor = kernel_block_series(2, l, 0.45, 50, "dirichlet")
+        assert out[block_id] == (factor * 1.0, factor * 2.0)
+    calls.clear()
+    with pytest.raises(UnknownVertex):
+        kernel_apply(spec, 2, "dirichlet", 0.9, 0.5, {**g, "missing": (1.0,)}, order=50)
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", [0, -1, Fraction(1, 2)])
