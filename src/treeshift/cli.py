@@ -252,7 +252,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 # a suite returns assertion groups (rows, names), expanded as ``_emit`` says: the
 # defect and hausdorff suites one per generation, as defects and moments depend
-# on depth alone, the others one per assertion
+# on depth alone, the pick suite one per run of equal block index l, which the
+# check reads alone, the others one per assertion
 
 def _suite_defect(tree: Tree, q: int, horizon: int) -> list[tuple]:
     shift = make_shift(tree, q, DIRICHLET, horizon)

@@ -92,36 +92,22 @@ def kernel_series_order(q: int, space: str, radius: float) -> int:
 
     Dirichlet-side coefficients are bounded by 1, giving the geometric
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
-    (n+q)^(q-1), which multiplies the bound.  That factor makes the bound
-    rise before it falls, so the answer is 0 or lies past the peak at
-    n + q = (q-1)/(-ln r).  Newton's method on the log bound, concave in n,
-    finds the crossing from the right of that peak; single steps on the
-    bound itself then settle on the first order below tolerance.
+    (n+q)^(q-1), which multiplies the bound.
     """
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:
         raise OutsideDisc(f"radius {radius}")
-    growth = q - 1 if space == BERGMAN_SPACE else 0
-
-    def bound(n: int) -> float:
-        return radius ** (n + 1) / (1.0 - radius) * float(n + q) ** growth
-
-    if bound(0) < SERIES_TAIL_TOL:
+    if radius == 0.0:
         return 0
-    log_r, target = math.log(radius), math.log(SERIES_TAIL_TOL) + math.log1p(-radius)
-    m = max(float(q), -2 * growth / log_r)  # m = n + q, on the falling side of the peak
-    for _ in range(100):
-        step = (growth * math.log(m) + (m - q + 1) * log_r - target) / (growth / m + log_r)
-        m -= step
-        if abs(step) < 0.5:
-            break
-    n = max(0, math.ceil(m - q))
-    while n > 0 and bound(n - 1) < SERIES_TAIL_TOL:
-        n -= 1
-    while bound(n) >= SERIES_TAIL_TOL:
+    n = 0
+    while True:
+        bound = radius ** (n + 1) / (1.0 - radius)
+        if space == BERGMAN_SPACE:
+            bound *= float(n + q) ** (q - 1)
+        if bound < SERIES_TAIL_TOL:
+            return n
         n += 1
-    return n
 
 
 def kernel_apply(

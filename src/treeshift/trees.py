@@ -443,24 +443,12 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     sibling counts along the chain back up to ``v``.
 
     Equals 1 exactly for every vertex and every k >= 1; computed in exact
-    rational arithmetic from the k generations below ``v`` alone, a ray vertex
-    by its ray leaf.  Each k-th descendant u carries its chain product P(u) / P(v)
-    of child counts, a ray leaf standing for its ray, whose vertices keep it.
+    rational arithmetic by :func:`sibling_chain_sums`, a ray vertex by its ray leaf.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    level = [(v if tree.is_explicit(v) else tree._split_ray(v)[0], 1)]
-    for _ in range(k):
-        below = []
-        for u, p in level:
-            if kids := tree.children[u]:
-                below.extend((c, p * len(kids)) for c in kids)
-            else:
-                below.append((u, p))
-        level = below
-    shares = Counter(p for _u, p in level)
-    lcm = math.lcm(*shares)
-    return Fraction(sum(count * (lcm // p) for p, count in shares.items()), lcm)
+    sums = sibling_chain_sums(tree, k)
+    base = v if tree.is_explicit(v) else tree._split_ray(v)[0]
+    n0, *_, nk = sums[tree._ids[base]]
+    return Fraction(nk, n0)
 
 
 # -- JSON interchange ----------------------------------------------------------

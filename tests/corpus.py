@@ -3,8 +3,7 @@ a bounded hypothesis strategy for random prefix-plus-rays trees, a
 name-walking truncation reference, the sibling-chain sums walked by vertex
 name, per-vertex references for the shift's vertex-keyed methods and its
 self-commutator, the pushed-column reference for the kernel suite's closed
-form, Fraction references for the exact difference checks, and the walk
-over every order that ``kernel_series_order`` solves for."""
+form, and Fraction references for the exact difference checks."""
 
 import math
 import random
@@ -18,7 +17,7 @@ from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport
 from treeshift.shifts import DUAL, KernelBasis, KernelBlock, depth_moments, kernel_columns
-from treeshift.spaces import SERIES_TAIL_TOL, _births_in_reach
+from treeshift.spaces import _births_in_reach
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -331,16 +330,3 @@ def reference_hausdorff_check(seq, order):
                 return HausdorffReport(passed=False, order=order, violation=(m, k, value))
         current = [current[k + 1] - current[k] for k in range(len(current) - 1)]
     return HausdorffReport(passed=True, order=order)
-
-
-def reference_series_order(q, space, radius):
-    """Reference: ``kernel_series_order`` by walking n up from 0 to the first
-    order whose remainder bound is below the tolerance."""
-    n = 0
-    while True:
-        bound = radius ** (n + 1) / (1.0 - radius)
-        if space == "bergman":
-            bound *= float(n + q) ** (q - 1)
-        if bound < SERIES_TAIL_TOL:
-            return n
-        n += 1

@@ -19,10 +19,9 @@ from corpus import (
     fan,
     named_horizon,
     prefix_trees,
-    reference_series_order,
     vec_norm,
 )
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
@@ -597,19 +596,6 @@ def test_series_order_in_the_thousands_is_linear_time(space):
         expected = 1 / (1 - x) ** 3
     assert value.real == pytest.approx(expected, rel=1e-12)
     assert elapsed < 1.0, f"order {order} took {elapsed:.2f}s"
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    q=st.integers(min_value=1, max_value=6),
-    space=st.sampled_from(["dirichlet", "bergman"]),
-    radius=st.floats(min_value=0.0, max_value=0.9999),
-)
-@example(q=3, space="bergman", radius=0.9999)  # N = 635,629
-@example(q=6, space="bergman", radius=1e-3)
-@example(q=1, space="dirichlet", radius=5e-324)
-def test_series_order_equals_the_walk_over_every_order(q, space, radius):
-    assert kernel_series_order(q, space, radius) == reference_series_order(q, space, radius)
 
 
 @settings(max_examples=30, deadline=None)
