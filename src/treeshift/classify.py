@@ -29,6 +29,9 @@ HORIZON_LIMITED = "horizon_limited"
 
 _NORM_MATCH_TOL = 1e-10
 
+# random test vectors per intertwining check
+_TRIALS = 16
+
 # float64 entries (256 MiB) allowed in one generation block of the graded unitary or its lift
 MAX_BLOCK_ENTRIES = 2**25
 
@@ -44,7 +47,6 @@ def _refuse_block(rows: int, cols: int, generation: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    q: int
     result: str
     certainty: str
     witness: int | None
@@ -92,7 +94,6 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Equiva
         exact = not equal or (p1.exact_beyond_horizon and p2.exact_beyond_horizon)
     result = EQUIVALENT if exact else EQUIVALENT_UP_TO_HORIZON
     return EquivalenceVerdict(
-        q=q,
         result=result if equal else NOT_EQUIVALENT,
         certainty=EXACT if exact else HORIZON_LIMITED,
         witness=witness,
@@ -105,15 +106,14 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int, horizon: int) -> Equiva
 class GradedUnitary:
     """Generation-by-generation unitary between the cokernel blocks.
 
-    ``root_map`` sends the first root indicator to the second;
-    ``generations[n]`` is a unitary matrix from the Helmert coordinates of
-    the first tree's generation-n branching vertices to the second's.  On
+    The first root indicator goes to the second; ``generations[n]`` is a
+    unitary matrix from the Helmert coordinates of the first tree's
+    generation-n branching vertices to the second's.  On
     each side the coordinates are in breadth-first order, which is
     truncation order: the branching vertices in generation order, each
     one's Helmert vectors in child order.
     """
 
-    root_map: float
     generations: Mapping[int, np.ndarray]
 
 
@@ -135,7 +135,7 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
     generations = {
         n: np.eye(verdict.profile1.entry(n)) for n in sorted(verdict.profile1.entries)
     }
-    return GradedUnitary(root_map=1.0, generations=generations)
+    return GradedUnitary(generations=generations)
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------
@@ -230,7 +230,7 @@ def lift_graded_unitary(
     for d, rows in enumerate(np.diff(shift1.trunc.offsets).tolist()):
         _refuse_block(rows, columns[d], d, "lift")
     source = [kernel_columns(shift1.trunc, 0)]
-    target = [kernel_columns(shift2.trunc, 0) * unitary.root_map]
+    target = [kernel_columns(shift2.trunc, 0)]
     _normalize_pair(source[0], target[0], 0)
     for d in range(1, depth + 1):
         block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
@@ -248,16 +248,16 @@ def lift_graded_unitary(
     )
 
 
-def _residual(lift: LiftedUnitary, trials: int, seed: int) -> float:
-    """Largest relative defect |U S1 f - S2 U f| / |f| over random f in the domain."""
+def _residual(lift: LiftedUnitary, seed: int) -> float:
+    """Largest relative defect |U S1 f - S2 U f| / |f| over ``_TRIALS`` random f in the domain."""
     shift1, shift2 = lift.shifts
     rng = np.random.default_rng(seed)
-    coefficients = np.zeros((lift.source.shape[1], trials))
-    coefficients[list(lift.domain)] = rng.standard_normal((trials, len(lift.domain))).T
+    coefficients = np.zeros((lift.source.shape[1], _TRIALS))
+    coefficients[list(lift.domain)] = rng.standard_normal((_TRIALS, len(lift.domain))).T
     f = lift.source @ coefficients
     # U S1 f and U f in one application of U = target @ source.T
     lifted = lift.target @ (lift.source.T @ np.hstack([shift1.act(f), f]))
-    gap = lifted[:, :trials] - shift2.act(lifted[:, trials:])
+    gap = lifted[:, :_TRIALS] - shift2.act(lifted[:, _TRIALS:])
     return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(f, axis=0), initial=0.0))
 
 
@@ -267,9 +267,8 @@ def verify_intertwining(
     q: int,
     unitary: GradedUnitary,
     depth: int,
-    trials: int = 16,
     seed: int = 42,
 ) -> float:
     """Largest relative intertwining defect of the lifted unitary over
     random test vectors supported strictly inside the truncation."""
-    return _residual(lift_graded_unitary(tree1, tree2, q, unitary, depth), trials, seed)
+    return _residual(lift_graded_unitary(tree1, tree2, q, unitary, depth), seed)

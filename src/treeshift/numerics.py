@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -112,7 +112,6 @@ class HausdorffReport:
     """
 
     passed: bool
-    order: int
     violation: tuple[int, int, Fraction] | None = None
 
 
@@ -133,9 +132,9 @@ def hausdorff_check(seq: Sequence[Fraction], order: int) -> HausdorffReport:
         if min(current) < 0:
             k = next(k for k, value in enumerate(current) if value < 0)
             violation = (m, k, Fraction((-1) ** m * current[k], denominator))
-            return HausdorffReport(passed=False, order=order, violation=violation)
+            return HausdorffReport(passed=False, violation=violation)
         current = [a - b for a, b in zip(current, current[1:])]
-    return HausdorffReport(passed=True, order=order)
+    return HausdorffReport(passed=True)
 
 
 def radial_integral(coefficients: Mapping[int, Fraction]) -> Fraction:
@@ -147,18 +146,18 @@ def radial_integral(coefficients: Mapping[int, Fraction]) -> Fraction:
     return sum((Fraction(c) / (j + 1) for j, c in coefficients.items()), start=Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre_unit(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@cache
+def _gauss_legendre_unit() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    x, w = np.polynomial.legendre.leggauss(64)
     return tuple((x + 1.0) / 2.0), tuple(w / 2.0)
 
 
-def radial_integral_quadrature(g: Callable[[float], float], nodes: int = 64) -> float:
+def radial_integral_quadrature(g: Callable[[float], float]) -> float:
     """Gauss-Legendre value of the disc integral of a radial function.
 
     ``g`` receives t = |z|^2; with the normalized area measure the disc
     integral reduces to the integral of g over [0, 1].  64 nodes are exact
     for polynomials in t up to degree 127.
     """
-    points, weights = _gauss_legendre_unit(nodes)
+    points, weights = _gauss_legendre_unit()
     return float(sum(w * g(t) for t, w in zip(points, weights)))

@@ -12,9 +12,11 @@ O(n).  The array action drops mass at the horizon, so its callers keep
 their supports away from it themselves.  The vertex-keyed methods
 (``apply`` and its relatives) are adapters over the same action: they
 take a sparse dict, check its support and return the nonzero
-coordinates of the image.  A support that the shift would push outside
-the truncation raises ``TruncationLoss`` instead of being silently
-projected: every exactness claim carries its validity region.
+coordinates of the image.  The float moment oracle
+(``moment_sequence_via_matrix``, read by ``moment_via_matrix``) pushes
+e_v one generation at a time instead.  A support that the shift would
+push outside the truncation raises ``TruncationLoss`` instead of being
+silently projected: every exactness claim carries its validity region.
 """
 
 from __future__ import annotations
@@ -251,10 +253,24 @@ class ShiftOperator:
         """Moments for k = 0..kmax, built by the one-step recurrence."""
         return list(depth_moments(self.q, self.kind, self.tree.depth_of(v), kmax))
 
+    def moment_sequence_via_matrix(self, v: str, kmax: int) -> list[float]:
+        """Squared norms of S^k e_v for k = 0..kmax, the float oracle for ``moment_sequence``:
+        e_v is pushed one generation at a time, and each entry is the square root of the
+        squares summed in truncation order, squared.  Raises as ``_to_array`` does for
+        the support {v} with margin kmax."""
+        e_v = self._to_array({v: 1.0}, margin=kmax)
+        depth = self.tree.depth_of(v)
+        column = e_v[slice(*self.trunc.span(depth)), None]
+        out = []
+        for k in range(kmax + 1):
+            if k:
+                column = self.push(column, depth + k)
+            out.append(math.sqrt(sum(abs(x) ** 2 for x in column[:, 0].tolist())) ** 2)
+        return out
+
     def moment_via_matrix(self, v: str, k: int) -> float:
-        """Squared norm of S^k e_v by repeated application (float oracle)."""
-        a = _iterate(self.act, self._to_array({v: 1.0}, margin=k), k)
-        return float(a @ a)
+        """Squared norm of S^k e_v, entry k of ``moment_sequence_via_matrix``."""
+        return self.moment_sequence_via_matrix(v, k)[k]
 
     def q_isometry_defect(self, v: str, order: int) -> Fraction:
         """Signed binomial sum of the moment sequence at ``v``.

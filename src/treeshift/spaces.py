@@ -35,7 +35,9 @@ import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
-from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, sibling_runs
+from .shifts import (
+    DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q, sibling_runs
+)
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -94,6 +96,7 @@ def kernel_series_order(q: int, space: str, radius: float) -> int:
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
     (n+q)^(q-1), which multiplies the bound.
     """
+    require_q(q)
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:

@@ -4,7 +4,9 @@ A tree is stored as a finite explicit prefix (the only part that can
 branch) together with a set of *ray leaves*: explicit vertices from which
 an infinite chain of single-child vertices descends.  Chain vertices are
 materialized on demand with synthetic identifiers ``<leaf>~<k>`` for the
-k-th descendant, so the same tree always produces the same names.
+k-th descendant, so the same tree always produces the same names.  One
+resolver, ``Tree._locate``, turns a name into its explicit vertex and ray
+step; every vertex-level query reads it.
 
 Every depth-indexed query takes an explicit truncation horizon; there is
 no global default.
@@ -130,7 +132,7 @@ class Truncation:
     def position(self, v: str) -> int | None:
         """Position of vertex ``v``, parsing its name once; None if the truncation lacks it."""
         try:
-            base, k = (v, 0) if self.tree.is_explicit(v) else self.tree._split_ray(v)
+            base, k = self.tree._locate(v)
         except UnknownVertex:
             return None
         if (n := self.tree.depths[base] + k) > self.horizon:
@@ -160,22 +162,13 @@ class Tree:
         """Explicit vertex -> its position in ``vertices``, the id a truncation stores."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    # -- vertex classification ------------------------------------------------
+    # -- vertex names and local structure ---------------------------------------
 
-    def is_explicit(self, v: str) -> bool:
-        return v in self.depths
-
-    def contains(self, v: str) -> bool:
-        """True for explicit vertices and well-formed ray vertices."""
-        if self.is_explicit(v):
-            return True
-        try:
-            self._split_ray(v)
-        except UnknownVertex:
-            return False
-        return True
-
-    def _split_ray(self, v: str) -> tuple[str, int]:
+    def _locate(self, v: str) -> tuple[str, int]:
+        """(v, 0) for an explicit vertex, (r, k) for the ray vertex ``<r>~<k>``; any other
+        name raises ``UnknownVertex``.  Every vertex-level query reads its name here alone."""
+        if v in self.depths:
+            return v, 0
         base, sep, tail = v.rpartition(RAY_SEPARATOR)
         if not sep or base not in self.ray_leaves:
             raise UnknownVertex(v)
@@ -187,37 +180,36 @@ class Tree:
             raise UnknownVertex(v)
         return base, k
 
-    # -- local structure ------------------------------------------------------
+    def contains(self, v: str) -> bool:
+        """True for explicit vertices and well-formed ray vertices."""
+        try:
+            self._locate(v)
+        except UnknownVertex:
+            return False
+        return True
 
     def depth_of(self, v: str) -> int:
-        if self.is_explicit(v):
-            return self.depths[v]
-        base, k = self._split_ray(v)
+        base, k = self._locate(v)
         return self.depths[base] + k
 
     def parent_of(self, v: str) -> str | None:
-        if self.is_explicit(v):
+        base, k = self._locate(v)
+        if k == 0:
             return self.parents.get(v)
-        base, k = self._split_ray(v)
         return base if k == 1 else f"{base}{RAY_SEPARATOR}{k - 1}"
 
     def children_of(self, v: str) -> tuple[str, ...]:
         """Materialized children, reaching into rays where needed."""
-        if self.is_explicit(v):
-            if v in self.ray_leaves:
-                return (f"{v}{RAY_SEPARATOR}1",)
+        base, k = self._locate(v)
+        if k == 0 and v not in self.ray_leaves:
             return self.children[v]
-        base, k = self._split_ray(v)
         return (f"{base}{RAY_SEPARATOR}{k + 1}",)
 
     def sibling_count(self, v: str) -> int:
-        """Number of children of the parent; 0 for the root."""
-        parent = self.parent_of(v)
-        if parent is None:
-            if v != self.root:
-                raise UnknownVertex(v)
-            return 0
-        return len(self.children_of(parent))
+        """Number of children of the parent: 1 on a ray, 0 for the root."""
+        if self._locate(v)[1]:
+            return 1
+        return len(self.children[self.parents[v]]) if v in self.parents else 0
 
     # -- global structure -----------------------------------------------------
 
@@ -371,8 +363,8 @@ def build_tree(
         check_parent_chain(root)
         raise MultipleRoots(f"declared root {root!r} has a parent")
 
-    for v in universe:
-        if v != root and v not in parent and child_map.get(v):
+    for v, kids in child_map.items():  # input order, so the named vertex is the same in every run
+        if v != root and v not in parent and kids:
             raise MultipleRoots(f"{v!r} has children but no parent")
 
     # breadth-first reachability from the root fixes vertex order and depths
@@ -446,8 +438,7 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     rational arithmetic by :func:`sibling_chain_sums`, a ray vertex by its ray leaf.
     """
     sums = sibling_chain_sums(tree, k)
-    base = v if tree.is_explicit(v) else tree._split_ray(v)[0]
-    n0, *_, nk = sums[tree._ids[base]]
+    n0, *_, nk = sums[tree._ids[tree._locate(v)[0]]]
     return Fraction(nk, n0)
 
 

@@ -327,6 +327,6 @@ def reference_hausdorff_check(seq, order):
         sign = -1 if m % 2 else 1
         for k, value in enumerate(current):
             if sign * value < 0:
-                return HausdorffReport(passed=False, order=order, violation=(m, k, value))
+                return HausdorffReport(passed=False, violation=(m, k, value))
         current = [current[k + 1] - current[k] for k in range(len(current) - 1)]
-    return HausdorffReport(passed=True, order=order)
+    return HausdorffReport(passed=True)

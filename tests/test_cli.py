@@ -472,6 +472,18 @@ def test_pick_suite_checks_each_block_index_once(monkeypatch):
     assert calls == [(2, None, 100)] + [(2, depth, 100) for depth in range(13)]
 
 
+@pytest.mark.parametrize("suite", ["defect", "hausdorff"])
+def test_depth_only_suites_build_no_shift(tree_file, capsys, monkeypatch, suite):
+    def refused(*args):
+        raise AssertionError("make_shift called")
+
+    monkeypatch.setattr(cli, "make_shift", refused)
+    path = tree_file(DOUBLE01)
+    code, out = _run(capsys, ["checks", path, "--q", "3", "--suite", suite, "--horizon", "7"])
+    assert code == 0
+    assert json.loads(out)["results"]["all_passed"]
+
+
 def test_cardid_stays_exact_past_2_to_the_63():
     # the chain products of the depth-66 comb reach 2**66 on its deepest ray leaf
     tree = comb(66)

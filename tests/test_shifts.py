@@ -340,6 +340,30 @@ def test_moment_via_matrix_needs_room():
         shift.moment_via_matrix("r", 5)
 
 
+@pytest.mark.parametrize("name", ["line", "double01", "deep13"])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("kind", [DIRICHLET, DUAL])
+def test_pushed_moment_oracle_is_the_matrix_oracle(name, q, kind):
+    tree = CORPUS[name]
+    shift = make_shift(tree, q, kind, 9)
+    for v in tree.truncate(4).vertices:
+        sequence = shift.moment_sequence_via_matrix(v, 5)
+        assert sequence == [shift.moment_via_matrix(v, k) for k in range(6)]
+        exact = shift.moment_sequence(v, 5)
+        assert all(abs(x - float(m)) / float(m) < 1e-10 for x, m in zip(sequence, exact))
+
+
+def test_pushed_moment_oracle_refuses_as_the_vertex_keyed_methods():
+    shift = make_shift(DOUBLE01, 2, DIRICHLET, 5)
+    for v in ("nope", "b~0", "a~1"):
+        with pytest.raises(UnknownVertex):
+            shift.moment_sequence_via_matrix(v, 1)
+    for v, kmax in (("r", 6), ("c~1", 3), ("b~7", 0)):
+        with pytest.raises(TruncationLoss) as excinfo:
+            shift.moment_sequence_via_matrix(v, kmax)
+        assert named_horizon(excinfo.value) == DOUBLE01.depth_of(v) + kmax
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 @pytest.mark.parametrize("q", range(1, 7))
 def test_q_isometry_defect(name, q):

@@ -643,3 +643,6 @@ def test_q_below_one_is_rejected(q):
         bergman_norm(f, q)
     with pytest.raises(InvalidQ):
         pick_property_check(q, None, 10)
+    for space in ("dirichlet", "bergman"):
+        with pytest.raises(InvalidQ):
+            kernel_series_order(q, space, 0.5)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -283,6 +286,56 @@ def test_position_agrees_with_the_name_index(tree, horizon):
     absent |= {f"{r}~{tail}" for r in tree.ray_leaves for tail in ("0", "01", "-1", "+1", " 1", "x")}
     for v in absent:
         assert trunc.position(v) is None, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(0, 8))
+def test_every_truncation_name_locates_to_its_stored_id_and_step(tree, horizon):
+    trunc = tree.truncate(horizon)
+    for i, v in enumerate(trunc.vertices):
+        assert tree._locate(v) == (tree.vertices[trunc.explicit[i]], trunc.ray_step[i])
+        assert trunc.position(v) == i
+
+
+def _malformed_names(tree):
+    """Names of no vertex: ray tails with a zero, a sign, a space or a leading zero, a
+    ray below an explicit vertex that is not a ray leaf, an empty base, an unknown id."""
+    leaf = sorted(tree.ray_leaves)[0]
+    inner = next(v for v in tree.vertices if v not in tree.ray_leaves)
+    return [f"{leaf}~0", f"{leaf}~01", f"{leaf}~+1", f"{leaf}~ 1", f"{inner}~1", "~1", "nope"]
+
+
+@pytest.mark.parametrize("name", ["double01", "deep13"])
+def test_malformed_names_are_no_vertex(name):
+    tree = CORPUS[name]
+    trunc = tree.truncate(6)
+    for v in _malformed_names(tree):
+        for query in (tree._locate, tree.depth_of, tree.parent_of, tree.children_of, tree.sibling_count):
+            with pytest.raises(UnknownVertex):
+                query(v)
+        with pytest.raises(UnknownVertex):
+            sibling_chain_identity_sum(tree, v, 1)
+        assert not tree.contains(v)
+        assert trunc.position(v) is None
+
+
+_SECOND_ROOTS = """
+from treeshift import build_tree
+from treeshift.errors import MultipleRoots
+try:
+    build_tree("r", {"r": ["a"], "x": ["y"], "p": ["q"], "m": ["n"]}, ["a", "y", "q", "n"])
+except MultipleRoots as exc:
+    print(exc)
+"""
+
+
+def test_multiple_roots_names_the_same_vertex_under_every_hash_seed():
+    messages = set()
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", _SECOND_ROOTS], env=env, capture_output=True, text=True, check=True)
+        messages.add(run.stdout)
+    assert messages == {"'x' has children but no parent\n"}
 
 
 def test_position_takes_constant_time_per_vertex():
