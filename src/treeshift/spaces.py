@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,9 +143,14 @@ def kernel_apply(
 # -- graded functions and their norms ------------------------------------------
 
 
+def _rational_or_abs(c: complex) -> int | Fraction | float:
+    """c as an int or ``Fraction`` if it is rational (numpy integers too, whose squares would overflow), else |c|."""
+    return (int(c) if isinstance(c, numbers.Integral) else Fraction(c)) if isinstance(c, numbers.Rational) else abs(c)
+
+
 def _square(coords: Sequence) -> Fraction | float:
     """Squared norm of a coordinate tuple, exact for rational input."""
-    return sum(c * c if isinstance(c, (int, Fraction)) else abs(c) ** 2 for c in coords)
+    return sum(c * c if isinstance(c, (int, Fraction)) else _rational_or_abs(c) ** 2 for c in coords)
 
 
 @dataclass(frozen=True)
@@ -182,24 +188,32 @@ def graded_function(
     return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
-def _graded_sum(f: GradedFunction, weight: Callable[[int, int], Fraction]) -> Fraction | float:
-    """Sum over layers n and blocks of index l of the block's squared
-    coordinates times ``weight(l, n)``, exact for rational input."""
-    total = Fraction(0)
+def _graded_sum(f: GradedFunction, pairs: Callable[[int, int], Iterable[tuple[int, int]]]) -> Fraction | float:
+    """Sum over layers n and blocks of index l of the block's squared coordinates s
+    times u / v, the n-th of ``pairs(l, order)``.  Exact s add integer numerators over
+    one denominator per l, the lcm of den(s) v; float s add s * (u / v), the double
+    of s * Fraction(u, v), in (layer, block) order."""
+    tables = {l: list(pairs(l, len(f.layers) - 1)) for l in dict.fromkeys(f.blocks.values())}
+    exact, inexact = {}, None
     for n, layer in enumerate(f.layers):
         for b, l in f.blocks.items():
-            square = _square(layer.get(b, ()))
-            if square:
-                total = total + square * weight(l, n)
-    return total
+            s = _square(layer.get(b, ()))
+            if s:
+                u, v = tables[l][n]
+                if isinstance(s, (int, Fraction)):
+                    exact.setdefault(l, []).append((s.numerator * u, s.denominator * v))
+                else:
+                    inexact = (inexact or 0.0) + s * (u / v)
+    total = Fraction(0)
+    for terms in exact.values():
+        d = math.lcm(*(den for _num, den in terms))
+        total += Fraction(sum(num * (d // den) for num, den in terms), d)
+    return total if inexact is None else total + inexact
 
 
 def _graded_norm(f: GradedFunction, q: int | Fraction, kind: str) -> Fraction | float:
-    """Squared norm whose layer weights are the ``kind`` shift's moments at
-    depth l, built once per distinct block index l."""
-    order = len(f.layers) - 1
-    weights = {l: list(depth_moments(q, kind, l, order)) for l in set(f.blocks.values())}
-    return _graded_sum(f, lambda l, n: weights[l][n])
+    """Squared norm whose layer weights are the ``kind`` shift's moments at depth l."""
+    return _graded_sum(f, lambda l, order: pochhammer_ratio_terms(*moment_bases(q, kind, l), order))
 
 
 def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
@@ -220,7 +234,7 @@ def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
     :func:`dirichlet_norm` at q = 2 exactly; the weight is written out, not
     read off the moments, so that the two routes stay independent.
     """
-    return _graded_sum(f, lambda l, n: 1 + Fraction(n, l + 1))
+    return _graded_sum(f, lambda l, order: ((l + 1 + n, l + 1) for n in range(order + 1)))
 
 
 def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:

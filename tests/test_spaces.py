@@ -580,6 +580,88 @@ def test_norms_equal_per_term_reference(name, q, exact, data):
     assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORPUS)),
+    q=st.sampled_from([Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)]),
+    data=st.data(),
+)
+def test_norms_at_non_integer_q_equal_per_term_reference(name, q, data):
+    # the pairs come from the Fraction recurrence, whose denominator moves
+    # at every step, so each block index sums over an lcm of many of them
+    tree = CORPUS[name]
+    blocks = dict(tree.branching_vertices())
+    layer = st.tuples(
+        _rational_coords,
+        st.fixed_dictionaries(
+            {}, optional={v: st.lists(_rational_coords, max_size=c - 1) for v, c in blocks.items()}
+        ),
+    )
+    f = graded_function(tree, data.draw(st.lists(layer, max_size=60)))
+    assert dirichlet_norm(f, q) == _reference_norm(f, q, "dirichlet")
+    assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
+
+
+def test_numpy_integer_coordinates_square_exactly():
+    # a numpy square would wrap around: 2^66 to 0, 3037000500^2 to a negative
+    big = graded_function(FORK2, [(np.int64(2**33), {})])
+    assert dirichlet_norm(big, 2) == 2**66
+    edge = graded_function(FORK2, [(np.int64(3037000500), {"r": (np.int32(-7),)}), (np.uint8(200), {})])
+    for norm in (dirichlet_norm, bergman_norm):
+        value = norm(edge, 2)
+        assert type(value) is Fraction and value == 3037000500**2 + 49 + 200**2 * (2 if norm is dirichlet_norm else Fraction(1, 2))
+
+
+def test_norm_walks_the_pairs_once_per_block_index(monkeypatch):
+    layers = [(Fraction(n + 1), {"r": (Fraction(1, n + 2),), "a": (Fraction(n),)}) for n in range(200)]
+    f = graded_function(DOUBLE01, layers)
+    expected = {q: (dirichlet_norm(f, q), bergman_norm(f, q)) for q in (2, Fraction(5, 2))}
+    h2 = dirichlet_norm(f, 2)
+    calls, walk = [], spaces.pochhammer_ratio_terms
+
+    def counted(a, b, order):
+        calls.append((a, b, order))
+        return walk(a, b, order)
+
+    monkeypatch.setattr(spaces, "pochhammer_ratio_terms", counted)
+    for q, (dirichlet, bergman) in expected.items():
+        calls.clear()
+        assert dirichlet_norm(f, q) == dirichlet
+        # the root line, r and a: block indices 0, 1 and 2, each walked through order 199
+        assert sorted(calls) == [(l + q, l + 1, 199) for l in range(3)]
+        calls.clear()
+        assert bergman_norm(f, q) == bergman
+        assert sorted(calls) == [(l + 1, l + q, 199) for l in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("the measure decomposition read moment_bases")
+
+    monkeypatch.setattr(spaces, "moment_bases", refuse)
+    assert h2_norm_via_measure_decomposition(f) == h2
+
+
+@pytest.mark.parametrize("q", [0, -1, Fraction(1, 2)])
+def test_norms_check_q_before_any_early_exit(q):
+    empty = graded_function(FORK2, [])
+    zero = graded_function(FORK2, [(0, {"r": (Fraction(0),)}), (Fraction(0), {})])
+    for f in (empty, zero):
+        for norm in (dirichlet_norm, bergman_norm):
+            with pytest.raises(InvalidQ):
+                norm(f, q)
+            for valid in (1, 3, Fraction(5, 2)):
+                value = norm(f, valid)
+                assert value == 0 and type(value) is Fraction
+
+
+def test_integer_coordinates_give_a_fraction():
+    f = graded_function(DOUBLE01, [(n - 100, {"r": (3,), "a": (n,)}) for n in range(200)])
+    for q in (1, 2, 3):
+        assert type(dirichlet_norm(f, q)) is Fraction and type(bergman_norm(f, q)) is Fraction
+        assert dirichlet_norm(f, q) == _reference_norm(f, q, "dirichlet")
+        assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
+    assert type(h2_norm_via_measure_decomposition(f)) is Fraction
+
+
 @pytest.mark.parametrize("space", ["dirichlet", "bergman"])
 def test_series_order_in_the_thousands_is_linear_time(space):
     # q = 3 root line at x = 0.99: the coefficients are 2/((n+1)(n+2)) and
