@@ -146,6 +146,7 @@ class BlockDiagonal:
     """A block-diagonal matrix kept as its diagonal blocks, in order.
 
     Supports ``.shape``, ``.T`` and ``@`` on an array or a block of columns.
+    One array may appear as several consecutive blocks.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -179,10 +180,11 @@ class LiftedUnitary:
     coordinate array f as ``target @ (source.T @ f)``.  Both are
     block-diagonal with one block per generation D: the root line and the
     kernel blocks of generations below D, pushed forward onto generation
-    D.  ``domain`` holds the columns of the generations below the depth,
-    whose image under one more application of the shift stays inside the
-    truncation; ``shifts`` are the two truncated shifts the columns were
-    pushed forward by.
+    D.  A generation where neither truncation widens shares the array of
+    the generation above, so the blocks are read-only.  ``domain`` holds
+    the columns of the generations below the depth, whose image under one
+    more application of the shift stays inside the truncation; ``shifts``
+    are the two truncated shifts the columns were pushed forward by.
     """
 
     source: BlockDiagonal
@@ -214,7 +216,9 @@ def lift_graded_unitary(
     every column lives on one generation: the lift is built one generation
     block at a time.  Block D is block D - 1 pushed forward, followed by
     the kernel columns born on generation D, times the generation-(D - 1)
-    unitary on the second side.
+    unitary on the second side.  Where neither truncation widens at D, the
+    push is one scalar times the identity, the same on both sides, so block
+    D is block D - 1 again, the same read-only array, and is not recomputed.
     Matching moments make the columns orthonormal on both sides, so the
     resulting map is a genuine unitary between the truncated spaces.
     """
@@ -225,21 +229,30 @@ def lift_graded_unitary(
             raise TruncationLoss(
                 f"generation {n} blocks need depth at least {n + 2}, got {depth}"
             )
+    births1, births2 = kernel_births(shift1.trunc), kernel_births(shift2.trunc)
     # block d holds every column born on generations 0..d, on the rows of generation d
-    columns = np.cumsum(kernel_births(shift1.trunc)).tolist()
+    columns = np.cumsum(births1).tolist()
     for d, rows in enumerate(np.diff(shift1.trunc.offsets).tolist()):
         _refuse_block(rows, columns[d], d, "lift")
     source = [kernel_columns(shift1.trunc, 0)]
     target = [kernel_columns(shift2.trunc, 0)]
     _normalize_pair(source[0], target[0], 0)
     for d in range(1, depth + 1):
-        block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
-        if d - 1 in unitary.generations:
-            block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
-            block2 = np.hstack([block2, kernel_columns(shift2.trunc, d) @ unitary.generations[d - 1]])
-        _normalize_pair(block1, block2, d)
+        if births1[d] or births2[d]:
+            block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
+            if d - 1 in unitary.generations:
+                block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
+                block2 = np.hstack([block2, kernel_columns(shift2.trunc, d) @ unitary.generations[d - 1]])
+            _normalize_pair(block1, block2, d)
+        else:
+            # every vertex of generation d - 1 has one child, and every weight into d
+            # is the same double on both sides (it depends on depth and sibling count)
+            block1, block2 = source[-1], target[-1]
         source.append(block1)
         target.append(block2)
+    # a block may stand for several generations, so none may be written in place
+    for block in (*source, *target):
+        block.setflags(write=False)
     return LiftedUnitary(
         source=BlockDiagonal(tuple(source)),
         target=BlockDiagonal(tuple(target)),

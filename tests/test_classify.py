@@ -39,7 +39,7 @@ from treeshift import (
 from treeshift import classify
 from treeshift.classify import _NORM_MATCH_TOL, LiftedUnitary, _residual
 from treeshift.errors import InvalidQ, NotEquivalentError, TruncationLoss
-from treeshift.shifts import DIRICHLET
+from treeshift.shifts import DIRICHLET, ShiftOperator
 
 
 def test_cokernel_dimensions():
@@ -311,7 +311,7 @@ def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None, mix_see
 
 
 @settings(max_examples=40, deadline=None)
-@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 3))
+@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 8))
 def test_block_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra):
     _assert_lift_matches_reference(tree, relabel_and_shuffle(tree, seed), q, tree.branching_index() + 1 + extra)
 
@@ -338,7 +338,7 @@ def test_block_lift_matches_reference_below_a_limited_horizon():
 # a non-identity unitary pins the coordinate order of each generation: a
 # permutation of the columns on one side no longer cancels
 @settings(max_examples=40, deadline=None)
-@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 3))
+@given(tree=prefix_trees(), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 8))
 def test_mixed_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra):
     other = relabel_and_shuffle(tree, seed)
     _assert_lift_matches_reference(tree, other, q, tree.branching_index() + 1 + extra, mix_seed=seed)
@@ -381,6 +381,60 @@ def test_lift_blocks_are_one_generation_each():
     assert [b.shape for b in lift.source.blocks] == [(n, n) for n in sizes]
     assert [b.shape for b in lift.target.blocks] == [(n, n) for n in sizes]
     assert lift.domain == tuple(range(sum(sizes[:-1])))
+
+
+SHARING_PAIRS = {
+    "profile-pair": (*PROFILE_PAIR, 12, None),
+    "binary3-12": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 12, None),
+    **MIXED_PAIRS,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(SHARING_PAIRS))
+def test_lift_shares_the_block_above_exactly_where_no_width_changes(pair):
+    tree1, tree2, depth, horizon = SHARING_PAIRS[pair]
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, 2, depth if horizon is None else horizon))
+    lift = lift_graded_unitary(tree1, tree2, 2, unitary, depth)
+    widths1, widths2 = ([len(gen) for gen in tree.truncate(depth).generations] for tree in (tree1, tree2))
+    kept = [widths1[d] == widths1[d - 1] and widths2[d] == widths2[d - 1] for d in range(1, depth + 1)]
+    assert any(kept)
+    for d in range(1, depth + 1):
+        assert (lift.source.blocks[d] is lift.source.blocks[d - 1]) == kept[d - 1]
+        assert (lift.target.blocks[d] is lift.target.blocks[d - 1]) == kept[d - 1]
+
+
+def test_lift_blocks_are_read_only():
+    wide, split = PROFILE_PAIR
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
+    lift = lift_graded_unitary(wide, split, 2, unitary, 12)
+    for d in range(13):
+        for blocks in (lift.source.blocks, lift.target.blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                blocks[d][0, 0] = 0.0
+    assert _residual(lift, seed=42) < 1e-12
+    assert verify_intertwining(wide, split, 2, unitary, 12) < 1e-12
+
+
+@pytest.mark.parametrize(
+    ("tree1", "tree2", "depth", "pushes"),
+    [(_BINARY3, relabel_and_shuffle(_BINARY3, 3), 40, 6), (LINE, LINE, 1000, 0)],
+    ids=["binary3-40", "line-1000"],
+)
+def test_lift_pushes_only_where_a_width_changes(monkeypatch, tree1, tree2, depth, pushes):
+    # binary 3 widens on generations 1, 2 and 3 only, so each side pushes three
+    # times; one push per generation and side would be 2 x depth
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, 2, depth))
+    calls = []
+    push = ShiftOperator.push
+
+    def counting_push(self, block, generation):
+        calls.append(generation)
+        return push(self, block, generation)
+
+    monkeypatch.setattr(ShiftOperator, "push", counting_push)
+    lift = lift_graded_unitary(tree1, tree2, 2, unitary, depth)
+    assert len(calls) == pushes
+    assert _residual(lift, seed=42) < 1e-12
 
 
 def test_truncation_loss_when_blocks_need_more_depth():
