@@ -29,7 +29,7 @@ from .classify import (
     verify_intertwining,
 )
 from .errors import TreeFormatError, TreeshiftError, TruncationLoss, UnknownVertex
-from .numerics import alternating_binomial_sum, hausdorff_check
+from .numerics import alternating_binomial_sum_terms, hausdorff_check_terms
 from .shifts import DIRICHLET, DUAL, depth_moments, make_shift, require_q
 from .spaces import (
     kernel_block_spec,
@@ -241,19 +241,19 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 # -- check suites -------------------------------------------------------------------
 
 
-# a suite returns assertion groups (rows, names), expanded as ``_emit`` says: the
-# defect and hausdorff suites one per generation, as defects and moments depend
-# on depth alone, the pick suite one per run of equal block index l, which the
-# check reads alone, the others one per assertion
+# a suite returns assertion groups (rows, names), expanded as ``_emit`` says: the defect and
+# hausdorff suites one per generation, as defects and moments depend on depth alone, the pick
+# suite one per run of equal block index l, which the check reads alone, the cardid suite one
+# per run of vertices with equal sums, the kernel suite one per assertion
 
 def _suite_defect(tree: Tree, q: int, horizon: int) -> list[tuple]:
     groups = []
     for n, gen in enumerate(tree.truncate(horizon).generations):
         moments = list(depth_moments(q, DIRICHLET, n, q))
-        defect = alternating_binomial_sum(moments, q)
+        defect = alternating_binomial_sum_terms(moments, q)
         rows = [("defect_zero", {"passed": defect == 0, "value": _rational(defect)})]
         if q >= 2:
-            lower = alternating_binomial_sum(moments, q - 1)
+            lower = alternating_binomial_sum_terms(moments, q - 1)
             rows.append((f"defect_nonzero_order_{q - 1}", {"passed": lower != 0, "value": _rational(lower)}))
         groups.append((rows, gen))
     return groups
@@ -263,7 +263,7 @@ def _suite_hausdorff(tree: Tree, q: int, horizon: int, order: int = 12) -> list[
     # only depths 0..10 are checked, so no deeper truncation is built
     groups = []
     for n, gen in enumerate(tree.truncate(min(horizon, 10)).generations):
-        outcome = hausdorff_check(list(depth_moments(q, DUAL, n, 2 * order + 2)), order)
+        outcome = hausdorff_check_terms(list(depth_moments(q, DUAL, n, 2 * order + 2)), order)
         violation = list(map(str, outcome.violation)) if outcome.violation else None
         groups.append(([(f"hausdorff_order_{order}", {"passed": outcome.passed, "violation": violation})], gen))
     return groups
@@ -282,12 +282,12 @@ def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[tuple]:
 
 
 def _suite_cardid(tree: Tree, kmax: int = 5) -> list[tuple]:
-    groups = []
-    for v, (n0, *row) in zip(tree.vertices, sibling_chain_sums(tree, kmax)):
-        passed = all(n == n0 for n in row)
-        values = ["1"] * kmax if passed else [_rational(Fraction(n, n0)) for n in row]
-        groups.append(([("sibling_chain_sum_one", {"passed": passed, "values": values})], [v]))
-    return groups
+    rows = sibling_chain_sums(tree, kmax)
+    values = [None if all(n == n0 for n in row) else [_rational(Fraction(n, n0)) for n in row] for n0, *row in rows]
+    return [  # one group per run of vertices with equal values, None where every sum is 1
+        ([("sibling_chain_sum_one", {"passed": key is None, "values": key or ["1"] * kmax})], [v for v, _key in run])
+        for key, run in itertools.groupby(zip(tree.vertices, values), key=lambda pair: pair[1])
+    ]
 
 
 def _suite_kernel(tree: Tree, q: int, seed: int, nmax: int = 5) -> list[tuple]:
@@ -322,19 +322,16 @@ def _cmd_checks(args: argparse.Namespace) -> int:
     require_q(args.q)
     if args.horizon < 1:
         raise ValueError("horizon must be at least 1")
-    suites = _SUITES if args.suite == "all" else (args.suite,)
+    run = {
+        "defect": lambda: _suite_defect(tree, args.q, args.horizon),
+        "hausdorff": lambda: _suite_hausdorff(tree, args.q, args.horizon),
+        "pick": lambda: _suite_pick(tree, args.q),
+        "cardid": lambda: _suite_cardid(tree),
+        "kernel": lambda: _suite_kernel(tree, args.q, _seed()),
+    }
     groups: list[tuple] = []
-    for suite in suites:
-        if suite == "defect":
-            found = _suite_defect(tree, args.q, args.horizon)
-        elif suite == "hausdorff":
-            found = _suite_hausdorff(tree, args.q, args.horizon)
-        elif suite == "pick":
-            found = _suite_pick(tree, args.q)
-        elif suite == "cardid":
-            found = _suite_cardid(tree)
-        else:
-            found = _suite_kernel(tree, args.q, _seed())
+    for suite in _SUITES if args.suite == "all" else (args.suite,):
+        found = run[suite]()
         for rows, _names in found:
             for _prefix, body in rows:
                 body["suite"] = suite
@@ -398,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
-    horizon_help = "truncation depth; only the defect and hausdorff suites read it"
-    p.add_argument("--horizon", type=int, default=8, help=horizon_help)
+    horizon_help = "defect suite depth; hausdorff reads min(horizon, 10), kernel max(10, branching index + 5), "
+    p.add_argument("--horizon", type=int, default=8, help=horizon_help + "pick and cardid no depth")
     p.set_defaults(handler=_cmd_checks)
 
     return parser

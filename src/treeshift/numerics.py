@@ -1,15 +1,15 @@
 """Exact rational helpers: rising factorials, finite differences, disc integrals.
 
 Everything that feeds an identity check stays exact.  The finite-difference
-checks bring their inputs once onto integer numerators over a common
-denominator, compute on those integers, and build a ``fractions.Fraction``
-only for a value they return; floating point enters only through the
-Gauss-Legendre cross-check of the radial integrals.  Likewise the
-depth-only ratios (a)_n/(b)_n come as integer pairs: for integer bases
-they telescope to (lo)_m/(lo+n)_m or its reciprocal, m = |b - a|, two
-products of m factors, and the moving one takes one exact integer step
-per n.  A pair's quotient u / v is the correctly rounded double of the
-ratio, the same as ``float`` of its ``Fraction``.
+checks take integer pairs (u, v) (their ``Fraction`` forms read each entry
+with ``as_integer_ratio``), bring them once onto integer numerators over a
+common denominator, and build a ``fractions.Fraction`` only for a value they
+return; floating point enters only through the Gauss-Legendre cross-check of
+the radial integrals.  Likewise the depth-only ratios (a)_n/(b)_n come as
+integer pairs: for integer bases they telescope to (lo)_m/(lo+n)_m or its
+reciprocal, m = |b - a|, two products of m factors, and the moving one takes
+one exact integer step per n.  A pair's quotient u / v is the correctly
+rounded double of the ratio, the same as ``float`` of its ``Fraction``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> 
     """
     if a < 1 or b < 1:
         raise ValueError("bases must be at least 1")
-    a, b = Fraction(a), Fraction(b)
     if a.denominator == b.denominator == 1:
         lo, hi = sorted((int(a), int(b)))
         fixed = moving = math.prod(range(lo, hi))
@@ -78,29 +77,34 @@ def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Itera
         yield Fraction(u, v)
 
 
-def _common_numerators(values: Sequence) -> tuple[list[int], int]:
-    """Numerators over D = lcm of the denominators, and D; each value is
-    converted exactly with ``Fraction``."""
-    fractions = [Fraction(x) for x in values]
-    denominator = math.lcm(*(x.denominator for x in fractions))
-    return [x.numerator * (denominator // x.denominator) for x in fractions], denominator
+def _common_numerators(terms: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of integer pairs (u, v), v > 0, over D = lcm of the v's, and D."""
+    denominator = math.lcm(*(v for _u, v in terms))
+    return [u * (denominator // v) for u, v in terms], denominator
 
 
-def alternating_binomial_sum(
-    seq: Sequence[Fraction], q: int, at: int = 0
-) -> Fraction:
+def _check_window(q: int, at: int, length: int) -> None:
+    if q < 0 or at < 0:
+        raise ValueError("q and at must be nonnegative")
+    if at + q >= length:
+        raise IndexOutOfRange(f"window [{at}, {at + q}] exceeds length {length}")
+
+
+def alternating_binomial_sum(seq: Sequence[Fraction], q: int, at: int = 0) -> Fraction:
     """Signed binomial sum over a window: sum_k (-1)^k C(q,k) seq[at+k].
 
     This is (-1)^q times the q-th forward difference at ``at``; it
     annihilates any sequence that is polynomial of degree < q.
     """
-    if q < 0 or at < 0:
-        raise ValueError("q and at must be nonnegative")
-    if at + q >= len(seq):
-        raise IndexOutOfRange(f"window [{at}, {at + q}] exceeds length {len(seq)}")
-    numerators, denominator = _common_numerators([seq[at + k] for k in range(q + 1)])
-    total = sum((-1) ** k * math.comb(q, k) * n for k, n in enumerate(numerators))
-    return Fraction(total, denominator)
+    _check_window(q, at, len(seq))
+    return alternating_binomial_sum_terms([x.as_integer_ratio() for x in seq[at : at + q + 1]], q)
+
+
+def alternating_binomial_sum_terms(terms: Sequence[tuple[int, int]], q: int) -> Fraction:
+    """``alternating_binomial_sum`` of the values u / v of integer pairs (u, v), v > 0, at 0."""
+    _check_window(q, 0, len(terms))
+    numerators, denominator = _common_numerators(terms[: q + 1])
+    return Fraction(sum((-1) ** k * math.comb(q, k) * n for k, n in enumerate(numerators)), denominator)
 
 
 @dataclass(frozen=True)
@@ -115,19 +119,29 @@ class HausdorffReport:
     violation: tuple[int, int, Fraction] | None = None
 
 
+def _check_order(order: int, length: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order >= length:
+        raise IndexOutOfRange(f"order {order} needs at least {order + 1} values")
+
+
 def hausdorff_check(seq: Sequence[Fraction], order: int) -> HausdorffReport:
     """Verify complete monotonicity up to the given difference order.
 
     A sequence of moments of a measure on [0, 1] satisfies
     (-1)^m (delta^m seq)_k >= 0 for every m and k; the comparison is exact.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order >= len(seq):
-        raise IndexOutOfRange(f"order {order} needs at least {order + 1} values")
+    _check_order(order, len(seq))
+    return hausdorff_check_terms([x.as_integer_ratio() for x in seq], order)
+
+
+def hausdorff_check_terms(terms: Sequence[tuple[int, int]], order: int) -> HausdorffReport:
+    """``hausdorff_check`` of the values u / v of integer pairs (u, v), v > 0."""
+    _check_order(order, len(terms))
     # row m holds (-1)^m delta^m seq as numerators over the common
     # denominator, so every entry of every row must be nonnegative
-    current, denominator = _common_numerators(seq)
+    current, denominator = _common_numerators(terms)
     for m in range(order + 1):
         if min(current) < 0:
             k = next(k for k, value in enumerate(current) if value < 0)

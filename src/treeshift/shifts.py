@@ -13,8 +13,8 @@ their supports away from it themselves.  The vertex-keyed methods
 (``apply`` and its relatives) are adapters over the same action: they
 take a sparse dict, check its support and return the nonzero
 coordinates of the image.  The float moment oracle
-(``moment_sequence_via_matrix``, read by ``moment_via_matrix``) pushes
-e_v one generation at a time instead.  A support that the shift would
+(``moment_sequence_via_matrix``, read by ``moment_via_matrix``) follows
+e_v down v's descendants alone instead.  A support that the shift would
 push outside the truncation raises ``TruncationLoss`` instead of being
 silently projected: every exactness claim carries its validity region.
 """
@@ -29,7 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import alternating_binomial_sum, pochhammer_ratios
+from .numerics import alternating_binomial_sum_terms, pochhammer_ratio_terms, pochhammer_ratios
 from .trees import Tree, Truncation
 
 DIRICHLET = "dirichlet"
@@ -250,23 +250,33 @@ class ShiftOperator:
         return self.moment_sequence(v, k)[k]
 
     def moment_sequence(self, v: str, kmax: int) -> list[Fraction]:
-        """Moments for k = 0..kmax, built by the one-step recurrence."""
-        return list(depth_moments(self.q, self.kind, self.tree.depth_of(v), kmax))
+        """Moments for k = 0..kmax in lowest terms, the one place they become ``Fraction``s."""
+        return list(pochhammer_ratios(*moment_bases(self.q, self.kind, self.tree.depth_of(v)), kmax))
+
+    def _pushes(self, v: str, kmax: int) -> list[tuple[int, int, np.ndarray]]:
+        """S^k e_v, k = 0..kmax, on v's k-th descendants (consecutive positions) as pieces (start, stride,
+        rows), row j from position start + j stride.  Down to top = min(horizon, deepest explicit depth)
+        a step is ``push`` on the range ``searchsorted`` finds in ``parent_index``; below top a vertex's one
+        child sits ``width`` positions on: one ``np.cumprod`` of aligned weight rows under the last column."""
+        if (depth := self.tree.depth_of(v)) + kmax > self.horizon:
+            self._to_array({v: 1.0}, margin=kmax)  # raises the vertex-keyed methods' TruncationLoss
+        _order, _starts, top, width = self.trunc._runs
+        parent, a = self.trunc.parent_index, self.trunc.position(v)
+        column, b, pieces = np.ones(1), a + 1, [(a, 0, np.ones((1, 1)))]
+        for _ in range(depth, min(top, depth + kmax)):
+            lo, b = np.searchsorted(parent, (a, b)).tolist()
+            lo = max(lo, 1)  # the root is its own parent
+            column, a = self.weights[lo:b] * column[parent[lo:b] - a], lo
+            pieces.append((a, 0, column[None]))
+        if (rays := depth + kmax - max(depth, top)) > 0:
+            rows = self.weights[np.arange(width, (rays + 1) * width, width)[:, None] + np.arange(a, b)]
+            pieces.append((a + width, width, np.cumprod(np.vstack([column, rows]), axis=0)[1:]))
+        return pieces
 
     def moment_sequence_via_matrix(self, v: str, kmax: int) -> list[float]:
         """Squared norms of S^k e_v for k = 0..kmax, the float oracle for ``moment_sequence``:
-        e_v is pushed one generation at a time, and each entry is the square root of the
-        squares summed in truncation order, squared.  Raises as ``_to_array`` does for
-        the support {v} with margin kmax."""
-        e_v = self._to_array({v: 1.0}, margin=kmax)
-        depth = self.tree.depth_of(v)
-        column = e_v[slice(*self.trunc.span(depth)), None]
-        out = []
-        for k in range(kmax + 1):
-            if k:
-                column = self.push(column, depth + k)
-            out.append(math.sqrt(sum(abs(x) ** 2 for x in column[:, 0].tolist())) ** 2)
-        return out
+        the squares of each row of ``_pushes`` summed by ``np.add.reduce``."""
+        return [x for _a, _stride, rows in self._pushes(v, kmax) for x in np.add.reduce(rows * rows, axis=1).tolist()]
 
     def moment_via_matrix(self, v: str, k: int) -> float:
         """Squared norm of S^k e_v, entry k of ``moment_sequence_via_matrix``."""
@@ -278,7 +288,7 @@ class ShiftOperator:
         Zero at order q certifies the q-isometry identity on e_v; the
         (q-1)-defect stays nonzero for q >= 2.
         """
-        return alternating_binomial_sum(self.moment_sequence(v, order), order)
+        return alternating_binomial_sum_terms([*depth_moments(self.q, self.kind, self.tree.depth_of(v), order)], order)
 
     # -- cokernel ----------------------------------------------------------------
 
@@ -351,9 +361,9 @@ def moment_bases(q: int | Fraction, kind: str, n: int) -> tuple:
     raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
 
 
-def depth_moments(q: int | Fraction, kind: str, n: int, kmax: int) -> Iterator[Fraction]:
-    """Moments of a depth-n vertex for k = 0..kmax; q and kind are checked at the call."""
-    return pochhammer_ratios(*moment_bases(q, kind, n), kmax)
+def depth_moments(q: int | Fraction, kind: str, n: int, kmax: int) -> Iterator[tuple[int, int]]:
+    """Moments of a depth-n vertex, k = 0..kmax, as ``pochhammer_ratio_terms`` pairs; q and kind checked at the call."""
+    return pochhammer_ratio_terms(*moment_bases(q, kind, n), kmax)
 
 
 def make_shift(

@@ -329,7 +329,7 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
         reach.append(np.abs(w) * reach[-1][parent])
     reach = np.maximum.accumulate(reach)[::-1]  # row p: the largest A_t over t <= nmax - p - 1
     last = int(np.flatnonzero(born)[-1])  # the deepest birth
-    coefficients = np.array([list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)])
+    coefficients = np.array([[u / v for u, v in depth_moments(shift.q, DUAL, g, nmax)] for g in range(last + 1)])
     diag_worst = float(np.max(np.abs(d[:, 0] - coefficients[0])))
     off_worst = 0.0
     firsts, sizes = sibling_runs(parent[1:])

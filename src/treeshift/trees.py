@@ -434,12 +434,16 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
     """Sum over the k-th descendants of ``v`` of the product of reciprocal
     sibling counts along the chain back up to ``v``.
 
-    Equals 1 exactly for every vertex and every k >= 1; computed in exact
-    rational arithmetic by :func:`sibling_chain_sums`, a ray vertex by its ray leaf.
+    Equals 1 exactly for every vertex and every k >= 1: the sum of 1 / P over the
+    explicit descendants of v's explicit base, P their product of child counts below it.
     """
-    sums = sibling_chain_sums(tree, k)
-    n0, *_, nk = sums[tree._ids[tree._locate(v)[0]]]
-    return Fraction(nk, n0)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    level = [(tree._locate(v)[0], 1)]
+    for _ in range(k):  # a ray leaf stands for its ray child
+        level = [(c, p * len(kids)) for u, p in level for kids in [tree.children[u] or (u,)] for c in kids]
+    lcm = math.lcm(*{p for _u, p in level})
+    return Fraction(sum(lcm // p for _u, p in level), lcm)
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -2,8 +2,9 @@
 a bounded hypothesis strategy for random prefix-plus-rays trees, a
 name-walking truncation reference, the sibling-chain sums walked by vertex
 name, per-vertex references for the shift's vertex-keyed methods and its
-self-commutator, the pushed-column reference for the kernel suite's closed
-form, and Fraction references for the exact difference checks."""
+self-commutator, the per-generation push reference for the float moment
+oracle, the pushed-column reference for the kernel suite's closed form, and
+Fraction references for the exact difference checks."""
 
 import math
 import random
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
-from treeshift.numerics import HausdorffReport
-from treeshift.shifts import DUAL, KernelBasis, KernelBlock, depth_moments, kernel_columns
+from treeshift.numerics import HausdorffReport, pochhammer_ratios
+from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_columns, moment_bases
 from treeshift.spaces import _births_in_reach
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
@@ -268,6 +269,25 @@ def reference_kernel_basis(shift):
     return KernelBasis(blocks=tuple(blocks))
 
 
+def pushed_moment_columns(shift, v, kmax):
+    """Reference for ``ShiftOperator._pushes``: S^k e_v for k = 0..kmax as whole
+    generations, e_v pushed one generation at a time by ``push``."""
+    depth = shift.tree.depth_of(v)
+    e_v = to_array(shift, {v: 1.0})
+    column = e_v[slice(*shift.trunc.span(depth)), None]
+    columns = [column[:, 0]]
+    for k in range(1, kmax + 1):
+        column = shift.push(column, depth + k)
+        columns.append(column[:, 0])
+    return columns
+
+
+def pushed_moment_sequence(shift, v, kmax):
+    """Reference for ``moment_sequence_via_matrix``: the squares of each pushed
+    generation summed in truncation order; the root of the sum, squared."""
+    return [math.sqrt(sum(abs(x) ** 2 for x in c.tolist())) ** 2 for c in pushed_moment_columns(shift, v, kmax)]
+
+
 def dense_compression_maxima(shift, nmax):
     """Reference for ``spaces.kernel_compression_maxima``: each cokernel column
     pushed once per power, and one Gram matrix of the columns landing on each
@@ -276,7 +296,7 @@ def dense_compression_maxima(shift, nmax):
     born = _births_in_reach(shift, nmax)
     trunc = shift.trunc
     last = max(g for g, count in enumerate(born) if count) + nmax
-    coefficients = [list(map(float, depth_moments(shift.q, DUAL, g, nmax))) for g in range(last + 1)]
+    coefficients = [list(map(float, pochhammer_ratios(*moment_bases(shift.q, DUAL, g), nmax))) for g in range(last + 1)]
     off_worst = diag_worst = 0.0
     block = kernel_columns(trunc, 0)
     for landing in range(last + 1):

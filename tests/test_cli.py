@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from corpus import SPLIT, WIDE, comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
@@ -436,7 +437,22 @@ def _cardid_reference(tree, kmax=5):
 @settings(max_examples=40, deadline=None)
 @given(prefix_trees(), st.integers(1, 5))
 def test_cardid_suite_equals_the_per_vertex_sums(tree, kmax):
-    assert _expand(_suite_cardid(tree, kmax)) == _cardid_reference(tree, kmax)
+    groups = _suite_cardid(tree, kmax)
+    assert _expand(groups) == _cardid_reference(tree, kmax)
+    assert len(groups) == 1  # the identity holds, so every vertex shares one body
+
+
+def test_cardid_suite_takes_one_group_per_run_of_equal_sums(monkeypatch):
+    # sums that a valid tree never has: c1 and c2 read 1/2 and c4 reads 2
+    rows = [[2, 2], [3, 3], [2, 1], [4, 2], [1, 1], [1, 2], [5, 5]]
+    monkeypatch.setattr(cli, "sibling_chain_sums", lambda tree, kmax: rows)
+    tree = tree_from_json(fan(6))
+    groups = _suite_cardid(tree, 1)
+    assert [names for _rows, names in groups] == [["r", "c0"], ["c1", "c2"], ["c3"], ["c4"], ["c5"]]
+    expected = [(v, n == n0, ["1" if n == n0 else str(Fraction(n, n0))]) for v, (n0, n) in zip(tree.vertices, rows)]
+    assert [(a["name"], a["passed"], a["values"]) for a in _expand(groups)] == [
+        (f"sibling_chain_sum_one[{v}]", passed, values) for v, passed, values in expected
+    ]
 
 
 def _pick_reference(tree, q, bound=100):

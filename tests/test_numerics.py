@@ -18,7 +18,8 @@ from treeshift import (
     radial_integral_quadrature,
 )
 from treeshift.errors import IndexOutOfRange
-from treeshift.numerics import pochhammer_ratio_terms, pochhammer_ratios
+from treeshift.numerics import alternating_binomial_sum_terms, hausdorff_check_terms, pochhammer_ratio_terms, pochhammer_ratios
+from treeshift.shifts import depth_moments
 
 
 def test_pochhammer_values():
@@ -186,6 +187,40 @@ def test_exact_checks_equal_fraction_references_on_moment_sequences(q, depth, ki
     # the line has one vertex per depth 0..12; 27 moments, as the hausdorff suite reads
     shift = make_shift(LINE, q, kind, 12)
     _assert_checks_equal_fraction_references(shift.moment_sequence(shift.trunc.vertices[depth], 26))
+
+
+def _assert_pair_checks_equal_fraction_references(terms, order):
+    """The pair checks and their Fraction wrappers against the Fraction references, on
+    the values of ``terms``; every violation value an exact ``Fraction``."""
+    seq = [Fraction(u, v) for u, v in terms]
+    for q in range(8):
+        expected = reference_alternating_binomial_sum(seq, q)
+        assert alternating_binomial_sum_terms(terms, q) == alternating_binomial_sum(seq, q) == expected
+    expected = reference_hausdorff_check(seq, order)
+    for report in (hausdorff_check_terms(terms, order), hausdorff_check(seq, order)):
+        assert report == expected
+        assert report.violation is None or type(report.violation[2]) is Fraction
+    return expected
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("exact", [int, Fraction, lambda q: Fraction(2 * q + 1, 2)], ids=["int", "Fraction", "half"])
+@pytest.mark.parametrize("kind", [DIRICHLET, DUAL])
+def test_pair_checks_equal_fraction_references_on_depth_moments(q, exact, kind):
+    # the 27 moments and order 12 of the hausdorff suite, depths 0..40
+    for depth in range(41):
+        terms = list(depth_moments(exact(q), kind, depth, 26))
+        report = _assert_pair_checks_equal_fraction_references(terms, 12)
+        assert report.passed == (kind == DUAL or exact(q) == 1)
+        # one entry raised by 1: a sequence in (0, 1] that was nonincreasing
+        # fails at the first difference just above it, as does the reference
+        at = 1 + (7 * depth + q) % 26
+        u, v = terms[at]
+        perturbed = _assert_pair_checks_equal_fraction_references(terms[:at] + [(u + v, v)] + terms[at + 1 :], 12)
+        assert not perturbed.passed
+        if kind == DUAL:
+            m, k, value = perturbed.violation
+            assert (m, k) == (1, at - 1) and value == Fraction(u, v) + 1 - Fraction(*terms[at - 1])
 
 
 def test_hausdorff_check_at_order_120_is_fast():

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,8 @@ from corpus import (
     named_horizon,
     per_vertex_partial_trace,
     prefix_trees,
+    pushed_moment_columns,
+    pushed_moment_sequence,
     reference_kernel_basis,
     to_array,
     vec_norm,
@@ -353,15 +357,84 @@ def test_pushed_moment_oracle_is_the_matrix_oracle(name, q, kind):
         assert all(abs(x - float(m)) / float(m) < 1e-10 for x, m in zip(sequence, exact))
 
 
+def _assert_oracle_is_the_pushed_reference(shift, v, kmax):
+    """Each row of ``_pushes`` bit-identical to its part of the pushed generation, which is
+    zero elsewhere; the sequence within 1e-15 relative of the pushed reference's."""
+    columns = pushed_moment_columns(shift, v, kmax)
+    rows = [(start + j * stride, row) for start, stride, block in shift._pushes(v, kmax) for j, row in enumerate(block)]
+    assert len(rows) == kmax + 1
+    for k, (column, (position, row)) in enumerate(zip(columns, rows)):
+        at = position - shift.trunc.span(shift.tree.depth_of(v) + k)[0]
+        assert column[at : at + len(row)].tobytes() == row.tobytes()
+        assert not np.any(np.delete(column, np.arange(at, at + len(row))))
+    sequence = shift.moment_sequence_via_matrix(v, kmax)
+    assert all(abs(x - y) <= 1e-15 * y for x, y in zip(sequence, pushed_moment_sequence(shift, v, kmax), strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("q", [1, 2, 5])
+@pytest.mark.parametrize("kind", [DIRICHLET, DUAL])
+def test_descendant_oracle_is_the_per_generation_push(name, q, kind):
+    shift = make_shift(CORPUS[name], q, kind, 9)
+    for v in shift.trunc.vertices:
+        for kmax in range(shift.horizon - CORPUS[name].depth_of(v) + 1):
+            _assert_oracle_is_the_pushed_reference(shift, v, kmax)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_trees(), st.integers(1, 4), st.sampled_from([DIRICHLET, DUAL]), st.integers(0, 9))
+def test_descendant_oracle_is_the_per_generation_push_on_random_trees(tree, q, kind, kmax):
+    shift = make_shift(tree, q, kind, 10)
+    for v in shift.trunc.vertices:
+        if tree.depth_of(v) + kmax <= shift.horizon:
+            _assert_oracle_is_the_pushed_reference(shift, v, kmax)
+
+
+class _Reads(np.ndarray):
+    """An array counting the elements its indexing returns."""
+
+    count = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        _Reads.count += np.size(out)
+        return out
+
+
+def _oracle_reads(width, kmax):
+    shift = make_shift(tree_from_json(fan(width)), 2, DIRICHLET, 1 + kmax)
+    trunc = dataclasses.replace(shift.trunc, parent_index=shift.trunc.parent_index.view(_Reads))
+    shift = dataclasses.replace(shift, trunc=trunc, weights=shift.weights.view(_Reads))
+    _Reads.count = 0
+    sequence = shift.moment_sequence_via_matrix("c0", kmax)
+    assert all(abs(x - float(m)) <= 1e-12 * float(m) for x, m in zip(sequence, shift.moment_sequence("c0", kmax)))
+    return _Reads.count
+
+
+def test_descendant_oracle_reads_do_not_grow_with_the_width():
+    # the ray below c0 is one vertex per generation, whether it has 1 or 1,999 siblings
+    reads = _oracle_reads(2000, 500)
+    assert reads == _oracle_reads(2, 500) <= 501
+
+
 def test_pushed_moment_oracle_refuses_as_the_vertex_keyed_methods():
     shift = make_shift(DOUBLE01, 2, DIRICHLET, 5)
     for v in ("nope", "b~0", "a~1"):
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(UnknownVertex) as excinfo:
             shift.moment_sequence_via_matrix(v, 1)
-    for v, kmax in (("r", 6), ("c~1", 3), ("b~7", 0)):
+        assert str(excinfo.value) == v
+    messages = {
+        ("r", 6): "support at depth 0 exceeds -1 (horizon 5, margin 6); needs horizon 6",
+        ("c~1", 3): "support at depth 3 exceeds 2 (horizon 5, margin 3); needs horizon 6",
+        ("b~7", 0): "support at depth 8 exceeds 5 (horizon 5, margin 0); needs horizon 8",
+    }
+    for (v, kmax), message in messages.items():
         with pytest.raises(TruncationLoss) as excinfo:
             shift.moment_sequence_via_matrix(v, kmax)
+        assert str(excinfo.value) == message
         assert named_horizon(excinfo.value) == DOUBLE01.depth_of(v) + kmax
+        with pytest.raises(TruncationLoss, match=re.escape(message)):
+            shift.apply_power({v: 1.0}, kmax)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -31,6 +32,7 @@ from treeshift import (
     tree_from_json,
     tree_to_json,
 )
+from treeshift.trees import sibling_chain_sums
 from treeshift.errors import (
     CircuitDetected,
     Disconnected,
@@ -399,6 +401,40 @@ def test_one_push_gives_every_sibling_chain_sum(tree, kmax):
         sums = sibling_chain_identity_sums(tree, v, kmax)
         assert sums == [sibling_chain_identity_sum(tree, v, k) for k in range(1, kmax + 1)]
         assert all(isinstance(s, Fraction) and s == 1 for s in sums)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_trees(), st.integers(1, 5))
+def test_sibling_chain_identity_sum_equals_the_whole_tree_sums_row_by_row(tree, kmax):
+    for v, (n0, *row) in zip(tree.vertices, sibling_chain_sums(tree, kmax)):
+        assert [sibling_chain_identity_sum(tree, v, k) for k in range(1, kmax + 1)] == [Fraction(n, n0) for n in row]
+
+
+class _CountedChildren(dict):
+    """The explicit child map of a tree, counting the vertices looked up."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
+
+
+def _counted(tree):
+    return dataclasses.replace(tree, children=_CountedChildren(tree.children))
+
+
+def test_sibling_chain_identity_sum_visits_the_subtree_alone():
+    # a fan of 2,000: c0 and its ray are one vertex per level, the root's subtree is the fan
+    tree = _counted(tree_from_json(fan(2000)))
+    assert sibling_chain_identity_sum(tree, "c0", 5) == 1
+    assert tree.children.lookups == 5
+    assert sibling_chain_identity_sum(tree, "c7~3", 5) == 1
+    assert tree.children.lookups == 10
+    assert sibling_chain_identity_sum(tree, "r", 5) == 1
+    assert tree.children.lookups == 10 + 1 + 4 * 2000
+    with pytest.raises(ValueError):
+        sibling_chain_identity_sum(tree, "c0", 0)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
