@@ -10,9 +10,6 @@ invariant, with an explicit intertwining unitary in the equivalent case.
 
 from .classify import (
     EQUIVALENT,
-    EQUIVALENT_UP_TO_HORIZON,
-    EXACT,
-    HORIZON_LIMITED,
     NOT_EQUIVALENT,
     EquivalenceVerdict,
     GradedUnitary,

@@ -22,10 +22,6 @@ from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
-EQUIVALENT_UP_TO_HORIZON = "equivalent_up_to_horizon"
-
-EXACT = "exact"
-HORIZON_LIMITED = "horizon_limited"
 
 _NORM_MATCH_TOL = 1e-10
 
@@ -48,14 +44,13 @@ def _refuse_block(rows: int, cols: int, generation: int, what: str) -> None:
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     result: str
-    certainty: str
     witness: int | None
     profile1: DepthProfile
     profile2: DepthProfile
 
     @property
     def equivalent(self) -> bool:
-        return self.result in (EQUIVALENT, EQUIVALENT_UP_TO_HORIZON)
+        return self.result == EQUIVALENT
 
 
 def cokernel_dimension(tree: Tree) -> int:
@@ -67,38 +62,26 @@ def cokernel_dimension(tree: Tree) -> int:
     return 1 + sum(count - 1 for _v, count in tree.branching_vertices())
 
 
-def decide_equivalence(tree1: Tree, tree2: Tree, q: int, horizon: int) -> EquivalenceVerdict:
+def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
     """Decide whether the two Dirichlet shifts are unitarily equivalent.
 
-    q = 1 compares cokernel dimensions; q >= 2 compares depth profiles
-    entrywise.  The verdict is exact unless a profile is horizon-limited
-    and no difference was found inside the horizon.
+    Both depth profiles are read down to the branching index, so they are
+    complete and every verdict is exact.  q = 1 compares cokernel
+    dimensions; q >= 2 compares the profiles entrywise, and the witness is
+    the first generation where they differ.
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidQ(f"q must be a positive integer, got {q!r}")
-    if horizon < 0:  # q = 1 extends the horizon below, which would hide a negative one
-        raise ValueError("horizon must be nonnegative")
+    p1, p2 = (tree.depth_profile(tree.branching_index()) for tree in (tree1, tree2))
     witness = None
     if q == 1:
-        # totals are representation-exact; extend the horizon so the
-        # reported profiles are certified complete
-        p1 = tree1.depth_profile(max(horizon, tree1.branching_index()))
-        p2 = tree2.depth_profile(max(horizon, tree2.branching_index()))
         equal = cokernel_dimension(tree1) == cokernel_dimension(tree2)
-        exact = True
     else:
-        p1, p2 = tree1.depth_profile(horizon), tree2.depth_profile(horizon)
-        witness = p1.first_difference(p2)
+        differ = (n for n in p1.entries.keys() | p2.entries.keys() if p1.entries.get(n) != p2.entries.get(n))
+        witness = min(differ, default=None)
         equal = witness is None
-        # a witness is exact; agreement is exact when both profiles are
-        exact = not equal or (p1.exact_beyond_horizon and p2.exact_beyond_horizon)
-    result = EQUIVALENT if exact else EQUIVALENT_UP_TO_HORIZON
     return EquivalenceVerdict(
-        result=result if equal else NOT_EQUIVALENT,
-        certainty=EXACT if exact else HORIZON_LIMITED,
-        witness=witness,
-        profile1=p1,
-        profile2=p2,
+        result=EQUIVALENT if equal else NOT_EQUIVALENT, witness=witness, profile1=p1, profile2=p2
     )
 
 
@@ -126,16 +109,14 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
     """
     if verdict.result == NOT_EQUIVALENT:
         raise NotEquivalentError(f"shifts differ (witness generation {verdict.witness})")
-    if not verdict.profile1.same_as(verdict.profile2):
+    entries = verdict.profile1.entries
+    if entries != verdict.profile2.entries:
         # only reachable at q = 1, where equal totals do not force equal
         # profiles; the generation-by-generation construction needs them
         raise ValueError("graded construction needs matching depth profiles")
-    for n, count in verdict.profile1.entries.items():
+    for n, count in entries.items():
         _refuse_block(count, count, n, "graded unitary")
-    generations = {
-        n: np.eye(verdict.profile1.entry(n)) for n in sorted(verdict.profile1.entries)
-    }
-    return GradedUnitary(generations=generations)
+    return GradedUnitary(generations={n: np.eye(count) for n, count in sorted(entries.items())})
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------

@@ -166,10 +166,13 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     if args.verify_depth is not None and args.verify_depth < 1:
         raise ValueError("--verify-depth must be at least 1")
     tree1, tree2 = load_tree(args.tree1), load_tree(args.tree2)
-    verdict = decide_equivalence(tree1, tree2, args.q, args.horizon)
+    verdict = decide_equivalence(tree1, tree2, args.q)
+    # no verdict reads the horizon; it is validated and echoed in the report
+    if args.horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     results = {
         "verdict": verdict.result,
-        "certainty": verdict.certainty,
+        "certainty": "exact",
         "witness_generation": verdict.witness,
         "cokernel_dims": [cokernel_dimension(tree1), cokernel_dimension(tree2)],
         "profiles": [
@@ -178,7 +181,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         ],
     }
     if args.verify_depth is not None and verdict.equivalent:
-        if verdict.profile1.same_as(verdict.profile2):
+        if verdict.profile1.entries == verdict.profile2.entries:
             unitary = build_graded_unitary(verdict)
             residual = verify_intertwining(
                 tree1, tree2, args.q, unitary, args.verify_depth, seed=_seed()

@@ -67,21 +67,6 @@ class DepthProfile:
             raise HorizonExceeded(f"profile not certified at generation {n}")
         return self.entries.get(n, 0)
 
-    def same_as(self, other: "DepthProfile") -> bool:
-        """Entrywise equality on the region both profiles certify."""
-        return self.first_difference(other) is None
-
-    def first_difference(self, other: "DepthProfile") -> int | None:
-        """Smallest certified generation where the two profiles differ."""
-        keys = set(self.entries) | set(other.entries)
-        limit = min(self.horizon, other.horizon)
-        if not (self.exact_beyond_horizon and other.exact_beyond_horizon):
-            keys = {n for n in keys if n <= limit}
-        for n in sorted(keys):
-            if self.entries.get(n, 0) != other.entries.get(n, 0):
-                return n
-        return None
-
 
 @dataclass(frozen=True)
 class Truncation:

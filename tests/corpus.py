@@ -18,7 +18,7 @@ from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport, pochhammer_ratios
 from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_columns, moment_bases
-from treeshift.spaces import _births_in_reach
+from treeshift.spaces import PickReport, _births_in_reach
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -30,6 +30,13 @@ DEEP13 = build_tree(
     "r",
     {"r": ["a"], "a": ["b", "c"], "b": ["d"], "d": ["e", "f"]},
     ["c", "e", "f"],
+)
+# DEEP13 with a third child at d: the depth profiles {1: 1, 3: 1} and
+# {1: 1, 3: 2} first differ at generation 3
+DEEP13_WIDER = build_tree(
+    "r",
+    {"r": ["a"], "a": ["b", "c"], "b": ["d"], "d": ["e", "f", "g"]},
+    ["c", "e", "f", "g"],
 )
 
 CORPUS = {
@@ -350,3 +357,11 @@ def reference_hausdorff_check(seq, order):
                 return HausdorffReport(passed=False, violation=(m, k, value))
         current = [current[k + 1] - current[k] for k in range(len(current) - 1)]
     return HausdorffReport(passed=True)
+
+
+def reference_log_convexity_check(k, l, bound):
+    """``log_convexity_check`` n by n: (l+n)(k+n-1) <= (l+n-1)(k+n) for 1 <= n <= bound."""
+    for n in range(1, bound + 1):
+        if (l + n) * (k + n - 1) > (l + n - 1) * (k + n):
+            return PickReport(passed=False, checked_through=bound, witness=n)
+    return PickReport(passed=True, checked_through=bound)

@@ -187,19 +187,19 @@ def test_criterion_8_classification():
     started = time.monotonic()
     failures = []
     tree1, tree2 = TOTALS_PAIR
-    if decide_equivalence(tree1, tree2, 1, 8).result != EQUIVALENT:
+    if decide_equivalence(tree1, tree2, 1).result != EQUIVALENT:
         failures.append("totals pair not equivalent at q=1")
-    verdict = decide_equivalence(tree1, tree2, 2, 8)
+    verdict = decide_equivalence(tree1, tree2, 2)
     if verdict.result != NOT_EQUIVALENT or verdict.witness != 0:
         failures.append("totals pair not separated at q=2")
     wide, split = PROFILE_PAIR
     if wide.canonical_form(10) == split.canonical_form(10):
         failures.append("witness pair is isomorphic")
     for q in range(1, 7):
-        if decide_equivalence(wide, split, q, 8).result != EQUIVALENT:
+        if decide_equivalence(wide, split, q).result != EQUIVALENT:
             failures.append(f"profile pair not equivalent at q={q}")
     for q in (1, 2, 3, 4):
-        unitary = build_graded_unitary(decide_equivalence(wide, split, q, 8))
+        unitary = build_graded_unitary(decide_equivalence(wide, split, q))
         residual = verify_intertwining(wide, split, q, unitary, 12)
         if residual >= 1e-8:
             failures.append((q, residual))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from corpus import (
     DEEP13,
+    DEEP13_WIDER,
     DOUBLE01,
     FORK3,
     LINE,
@@ -23,9 +25,6 @@ from hypothesis import strategies as st
 
 from treeshift import (
     EQUIVALENT,
-    EQUIVALENT_UP_TO_HORIZON,
-    EXACT,
-    HORIZON_LIMITED,
     NOT_EQUIVALENT,
     build_graded_unitary,
     build_tree,
@@ -52,50 +51,41 @@ def test_isomorphic_pair_is_equivalent_for_every_q():
     other = build_tree("s", {"s": ["x", "y"], "y": ["u", "w"]}, ["x", "u", "w"])
     assert DOUBLE01.canonical_form(8) == other.canonical_form(8)
     for q in range(1, 5):
-        verdict = decide_equivalence(DOUBLE01, other, q, 6)
-        assert verdict.result == EQUIVALENT
-        assert verdict.certainty == EXACT
+        assert decide_equivalence(DOUBLE01, other, q).result == EQUIVALENT
 
 
 def test_totals_pair_separates_q1_from_q2():
     tree1, tree2 = TOTALS_PAIR
-    q1 = decide_equivalence(tree1, tree2, 1, 6)
+    q1 = decide_equivalence(tree1, tree2, 1)
     assert q1.result == EQUIVALENT and q1.witness is None
-    q2 = decide_equivalence(tree1, tree2, 2, 6)
+    q2 = decide_equivalence(tree1, tree2, 2)
     assert q2.result == NOT_EQUIVALENT
     assert q2.witness == 0
 
 
 def test_line_tree_self_equivalence():
     for q in (1, 2, 5):
-        assert decide_equivalence(LINE, LINE, q, 4).result == EQUIVALENT
+        assert decide_equivalence(LINE, LINE, q).result == EQUIVALENT
 
 
 def test_q_must_be_a_positive_integer():
     with pytest.raises(InvalidQ):
-        decide_equivalence(LINE, LINE, 0, 4)
+        decide_equivalence(LINE, LINE, 0)
 
 
 def test_profile_pair_equivalent_but_not_isomorphic():
     wide, split = PROFILE_PAIR
     assert wide.canonical_form(8) != split.canonical_form(8)
     for q in range(1, 5):
-        assert decide_equivalence(wide, split, q, 6).result == EQUIVALENT
+        assert decide_equivalence(wide, split, q).result == EQUIVALENT
 
 
 def test_horizon_limited_verdicts():
-    # second branching moved to depth 3 with a different defect
-    variant = build_tree(
-        "r",
-        {"r": ["a"], "a": ["b", "c"], "b": ["d"], "d": ["e", "f", "g"]},
-        ["c", "e", "f", "g"],
-    )
-    shallow = decide_equivalence(DEEP13, variant, 2, 2)
-    assert shallow.result == EQUIVALENT_UP_TO_HORIZON
-    assert shallow.certainty == HORIZON_LIMITED
-    deep = decide_equivalence(DEEP13, variant, 2, 3)
-    assert deep.result == NOT_EQUIVALENT
-    assert deep.witness == 3 and deep.certainty == EXACT
+    # the profiles are read down to the deepest branching vertex, so the
+    # depth-3 difference decides the verdict
+    verdict = decide_equivalence(DEEP13, DEEP13_WIDER, 2)
+    assert verdict.result == NOT_EQUIVALENT
+    assert verdict.witness == 3
 
 
 def _random_tree(seed: int):
@@ -122,7 +112,7 @@ def _random_tree(seed: int):
 def test_decide_equivalence_is_an_equivalence_relation(q):
     trees = [_random_tree(seed) for seed in range(12)]
     related = {
-        (i, j): decide_equivalence(trees[i], trees[j], q, 8).equivalent
+        (i, j): decide_equivalence(trees[i], trees[j], q).equivalent
         for i in range(len(trees))
         for j in range(len(trees))
     }
@@ -140,48 +130,59 @@ def test_decide_equivalence_is_an_equivalence_relation(q):
     trees=st.lists(prefix_trees(max_vertices=6), min_size=3, max_size=3),
     seed=st.integers(0, 2**16),
     q=st.integers(1, 4),
-    horizon=st.integers(1, 6),
 )
-def test_decide_equivalence_laws_on_prefix_trees(trees, seed, q, horizon):
+def test_decide_equivalence_laws_on_prefix_trees(trees, seed, q):
     a, b, c = trees
-    assert decide_equivalence(a, relabel_and_shuffle(a, seed), q, horizon).equivalent
-    ab, ba = decide_equivalence(a, b, q, horizon), decide_equivalence(b, a, q, horizon)
-    assert (ab.result, ab.certainty, ab.witness) == (ba.result, ba.certainty, ba.witness)
-    if ab.equivalent and decide_equivalence(b, c, q, horizon).equivalent:
-        assert decide_equivalence(a, c, q, horizon).equivalent
+    assert decide_equivalence(a, relabel_and_shuffle(a, seed), q).equivalent
+    ab, ba = decide_equivalence(a, b, q), decide_equivalence(b, a, q)
+    assert (ab.result, ab.witness) == (ba.result, ba.witness)
+    if ab.equivalent and decide_equivalence(b, c, q).equivalent:
+        assert decide_equivalence(a, c, q).equivalent
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=prefix_trees(max_vertices=6), b=prefix_trees(max_vertices=6), q=st.integers(1, 4))
+def test_verdict_compares_complete_branching_data(a, b, q):
+    # q = 1 reads the total branching defect, q >= 2 the defect of every generation
+    defects = [collections.Counter(), collections.Counter()]
+    for tree, counter in zip((a, b), defects):
+        for v, count in tree.branching_vertices():
+            counter[tree.depth_of(v)] += count - 1
+    same = defects[0].total() == defects[1].total() if q == 1 else defects[0] == defects[1]
+    assert decide_equivalence(a, b, q).equivalent == same
 
 
 def test_equivalence_at_higher_q_implies_equivalence_at_one():
     trees = [_random_tree(seed) for seed in range(12)]
     for t1, t2 in itertools.combinations(trees, 2):
         for q in (2, 3):
-            if decide_equivalence(t1, t2, q, 8).result == EQUIVALENT:
-                assert decide_equivalence(t1, t2, 1, 8).result == EQUIVALENT
+            if decide_equivalence(t1, t2, q).result == EQUIVALENT:
+                assert decide_equivalence(t1, t2, 1).result == EQUIVALENT
 
 
 def test_graded_unitary_shapes():
     other = build_tree("s", {"s": ["x", "y"], "y": ["u", "w"]}, ["x", "u", "w"])
-    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, other, 3, 6))
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, other, 3))
     assert sorted(unitary.generations) == [0, 1]
     assert unitary.generations[1].shape == (1, 1)
     assert unitary.generations[1][0, 0] == 1.0
-    line_unitary = build_graded_unitary(decide_equivalence(LINE, LINE, 2, 4))
+    line_unitary = build_graded_unitary(decide_equivalence(LINE, LINE, 2))
     assert line_unitary.generations == {}
-    wide_unitary = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2, 6))
+    wide_unitary = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2))
     assert wide_unitary.generations[1].shape == (2, 2)
     assert np.array_equal(wide_unitary.generations[1], np.eye(2))
 
 
 def test_graded_unitary_requires_equivalence():
     with pytest.raises(NotEquivalentError):
-        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 2, 6))
+        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 2))
     # equivalent at q = 1, but no graded unitary exists across profiles
     with pytest.raises(ValueError):
-        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 1, 6))
+        build_graded_unitary(decide_equivalence(*TOTALS_PAIR, 1))
 
 
 def test_identity_pair_residual_is_roundoff():
-    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2))
     residual = verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
     assert residual < 1e-12
 
@@ -189,14 +190,14 @@ def test_identity_pair_residual_is_roundoff():
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_profile_pair_intertwines(q):
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, q, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, q))
     residual = verify_intertwining(wide, split, q, unitary, 12)
     assert residual < 1e-8
 
 
 def test_lift_is_unitary():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     lift = lift_graded_unitary(wide, split, 2, unitary, 10)
     n1 = lift.source.shape[0]
 
@@ -296,8 +297,15 @@ def _random_orthogonal(unitary, seed):
     return dataclasses.replace(unitary, generations=mixed)
 
 
-def _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=None, mix_seed=None):
-    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, q, depth if horizon is None else horizon))
+def _unitary(tree1, tree2, q, drop=()):
+    """The graded unitary of an equivalent pair, without the generations in ``drop``."""
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, q))
+    kept = {n: u for n, u in unitary.generations.items() if n not in drop}
+    return dataclasses.replace(unitary, generations=kept)
+
+
+def _assert_lift_matches_reference(tree1, tree2, q, depth, drop=(), mix_seed=None):
+    unitary = _unitary(tree1, tree2, q, drop)
     if mix_seed is not None:
         unitary = _random_orthogonal(unitary, mix_seed)
     lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
@@ -323,13 +331,13 @@ def test_block_lift_matches_reference_on_profile_pair(q, depth):
 
 
 def test_block_lift_matches_reference_below_a_limited_horizon():
-    # DEEP13 branches at depths 1 and 3; a unitary certified to horizon 1
-    # leaves the depth-3 block out, so the deeper generation blocks have
-    # more rows than columns
+    # DEEP13 branches at depths 1 and 3; a unitary without its generation-3
+    # block leaves the kernel columns born on generation 4 out, so the deeper
+    # generation blocks have more rows than columns
     other = relabel_and_shuffle(DEEP13, 7)
-    assert decide_equivalence(DEEP13, other, 2, 1).result == EQUIVALENT_UP_TO_HORIZON
-    _assert_lift_matches_reference(DEEP13, other, 2, 7, horizon=1)
-    unitary = build_graded_unitary(decide_equivalence(DEEP13, other, 2, 1))
+    _assert_lift_matches_reference(DEEP13, other, 2, 7, drop={3})
+    unitary = _unitary(DEEP13, other, 2, drop={3})
+    assert sorted(unitary.generations) == [1]
     lift = lift_graded_unitary(DEEP13, other, 2, unitary, 7)
     assert any(b.shape[0] > b.shape[1] for b in lift.source.blocks)
     assert verify_intertwining(DEEP13, other, 2, unitary, 7) < 1e-12
@@ -345,27 +353,27 @@ def test_mixed_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra)
 
 
 _BINARY3 = tree_from_json(complete_binary(3))
-# (tree1, tree2, depth, horizon of the unitary); binary 3 has a 4 x 4
+# (tree1, tree2, depth, generations left out of the unitary); binary 3 has a 4 x 4
 # generation, whose random orthogonal matrix is not symmetric
 MIXED_PAIRS = {
-    "wide-split": (*PROFILE_PAIR, 7, None),
-    "split-wide": (*reversed(PROFILE_PAIR), 7, None),
-    "deep13": (DEEP13, relabel_and_shuffle(DEEP13, 7), 8, None),
-    "deep13-limited": (DEEP13, relabel_and_shuffle(DEEP13, 7), 7, 1),
-    "binary3": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 6, None),
+    "wide-split": (*PROFILE_PAIR, 7, ()),
+    "split-wide": (*reversed(PROFILE_PAIR), 7, ()),
+    "deep13": (DEEP13, relabel_and_shuffle(DEEP13, 7), 8, ()),
+    "deep13-limited": (DEEP13, relabel_and_shuffle(DEEP13, 7), 7, {3}),
+    "binary3": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 6, ()),
 }
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("pair", sorted(MIXED_PAIRS))
 def test_mixed_lift_matches_reference(pair, q):
-    tree1, tree2, depth, horizon = MIXED_PAIRS[pair]
-    _assert_lift_matches_reference(tree1, tree2, q, depth, horizon=horizon, mix_seed=q)
+    tree1, tree2, depth, drop = MIXED_PAIRS[pair]
+    _assert_lift_matches_reference(tree1, tree2, q, depth, drop=drop, mix_seed=q)
 
 
 def test_non_unitary_generation_raises_moment_mismatch():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     stretched = dataclasses.replace(unitary, generations={**unitary.generations, 1: 2 * np.eye(2)})
     with pytest.raises(AssertionError, match="moment mismatch"):
         lift_graded_unitary(wide, split, 2, stretched, 8)
@@ -375,7 +383,7 @@ def test_non_unitary_generation_raises_moment_mismatch():
 
 def test_lift_blocks_are_one_generation_each():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, 3, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 3))
     lift = lift_graded_unitary(wide, split, 3, unitary, 7)
     sizes = [len(gen) for gen in wide.truncate(7).generations]
     assert [b.shape for b in lift.source.blocks] == [(n, n) for n in sizes]
@@ -384,16 +392,16 @@ def test_lift_blocks_are_one_generation_each():
 
 
 SHARING_PAIRS = {
-    "profile-pair": (*PROFILE_PAIR, 12, None),
-    "binary3-12": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 12, None),
+    "profile-pair": (*PROFILE_PAIR, 12, ()),
+    "binary3-12": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 12, ()),
     **MIXED_PAIRS,
 }
 
 
 @pytest.mark.parametrize("pair", sorted(SHARING_PAIRS))
 def test_lift_shares_the_block_above_exactly_where_no_width_changes(pair):
-    tree1, tree2, depth, horizon = SHARING_PAIRS[pair]
-    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, 2, depth if horizon is None else horizon))
+    tree1, tree2, depth, drop = SHARING_PAIRS[pair]
+    unitary = _unitary(tree1, tree2, 2, drop)
     lift = lift_graded_unitary(tree1, tree2, 2, unitary, depth)
     widths1, widths2 = ([len(gen) for gen in tree.truncate(depth).generations] for tree in (tree1, tree2))
     kept = [widths1[d] == widths1[d - 1] and widths2[d] == widths2[d - 1] for d in range(1, depth + 1)]
@@ -405,7 +413,7 @@ def test_lift_shares_the_block_above_exactly_where_no_width_changes(pair):
 
 def test_lift_blocks_are_read_only():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     lift = lift_graded_unitary(wide, split, 2, unitary, 12)
     for d in range(13):
         for blocks in (lift.source.blocks, lift.target.blocks):
@@ -423,7 +431,7 @@ def test_lift_blocks_are_read_only():
 def test_lift_pushes_only_where_a_width_changes(monkeypatch, tree1, tree2, depth, pushes):
     # binary 3 widens on generations 1, 2 and 3 only, so each side pushes three
     # times; one push per generation and side would be 2 x depth
-    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, 2, depth))
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, 2))
     calls = []
     push = ShiftOperator.push
 
@@ -439,7 +447,7 @@ def test_lift_pushes_only_where_a_width_changes(monkeypatch, tree1, tree2, depth
 
 def test_truncation_loss_when_blocks_need_more_depth():
     wide, split = PROFILE_PAIR
-    unitary = build_graded_unitary(decide_equivalence(wide, split, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     with pytest.raises(TruncationLoss, match="generation 1 blocks need depth at least 3"):
         lift_graded_unitary(wide, split, 2, unitary, 2)
 
@@ -447,22 +455,22 @@ def test_truncation_loss_when_blocks_need_more_depth():
 def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):
     # DOUBLE01 has generations of 1, 2, 3, 3, ... vertices carrying 1, 2, 3, 3, ... lifted
     # columns, so its largest lift block is 3 x 3; FORK3's graded unitary is one 2 x 2 block
-    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2, 6))
+    unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2))
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 9)
     assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10) < 1e-12
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 8)
     with pytest.raises(ValueError, match="^lift needs a 3 x 3 block on generation 2, over the limit of 8 float64"):
         verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 4)
-    build_graded_unitary(decide_equivalence(FORK3, FORK3, 2, 6))
+    build_graded_unitary(decide_equivalence(FORK3, FORK3, 2))
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 3)
     with pytest.raises(ValueError, match="^graded unitary needs a 2 x 2 block on generation 0, over the limit of 3"):
-        build_graded_unitary(decide_equivalence(FORK3, FORK3, 2, 6))
+        build_graded_unitary(decide_equivalence(FORK3, FORK3, 2))
 
 
 def test_binary9_verify_at_depth_12_is_fast():
     tree = tree_from_json(complete_binary(9))
-    unitary = build_graded_unitary(decide_equivalence(tree, tree, 2, 10))
+    unitary = build_graded_unitary(decide_equivalence(tree, tree, 2))
     verify_intertwining(tree, tree, 2, unitary, 12)  # warm up
     start = time.perf_counter()
     residual = verify_intertwining(tree, tree, 2, unitary, 12)

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from corpus import SPLIT, WIDE, comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
+from corpus import DEEP13, DEEP13_WIDER, SPLIT, WIDE, comb, complete_binary, fan, prefix_trees, sibling_chain_identity_sums
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +105,20 @@ def test_equiv_exit_codes_and_witness(tree_file, capsys):
     results = json.loads(out)["results"]
     assert results["verdict"] == "not_equivalent"
     assert results["witness_generation"] == 0
+
+
+def test_equiv_verdict_does_not_read_the_horizon(tree_file, capsys):
+    # the profiles first differ at generation 3, deeper than horizons 0 to 2
+    f1, f2 = tree_file(tree_to_json(DEEP13), "t1.json"), tree_file(tree_to_json(DEEP13_WIDER), "t2.json")
+    outputs = []
+    for horizon in ("0", "1", "2", "3", "6"):
+        code, out = _run(capsys, ["equiv", f1, f2, "--q", "2", "--horizon", horizon])
+        assert code == 1
+        report = json.loads(out)
+        assert report["inputs"]["horizon"] == int(horizon)
+        assert report["results"]["witness_generation"] == 3
+        outputs.append(json.dumps(report["results"], sort_keys=True))
+    assert len(set(outputs)) == 1
 
 
 def test_equiv_verify_residual(tree_file, capsys):
@@ -362,7 +376,7 @@ def test_equiv_rejects_verify_depth_below_one(tree_file, capsys, depth, pair):
 @pytest.mark.parametrize("verify", [[], ["--verify-depth", "4"]], ids=["plain", "verify"])
 @pytest.mark.parametrize("q", ["1", "2"])
 def test_equiv_rejects_a_negative_horizon_for_every_q(tree_file, capsys, q, verify):
-    # q = 1 extends the horizon to the branching index, which must not hide a negative one
+    # no verdict reads the horizon, but the report echoes it, so it is checked at every q
     path = tree_file(DOUBLE01)
     assert main(["equiv", path, path, "--q", q, "--horizon", "-5", *verify]) == 2
     captured = capsys.readouterr()

@@ -133,7 +133,7 @@ def test_hausdorff_dual_moment_sequence_passes():
     assert hausdorff_check(seq, 8).passed
 
 
-def test_hausdorff_increasing_sequence_fails_at_first_difference():
+def test_hausdorff_increasing_sequence_fails_at_order_one():
     seq = [Fraction(k + 1) for k in range(10)]
     report = hausdorff_check(seq, 3)
     assert not report.passed

@@ -19,6 +19,7 @@ from corpus import (
     fan,
     named_horizon,
     prefix_trees,
+    reference_log_convexity_check,
     vec_norm,
 )
 from hypothesis import given, settings
@@ -444,6 +445,13 @@ def test_kernel_coefficients_are_shift_moments_at_depth_l(tree, q, l, n):
 def test_pick_check_is_log_convexity_of_the_block_bases(q, depth, bound):
     assert pick_property_check(q, depth, bound) == log_convexity_check(depth + 2, depth + 1 + q, bound)
     assert pick_property_check(q, None, bound) == log_convexity_check(1, q, bound)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 100])
+def test_log_convexity_closed_form_equals_the_loop(bound):
+    for k in range(1, 41):
+        for l in range(1, 41):
+            assert log_convexity_check(k, l, bound) == reference_log_convexity_check(k, l, bound)
 
 
 def _reference_log_convexity(k, l, bound):

@@ -43,7 +43,7 @@ def test_traced_site_resolves(module_name, attr):
 
 
 _SHIFT = make_shift(DOUBLE01, 2, DUAL, 6)
-_UNITARY = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2, 6))
+_UNITARY = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2))
 
 # positional and keyword arguments of one real call per counted site
 COUNTED_CALLS = {

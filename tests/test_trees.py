@@ -16,7 +16,6 @@ from corpus import (
     FORK2,
     FORK3,
     LINE,
-    PROFILE_PAIR,
     fan,
     prefix_trees,
     reference_truncate,
@@ -152,18 +151,6 @@ def test_profile_horizon_limitation():
     with pytest.raises(HorizonExceeded):
         profile.entry(3)
     assert DEEP13.depth_profile(3).exact_beyond_horizon
-
-
-def test_profile_same_as():
-    wide, split = PROFILE_PAIR
-    assert wide.depth_profile(4).same_as(split.depth_profile(6))
-    # DEEP13 branches at depths 1 and 3; seen through horizon 2 only the first counts
-    one_branch = build_tree("r", {"r": ["a"], "a": ["b", "c"]}, ["b", "c"])
-    limited = DEEP13.depth_profile(2)
-    assert limited.same_as(one_branch.depth_profile(5))
-    assert one_branch.depth_profile(5).same_as(limited)
-    assert not DEEP13.depth_profile(3).same_as(one_branch.depth_profile(5))
-    assert not limited.same_as(DOUBLE01.depth_profile(5))
 
 
 def test_canonical_form_invariance():
