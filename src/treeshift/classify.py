@@ -6,11 +6,16 @@ the depth profile: generation by generation, the branching defect counts
 must agree.  In the equivalent case an explicit intertwining unitary is
 assembled generation by generation on the cokernel blocks and lifted to
 the truncated coordinate spaces, where the intertwining residual can be
-measured directly.
+measured directly.  The canonical unitary is the identity on every
+generation and carries no matrix.  The lift stores the columns that a
+later generation pushes; the Helmert columns born on the last generation
+that widens are applied through prefix sums over the sibling runs, since
+S* is a sum over children.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
 from .shifts import DIRICHLET, ShiftOperator, kernel_births, kernel_columns, make_shift
-from .trees import DepthProfile, Tree
+from .trees import DepthProfile, Tree, Truncation
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -28,15 +33,16 @@ _NORM_MATCH_TOL = 1e-10
 # random test vectors per intertwining check
 _TRIALS = 16
 
-# float64 entries (256 MiB) allowed in one generation block of the graded unitary or its lift
+# float64 entries (256 MiB) allowed in one explicit generation matrix of the graded unitary,
+# and in the columns one generation block of the lift stores
 MAX_BLOCK_ENTRIES = 2**25
 
 
-def _refuse_block(rows: int, cols: int, generation: int, what: str) -> None:
+def _refuse_block(rows: int, cols: int, generation: int, what: str, kind: str = "") -> None:
     """``ValueError`` for a rows x cols block over ``MAX_BLOCK_ENTRIES``, raised before allocating it."""
     if rows * cols > MAX_BLOCK_ENTRIES:
         raise ValueError(
-            f"{what} needs a {rows} x {cols} block on generation {generation}, "
+            f"{what} needs a {rows} x {cols} block{kind} on generation {generation}, "
             f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
         )
 
@@ -86,26 +92,37 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
 
 
 @dataclass(frozen=True)
+class Identity:
+    """The ``size`` x ``size`` identity of one generation, kept as its size."""
+
+    size: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
+
+
+@dataclass(frozen=True)
 class GradedUnitary:
     """Generation-by-generation unitary between the cokernel blocks.
 
-    The first root indicator goes to the second; ``generations[n]`` is a
-    unitary matrix from the Helmert coordinates of the first tree's
-    generation-n branching vertices to the second's.  On
-    each side the coordinates are in breadth-first order, which is
-    truncation order: the branching vertices in generation order, each
-    one's Helmert vectors in child order.
+    The first root indicator goes to the second; ``generations[n]`` is the
+    unitary from the Helmert coordinates of the first tree's generation-n
+    branching vertices to the second's: an ``Identity``, which carries no
+    matrix, or an explicit orthogonal array.  On each side the coordinates
+    are in breadth-first order, which is truncation order: the branching
+    vertices in generation order, each one's Helmert vectors in child order.
     """
 
-    generations: Mapping[int, np.ndarray]
+    generations: Mapping[int, Identity | np.ndarray]
 
 
 def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
     """Construct the canonical graded unitary for the pair ``verdict`` decided.
 
     Blocks are ordered by (generation, breadth-first vertex order) and
-    each generation gets the identity matrix in Helmert coordinates; any
-    choice of unitaries works, the identity is the deterministic one.
+    each generation gets the identity in Helmert coordinates; any choice
+    of unitaries works, the identity is the deterministic one.
     """
     if verdict.result == NOT_EQUIVALENT:
         raise NotEquivalentError(f"shifts differ (witness generation {verdict.witness})")
@@ -114,9 +131,7 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
         # only reachable at q = 1, where equal totals do not force equal
         # profiles; the generation-by-generation construction needs them
         raise ValueError("graded construction needs matching depth profiles")
-    for n, count in entries.items():
-        _refuse_block(count, count, n, "graded unitary")
-    return GradedUnitary(generations={n: np.eye(count) for n, count in sorted(entries.items())})
+    return GradedUnitary(generations={n: Identity(count) for n, count in sorted(entries.items())})
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------
@@ -127,10 +142,11 @@ class BlockDiagonal:
     """A block-diagonal matrix kept as its diagonal blocks, in order.
 
     Supports ``.shape``, ``.T`` and ``@`` on an array or a block of columns.
-    One array may appear as several consecutive blocks.
+    A block is an array or a ``HelmertBlock``; one block may appear as
+    several consecutive blocks.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray | HelmertBlock, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,6 +169,96 @@ class BlockDiagonal:
         return out
 
 
+def _helmert_runs(trunc: Truncation, generation: int) -> tuple[np.ndarray, ...]:
+    """Where the Helmert columns born on ``generation`` sit, read off its parents.
+
+    Column k (k = 1..m - 1) of a run of m siblings from row s is 1/sqrt(k(k+1))
+    on rows s..s+k-1 and -k/sqrt(k(k+1)) on its tail row s + k, the rows whose
+    parent is the row above's, so the columns match the tail rows in order.
+    Returns the tail and head row of each column, 1/sqrt(k(k+1)) and
+    k/sqrt(k(k+1)) as columns, and for every row one past the last row of
+    its run (the next row, outside the runs).
+    """
+    start, end = trunc.span(generation)
+    parents = trunc.parent_index[start:end]
+    tail = np.flatnonzero(parents[1:] == parents[:-1]) + 1
+    head = np.searchsorted(parents, parents[tail])
+    stop = np.searchsorted(parents, parents, side="right")
+    k = tail - head
+    scale = 1.0 / np.sqrt(k * (k + 1.0))
+    return tail, head, stop, scale[:, None], (k * scale)[:, None]
+
+
+def _helmert_apply(runs: tuple[np.ndarray, ...], c: np.ndarray) -> np.ndarray:
+    """H @ c for the Helmert columns H of ``runs`` and a block c of coefficients.
+
+    Row s + i of a run gets the sum of the scaled coefficients of the columns
+    k > i, a reverse prefix sum over the run, less i times its own."""
+    tail, _head, stop, scale, kscale = runs
+    spread = np.zeros((len(stop), c.shape[1]))
+    spread[tail] = scale * c
+    suffix = np.zeros((len(stop) + 1, c.shape[1]))  # row r: the sum of rows r.. of spread
+    np.cumsum(spread[::-1], axis=0, out=suffix[-2::-1])
+    out = suffix[stop]
+    np.subtract(suffix[1:], out, out=out)
+    out[tail] -= kscale * c
+    return out
+
+
+def _helmert_adjoint(runs: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+    """H.T @ z: column k of a run from row s reads the prefix sum of z over
+    rows s..s+k-1, less k times row s + k, both scaled by 1/sqrt(k(k+1))."""
+    tail, head, _stop, scale, kscale = runs
+    prefix = np.zeros((len(z) + 1, z.shape[1]))
+    np.cumsum(z, axis=0, out=prefix[1:])
+    out = prefix[tail]
+    out -= prefix[head]
+    out *= scale
+    out -= kscale * z[tail]
+    return out
+
+
+@dataclass(frozen=True)
+class HelmertBlock:
+    """A lift block whose newborn columns no generation pushes, kept implicit.
+
+    The block is ``pushed``, the stored columns pushed from the generations
+    above, followed by the Helmert columns born on its generation times
+    ``mix`` (None for the identity).  The Helmert columns are applied
+    through prefix sums over the sibling runs (``_helmert_apply`` and
+    ``_helmert_adjoint``), O(rows) per column of the operand instead of a
+    dense rows x newborn block.  ``T`` is the transpose.
+    """
+
+    pushed: np.ndarray
+    runs: tuple[np.ndarray, ...]
+    mix: np.ndarray | None
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows, cols = self.pushed.shape[0], self.pushed.shape[1] + len(self.runs[0])
+        return (cols, rows) if self.transposed else (rows, cols)
+
+    @property
+    def T(self) -> HelmertBlock:
+        return dataclasses.replace(self, transposed=not self.transposed)
+
+    def __matmul__(self, a: np.ndarray) -> np.ndarray:
+        if a.ndim == 1:
+            return (self @ a[:, None])[:, 0]
+        p = self.pushed.shape[1]
+        if self.transposed:
+            newborn = _helmert_adjoint(self.runs, a)
+            if self.mix is not None:
+                newborn = self.mix.T @ newborn
+            return np.vstack([self.pushed.T @ a, newborn])
+        newborn = a[p:] if self.mix is None else self.mix @ a[p:]
+        out = _helmert_apply(self.runs, newborn)
+        out += self.pushed @ a[:p]
+        return out
+
+
 @dataclass(frozen=True)
 class LiftedUnitary:
     """Matched orthonormal columns of the lifted map between the two truncations.
@@ -161,11 +267,14 @@ class LiftedUnitary:
     coordinate array f as ``target @ (source.T @ f)``.  Both are
     block-diagonal with one block per generation D: the root line and the
     kernel blocks of generations below D, pushed forward onto generation
-    D.  A generation where neither truncation widens shares the array of
-    the generation above, so the blocks are read-only.  ``domain`` holds
-    the columns of the generations below the depth, whose image under one
-    more application of the shift stays inside the truncation; ``shifts``
-    are the two truncated shifts the columns were pushed forward by.
+    D.  A generation where neither truncation widens shares the block of
+    the generation above, so the stored arrays are read-only.  The last
+    block that widens, shared by every generation below it, is a
+    ``HelmertBlock``: nothing pushes its newborn columns, so it stores only
+    its pushed ones.  ``domain`` holds the columns of the generations below
+    the depth, whose image under one more application of the shift stays
+    inside the truncation; ``shifts`` are the two truncated shifts the
+    columns were pushed forward by.
     """
 
     source: BlockDiagonal
@@ -174,17 +283,35 @@ class LiftedUnitary:
     shifts: tuple[ShiftOperator, ShiftOperator]
 
 
-def _normalize_pair(block1: np.ndarray, block2: np.ndarray, generation: int) -> None:
-    """Check that matched columns have equal norms, then scale both to unit norm."""
-    n1, n2 = np.linalg.norm(block1, axis=0), np.linalg.norm(block2, axis=0)
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", block, block))
+
+
+def _match_norms(n1: np.ndarray, n2: np.ndarray, generation: int, first: int = 0) -> None:
+    """``AssertionError`` at the first pair of matched column norms that differ."""
     bad = np.flatnonzero(np.abs(n1 - n2) > _NORM_MATCH_TOL * np.maximum(n1, n2))
     if bad.size:
         i = bad[0]
         raise AssertionError(
-            f"moment mismatch at generation {generation}, column {i}: {n1[i]} vs {n2[i]}"
+            f"moment mismatch at generation {generation}, column {first + i}: {n1[i]} vs {n2[i]}"
         )
+
+
+def _normalize_pair(block1: np.ndarray, block2: np.ndarray, generation: int) -> None:
+    """Check that matched columns have equal norms, then scale both to unit norm."""
+    n1, n2 = _column_norms(block1), _column_norms(block2)
+    _match_norms(n1, n2, generation)
     block1 /= n1
     block2 /= n2
+
+
+def _unit_mix(mix: np.ndarray, generation: int, first: int) -> np.ndarray:
+    """An explicit generation matrix, checked and scaled to unit columns.  The
+    Helmert columns are orthonormal, so a newborn column's norm on the second
+    side is the norm of its column of ``mix``, and 1 on the first side."""
+    norms = _column_norms(mix)
+    _match_norms(np.ones_like(norms), norms, generation, first)
+    return mix / norms
 
 
 def lift_graded_unitary(
@@ -199,41 +326,62 @@ def lift_graded_unitary(
     the kernel columns born on generation D, times the generation-(D - 1)
     unitary on the second side.  Where neither truncation widens at D, the
     push is one scalar times the identity, the same on both sides, so block
-    D is block D - 1 again, the same read-only array, and is not recomputed.
+    D is block D - 1 again, the same block, and is not recomputed.  The
+    kernel columns born on the last generation that widens are never
+    pushed, so its block is a ``HelmertBlock`` that applies them by prefix
+    sums; ``MAX_BLOCK_ENTRIES`` bounds the columns each block stores.
     Matching moments make the columns orthonormal on both sides, so the
     resulting map is a genuine unitary between the truncated spaces.
     """
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    for n in sorted(unitary.generations):
+    for n, mix in sorted(unitary.generations.items()):
         if n + 2 > depth:
             raise TruncationLoss(
                 f"generation {n} blocks need depth at least {n + 2}, got {depth}"
             )
+        if isinstance(mix, np.ndarray):
+            _refuse_block(*mix.shape, n, "graded unitary")
     births1, births2 = kernel_births(shift1.trunc), kernel_births(shift2.trunc)
-    # block d holds every column born on generations 0..d, on the rows of generation d
-    columns = np.cumsum(births1).tolist()
+    # the block of the last generation that widens stands for every generation below it
+    last = max((d for d in range(1, depth + 1) if births1[d] or births2[d]), default=0)
+    # block d holds the root line and the columns born on generations 1..d of the unitary
+    carried = [1] + [births1[d] if d - 1 in unitary.generations else 0 for d in range(1, depth + 1)]
+    columns = np.cumsum(carried).tolist()
     for d, rows in enumerate(np.diff(shift1.trunc.offsets).tolist()):
-        _refuse_block(rows, columns[d], d, "lift")
-    source = [kernel_columns(shift1.trunc, 0)]
-    target = [kernel_columns(shift2.trunc, 0)]
-    _normalize_pair(source[0], target[0], 0)
+        # from the last widening generation on, the newborn columns are not stored
+        stored = columns[d] - carried[last] if d >= last > 0 else columns[d]
+        _refuse_block(rows, stored, d, "lift", " of stored columns")
+    # the root line
+    source: list[np.ndarray | HelmertBlock] = [np.ones((1, 1))]
+    target: list[np.ndarray | HelmertBlock] = [np.ones((1, 1))]
     for d in range(1, depth + 1):
-        if births1[d] or births2[d]:
-            block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
-            if d - 1 in unitary.generations:
-                block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
-                block2 = np.hstack([block2, kernel_columns(shift2.trunc, d) @ unitary.generations[d - 1]])
-            _normalize_pair(block1, block2, d)
-        else:
+        if not (births1[d] or births2[d]):
             # every vertex of generation d - 1 has one child, and every weight into d
             # is the same double on both sides (it depends on depth and sibling count)
-            block1, block2 = source[-1], target[-1]
+            source.append(source[-1])
+            target.append(target[-1])
+            continue
+        block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
+        _normalize_pair(block1, block2, d)
+        if d - 1 in unitary.generations:
+            mix = unitary.generations[d - 1]
+            mix = _unit_mix(mix, d, block1.shape[1]) if isinstance(mix, np.ndarray) else None
+            if d == last:
+                block1 = HelmertBlock(block1, _helmert_runs(shift1.trunc, d), None)
+                block2 = HelmertBlock(block2, _helmert_runs(shift2.trunc, d), mix)
+            else:
+                if mix is None:
+                    newborn2 = kernel_columns(shift2.trunc, d)
+                else:
+                    newborn2 = _helmert_apply(_helmert_runs(shift2.trunc, d), mix)
+                block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
+                block2 = np.hstack([block2, newborn2])
         source.append(block1)
         target.append(block2)
-    # a block may stand for several generations, so none may be written in place
+    # a block may stand for several generations, so no stored array may be written in place
     for block in (*source, *target):
-        block.setflags(write=False)
+        (block if isinstance(block, np.ndarray) else block.pushed).setflags(write=False)
     return LiftedUnitary(
         source=BlockDiagonal(tuple(source)),
         target=BlockDiagonal(tuple(target)),
@@ -252,7 +400,7 @@ def _residual(lift: LiftedUnitary, seed: int) -> float:
     # U S1 f and U f in one application of U = target @ source.T
     lifted = lift.target @ (lift.source.T @ np.hstack([shift1.act(f), f]))
     gap = lifted[:, :_TRIALS] - shift2.act(lifted[:, _TRIALS:])
-    return float(np.max(np.linalg.norm(gap, axis=0) / np.linalg.norm(f, axis=0), initial=0.0))
+    return float(np.max(_column_norms(gap) / _column_norms(f), initial=0.0))
 
 
 def verify_intertwining(

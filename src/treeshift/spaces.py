@@ -89,29 +89,54 @@ def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space
 SERIES_TAIL_TOL = 1e-12
 
 
+def _tail_bound(q: int, space: str, radius: float, n: int) -> float:
+    """The remainder bound of the order-n partial sum: r^(n+1)/(1-r), times
+    (n+q)^(q-1) on the Bergman side."""
+    bound = radius ** (n + 1) / (1.0 - radius)
+    if space == BERGMAN_SPACE:
+        bound *= float(n + q) ** (q - 1)
+    return bound
+
+
 def kernel_series_order(q: int, space: str, radius: float) -> int:
     """Smallest truncation order whose remainder bound stays below
     ``SERIES_TAIL_TOL``.
 
     Dirichlet-side coefficients are bounded by 1, giving the geometric
     tail bound r^(N+1)/(1-r); Bergman-side coefficients grow like
-    (n+q)^(q-1), which multiplies the bound.
+    (n+q)^(q-1), which multiplies the bound.  The search starts where the
+    logarithm of the bound crosses that of the tolerance: in closed form on
+    the Dirichlet side, by Newton steps on the Bergman side, where the
+    logarithm is concave and the first crossing lies on its decreasing
+    branch.  It then steps with ``_tail_bound`` itself, so the order is the
+    first n of the walk n = 0, 1, 2, ... whose bound is below the tolerance.
     """
     require_q(q)
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:
         raise OutsideDisc(f"radius {radius}")
-    if radius == 0.0:
+    if _tail_bound(q, space, radius, 0) < SERIES_TAIL_TOL:
         return 0
-    n = 0
-    while True:
-        bound = radius ** (n + 1) / (1.0 - radius)
-        if space == BERGMAN_SPACE:
-            bound *= float(n + q) ** (q - 1)
-        if bound < SERIES_TAIL_TOL:
-            return n
+    log_r = math.log(radius)
+    target = math.log(SERIES_TAIL_TOL * (1.0 - radius))
+    n = target / log_r - 1
+    if space == BERGMAN_SPACE:
+        # g(n) = (n+1) ln r + (q-1) ln(n+q) - target, from the right of its peak:
+        # a concave g makes every Newton step land right of the root
+        n = max(n, (q - 1) / -log_r - q) + 1
+        for _ in range(64):
+            step = ((n + 1) * log_r + (q - 1) * math.log(n + q) - target) / (log_r + (q - 1) / (n + q))
+            n -= step
+            if abs(step) < 0.5:
+                break
+    n = max(math.floor(n), 0)
+    # the start lies within a step or two of the first order below the tolerance
+    while n > 0 and _tail_bound(q, space, radius, n - 1) < SERIES_TAIL_TOL:
+        n -= 1
+    while _tail_bound(q, space, radius, n) >= SERIES_TAIL_TOL:
         n += 1
+    return n
 
 
 def kernel_apply(

@@ -1,11 +1,15 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
-a bounded hypothesis strategy for random prefix-plus-rays trees, a
-name-walking truncation reference, the sibling-chain sums walked by vertex
-name, per-vertex references for the shift's vertex-keyed methods and its
-self-commutator, the per-generation push reference for the float moment
-oracle, the pushed-column reference for the kernel suite's closed form, and
-Fraction references for the exact difference checks."""
+a bounded hypothesis strategy for random prefix-plus-rays trees, a tree
+dealt the depth profile of another, a name-walking truncation reference,
+the sibling-chain sums walked by vertex name, per-vertex references for
+the shift's vertex-keyed methods and its self-commutator, the
+per-generation push reference for the float moment oracle, the
+pushed-column reference for the kernel suite's closed form, the walked
+kernel series order, and Fraction references for the exact difference
+checks."""
 
+import collections
+import itertools
 import math
 import random
 import re
@@ -18,7 +22,7 @@ from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport, pochhammer_ratios
 from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_columns, moment_bases
-from treeshift.spaces import PickReport, _births_in_reach
+from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -94,6 +98,22 @@ def relabel_and_shuffle(tree, seed):
             rng.shuffle(shuffled)
             children[names[v]] = [names[u] for u in shuffled]
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
+
+
+def same_profile_tree(tree, seed):
+    """A tree with the depth profile of ``tree``, often not isomorphic to it: each
+    generation's branching defect is dealt one unit at a time to seeded vertices
+    of the generation, whose width the profile fixes."""
+    rng = random.Random(seed)
+    profile = tree.depth_profile(tree.branching_index()).entries
+    names = itertools.count(1)
+    children, generation = {}, ["v0"]
+    for n in range(tree.branching_index()):
+        extra = collections.Counter(rng.choice(generation) for _ in range(profile.get(n, 0)))
+        for v in generation:
+            children[v] = [f"v{next(names)}" for _ in range(extra[v] + 1)]
+        generation = [u for v in generation for u in children[v]]
+    return build_tree("v0", children, generation)
 
 
 def comb(depth):
@@ -274,6 +294,22 @@ def reference_kernel_basis(shift):
         if l <= shift.horizon:
             blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children[v])))
     return KernelBasis(blocks=tuple(blocks))
+
+
+def walked_series_order(q, space, radius):
+    """Reference for ``kernel_series_order``: the first n = 0, 1, 2, ... whose
+    remainder bound r^(n+1)/(1-r), times (n+q)^(q-1) on the Bergman side, is
+    below ``SERIES_TAIL_TOL``, each bound evaluated as the function does."""
+    if radius == 0.0:
+        return 0
+    n = 0
+    while True:
+        bound = radius ** (n + 1) / (1.0 - radius)
+        if space == BERGMAN_SPACE:
+            bound *= float(n + q) ** (q - 1)
+        if bound < SERIES_TAIL_TOL:
+            return n
+        n += 1
 
 
 def pushed_moment_columns(shift, v, kmax):

@@ -18,6 +18,7 @@ from corpus import (
     prefix_trees,
     reference_kernel_basis,
     relabel_and_shuffle,
+    same_profile_tree,
     to_array,
 )
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from treeshift import (
     verify_intertwining,
 )
 from treeshift import classify
-from treeshift.classify import _NORM_MATCH_TOL, LiftedUnitary, _residual
+from treeshift.classify import _NORM_MATCH_TOL, HelmertBlock, Identity, LiftedUnitary, _residual
 from treeshift.errors import InvalidQ, NotEquivalentError, TruncationLoss
 from treeshift.shifts import DIRICHLET, ShiftOperator
 
@@ -165,12 +166,13 @@ def test_graded_unitary_shapes():
     unitary = build_graded_unitary(decide_equivalence(DOUBLE01, other, 3))
     assert sorted(unitary.generations) == [0, 1]
     assert unitary.generations[1].shape == (1, 1)
-    assert unitary.generations[1][0, 0] == 1.0
+    assert unitary.generations[1] == Identity(1)
     line_unitary = build_graded_unitary(decide_equivalence(LINE, LINE, 2))
     assert line_unitary.generations == {}
     wide_unitary = build_graded_unitary(decide_equivalence(*PROFILE_PAIR, 2))
     assert wide_unitary.generations[1].shape == (2, 2)
-    assert np.array_equal(wide_unitary.generations[1], np.eye(2))
+    # the identity carries no matrix
+    assert wide_unitary.generations[1] == Identity(2)
 
 
 def test_graded_unitary_requires_equivalence():
@@ -256,7 +258,9 @@ def reference_lift(tree1, tree2, q, unitary, depth):
         # the reference lists its blocks breadth-first, the coordinate order of the unitary
         flat1 = [v for b in blocks1 if b.l == n + 1 for v in b.vectors]
         flat2 = [v for b in blocks2 if b.l == n + 1 for v in b.vectors]
-        images = np.column_stack([to_array(shift2, v) for v in flat2]) @ unitary.generations[n]
+        images = np.column_stack([to_array(shift2, v) for v in flat2])
+        if isinstance(unitary.generations[n], np.ndarray):
+            images = images @ unitary.generations[n]
         for i, vec1 in enumerate(flat1):
             pairs.append((to_array(shift1, vec1), images[:, i], depth - (n + 1)))
     return _lift_pairs(shift1, shift2, pairs, check_norms=True)
@@ -352,6 +356,22 @@ def test_mixed_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra)
     _assert_lift_matches_reference(tree, other, q, tree.branching_index() + 1 + extra, mix_seed=seed)
 
 
+# two trees of one depth profile, often not isomorphic: the lift pairs kernel columns
+# of vertices with different sibling counts and different positions
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=prefix_trees(max_vertices=12),
+    seed=st.integers(0, 2**16),
+    q=st.integers(1, 4),
+    extra=st.integers(0, 8),
+    mixed=st.booleans(),
+)
+def test_lift_matches_reference_on_prefix_trees_of_one_profile(tree, seed, q, extra, mixed):
+    other = same_profile_tree(tree, seed)
+    depth = tree.branching_index() + 1 + extra
+    _assert_lift_matches_reference(tree, other, q, depth, mix_seed=seed if mixed else None)
+
+
 _BINARY3 = tree_from_json(complete_binary(3))
 # (tree1, tree2, depth, generations left out of the unitary); binary 3 has a 4 x 4
 # generation, whose random orthogonal matrix is not symmetric
@@ -415,10 +435,13 @@ def test_lift_blocks_are_read_only():
     wide, split = PROFILE_PAIR
     unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     lift = lift_graded_unitary(wide, split, 2, unitary, 12)
+    # generation 2 widens last: its block and the ten sharing it store only the pushed columns
+    assert [isinstance(b, HelmertBlock) for b in lift.source.blocks] == [False] * 2 + [True] * 11
     for d in range(13):
         for blocks in (lift.source.blocks, lift.target.blocks):
+            stored = blocks[d] if isinstance(blocks[d], np.ndarray) else blocks[d].pushed
             with pytest.raises(ValueError, match="read-only"):
-                blocks[d][0, 0] = 0.0
+                stored[0, 0] = 0.0
     assert _residual(lift, seed=42) < 1e-12
     assert verify_intertwining(wide, split, 2, unitary, 12) < 1e-12
 
@@ -454,18 +477,26 @@ def test_truncation_loss_when_blocks_need_more_depth():
 
 def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):
     # DOUBLE01 has generations of 1, 2, 3, 3, ... vertices carrying 1, 2, 3, 3, ... lifted
-    # columns, so its largest lift block is 3 x 3; FORK3's graded unitary is one 2 x 2 block
+    # columns.  Generation 2 pushes the 2 columns of generation 1, so that block stores
+    # them; generation 2 widens last and stores its 2 pushed columns only, its newborn
+    # one applied by prefix sums: the largest stored block is 3 x 2
     unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2))
-    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 9)
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 6)
     assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10) < 1e-12
-    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 8)
-    with pytest.raises(ValueError, match="^lift needs a 3 x 3 block on generation 2, over the limit of 8 float64"):
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 5)
+    with pytest.raises(
+        ValueError, match="^lift needs a 3 x 2 block of stored columns on generation 2, over the limit of 5 float64"
+    ):
         verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
-    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 4)
-    build_graded_unitary(decide_equivalence(FORK3, FORK3, 2))
+    # FORK3's identity graded unitary carries no matrix; an explicit one is one 2 x 2 block
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 3)
+    identity = build_graded_unitary(decide_equivalence(FORK3, FORK3, 2))
+    assert verify_intertwining(FORK3, FORK3, 2, identity, 6) < 1e-12
+    explicit = dataclasses.replace(identity, generations={0: np.eye(2)})
     with pytest.raises(ValueError, match="^graded unitary needs a 2 x 2 block on generation 0, over the limit of 3"):
-        build_graded_unitary(decide_equivalence(FORK3, FORK3, 2))
+        verify_intertwining(FORK3, FORK3, 2, explicit, 6)
+    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 4)
+    assert verify_intertwining(FORK3, FORK3, 2, explicit, 6) < 1e-12
 
 
 def test_binary9_verify_at_depth_12_is_fast():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -261,17 +262,20 @@ def test_kernel_suite_on_wide_trees_passes_in_closed_form(tree_file, capsys, tre
         assert float(off["max_abs"]) < 1e-12 and float(diag["max_abs_error"]) < 1e-12
 
 
-def test_equiv_verify_refuses_a_graded_unitary_block_over_the_limit(tree_file, capsys):
-    # fan 20,000 would allocate a 19,999 x 19,999 identity, 3.2 GB, before the lift
+def test_equiv_verify_on_a_fan_of_20000_stores_no_helmert_block(tree_file, capsys):
+    # the identity graded unitary carries no matrix, and the 19,999 Helmert columns of
+    # generation 1, pushed by no later generation, are applied by prefix sums: one dense
+    # 19,999 x 19,999 block would be 3.2 GB
     path = tree_file(fan(20000))
-    code = main(["equiv", path, path, "--q", "2", "--horizon", "6", "--verify-depth", "5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: graded unitary needs a 19999 x 19999 block on generation 0, "
-        "over the limit of 33554432 float64 entries per block"
-    ]
+    tracemalloc.start()
+    try:
+        code, out = _run(capsys, ["equiv", path, path, "--q", "2", "--horizon", "6", "--verify-depth", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert float(json.loads(out)["results"]["intertwining"]["residual"]) < 1e-8
+    assert peak < 400 * 2**20
 
 
 def test_moments_refuses_a_truncation_over_the_vertex_limit(tree_file, capsys):

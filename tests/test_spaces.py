@@ -21,6 +21,7 @@ from corpus import (
     prefix_trees,
     reference_log_convexity_check,
     vec_norm,
+    walked_series_order,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,19 @@ def test_kernel_series_order_bound_is_honest(space, q):
     long = kernel_apply(spec, q, space, z, w, g, order + 25)
     for block in g:
         assert abs(short[block][0] - long[block][0]) < 1e-12
+
+
+# radii where the order is 0, where it leaves 0, and up to 1.4 million (q 8, Bergman side, r 0.9999)
+SERIES_ORDER_RADII = [0.0, 1e-300, 1e-13, 1e-12, 1e-6, 0.1, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999]
+
+
+@pytest.mark.parametrize("space", ["dirichlet", "bergman"])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_kernel_series_order_equals_the_walk(space, q):
+    rng = np.random.default_rng(q)
+    # seeded radii spread over the disc and over 1 - r in [1e-3, 1]
+    radii = [*SERIES_ORDER_RADII, *rng.random(20).tolist(), *(1 - 10 ** -rng.uniform(0, 3, 20)).tolist()]
+    assert [kernel_series_order(q, space, r) for r in radii] == [walked_series_order(q, space, r) for r in radii]
 
 
 def test_graded_function_validation():
