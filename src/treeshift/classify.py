@@ -7,10 +7,11 @@ must agree.  In the equivalent case an explicit intertwining unitary is
 assembled generation by generation on the cokernel blocks and lifted to
 the truncated coordinate spaces, where the intertwining residual can be
 measured directly.  The canonical unitary is the identity on every
-generation and carries no matrix.  The lift stores the columns that a
-later generation pushes; the Helmert columns born on the last generation
-that widens are applied through prefix sums over the sibling runs, since
-S* is a sum over children.
+generation and carries no matrix.  Each generation block of the lift
+stores only the columns pushed from the generation above; the Helmert
+columns born on it are applied through prefix sums over the sibling runs
+(``shifts.helmert_apply``), since S* is a sum over children, and are made
+dense only as the operand of the next generation's push.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, ShiftOperator, kernel_births, kernel_columns, make_shift
-from .trees import DepthProfile, Tree, Truncation
+from .shifts import DIRICHLET, ShiftOperator, helmert_adjoint, helmert_apply, helmert_runs, kernel_births, make_shift
+from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -142,11 +143,10 @@ class BlockDiagonal:
     """A block-diagonal matrix kept as its diagonal blocks, in order.
 
     Supports ``.shape``, ``.T`` and ``@`` on an array or a block of columns.
-    A block is an array or a ``HelmertBlock``; one block may appear as
-    several consecutive blocks.
+    One block may appear as several consecutive blocks.
     """
 
-    blocks: tuple[np.ndarray | HelmertBlock, ...]
+    blocks: tuple[HelmertBlock, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -169,93 +169,56 @@ class BlockDiagonal:
         return out
 
 
-def _helmert_runs(trunc: Truncation, generation: int) -> tuple[np.ndarray, ...]:
-    """Where the Helmert columns born on ``generation`` sit, read off its parents.
-
-    Column k (k = 1..m - 1) of a run of m siblings from row s is 1/sqrt(k(k+1))
-    on rows s..s+k-1 and -k/sqrt(k(k+1)) on its tail row s + k, the rows whose
-    parent is the row above's, so the columns match the tail rows in order.
-    Returns the tail and head row of each column, 1/sqrt(k(k+1)) and
-    k/sqrt(k(k+1)) as columns, and for every row one past the last row of
-    its run (the next row, outside the runs).
-    """
-    start, end = trunc.span(generation)
-    parents = trunc.parent_index[start:end]
-    tail = np.flatnonzero(parents[1:] == parents[:-1]) + 1
-    head = np.searchsorted(parents, parents[tail])
-    stop = np.searchsorted(parents, parents, side="right")
-    k = tail - head
-    scale = 1.0 / np.sqrt(k * (k + 1.0))
-    return tail, head, stop, scale[:, None], (k * scale)[:, None]
-
-
-def _helmert_apply(runs: tuple[np.ndarray, ...], c: np.ndarray) -> np.ndarray:
-    """H @ c for the Helmert columns H of ``runs`` and a block c of coefficients.
-
-    Row s + i of a run gets the sum of the scaled coefficients of the columns
-    k > i, a reverse prefix sum over the run, less i times its own."""
-    tail, _head, stop, scale, kscale = runs
-    spread = np.zeros((len(stop), c.shape[1]))
-    spread[tail] = scale * c
-    suffix = np.zeros((len(stop) + 1, c.shape[1]))  # row r: the sum of rows r.. of spread
-    np.cumsum(spread[::-1], axis=0, out=suffix[-2::-1])
-    out = suffix[stop]
-    np.subtract(suffix[1:], out, out=out)
-    out[tail] -= kscale * c
-    return out
-
-
-def _helmert_adjoint(runs: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
-    """H.T @ z: column k of a run from row s reads the prefix sum of z over
-    rows s..s+k-1, less k times row s + k, both scaled by 1/sqrt(k(k+1))."""
-    tail, head, _stop, scale, kscale = runs
-    prefix = np.zeros((len(z) + 1, z.shape[1]))
-    np.cumsum(z, axis=0, out=prefix[1:])
-    out = prefix[tail]
-    out -= prefix[head]
-    out *= scale
-    out -= kscale * z[tail]
-    return out
-
-
 @dataclass(frozen=True)
 class HelmertBlock:
-    """A lift block whose newborn columns no generation pushes, kept implicit.
+    """One generation block of the lift, its newborn columns kept implicit.
 
-    The block is ``pushed``, the stored columns pushed from the generations
-    above, followed by the Helmert columns born on its generation times
-    ``mix`` (None for the identity).  The Helmert columns are applied
-    through prefix sums over the sibling runs (``_helmert_apply`` and
-    ``_helmert_adjoint``), O(rows) per column of the operand instead of a
-    dense rows x newborn block.  ``T`` is the transpose.
+    The block is ``pushed``, the stored columns pushed from the generation
+    above, followed by the Helmert columns born on its generation, located
+    by ``runs`` (``helmert_runs``), times ``mix`` (None for the identity).
+    ``runs`` is None where the block has no newborn columns: the root line,
+    and a generation whose parent generation the unitary leaves out.  The
+    Helmert columns are applied through prefix sums over the sibling runs
+    (``helmert_apply`` and ``helmert_adjoint``), O(rows) per column of the
+    operand; ``dense`` builds them only as the operand of the next
+    generation's push.  ``T`` is the transpose.
     """
 
     pushed: np.ndarray
-    runs: tuple[np.ndarray, ...]
-    mix: np.ndarray | None
+    runs: tuple[np.ndarray, ...] | None = None
+    mix: np.ndarray | None = None
     transposed: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        rows, cols = self.pushed.shape[0], self.pushed.shape[1] + len(self.runs[0])
+        newborn = 0 if self.runs is None else len(self.runs[0])
+        rows, cols = self.pushed.shape[0], self.pushed.shape[1] + newborn
         return (cols, rows) if self.transposed else (rows, cols)
 
     @property
     def T(self) -> HelmertBlock:
         return dataclasses.replace(self, transposed=not self.transposed)
 
+    def dense(self) -> np.ndarray:
+        """The block as one array: its newborn columns are built here, for a moment."""
+        if self.runs is None:
+            return self.pushed
+        mix = np.eye(len(self.runs[0])) if self.mix is None else self.mix
+        return np.concatenate([self.pushed, helmert_apply(self.runs, mix)], axis=1)
+
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         if a.ndim == 1:
             return (self @ a[:, None])[:, 0]
         p = self.pushed.shape[1]
         if self.transposed:
-            newborn = _helmert_adjoint(self.runs, a)
-            if self.mix is not None:
-                newborn = self.mix.T @ newborn
-            return np.vstack([self.pushed.T @ a, newborn])
-        newborn = a[p:] if self.mix is None else self.mix @ a[p:]
-        out = _helmert_apply(self.runs, newborn)
-        out += self.pushed @ a[:p]
+            out = self.pushed.T @ a
+            if self.runs is None:
+                return out
+            newborn = helmert_adjoint(self.runs, a)
+            return np.vstack([out, newborn if self.mix is None else self.mix.T @ newborn])
+        out = self.pushed @ a[:p]
+        if self.runs is not None:
+            out += helmert_apply(self.runs, a[p:] if self.mix is None else self.mix @ a[p:])
         return out
 
 
@@ -267,14 +230,13 @@ class LiftedUnitary:
     coordinate array f as ``target @ (source.T @ f)``.  Both are
     block-diagonal with one block per generation D: the root line and the
     kernel blocks of generations below D, pushed forward onto generation
-    D.  A generation where neither truncation widens shares the block of
-    the generation above, so the stored arrays are read-only.  The last
-    block that widens, shared by every generation below it, is a
-    ``HelmertBlock``: nothing pushes its newborn columns, so it stores only
-    its pushed ones.  ``domain`` holds the columns of the generations below
-    the depth, whose image under one more application of the shift stays
-    inside the truncation; ``shifts`` are the two truncated shifts the
-    columns were pushed forward by.
+    D.  Every block is a ``HelmertBlock`` that stores only its pushed
+    columns.  A generation where neither truncation widens shares the block
+    of the generation above, so the stored arrays are read-only.
+    ``domain`` holds the columns of the generations below the depth, whose
+    image under one more application of the shift stays inside the
+    truncation; ``shifts`` are the two truncated shifts the columns were
+    pushed forward by.
     """
 
     source: BlockDiagonal
@@ -322,14 +284,14 @@ def lift_graded_unitary(
     A kernel vector carried by generation n + 1 is paired with its image,
     and both are pushed forward by powers of the respective shifts, so
     every column lives on one generation: the lift is built one generation
-    block at a time.  Block D is block D - 1 pushed forward, followed by
-    the kernel columns born on generation D, times the generation-(D - 1)
-    unitary on the second side.  Where neither truncation widens at D, the
-    push is one scalar times the identity, the same on both sides, so block
-    D is block D - 1 again, the same block, and is not recomputed.  The
-    kernel columns born on the last generation that widens are never
-    pushed, so its block is a ``HelmertBlock`` that applies them by prefix
-    sums; ``MAX_BLOCK_ENTRIES`` bounds the columns each block stores.
+    block at a time.  Block D is block D - 1 pushed forward, stored,
+    followed by the kernel columns born on generation D, times the
+    generation-(D - 1) unitary on the second side, applied by prefix sums.
+    Where neither truncation widens at D, the push is one scalar times the
+    identity, the same on both sides, so block D is block D - 1 again, the
+    same block, and is not recomputed.  ``MAX_BLOCK_ENTRIES`` bounds the
+    columns each block stores, which also bounds the dense operand of its
+    push.
     Matching moments make the columns orthonormal on both sides, so the
     resulting map is a genuine unitary between the truncated spaces.
     """
@@ -343,18 +305,17 @@ def lift_graded_unitary(
         if isinstance(mix, np.ndarray):
             _refuse_block(*mix.shape, n, "graded unitary")
     births1, births2 = kernel_births(shift1.trunc), kernel_births(shift2.trunc)
-    # the block of the last generation that widens stands for every generation below it
-    last = max((d for d in range(1, depth + 1) if births1[d] or births2[d]), default=0)
     # block d holds the root line and the columns born on generations 1..d of the unitary
     carried = [1] + [births1[d] if d - 1 in unitary.generations else 0 for d in range(1, depth + 1)]
     columns = np.cumsum(carried).tolist()
-    for d, rows in enumerate(np.diff(shift1.trunc.offsets).tolist()):
-        # from the last widening generation on, the newborn columns are not stored
-        stored = columns[d] - carried[last] if d >= last > 0 else columns[d]
-        _refuse_block(rows, stored, d, "lift", " of stored columns")
+    rows = np.diff(shift1.trunc.offsets).tolist()
+    for d in range(1, depth + 1):
+        if births1[d] or births2[d]:
+            # a block that widens stores the columns of the block above, pushed
+            _refuse_block(rows[d], columns[d - 1], d, "lift", " of stored columns")
     # the root line
-    source: list[np.ndarray | HelmertBlock] = [np.ones((1, 1))]
-    target: list[np.ndarray | HelmertBlock] = [np.ones((1, 1))]
+    source = [HelmertBlock(np.ones((1, 1)))]
+    target = [HelmertBlock(np.ones((1, 1)))]
     for d in range(1, depth + 1):
         if not (births1[d] or births2[d]):
             # every vertex of generation d - 1 has one child, and every weight into d
@@ -362,26 +323,18 @@ def lift_graded_unitary(
             source.append(source[-1])
             target.append(target[-1])
             continue
-        block1, block2 = shift1.push(source[-1], d), shift2.push(target[-1], d)
-        _normalize_pair(block1, block2, d)
+        pushed1, pushed2 = shift1.push(source[-1].dense(), d), shift2.push(target[-1].dense(), d)
+        _normalize_pair(pushed1, pushed2, d)
+        runs1 = runs2 = mix = None
         if d - 1 in unitary.generations:
             mix = unitary.generations[d - 1]
-            mix = _unit_mix(mix, d, block1.shape[1]) if isinstance(mix, np.ndarray) else None
-            if d == last:
-                block1 = HelmertBlock(block1, _helmert_runs(shift1.trunc, d), None)
-                block2 = HelmertBlock(block2, _helmert_runs(shift2.trunc, d), mix)
-            else:
-                if mix is None:
-                    newborn2 = kernel_columns(shift2.trunc, d)
-                else:
-                    newborn2 = _helmert_apply(_helmert_runs(shift2.trunc, d), mix)
-                block1 = np.hstack([block1, kernel_columns(shift1.trunc, d)])
-                block2 = np.hstack([block2, newborn2])
-        source.append(block1)
-        target.append(block2)
+            mix = _unit_mix(mix, d, pushed1.shape[1]) if isinstance(mix, np.ndarray) else None
+            runs1, runs2 = helmert_runs(shift1.trunc, d), helmert_runs(shift2.trunc, d)
+        source.append(HelmertBlock(pushed1, runs1))
+        target.append(HelmertBlock(pushed2, runs2, mix))
     # a block may stand for several generations, so no stored array may be written in place
     for block in (*source, *target):
-        (block if isinstance(block, np.ndarray) else block.pushed).setflags(write=False)
+        block.pushed.setflags(write=False)
     return LiftedUnitary(
         source=BlockDiagonal(tuple(source)),
         target=BlockDiagonal(tuple(target)),

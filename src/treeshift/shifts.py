@@ -17,6 +17,12 @@ coordinates of the image.  The float moment oracle
 e_v down v's descendants alone instead.  A support that the shift would
 push outside the truncation raises ``TruncationLoss`` instead of being
 silently projected: every exactness claim carries its validity region.
+
+The cokernel layout is decided here alone, as one prefix-sum operator:
+``helmert_runs`` reads where the Helmert columns of ker S* born on a
+generation sit off the parent map, ``helmert_apply`` and
+``helmert_adjoint`` apply them through prefix sums over each run of
+siblings, and ``kernel_columns`` is their dense form.
 """
 
 from __future__ import annotations
@@ -71,19 +77,6 @@ class KernelBasis:
         return tuple((b, v) for b in self.blocks for v in b.vectors)
 
 
-def _helmert_matrix(m: int) -> np.ndarray:
-    """Orthonormal basis of the zero-sum functions on m children, as columns.
-
-    Column k is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)) with k leading ones,
-    k = 1..m-1; deterministic in child order.
-    """
-    k = np.arange(1, m)
-    scale = 1.0 / np.sqrt(k * (k + 1))
-    out = np.triu(np.broadcast_to(scale, (m, m - 1)))
-    out[k, k - 1] = -k * scale
-    return out
-
-
 def kernel_births(trunc: Truncation) -> list[int]:
     """Number of columns of ker S* born on each generation 0..horizon.
 
@@ -103,26 +96,68 @@ def sibling_runs(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(counts) - counts)[branching], counts[branching]
 
 
+def helmert_runs(trunc: Truncation, generation: int) -> tuple[np.ndarray, ...]:
+    """Where the Helmert columns of ker S* born on ``generation`` sit, read off its parents.
+
+    Column k (k = 1..m - 1) of a run of m siblings from row s is 1/sqrt(k(k+1))
+    on rows s..s+k-1 and -k/sqrt(k(k+1)) on its tail row s + k, the rows whose
+    parent is the row above's, so the columns match the tail rows in order:
+    runs in truncation order, each run's columns in child order.  Returns the
+    tail and head row of each column, 1/sqrt(k(k+1)) and k/sqrt(k(k+1)) as
+    columns, and for every row one past the last row of its run.
+    """
+    start, end = trunc.span(generation)
+    parents = trunc.parent_index[start:end]
+    tail = np.flatnonzero(parents[1:] == parents[:-1]) + 1
+    head = np.searchsorted(parents, parents[tail])
+    stop = np.searchsorted(parents, parents, side="right")
+    k = tail - head
+    scale = 1.0 / np.sqrt(k * (k + 1.0))
+    return tail, head, stop, scale[:, None], (k * scale)[:, None]
+
+
+def helmert_apply(runs: tuple[np.ndarray, ...], c: np.ndarray) -> np.ndarray:
+    """H @ c for the Helmert columns H of ``runs`` and a block c of coefficients.
+
+    Row s + i of a run gets the sum of the scaled coefficients of the columns
+    k > i, a reverse prefix sum over the run, less i times its own; O(rows)
+    per column of c, in the dtype of c promoted to float."""
+    tail, _head, stop, scale, kscale = runs
+    # row r: the scaled coefficient of the column with tail r, then the sum of rows r.. of that
+    suffix = np.zeros((len(stop) + 1, c.shape[1]), np.result_type(c, np.float64))
+    suffix[tail] = scale * c
+    np.cumsum(suffix[-2::-1], axis=0, out=suffix[-2::-1])
+    out = suffix[stop]
+    np.subtract(suffix[1:], out, out=out)
+    out[tail] -= kscale * c
+    return out
+
+
+def helmert_adjoint(runs: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+    """H.T @ z: column k of a run from row s reads the prefix sum of z over
+    rows s..s+k-1, less k times row s + k, both scaled by 1/sqrt(k(k+1))."""
+    tail, head, _stop, scale, kscale = runs
+    prefix = np.zeros((len(z) + 1, z.shape[1]), np.result_type(z, np.float64))
+    np.cumsum(z, axis=0, out=prefix[1:])
+    out = prefix[tail]
+    out -= prefix[head]
+    out *= scale
+    out -= kscale * z[tail]
+    return out
+
+
 def kernel_columns(trunc: Truncation, generation: int) -> np.ndarray:
     """The columns of ker S* born on ``generation``, as that generation's rows.
 
-    Generation 0 carries the root line.  On a later generation each group of
-    m >= 2 siblings (``sibling_runs``) carries the m - 1 columns of
-    ``_helmert_matrix`` in child order, groups in truncation order.  Groups
-    of equal size are written in one step.
+    Generation 0 carries the root line.  On a later generation they are the
+    Helmert columns of ``helmert_runs``, the dense form of ``helmert_apply``:
+    its apply of the identity, which holds about four times the output while
+    it runs.
     """
     if generation == 0:
         return np.ones((1, 1))
-    start, end = trunc.span(generation)
-    rows, counts = sibling_runs(trunc.parent_index[start:end])
-    cols = np.cumsum(counts - 1) - (counts - 1)
-    out = np.zeros((end - start, int(np.sum(counts - 1))))
-    for m in np.unique(counts).tolist():
-        picked = counts == m
-        r = rows[picked][:, None, None] + np.arange(m)[:, None]
-        c = cols[picked][:, None, None] + np.arange(m - 1)
-        out[r, c] = _helmert_matrix(m)
-    return out
+    runs = helmert_runs(trunc, generation)
+    return helmert_apply(runs, np.eye(len(runs[0])))
 
 
 def _iterate(step, a: np.ndarray, k: int) -> np.ndarray:

@@ -435,15 +435,49 @@ def test_lift_blocks_are_read_only():
     wide, split = PROFILE_PAIR
     unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     lift = lift_graded_unitary(wide, split, 2, unitary, 12)
-    # generation 2 widens last: its block and the ten sharing it store only the pushed columns
-    assert [isinstance(b, HelmertBlock) for b in lift.source.blocks] == [False] * 2 + [True] * 11
-    for d in range(13):
-        for blocks in (lift.source.blocks, lift.target.blocks):
-            stored = blocks[d] if isinstance(blocks[d], np.ndarray) else blocks[d].pushed
+    widths1, widths2 = ([len(gen) for gen in tree.truncate(12).generations] for tree in (wide, split))
+    widening = [d for d in range(1, 13) if widths1[d] != widths1[d - 1] or widths2[d] != widths2[d - 1]]
+    assert widening
+    for blocks in (lift.source.blocks, lift.target.blocks):
+        assert all(isinstance(b, HelmertBlock) for b in blocks)
+        for d in range(13):
             with pytest.raises(ValueError, match="read-only"):
-                stored[0, 0] = 0.0
+                blocks[d].pushed[0, 0] = 0.0
+        # a widening block stores the columns of the block above, pushed; its newborn ones
+        # are applied by prefix sums
+        for d in widening:
+            assert blocks[d].pushed.shape[1] == blocks[d - 1].shape[1] < blocks[d].shape[1]
     assert _residual(lift, seed=42) < 1e-12
     assert verify_intertwining(wide, split, 2, unitary, 12) < 1e-12
+
+
+def _assert_lift_is_complex_linear(tree1, tree2, q, depth, seed):
+    """The lift of complex coordinates is the lift of their real and imaginary parts."""
+    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, q))
+    lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
+    rng = np.random.default_rng(seed)
+    n = lift.source.shape[0]
+    f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+
+    def lifted(a):
+        return lift.target @ (lift.source.T @ a)
+
+    for a in (f, f[:, 0]):
+        image = lifted(a)
+        assert image.dtype == np.complex128
+        assert np.max(np.abs(image - (lifted(a.real) + 1j * lifted(a.imag)))) < 1e-15
+        assert np.linalg.norm(image, axis=0) == pytest.approx(np.linalg.norm(a, axis=0), rel=1e-12)
+
+
+def test_lift_of_complex_coordinates_on_profile_pair():
+    _assert_lift_is_complex_linear(*PROFILE_PAIR, 2, 10, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(max_vertices=12), seed=st.integers(0, 2**16), q=st.integers(1, 4), extra=st.integers(0, 8))
+def test_lift_of_complex_coordinates_on_prefix_trees_of_one_profile(tree, seed, q, extra):
+    other = same_profile_tree(tree, seed)
+    _assert_lift_is_complex_linear(tree, other, q, tree.branching_index() + 1 + extra, seed)
 
 
 @pytest.mark.parametrize(

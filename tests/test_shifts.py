@@ -29,14 +29,14 @@ from corpus import (
     to_array,
     vec_norm,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treeshift
 from treeshift import DIRICHLET, DUAL, cokernel_dimension, make_shift, tree_from_json
 from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import hausdorff_check
-from treeshift.shifts import kernel_columns
+from treeshift.shifts import helmert_adjoint, helmert_apply, helmert_runs, kernel_columns
 
 
 def vec_inner(f, g):
@@ -282,6 +282,23 @@ def test_kernel_columns_equal_kernel_basis_vectors(tree, horizon):
         assert columns.shape == (end - start, len(expected))
         for column, vec in zip(columns.T, expected):
             assert np.array_equal(column, vec)
+
+
+# DOUBLE01 has a run of two siblings and a single child on generation 2, and no
+# branching below it
+@settings(max_examples=40, deadline=None)
+@given(tree=prefix_trees(), horizon=st.integers(1, 5), seed=st.integers(0, 2**16), width=st.integers(1, 3))
+@example(tree=DOUBLE01, horizon=4, seed=0, width=2)
+def test_helmert_prefix_sums_equal_kernel_columns(tree, horizon, seed, width):
+    trunc = tree.truncate(horizon)
+    rng = np.random.default_rng(seed)
+    for g in range(1, horizon + 1):
+        runs = helmert_runs(trunc, g)
+        columns = kernel_columns(trunc, g)
+        c = rng.standard_normal((columns.shape[1], width))
+        z = rng.standard_normal((columns.shape[0], width))
+        assert np.max(np.abs(helmert_apply(runs, c) - columns @ c), initial=0.0) < 1e-14
+        assert np.max(np.abs(helmert_adjoint(runs, z) - columns.T @ z), initial=0.0) < 1e-14
 
 
 def _kernel_column_counts(tree, horizon):
