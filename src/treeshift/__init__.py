@@ -44,7 +44,6 @@ from .spaces import (
     kernel_apply,
     kernel_block_spec,
     kernel_matrix_oracle,
-    kernel_oracle_expected,
     kernel_series_order,
     log_convexity_check,
     pick_property_check,

@@ -49,10 +49,6 @@ class UnknownVertex(TreeshiftError):
     """A vertex identifier does not belong to the tree."""
 
 
-class HorizonExceeded(TreeshiftError):
-    """A query asked for a depth beyond the stated truncation horizon."""
-
-
 class IndexOutOfRange(TreeshiftError):
     """A finite-difference window does not fit inside the given sequence."""
 

@@ -3,8 +3,10 @@
 Two weight systems are built from the same tree: the Dirichlet shift,
 whose squared weight into a vertex v at depth n with sibling count s is
 (n + q - 1)/(n s), and its Cauchy dual, with squared weight
-n/((n + q - 1) s), both read off ``moment_bases`` as exact rationals;
-floating point appears only where the operator acts on coordinates.
+n/((n + q - 1) s), both read off ``moment_bases`` as exact rationals.
+``make_shift`` keeps only their square roots, as the float weights the
+operator acts with; the exact numbers (moments, q-isometry defects) depend
+on depth alone and read off ``moment_bases`` directly.
 
 The operator acts on coordinate arrays in truncation order (``act``,
 ``act_adjoint``, ``push``), where the shift reweights the parent map in
@@ -34,7 +36,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidQ, TruncationLoss, UnknownVertex, WrongQ
+from .errors import InvalidQ, TruncationLoss
 from .numerics import alternating_binomial_sum_terms, pochhammer_ratio_terms, pochhammer_ratios
 from .trees import Tree, Truncation
 
@@ -72,9 +74,6 @@ class KernelBasis:
     @property
     def dimension(self) -> int:
         return sum(b.dimension for b in self.blocks)
-
-    def all_vectors(self) -> tuple[tuple[KernelBlock, CoordinateVector], ...]:
-        return tuple((b, v) for b in self.blocks for v in b.vectors)
 
 
 def kernel_births(trunc: Truncation) -> list[int]:
@@ -179,21 +178,6 @@ class ShiftOperator:
 
     # -- structure -------------------------------------------------------------
 
-    def _depth(self, v: str) -> int:
-        if self.trunc.position(v) is None:
-            raise UnknownVertex(f"{v!r} not materialized at horizon {self.horizon}")
-        return self.tree.depth_of(v)
-
-    def row_sum(self, depth: int) -> Fraction:
-        """Exact sum of squared weights over the children of a depth-n vertex."""
-        a, b = moment_bases(self.q, self.kind, depth)
-        return Fraction(a) / b
-
-    def squared_weight(self, v: str) -> Fraction:
-        """Exact squared weight into ``v``; 0 at the root, as ``weights[0]``."""
-        depth = self._depth(v)
-        return self.row_sum(depth - 1) / self.tree.sibling_count(v) if depth else Fraction(0)
-
     def matrix(self) -> np.ndarray:
         """Dense matrix of the truncated operator in vertex coordinates.
 
@@ -245,7 +229,7 @@ class ShiftOperator:
         limit = self.horizon - margin
         # the vertices of depth <= limit are exactly the positions below ``end``
         end = self.trunc.span(limit)[1] if limit >= 0 else 0
-        complex_values = any(isinstance(x, complex) for x in f.values())
+        complex_values = any(isinstance(x, (complex, np.complexfloating)) for x in f.values())
         out = np.zeros(len(self.weights), dtype=complex if complex_values else float)
         for v, x in f.items():
             i = self.trunc.position(v)
@@ -279,10 +263,6 @@ class ShiftOperator:
         return self._to_dict(_iterate(self.act_adjoint, self._to_array(f), k))
 
     # -- moments and defects -----------------------------------------------------
-
-    def moment(self, v: str, k: int) -> Fraction:
-        """Exact squared norm of S^k e_v, which depends on the depth of v alone."""
-        return self.moment_sequence(v, k)[k]
 
     def moment_sequence(self, v: str, kmax: int) -> list[Fraction]:
         """Moments for k = 0..kmax in lowest terms, the one place they become ``Fraction``s."""
@@ -344,38 +324,6 @@ class ShiftOperator:
                 vertex = None if l == 0 else self.trunc.vertices[owner]
                 blocks.append(KernelBlock(vertex=vertex, l=l, vectors=tuple(vecs)))
         return KernelBasis(blocks=tuple(blocks))
-
-    # -- defect operator and self-commutator --------------------------------------
-
-    def defect_operator_apply(self, f: Mapping[str, complex]) -> CoordinateVector:
-        """Apply sum_k (-1)^k C(q,k) S^k S*^k to ``f`` (integer q only).
-
-        On the Cauchy dual this is the operator whose failure to be a
-        projection separates branching trees from the chain.
-        """
-        if not isinstance(self.q, int):
-            raise WrongQ("defect operator requires integer q")
-        down = self._to_array(f, margin=self.q)  # S*^k f, k = 0..q
-        result = np.zeros_like(down)
-        for k in range(self.q + 1):
-            result += (-1) ** k * math.comb(self.q, k) * _iterate(self.act, down, k)
-            down = self.act_adjoint(down)
-        return self._to_dict(result)
-
-    def self_commutator_diagonal(self, v: str) -> Fraction:
-        """Exact diagonal entry <[S*, S] e_v, e_v>."""
-        return self.row_sum(self._depth(v)) - self.squared_weight(v)
-
-    def self_commutator_partial_trace(self, depth_cap: int) -> float:
-        """Partial trace of [S*, S] over the vertices of depth <= depth_cap, a
-        diagnostic partial sum.  The squared weights into generation n + 1 sum
-        to |gen_n| row_sum(n), so it telescopes to |gen_cap| row_sum(cap)."""
-        if depth_cap >= self.horizon:
-            raise TruncationLoss(f"depth_cap {depth_cap} needs horizon {depth_cap + 1}, have {self.horizon}")
-        if depth_cap < 0:
-            return 0.0
-        start, end = self.trunc.span(depth_cap)
-        return float((end - start) * self.row_sum(depth_cap))
 
 
 def require_q(q: int | Fraction) -> None:

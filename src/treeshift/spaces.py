@@ -307,19 +307,12 @@ def kernel_matrix_oracle(shift: ShiftOperator, j: int, k: int) -> np.ndarray:
     return columns.T @ image
 
 
-def kernel_oracle_expected(shift: ShiftOperator, n: int) -> np.ndarray:
-    """Exact diagonal the oracle must reproduce at j = k = n: the columns
-    born on generation g carry the coefficient of block index l = g."""
-    born = kernel_births(shift.trunc)
-    values = [dirichlet_coefficient(shift.q, g, n) for g in range(len(born))]
-    return np.diag(np.repeat(np.array(values, dtype=float), born))
-
-
 def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, float]:
     """The two maxima of ``kernel_matrix_oracle`` over all j, k <= nmax, in closed form.
 
     Returns (largest |entry| of the j != k compressions, largest |entry -
-    expected| of the j = k ones against ``kernel_oracle_expected``), each
+    expected| of the j = k ones, whose diagonal carries the Dirichlet
+    coefficient of index g at power j on the columns born on generation g), each
     entry read as <S^j a, S^k b> for cokernel columns a, b.  The S^p e_u of one
     generation have disjoint supports, so every entry is fixed by d_p(u) =
     ||S^p e_u||^2, one ``np.bincount`` over ``parent_index`` per power.  A group
@@ -383,8 +376,8 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
 def radial_weight(q: int, l: int) -> dict[int, Fraction]:
     """Exact coefficients {j: c} of |z|^(2j) in the polynomial density w_l
     of the block of index l, for integer q >= 2 and l >= 0."""
-    if q < 2:
-        raise WrongQ("radial weights require integer q >= 2")
+    if not isinstance(q, numbers.Integral) or q < 2:
+        raise WrongQ(f"radial weights require integer q >= 2, got {q!r}")
     if l < 0:
         raise ValueError("l must be nonnegative")
     prefactor = Fraction(math.prod(l + i for i in range(1, q)))

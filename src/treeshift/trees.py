@@ -8,8 +8,8 @@ k-th descendant, so the same tree always produces the same names.  One
 resolver, ``Tree._locate``, turns a name into its explicit vertex and ray
 step; every vertex-level query reads it.
 
-Every depth-indexed query takes an explicit truncation horizon; there is
-no global default.
+Every depth-indexed query (a truncation, a depth profile) takes an explicit
+horizon; there is no global default.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     CircuitDetected,
     Disconnected,
-    HorizonExceeded,
     InvalidVertexId,
     LeafWithoutRay,
     MultipleParents,
@@ -49,23 +48,15 @@ MAX_TRUNCATION_VERTICES = 2**23
 class DepthProfile:
     """Generation-indexed branching defect ``n -> sum(child_count - 1)``.
 
-    ``entries`` holds the nonzero values for generations up to ``horizon``.
-    ``exact_beyond_horizon`` is True when every generation past the horizon
-    is certified to contribute 0, which for the prefix-plus-rays
-    representation holds exactly when the horizon reaches the deepest
-    branching vertex.
+    ``entries`` holds the nonzero values for generations up to the horizon
+    the profile was read to.  ``exact_beyond_horizon`` is True when every
+    generation past that horizon is certified to contribute 0, which for the
+    prefix-plus-rays representation holds exactly when the horizon reaches
+    the deepest branching vertex.
     """
 
     entries: Mapping[int, int]
-    horizon: int
     exact_beyond_horizon: bool
-
-    def entry(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("generation index must be nonnegative")
-        if n > self.horizon and not self.exact_beyond_horizon:
-            raise HorizonExceeded(f"profile not certified at generation {n}")
-        return self.entries.get(n, 0)
 
 
 @dataclass(frozen=True)
@@ -270,26 +261,7 @@ class Tree:
             if (n := self.depths[v]) <= horizon:
                 entries[n] = entries.get(n, 0) + (count - 1)
         exact = self.branching_index() <= horizon + 1
-        return DepthProfile(entries=entries, horizon=horizon, exact_beyond_horizon=exact)
-
-    def canonical_form(self, horizon: int) -> str:
-        """Label-independent form of the truncation at ``horizon``.
-
-        Two trees truncated at the same horizon are isomorphic as rooted
-        directed trees exactly when their canonical forms coincide: each
-        vertex's form is ``"(" + "".join(sorted(child forms)) + ")"``,
-        built bottom-up one generation at a time, so depth is not limited
-        by the recursion limit.
-        """
-        trunc = self.truncate(horizon)
-        below = ["()"] * int(trunc.offsets[-1] - trunc.offsets[-2])
-        for n in reversed(range(horizon)):
-            (offset, start), (_, end) = trunc.span(n), trunc.span(n + 1)
-            parts: list[list[str]] = [[] for _ in range(start - offset)]
-            for form, i in zip(below, trunc.parent_index[start:end].tolist()):
-                parts[i - offset].append(form)
-            below = ["(" + "".join(sorted(forms)) + ")" for forms in parts]
-        return below[0]
+        return DepthProfile(entries=entries, exact_beyond_horizon=exact)
 
 
 # -- construction and validation ---------------------------------------------

@@ -1,9 +1,11 @@
 """Shared tree corpus: the five acceptance trees plus named witness pairs,
 a bounded hypothesis strategy for random prefix-plus-rays trees, a tree
-dealt the depth profile of another, a name-walking truncation reference,
-the sibling-chain sums walked by vertex name, per-vertex references for
-the shift's vertex-keyed methods and its self-commutator, the
-per-generation push reference for the float moment oracle, the
+dealt the depth profile of another, the recursive canonical form that the
+isomorphism guards compare, a name-walking truncation reference, the
+sibling-chain sums walked by vertex name, per-vertex references for the
+shift's vertex-keyed methods, its squared weights, its defect operator and
+its self-commutator, the per-generation push reference for the float moment
+oracle, the diagonal the kernel matrix oracle must reproduce, the
 pushed-column reference for the kernel suite's closed form, the walked
 kernel series order, and Fraction references for the exact difference
 checks."""
@@ -21,8 +23,8 @@ from hypothesis import strategies as st
 from treeshift import DIRICHLET, build_tree
 from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import HausdorffReport, pochhammer_ratios
-from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_columns, moment_bases
-from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach
+from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_births, kernel_columns, moment_bases
+from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach, dirichlet_coefficient
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3
@@ -98,6 +100,19 @@ def relabel_and_shuffle(tree, seed):
             rng.shuffle(shuffled)
             children[names[v]] = [names[u] for u in shuffled]
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
+
+
+def recursive_canonical_form(tree, horizon):
+    """Label-independent form of the truncation at ``horizon``, equal for two trees
+    exactly when those truncations are isomorphic: each vertex's form is "(" + its
+    children's forms sorted and joined + ")".  Recursive, so limited by the recursion depth."""
+
+    def canon(v, remaining):
+        if remaining == 0:
+            return "()"
+        return "(" + "".join(sorted(canon(u, remaining - 1) for u in tree.children_of(v))) + ")"
+
+    return canon(tree.root, horizon)
 
 
 def same_profile_tree(tree, seed):
@@ -245,18 +260,20 @@ def squared_weight_formula(tree, q, kind, v):
     return n / (Fraction(n + q - 1) * s)
 
 
+def per_vertex_commutator_diagonal(shift, v):
+    """<[S*, S] e_v, e_v> = ||S e_v||^2 - ||S* e_v||^2: the squared weights into the
+    children of ``v`` less the one into ``v``, every one from the formula."""
+
+    def weight(u):
+        return squared_weight_formula(shift.tree, shift.q, shift.kind, u)
+
+    return sum(map(weight, shift.tree.children_of(v)), Fraction(0)) - weight(v)
+
+
 def per_vertex_partial_trace(shift, depth_cap):
-    """Sum over the vertices v of depth <= depth_cap of ||S e_v||^2 - ||S* e_v||^2,
-    the diagonal of [S*, S], with every squared weight from the formula."""
-
-    def weight(v):
-        return squared_weight_formula(shift.tree, shift.q, shift.kind, v)
-
-    total = Fraction(0)
-    for gen in shift.trunc.generations[: depth_cap + 1]:
-        for v in gen:
-            total += sum(map(weight, shift.tree.children_of(v))) - weight(v)
-    return total
+    """Sum of ``per_vertex_commutator_diagonal`` over the vertices of depth <= depth_cap."""
+    generations = shift.trunc.generations[: depth_cap + 1]
+    return sum((per_vertex_commutator_diagonal(shift, v) for gen in generations for v in gen), Fraction(0))
 
 
 def dict_defect_operator_apply(shift, f):
@@ -329,6 +346,13 @@ def pushed_moment_sequence(shift, v, kmax):
     """Reference for ``moment_sequence_via_matrix``: the squares of each pushed
     generation summed in truncation order; the root of the sum, squared."""
     return [math.sqrt(sum(abs(x) ** 2 for x in c.tolist())) ** 2 for c in pushed_moment_columns(shift, v, kmax)]
+
+
+def expected_oracle_diagonal(shift, n):
+    """The diagonal ``kernel_matrix_oracle`` must reproduce at j = k = n: the
+    columns born on generation g carry the Dirichlet coefficient of index g."""
+    born = kernel_births(shift.trunc)
+    return np.diag(np.repeat([float(dirichlet_coefficient(shift.q, g, n)) for g in range(len(born))], born))
 
 
 def dense_compression_maxima(shift, nmax):

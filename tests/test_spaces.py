@@ -16,6 +16,7 @@ from corpus import (
     WIDE,
     complete_binary,
     dense_compression_maxima,
+    expected_oracle_diagonal,
     fan,
     named_horizon,
     prefix_trees,
@@ -42,7 +43,6 @@ from treeshift import (
     kernel_apply,
     kernel_block_spec,
     kernel_matrix_oracle,
-    kernel_oracle_expected,
     kernel_series_order,
     log_convexity_check,
     make_shift,
@@ -92,7 +92,7 @@ def test_kernel_oracle_structure(tree, q):
         for k in range(4):
             block = kernel_matrix_oracle(shift, j, k)
             if j == k:
-                assert np.max(np.abs(block - kernel_oracle_expected(shift, k))) < 1e-10
+                assert np.max(np.abs(block - expected_oracle_diagonal(shift, k))) < 1e-10
             else:
                 assert np.max(np.abs(block)) < 1e-10
 
@@ -113,7 +113,7 @@ def _oracle_maxima(shift, nmax=5):
         for k in range(nmax + 1):
             block = kernel_matrix_oracle(shift, j, k)
             if j == k:
-                diag = max(diag, float(np.max(np.abs(block - kernel_oracle_expected(shift, k)))))
+                diag = max(diag, float(np.max(np.abs(block - expected_oracle_diagonal(shift, k)))))
             else:
                 off = max(off, float(np.max(np.abs(block))))
     return off, diag
@@ -321,10 +321,10 @@ def test_dirichlet_norm_equals_moment_aggregation(name, q):
             (Fraction(2, 3), {v: tuple([Fraction(1, 2)] * (c - 1)) for v, c in blocks.items()})
         ]
         f = graded_function(tree, layers)
-        expected = Fraction(2, 3) ** 2 * shift.moment(tree.root, n)
+        expected = Fraction(2, 3) ** 2 * shift.moment_sequence(tree.root, n)[n]
         for v, c in blocks.items():
             child = tree.children_of(v)[0]
-            expected += (c - 1) * Fraction(1, 4) * shift.moment(child, n)
+            expected += (c - 1) * Fraction(1, 4) * shift.moment_sequence(child, n)[n]
         assert dirichlet_norm(f, q) == expected
 
 
@@ -401,6 +401,11 @@ def test_radial_weight_coefficients():
     assert radial_weight(3, 0) == {0: Fraction(2), 1: Fraction(-2)}
     with pytest.raises(WrongQ):
         radial_weight(1, 0)
+    # q >= 2 but not an integer; a numpy integer is one
+    for q in (Fraction(5, 2), 2.0):
+        with pytest.raises(WrongQ):
+            radial_weight(q, 1)
+    assert radial_weight(np.int64(3), 0) == radial_weight(3, 0)
 
 
 def test_bergman_weight_moment_q2_closed_form():
@@ -450,8 +455,8 @@ _ANY_Q = st.one_of(st.integers(1, 6), st.fractions(min_value=1, max_value=6, max
 def test_kernel_coefficients_are_shift_moments_at_depth_l(tree, q, l, n):
     # block l's coefficients are the moments of any depth-l vertex
     v = tree.truncate(l).generations[l][0]
-    assert dirichlet_coefficient(q, l, n) == make_shift(tree, q, DUAL, l + 1).moment(v, n)
-    assert bergman_coefficient(q, l, n) == make_shift(tree, q, DIRICHLET, l + 1).moment(v, n)
+    assert dirichlet_coefficient(q, l, n) == make_shift(tree, q, DUAL, l + 1).moment_sequence(v, n)[n]
+    assert bergman_coefficient(q, l, n) == make_shift(tree, q, DIRICHLET, l + 1).moment_sequence(v, n)[n]
 
 
 @settings(max_examples=80, deadline=None)
