@@ -7,11 +7,15 @@ must agree.  In the equivalent case an explicit intertwining unitary is
 assembled generation by generation on the cokernel blocks and lifted to
 the truncated coordinate spaces, where the intertwining residual can be
 measured directly.  The canonical unitary is the identity on every
-generation and carries no matrix.  Each generation block of the lift
-stores only the columns pushed from the generation above; the Helmert
-columns born on it are applied through prefix sums over the sibling runs
-(``shifts.helmert_apply``), since S* is a sum over children, and are made
-dense only as the operand of the next generation's push.
+generation and carries no matrix.  On each generation both shifts are
+the same scalar times the isometry A of their tree (``shifts.make_shift``),
+so the lift pushes its columns by A alone: they stay orthonormal with no
+normalization, and the lift reads neither q nor the weights.  Each
+generation block of the lift stores only the columns pushed from the
+generation above; the Helmert columns born on it are applied through
+prefix sums over the sibling runs (``shifts.helmert_apply``), since S* is
+a sum over children, and are made dense only as the operand of the next
+generation's push.
 """
 
 from __future__ import annotations
@@ -235,8 +239,9 @@ class LiftedUnitary:
     of the generation above, so the stored arrays are read-only.
     ``domain`` holds the columns of the generations below the depth, whose
     image under one more application of the shift stays inside the
-    truncation; ``shifts`` are the two truncated shifts the columns were
-    pushed forward by.
+    truncation; ``shifts`` are the two truncated shifts whose isometries
+    the columns were pushed forward by, and whose weights ``_residual``
+    applies.
     """
 
     source: BlockDiagonal
@@ -249,30 +254,16 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", block, block))
 
 
-def _match_norms(n1: np.ndarray, n2: np.ndarray, generation: int, first: int = 0) -> None:
-    """``AssertionError`` at the first pair of matched column norms that differ."""
-    bad = np.flatnonzero(np.abs(n1 - n2) > _NORM_MATCH_TOL * np.maximum(n1, n2))
-    if bad.size:
-        i = bad[0]
-        raise AssertionError(
-            f"moment mismatch at generation {generation}, column {first + i}: {n1[i]} vs {n2[i]}"
-        )
-
-
-def _normalize_pair(block1: np.ndarray, block2: np.ndarray, generation: int) -> None:
-    """Check that matched columns have equal norms, then scale both to unit norm."""
-    n1, n2 = _column_norms(block1), _column_norms(block2)
-    _match_norms(n1, n2, generation)
-    block1 /= n1
-    block2 /= n2
-
-
 def _unit_mix(mix: np.ndarray, generation: int, first: int) -> np.ndarray:
     """An explicit generation matrix, checked and scaled to unit columns.  The
     Helmert columns are orthonormal, so a newborn column's norm on the second
-    side is the norm of its column of ``mix``, and 1 on the first side."""
+    side is the norm of its column of ``mix``, and 1 on the first side:
+    ``AssertionError`` at the first column whose norm is not 1."""
     norms = _column_norms(mix)
-    _match_norms(np.ones_like(norms), norms, generation, first)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_MATCH_TOL * np.maximum(norms, 1.0))
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(f"moment mismatch at generation {generation}, column {first + i}: 1.0 vs {norms[i]}")
     return mix / norms
 
 
@@ -282,18 +273,20 @@ def lift_graded_unitary(
     """Extend the cokernel unitary to the depth-``depth`` truncations.
 
     A kernel vector carried by generation n + 1 is paired with its image,
-    and both are pushed forward by powers of the respective shifts, so
-    every column lives on one generation: the lift is built one generation
-    block at a time.  Block D is block D - 1 pushed forward, stored,
-    followed by the kernel columns born on generation D, times the
-    generation-(D - 1) unitary on the second side, applied by prefix sums.
-    Where neither truncation widens at D, the push is one scalar times the
-    identity, the same on both sides, so block D is block D - 1 again, the
-    same block, and is not recomputed.  ``MAX_BLOCK_ENTRIES`` bounds the
-    columns each block stores, which also bounds the dense operand of its
-    push.
-    Matching moments make the columns orthonormal on both sides, so the
-    resulting map is a genuine unitary between the truncated spaces.
+    and both are pushed forward by powers of the respective isometries A,
+    so every column lives on one generation: the lift is built one
+    generation block at a time.  Block D is block D - 1 pushed forward by
+    A, stored, followed by the kernel columns born on generation D, times
+    the generation-(D - 1) unitary on the second side, applied by prefix
+    sums.  Where neither truncation widens at D, A is the identity on
+    both sides, so block D is block D - 1 again, the same block, and is
+    not recomputed.  ``MAX_BLOCK_ENTRIES`` bounds the columns each block
+    stores, which also bounds the dense operand of its push.
+    A is an isometry, so the columns stay orthonormal on both sides and
+    the map is a genuine unitary between the truncated spaces.  It
+    intertwines because both shifts are the same scalar times A on each
+    generation; ``q`` only builds the shifts whose weights ``_residual``
+    applies, a check independent of this construction.
     """
     shift1 = make_shift(tree1, q, DIRICHLET, depth)
     shift2 = make_shift(tree2, q, DIRICHLET, depth)
@@ -318,13 +311,11 @@ def lift_graded_unitary(
     target = [HelmertBlock(np.ones((1, 1)))]
     for d in range(1, depth + 1):
         if not (births1[d] or births2[d]):
-            # every vertex of generation d - 1 has one child, and every weight into d
-            # is the same double on both sides (it depends on depth and sibling count)
+            # every vertex of generation d - 1 has one child, so A is the identity onto d
             source.append(source[-1])
             target.append(target[-1])
             continue
         pushed1, pushed2 = shift1.push(source[-1].dense(), d), shift2.push(target[-1].dense(), d)
-        _normalize_pair(pushed1, pushed2, d)
         runs1 = runs2 = mix = None
         if d - 1 in unitary.generations:
             mix = unitary.generations[d - 1]

@@ -3,15 +3,20 @@
 Two weight systems are built from the same tree: the Dirichlet shift,
 whose squared weight into a vertex v at depth n with sibling count s is
 (n + q - 1)/(n s), and its Cauchy dual, with squared weight
-n/((n + q - 1) s), both read off ``moment_bases`` as exact rationals.
-``make_shift`` keeps only their square roots, as the float weights the
-operator acts with; the exact numbers (moments, q-isometry defects) depend
-on depth alone and read off ``moment_bases`` directly.
+n/((n + q - 1) s).  Both factor as S = sqrt(rho(n - 1)) A on generation
+n: rho is the ratio of the depth-(n - 1) ``moment_bases``, (n + q - 1)/n
+for the Dirichlet shift and its reciprocal for the dual, and A, the
+isometry that sends e_v to the sum of e_u/sqrt(s) over v's s children,
+reads neither q nor the kind.  ``make_shift`` keeps A and the float
+weights, the generation scalar times A; the exact numbers (moments,
+q-isometry defects) depend on depth alone and read off ``moment_bases``
+directly.
 
-The operator acts on coordinate arrays in truncation order (``act``,
-``act_adjoint``, ``push``), where the shift reweights the parent map in
-O(n).  The array action drops mass at the horizon, so its callers keep
-their supports away from it themselves.  The vertex-keyed methods
+The operator acts on coordinate arrays in truncation order (``act`` and
+``act_adjoint``, and ``push``, which applies A one generation at a time),
+where the shift reweights the parent map in O(n).  The array action
+drops mass at the horizon, so its callers keep their supports away from
+it themselves.  The vertex-keyed methods
 (``apply`` and its relatives) are adapters over the same action: they
 take a sparse dict, check its support and return the nonzero
 coordinates of the image.  The float moment oracle
@@ -175,6 +180,7 @@ class ShiftOperator:
     horizon: int
     trunc: Truncation
     weights: np.ndarray  # float weight into each vertex, truncation order; 0 at the root
+    isometry: np.ndarray  # 1/sqrt(sibling count) of each vertex, the weights of A; 0 at the root
 
     # -- structure -------------------------------------------------------------
 
@@ -207,9 +213,11 @@ class ShiftOperator:
         return out
 
     def push(self, block: np.ndarray, generation: int) -> np.ndarray:
-        """S on columns supported on generation - 1, given as that generation's
+        """A on columns supported on generation - 1, given as that generation's
         rows (another row count raises ``ValueError``); returns the rows of ``generation``.
-        A push past the horizon raises ``TruncationLoss`` instead of dropping the mass."""
+        The push of S onto ``generation`` is this times the generation's scalar
+        sqrt(rho(generation - 1)).  A push past the horizon raises ``TruncationLoss``
+        instead of dropping the mass."""
         if generation > self.horizon:
             raise TruncationLoss(f"push onto generation {generation} needs horizon {generation}, have {self.horizon}")
         if generation < 1:
@@ -218,7 +226,7 @@ class ShiftOperator:
         if block.shape[0] != (rows := start - self.trunc.span(generation - 1)[0]):
             raise ValueError(f"push onto generation {generation} needs {rows} rows, got {block.shape[0]}")
         parents = self.trunc.parent_index[start:end] - (start - rows)
-        return self.weights[start:end, None] * block[parents]
+        return self.isometry[start:end, None] * block[parents]
 
     # -- vertex-keyed adapters ------------------------------------------------------
 
@@ -271,8 +279,9 @@ class ShiftOperator:
     def _pushes(self, v: str, kmax: int) -> list[tuple[int, int, np.ndarray]]:
         """S^k e_v, k = 0..kmax, on v's k-th descendants (consecutive positions) as pieces (start, stride,
         rows), row j from position start + j stride.  Down to top = min(horizon, deepest explicit depth)
-        a step is ``push`` on the range ``searchsorted`` finds in ``parent_index``; below top a vertex's one
-        child sits ``width`` positions on: one ``np.cumprod`` of aligned weight rows under the last column."""
+        a step reweights the parent map on the range ``searchsorted`` finds in ``parent_index``; below top a
+        vertex's one child sits ``width`` positions on: one ``np.cumprod`` of aligned weight rows under the
+        last column."""
         if (depth := self.tree.depth_of(v)) + kmax > self.horizon:
             self._to_array({v: 1.0}, margin=kmax)  # raises the vertex-keyed methods' TruncationLoss
         _order, _starts, top, width = self.trunc._runs
@@ -355,7 +364,7 @@ def make_shift(
     kind: str,
     horizon: int,
 ) -> ShiftOperator:
-    """Assemble a Dirichlet or Cauchy-dual shift with exact squared weights.
+    """Assemble a Dirichlet or Cauchy-dual shift as its generation scalars times A.
 
     The truncation depth is always explicit; exactness guarantees are
     stated relative to it.
@@ -364,25 +373,17 @@ def make_shift(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
-    # the squared weight depends only on (depth n, sibling count s): one
-    # exact value per distinct pair, keyed n * stride + s
     parent = trunc.parent_index
-    siblings = np.bincount(parent[1:])[parent]
-    depths = np.repeat(np.arange(horizon + 1), np.diff(trunc.offsets))
-    stride = int(siblings.max()) + 1
-    keys, inverse = np.unique(depths[1:] * stride + siblings[1:], return_inverse=True)
-    table = []
-    for key in keys.tolist():
-        n, s = divmod(key, stride)
-        a, b = moment_bases(q, kind, n - 1)
-        table.append(Fraction(a) / (b * s))
-    weights = np.zeros(len(parent))
-    weights[1:] = np.array([math.sqrt(x) for x in table])[inverse]
+    isometry = 1.0 / np.sqrt(np.bincount(parent[1:])[parent])
+    isometry[0] = 0.0  # the root has no parent
+    # sqrt(rho(n - 1)) on generation n, rho the exact ratio of the depth-(n - 1) moment bases
+    scale = [0.0] + [math.sqrt(Fraction(a) / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
     return ShiftOperator(
         tree=tree,
         q=q,
         kind=kind,
         horizon=horizon,
         trunc=trunc,
-        weights=weights,
+        weights=np.repeat(scale, np.diff(trunc.offsets)) * isometry,
+        isometry=isometry,
     )

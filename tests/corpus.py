@@ -4,8 +4,9 @@ dealt the depth profile of another, the recursive canonical form that the
 isomorphism guards compare, a name-walking truncation reference, the
 sibling-chain sums walked by vertex name, per-vertex references for the
 shift's vertex-keyed methods, its squared weights, its defect operator and
-its self-commutator, the per-generation push reference for the float moment
-oracle, the diagonal the kernel matrix oracle must reproduce, the
+its self-commutator, the push of S by its weights, one generation at a time,
+and the per-generation push reference for the float moment oracle built on
+it, the diagonal the kernel matrix oracle must reproduce, the
 pushed-column reference for the kernel suite's closed form, the walked
 kernel series order, and Fraction references for the exact difference
 checks."""
@@ -329,15 +330,25 @@ def walked_series_order(q, space, radius):
         n += 1
 
 
+def weighted_push(shift, block, generation):
+    """S on columns supported on generation - 1, given as that generation's rows:
+    the rows of ``generation``, each the weight into it times its parent's row.
+    ``ShiftOperator.push`` applies the isometry instead, so this reads the
+    weights, perturbed ones too."""
+    start, end = shift.trunc.span(generation)
+    parents = shift.trunc.parent_index[start:end] - shift.trunc.span(generation - 1)[0]
+    return shift.weights[start:end, None] * block[parents]
+
+
 def pushed_moment_columns(shift, v, kmax):
     """Reference for ``ShiftOperator._pushes``: S^k e_v for k = 0..kmax as whole
-    generations, e_v pushed one generation at a time by ``push``."""
+    generations, e_v pushed one generation at a time by ``weighted_push``."""
     depth = shift.tree.depth_of(v)
     e_v = to_array(shift, {v: 1.0})
     column = e_v[slice(*shift.trunc.span(depth)), None]
     columns = [column[:, 0]]
     for k in range(1, kmax + 1):
-        column = shift.push(column, depth + k)
+        column = weighted_push(shift, column, depth + k)
         columns.append(column[:, 0])
     return columns
 
@@ -371,7 +382,7 @@ def dense_compression_maxima(shift, nmax):
         if landing:
             # columns born nmax generations back have had all their powers
             retired = born[first - 1] if first else 0
-            block = shift.push(block[:, retired:], landing)
+            block = weighted_push(shift, block[:, retired:], landing)
             if born[landing]:
                 block = np.hstack([block, kernel_columns(trunc, landing)])
         sizes = born[first : landing + 1]

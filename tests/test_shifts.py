@@ -187,12 +187,26 @@ _QS = st.sampled_from([1, 2, 3, 4, Fraction(5, 2)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(tree=prefix_trees(), q=_QS, kind=_KINDS, horizon=st.integers(1, 6))
-def test_weight_table_matches_per_vertex_formula(tree, q, kind, horizon):
+@given(
+    tree=prefix_trees(),
+    q=st.one_of(st.integers(1, 8), st.just(Fraction(5, 2))),
+    kind=_KINDS,
+    horizon=st.integers(1, 6),
+)
+def test_weights_factor_as_depth_scalar_times_isometry(tree, q, kind, horizon):
     shift = make_shift(tree, q, kind, horizon)
-    assert shift.weights[0] == squared_weight_formula(tree, q, kind, tree.root) == 0
+    assert shift.weights[0] == shift.isometry[0] == squared_weight_formula(tree, q, kind, tree.root) == 0
     for i, v in enumerate(shift.trunc.vertices[1:], 1):
-        assert shift.weights[i] == math.sqrt(squared_weight_formula(tree, q, kind, v))
+        a, b = moment_bases(q, kind, tree.depth_of(v) - 1)
+        isometry = 1 / math.sqrt(tree.sibling_count(v))
+        assert shift.isometry[i] == isometry
+        assert shift.weights[i] == math.sqrt(Fraction(a) / b) * isometry
+        exact = math.sqrt(squared_weight_formula(tree, q, kind, v))
+        assert abs(shift.weights[i] - exact) <= 2 * math.ulp(exact)
+    # A*A = I: the squares of A over the children of each vertex above the horizon sum to 1
+    sums = np.bincount(shift.trunc.parent_index[1:], weights=shift.isometry[1:] ** 2)
+    assert len(sums) == shift.trunc.span(horizon)[0]
+    assert np.all(np.abs(sums - 1) <= 4 * math.ulp(1.0))
 
 
 @settings(max_examples=60, deadline=None)
