@@ -3,26 +3,26 @@
 For q = 1 the shifts are isometries and equivalence is decided by the
 cokernel dimension alone.  For integer q >= 2 the complete invariant is
 the depth profile: generation by generation, the branching defect counts
-must agree.  In the equivalent case an explicit intertwining unitary is
-assembled generation by generation on the cokernel blocks and lifted to
+must agree.  In the equivalent case the identity between the cokernel
+blocks of each generation intertwines the two shifts; it is lifted to
 the truncated coordinate spaces, where the intertwining residual can be
-measured directly.  The canonical unitary is the identity on every
-generation and carries no matrix.  On each generation both shifts are
-the same scalar times the isometry A of their tree (``shifts.make_shift``),
-so the lift pushes its columns by A alone: they stay orthonormal with no
-normalization, and the lift reads neither q nor the weights.  Each
-generation block of the lift stores only the columns pushed from the
-generation above; the Helmert columns born on it are applied through
-prefix sums over the sibling runs (``shifts.helmert_apply``), since S* is
-a sum over children, and are made dense only as the operand of the next
-generation's push.
+measured directly.  On each generation both shifts are the same scalar
+times the isometry A of their tree (``shifts.make_shift``), so each side
+of the lift is its own kernel columns pushed by its own A: they stay
+orthonormal with no normalization, and the lift reads neither q nor the
+weights.  Each generation block of a side stores only the columns pushed
+from the generation above; the Helmert columns born on it are applied
+through prefix sums over the sibling runs (``shifts.helmert_apply``),
+since S* is a sum over children, and are made dense only as the operand
+of the next generation's push.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -33,23 +33,11 @@ from .trees import DepthProfile, Tree
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
 
-_NORM_MATCH_TOL = 1e-10
-
 # random test vectors per intertwining check
 _TRIALS = 16
 
-# float64 entries (256 MiB) allowed in one explicit generation matrix of the graded unitary,
-# and in the columns one generation block of the lift stores
+# float64 entries (256 MiB) allowed in the columns one generation block of the lift stores
 MAX_BLOCK_ENTRIES = 2**25
-
-
-def _refuse_block(rows: int, cols: int, generation: int, what: str, kind: str = "") -> None:
-    """``ValueError`` for a rows x cols block over ``MAX_BLOCK_ENTRIES``, raised before allocating it."""
-    if rows * cols > MAX_BLOCK_ENTRIES:
-        raise ValueError(
-            f"{what} needs a {rows} x {cols} block{kind} on generation {generation}, "
-            f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
-        )
 
 
 @dataclass(frozen=True)
@@ -81,7 +69,7 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
     dimensions; q >= 2 compares the profiles entrywise, and the witness is
     the first generation where they differ.
     """
-    if not isinstance(q, int) or q < 1:
+    if not isinstance(q, numbers.Integral) or q < 1:
         raise InvalidQ(f"q must be a positive integer, got {q!r}")
     p1, p2 = (tree.depth_profile(tree.branching_index()) for tree in (tree1, tree2))
     witness = None
@@ -97,29 +85,18 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
 
 
 @dataclass(frozen=True)
-class Identity:
-    """The ``size`` x ``size`` identity of one generation, kept as its size."""
-
-    size: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.size, self.size
-
-
-@dataclass(frozen=True)
 class GradedUnitary:
-    """Generation-by-generation unitary between the cokernel blocks.
+    """Generation-by-generation identity between the cokernel blocks.
 
-    The first root indicator goes to the second; ``generations[n]`` is the
-    unitary from the Helmert coordinates of the first tree's generation-n
-    branching vertices to the second's: an ``Identity``, which carries no
-    matrix, or an explicit orthogonal array.  On each side the coordinates
-    are in breadth-first order, which is truncation order: the branching
-    vertices in generation order, each one's Helmert vectors in child order.
+    The first root indicator goes to the second, and the Helmert coordinates
+    of the first tree's generation-n branching vertices go one to one to the
+    second's; ``generations[n]`` is their count.  On each side the
+    coordinates are in breadth-first order, which is truncation order: the
+    branching vertices in generation order, each one's Helmert vectors in
+    child order.  A generation left out carries no lifted columns.
     """
 
-    generations: Mapping[int, Identity | np.ndarray]
+    generations: Mapping[int, int]
 
 
 def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
@@ -127,7 +104,7 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
 
     Blocks are ordered by (generation, breadth-first vertex order) and
     each generation gets the identity in Helmert coordinates; any choice
-    of unitaries works, the identity is the deterministic one.
+    of unitaries works, the identity is the canonical one and needs no matrix.
     """
     if verdict.result == NOT_EQUIVALENT:
         raise NotEquivalentError(f"shifts differ (witness generation {verdict.witness})")
@@ -136,7 +113,7 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
         # only reachable at q = 1, where equal totals do not force equal
         # profiles; the generation-by-generation construction needs them
         raise ValueError("graded construction needs matching depth profiles")
-    return GradedUnitary(generations={n: Identity(count) for n, count in sorted(entries.items())})
+    return GradedUnitary(generations=dict(sorted(entries.items())))
 
 
 # -- lifting to the truncated coordinate spaces ---------------------------------
@@ -179,18 +156,16 @@ class HelmertBlock:
 
     The block is ``pushed``, the stored columns pushed from the generation
     above, followed by the Helmert columns born on its generation, located
-    by ``runs`` (``helmert_runs``), times ``mix`` (None for the identity).
-    ``runs`` is None where the block has no newborn columns: the root line,
-    and a generation whose parent generation the unitary leaves out.  The
-    Helmert columns are applied through prefix sums over the sibling runs
-    (``helmert_apply`` and ``helmert_adjoint``), O(rows) per column of the
-    operand; ``dense`` builds them only as the operand of the next
-    generation's push.  ``T`` is the transpose.
+    by ``runs`` (``helmert_runs``).  ``runs`` is None where the block has no
+    newborn columns: the root line, and a generation whose parent generation
+    the unitary leaves out.  The Helmert columns are applied through prefix
+    sums over the sibling runs (``helmert_apply`` and ``helmert_adjoint``),
+    O(rows) per column of the operand; ``dense`` builds them only as the
+    operand of the next generation's push.  ``T`` is the transpose.
     """
 
     pushed: np.ndarray
     runs: tuple[np.ndarray, ...] | None = None
-    mix: np.ndarray | None = None
     transposed: bool = False
 
     @property
@@ -207,8 +182,7 @@ class HelmertBlock:
         """The block as one array: its newborn columns are built here, for a moment."""
         if self.runs is None:
             return self.pushed
-        mix = np.eye(len(self.runs[0])) if self.mix is None else self.mix
-        return np.concatenate([self.pushed, helmert_apply(self.runs, mix)], axis=1)
+        return np.concatenate([self.pushed, helmert_apply(self.runs, np.eye(len(self.runs[0])))], axis=1)
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         if a.ndim == 1:
@@ -216,13 +190,10 @@ class HelmertBlock:
         p = self.pushed.shape[1]
         if self.transposed:
             out = self.pushed.T @ a
-            if self.runs is None:
-                return out
-            newborn = helmert_adjoint(self.runs, a)
-            return np.vstack([out, newborn if self.mix is None else self.mix.T @ newborn])
+            return out if self.runs is None else np.vstack([out, helmert_adjoint(self.runs, a)])
         out = self.pushed @ a[:p]
         if self.runs is not None:
-            out += helmert_apply(self.runs, a[p:] if self.mix is None else self.mix @ a[p:])
+            out += helmert_apply(self.runs, a[p:])
         return out
 
 
@@ -235,8 +206,9 @@ class LiftedUnitary:
     block-diagonal with one block per generation D: the root line and the
     kernel blocks of generations below D, pushed forward onto generation
     D.  Every block is a ``HelmertBlock`` that stores only its pushed
-    columns.  A generation where neither truncation widens shares the block
-    of the generation above, so the stored arrays are read-only.
+    columns.  On each side, a generation where the truncation does not
+    widen shares the block of the generation above, so the stored arrays
+    are read-only.
     ``domain`` holds the columns of the generations below the depth, whose
     image under one more application of the shift stays inside the
     truncation; ``shifts`` are the two truncated shifts whose isometries
@@ -254,17 +226,41 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", block, block))
 
 
-def _unit_mix(mix: np.ndarray, generation: int, first: int) -> np.ndarray:
-    """An explicit generation matrix, checked and scaled to unit columns.  The
-    Helmert columns are orthonormal, so a newborn column's norm on the second
-    side is the norm of its column of ``mix``, and 1 on the first side:
-    ``AssertionError`` at the first column whose norm is not 1."""
-    norms = _column_norms(mix)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_MATCH_TOL * np.maximum(norms, 1.0))
-    if bad.size:
-        i = bad[0]
-        raise AssertionError(f"moment mismatch at generation {generation}, column {first + i}: 1.0 vs {norms[i]}")
-    return mix / norms
+def _lift_side(shift: ShiftOperator, generations: Collection[int]) -> list[HelmertBlock]:
+    """The generation blocks 0..horizon of one side of the lift.
+
+    Block D is block D - 1 pushed forward by A, stored, followed by the
+    kernel columns born on generation D when generation D - 1 is in
+    ``generations``, applied by prefix sums.  Where the truncation does not
+    widen at D, A onto D is the identity, so block D is block D - 1 again,
+    the same block, and is not recomputed.  Every widening block is checked
+    against ``MAX_BLOCK_ENTRIES`` before the first one is built.
+    """
+    trunc, depth = shift.trunc, shift.horizon
+    births = kernel_births(trunc)
+    # block d holds the root line and the columns born on generations 1..d of the unitary
+    columns = np.cumsum([1] + [births[d] if d - 1 in generations else 0 for d in range(1, depth + 1)]).tolist()
+    rows = np.diff(trunc.offsets).tolist()
+    for d in range(1, depth + 1):
+        # a block that widens stores the columns of the block above, pushed
+        if births[d] and rows[d] * columns[d - 1] > MAX_BLOCK_ENTRIES:
+            raise ValueError(
+                f"lift needs a {rows[d]} x {columns[d - 1]} block of stored columns on generation {d}, "
+                f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
+            )
+    # the root line
+    blocks = [HelmertBlock(np.ones((1, 1)))]
+    for d in range(1, depth + 1):
+        if not births[d]:
+            # every vertex of generation d - 1 has one child, so A is the identity onto d
+            blocks.append(blocks[-1])
+            continue
+        runs = helmert_runs(trunc, d) if d - 1 in generations else None
+        blocks.append(HelmertBlock(shift.push(blocks[-1].dense(), d), runs))
+    # a block may stand for several generations, so no stored array may be written in place
+    for block in blocks:
+        block.pushed.setflags(write=False)
+    return blocks
 
 
 def lift_graded_unitary(
@@ -273,64 +269,30 @@ def lift_graded_unitary(
     """Extend the cokernel unitary to the depth-``depth`` truncations.
 
     A kernel vector carried by generation n + 1 is paired with its image,
-    and both are pushed forward by powers of the respective isometries A,
-    so every column lives on one generation: the lift is built one
-    generation block at a time.  Block D is block D - 1 pushed forward by
-    A, stored, followed by the kernel columns born on generation D, times
-    the generation-(D - 1) unitary on the second side, applied by prefix
-    sums.  Where neither truncation widens at D, A is the identity on
-    both sides, so block D is block D - 1 again, the same block, and is
-    not recomputed.  ``MAX_BLOCK_ENTRIES`` bounds the columns each block
-    stores, which also bounds the dense operand of its push.
-    A is an isometry, so the columns stay orthonormal on both sides and
-    the map is a genuine unitary between the truncated spaces.  It
-    intertwines because both shifts are the same scalar times A on each
-    generation; ``q`` only builds the shifts whose weights ``_residual``
-    applies, a check independent of this construction.
+    the kernel vector of the same coordinate on the other side, and both
+    are pushed forward by powers of the respective isometries A, so every
+    column lives on one generation: each side is built one generation
+    block at a time from its own shift (``_lift_side``).  Equal depth
+    profiles give both truncations the same width on every generation, so
+    both sides widen, and share blocks, on the same generations.
+    ``MAX_BLOCK_ENTRIES`` bounds the columns each block stores, which also
+    bounds the dense operand of its push.  A is an isometry, so the columns
+    stay orthonormal on both sides and the map is a genuine unitary
+    between the truncated spaces.  It intertwines because both shifts are
+    the same scalar times A on each generation; ``q`` only builds the
+    shifts whose weights ``_residual`` applies, a check independent of
+    this construction.
     """
-    shift1 = make_shift(tree1, q, DIRICHLET, depth)
-    shift2 = make_shift(tree2, q, DIRICHLET, depth)
-    for n, mix in sorted(unitary.generations.items()):
+    for n in sorted(unitary.generations):
         if n + 2 > depth:
-            raise TruncationLoss(
-                f"generation {n} blocks need depth at least {n + 2}, got {depth}"
-            )
-        if isinstance(mix, np.ndarray):
-            _refuse_block(*mix.shape, n, "graded unitary")
-    births1, births2 = kernel_births(shift1.trunc), kernel_births(shift2.trunc)
-    # block d holds the root line and the columns born on generations 1..d of the unitary
-    carried = [1] + [births1[d] if d - 1 in unitary.generations else 0 for d in range(1, depth + 1)]
-    columns = np.cumsum(carried).tolist()
-    rows = np.diff(shift1.trunc.offsets).tolist()
-    for d in range(1, depth + 1):
-        if births1[d] or births2[d]:
-            # a block that widens stores the columns of the block above, pushed
-            _refuse_block(rows[d], columns[d - 1], d, "lift", " of stored columns")
-    # the root line
-    source = [HelmertBlock(np.ones((1, 1)))]
-    target = [HelmertBlock(np.ones((1, 1)))]
-    for d in range(1, depth + 1):
-        if not (births1[d] or births2[d]):
-            # every vertex of generation d - 1 has one child, so A is the identity onto d
-            source.append(source[-1])
-            target.append(target[-1])
-            continue
-        pushed1, pushed2 = shift1.push(source[-1].dense(), d), shift2.push(target[-1].dense(), d)
-        runs1 = runs2 = mix = None
-        if d - 1 in unitary.generations:
-            mix = unitary.generations[d - 1]
-            mix = _unit_mix(mix, d, pushed1.shape[1]) if isinstance(mix, np.ndarray) else None
-            runs1, runs2 = helmert_runs(shift1.trunc, d), helmert_runs(shift2.trunc, d)
-        source.append(HelmertBlock(pushed1, runs1))
-        target.append(HelmertBlock(pushed2, runs2, mix))
-    # a block may stand for several generations, so no stored array may be written in place
-    for block in (*source, *target):
-        block.pushed.setflags(write=False)
+            raise TruncationLoss(f"generation {n} blocks need depth at least {n + 2}, got {depth}")
+    shifts = make_shift(tree1, q, DIRICHLET, depth), make_shift(tree2, q, DIRICHLET, depth)
+    source, target = (_lift_side(shift, unitary.generations) for shift in shifts)
     return LiftedUnitary(
         source=BlockDiagonal(tuple(source)),
         target=BlockDiagonal(tuple(target)),
         domain=tuple(range(sum(b.shape[1] for b in source[:-1]))),
-        shifts=(shift1, shift2),
+        shifts=shifts,
     )
 
 

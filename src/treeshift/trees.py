@@ -40,7 +40,10 @@ RAY_SEPARATOR = "~"
 
 _TREE_FILE_KEYS = {"root", "children", "ray_leaves"}
 
-# vertices one truncation may hold: a shift takes about 320 bytes per vertex, 2.7 GB in all
+# vertices one truncation may hold.  Per vertex (tracemalloc, fan 20,000 and binary 13): a
+# shift keeps 40 bytes (peak 48), 336 MB at the limit; the vertex names the defect and
+# hausdorff suites build keep 72 more (peak 112), and the kernel suite's (nmax + 1) x n
+# arrays peak at 192 more, so that suite nears 2 GB at the limit
 MAX_TRUNCATION_VERTICES = 2**23
 
 

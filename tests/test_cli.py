@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeshift import DIRICHLET, DUAL, Tree, classify, cli, decide_equivalence, make_shift, tree_from_json, tree_to_json
+from treeshift import shifts, spaces
 from treeshift.cli import (
     _HOLE,
     _SUITES,
@@ -24,6 +25,7 @@ from treeshift.cli import (
     main,
 )
 from treeshift.numerics import hausdorff_check
+from treeshift.shifts import ShiftOperator
 from treeshift.spaces import kernel_block_spec, kernel_compression_maxima, pick_property_check
 
 LINE = {"root": "r", "children": {}, "ray_leaves": ["r"]}
@@ -235,28 +237,40 @@ def test_kernel_suite_on_fan_2000_is_fast(tree_file, capsys):
     assert elapsed < 5.0
 
 
-def test_hausdorff_suite_at_a_deep_horizon_truncates_at_depth_ten(tree_file, capsys):
+def test_hausdorff_suite_at_a_deep_horizon_truncates_at_depth_ten(tree_file, capsys, monkeypatch):
     path = tree_file(fan(2000))
     argv = ["checks", path, "--q", "2", "--suite", "hausdorff", "--horizon"]
     _code, shallow = _run(capsys, argv + ["10"])
-    started = time.perf_counter()
+    horizons = []
+    truncate = Tree.truncate
+
+    def recording_truncate(self, horizon):
+        horizons.append(horizon)
+        return truncate(self, horizon)
+
+    monkeypatch.setattr(Tree, "truncate", recording_truncate)
     code, deep = _run(capsys, argv + ["1000"])
-    elapsed = time.perf_counter() - started
     assert code == 0
     assert json.loads(deep)["results"] == json.loads(shallow)["results"]
-    assert elapsed < 2.0
+    # one truncation, at depth ten: a fan of 2,000 at horizon 1,000 would hold 2,000,001 vertices
+    assert horizons == [10]
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the closed-form kernel suite builds no kernel column block or dense matrix")
 
 
 @pytest.mark.parametrize("tree", [fan(20000), complete_binary(13)], ids=["fan20000", "binary13"])
-def test_kernel_suite_on_wide_trees_passes_in_closed_form(tree_file, capsys, tree):
+def test_kernel_suite_on_wide_trees_passes_in_closed_form(tree_file, capsys, monkeypatch, tree):
     # 20,000 Helmert columns plus the root line on 20,000 rows would be 3.2 GB as one dense block
-    started = time.perf_counter()
+    for module in (shifts, spaces):
+        monkeypatch.setattr(module, "kernel_columns", _refuse)
+    monkeypatch.setattr(spaces, "kernel_matrix_oracle", _refuse)
+    monkeypatch.setattr(ShiftOperator, "matrix", _refuse)
     code, out = _run(capsys, ["checks", tree_file(tree), "--q", "2", "--suite", "kernel"])
-    elapsed = time.perf_counter() - started
     assert code == 0
     results = json.loads(out)["results"]
     assert results["all_passed"] is True
-    assert elapsed < 2.0
     if tree["root"] == "v0":  # binary 13: both maxima far below the tolerance
         off, diag = results["assertions"][:2]
         assert float(off["max_abs"]) < 1e-12 and float(diag["max_abs_error"]) < 1e-12
