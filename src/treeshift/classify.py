@@ -10,11 +10,13 @@ measured directly.  On each generation both shifts are the same scalar
 times the isometry A of their tree (``shifts.make_shift``), so each side
 of the lift is its own kernel columns pushed by its own A: they stay
 orthonormal with no normalization, and the lift reads neither q nor the
-weights.  Each generation block of a side stores only the columns pushed
-from the generation above; the Helmert columns born on it are applied
-through prefix sums over the sibling runs (``shifts.helmert_apply``),
-since S* is a sum over children, and are made dense only as the operand
-of the next generation's push.
+weights.  The graded unitary carries every generation where the trees
+branch, so each generation block of a side is square and orthogonal, and
+one ``LiftSide`` holds a whole side.  Each block stores only the columns
+pushed from the generation above; the Helmert columns born on it are
+applied through prefix sums over the sibling runs
+(``shifts.helmert_apply``), since S* is a sum over children, and are made
+dense only as the operand of the next generation's push.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -93,7 +95,8 @@ class GradedUnitary:
     second's; ``generations[n]`` is their count.  On each side the
     coordinates are in breadth-first order, which is truncation order: the
     branching vertices in generation order, each one's Helmert vectors in
-    child order.  A generation left out carries no lifted columns.
+    child order.  ``lift_graded_unitary`` checks the counts against the
+    kernel columns born on each generation of either truncation.
     """
 
     generations: Mapping[int, int]
@@ -120,80 +123,51 @@ def build_graded_unitary(verdict: EquivalenceVerdict) -> GradedUnitary:
 
 
 @dataclass(frozen=True)
-class BlockDiagonal:
-    """A block-diagonal matrix kept as its diagonal blocks, in order.
+class LiftSide:
+    """One side of the lift: a square orthogonal matrix, block-diagonal by generation.
 
-    Supports ``.shape``, ``.T`` and ``@`` on an array or a block of columns.
-    One block may appear as several consecutive blocks.
-    """
-
-    blocks: tuple[HelmertBlock, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return sum(b.shape[0] for b in self.blocks), sum(b.shape[1] for b in self.blocks)
-
-    @property
-    def T(self) -> BlockDiagonal:
-        return BlockDiagonal(tuple(b.T for b in self.blocks))
-
-    def __matmul__(self, a: np.ndarray) -> np.ndarray:
-        rows, cols = self.shape
-        if a.shape[0] != cols:
-            raise ValueError(f"cannot apply a {rows}x{cols} block-diagonal matrix to shape {a.shape}")
-        out = np.empty((rows, *a.shape[1:]), dtype=np.result_type(a.dtype, np.float64))
-        row = col = 0
-        for b in self.blocks:
-            out[row : row + b.shape[0]] = b @ a[col : col + b.shape[1]]
-            row += b.shape[0]
-            col += b.shape[1]
-        return out
-
-
-@dataclass(frozen=True)
-class HelmertBlock:
-    """One generation block of the lift, its newborn columns kept implicit.
-
-    The block is ``pushed``, the stored columns pushed from the generation
-    above, followed by the Helmert columns born on its generation, located
-    by ``runs`` (``helmert_runs``).  ``runs`` is None where the block has no
-    newborn columns: the root line, and a generation whose parent generation
-    the unitary leaves out.  The Helmert columns are applied through prefix
+    Rows and columns share ``offsets`` (``Truncation.offsets``).  Block D,
+    square on generation D, is ``pushed[D]``, the stored push of block D - 1
+    (the root line for D = 0), followed by the Helmert columns born on D,
+    located by ``runs[D]`` (``helmert_runs``) and applied through prefix
     sums over the sibling runs (``helmert_apply`` and ``helmert_adjoint``),
-    O(rows) per column of the operand; ``dense`` builds them only as the
-    operand of the next generation's push.  ``T`` is the transpose.
+    O(rows) per column of the operand.  ``runs[D]`` is None where no block
+    down to D has newborn columns.  A generation that does not widen has
+    the entries of the one above: it reuses both arrays, so the stored
+    arrays are read-only.  Supports ``.shape``, ``.T`` (the transpose) and
+    ``@`` on an array or a block of columns, complex included.
     """
 
-    pushed: np.ndarray
-    runs: tuple[np.ndarray, ...] | None = None
+    offsets: np.ndarray
+    pushed: tuple[np.ndarray, ...]
+    runs: tuple[tuple[np.ndarray, ...] | None, ...]
     transposed: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        newborn = 0 if self.runs is None else len(self.runs[0])
-        rows, cols = self.pushed.shape[0], self.pushed.shape[1] + newborn
-        return (cols, rows) if self.transposed else (rows, cols)
+        return (int(self.offsets[-1]),) * 2
 
     @property
-    def T(self) -> HelmertBlock:
+    def T(self) -> LiftSide:
         return dataclasses.replace(self, transposed=not self.transposed)
-
-    def dense(self) -> np.ndarray:
-        """The block as one array: its newborn columns are built here, for a moment."""
-        if self.runs is None:
-            return self.pushed
-        return np.concatenate([self.pushed, helmert_apply(self.runs, np.eye(len(self.runs[0])))], axis=1)
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         if a.ndim == 1:
             return (self @ a[:, None])[:, 0]
-        p = self.pushed.shape[1]
-        if self.transposed:
-            out = self.pushed.T @ a
-            return out if self.runs is None else np.vstack([out, helmert_adjoint(self.runs, a)])
-        out = self.pushed @ a[:p]
-        if self.runs is not None:
-            out += helmert_apply(self.runs, a[p:])
+        if a.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot apply a lift side of shape {self.shape} to shape {a.shape}")
+        out = np.empty(a.shape, dtype=np.result_type(a.dtype, np.float64))
+        bounds = self.offsets.tolist()
+        for lo, hi, pushed, runs in zip(bounds, bounds[1:], self.pushed, self.runs):
+            p = pushed.shape[1]
+            if self.transposed:
+                out[lo : lo + p] = pushed.T @ a[lo:hi]
+                if runs is not None:
+                    out[lo + p : hi] = helmert_adjoint(runs, a[lo:hi])
+            else:
+                out[lo:hi] = pushed @ a[lo : lo + p]
+                if runs is not None:
+                    out[lo:hi] += helmert_apply(runs, a[lo + p : hi])
         return out
 
 
@@ -202,23 +176,16 @@ class LiftedUnitary:
     """Matched orthonormal columns of the lifted map between the two truncations.
 
     The lift sends ``source[:, i]`` to ``target[:, i]``, so it acts on a
-    coordinate array f as ``target @ (source.T @ f)``.  Both are
-    block-diagonal with one block per generation D: the root line and the
-    kernel blocks of generations below D, pushed forward onto generation
-    D.  Every block is a ``HelmertBlock`` that stores only its pushed
-    columns.  On each side, a generation where the truncation does not
-    widen shares the block of the generation above, so the stored arrays
-    are read-only.
-    ``domain`` holds the columns of the generations below the depth, whose
-    image under one more application of the shift stays inside the
-    truncation; ``shifts`` are the two truncated shifts whose isometries
-    the columns were pushed forward by, and whose weights ``_residual``
-    applies.
+    coordinate array f as ``target @ (source.T @ f)``.  Each side is a
+    ``LiftSide``: on every generation D its block holds the root line and
+    the kernel columns born on generations up to D, pushed forward onto D,
+    so it is square and the map is a unitary of the truncated spaces.
+    ``shifts`` are the two truncated shifts whose isometries the columns
+    were pushed forward by, and whose weights ``_residual`` applies.
     """
 
-    source: BlockDiagonal
-    target: BlockDiagonal
-    domain: tuple[int, ...]
+    source: LiftSide
+    target: LiftSide
     shifts: tuple[ShiftOperator, ShiftOperator]
 
 
@@ -226,41 +193,41 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", block, block))
 
 
-def _lift_side(shift: ShiftOperator, generations: Collection[int]) -> list[HelmertBlock]:
-    """The generation blocks 0..horizon of one side of the lift.
+def _lift_side(shift: ShiftOperator) -> LiftSide:
+    """The side of the lift built from one shift, generations 0..horizon.
 
     Block D is block D - 1 pushed forward by A, stored, followed by the
-    kernel columns born on generation D when generation D - 1 is in
-    ``generations``, applied by prefix sums.  Where the truncation does not
-    widen at D, A onto D is the identity, so block D is block D - 1 again,
-    the same block, and is not recomputed.  Every widening block is checked
-    against ``MAX_BLOCK_ENTRIES`` before the first one is built.
+    kernel columns born on generation D, applied by prefix sums.  Where the
+    truncation does not widen at D, A onto D is the identity, so block D is
+    block D - 1 again and is not recomputed.  Every widening block is
+    checked against ``MAX_BLOCK_ENTRIES`` before the first one is built.
     """
     trunc, depth = shift.trunc, shift.horizon
     births = kernel_births(trunc)
-    # block d holds the root line and the columns born on generations 1..d of the unitary
-    columns = np.cumsum([1] + [births[d] if d - 1 in generations else 0 for d in range(1, depth + 1)]).tolist()
     rows = np.diff(trunc.offsets).tolist()
     for d in range(1, depth + 1):
         # a block that widens stores the columns of the block above, pushed
-        if births[d] and rows[d] * columns[d - 1] > MAX_BLOCK_ENTRIES:
+        if births[d] and rows[d] * rows[d - 1] > MAX_BLOCK_ENTRIES:
             raise ValueError(
-                f"lift needs a {rows[d]} x {columns[d - 1]} block of stored columns on generation {d}, "
+                f"lift needs a {rows[d]} x {rows[d - 1]} block of stored columns on generation {d}, "
                 f"over the limit of {MAX_BLOCK_ENTRIES} float64 entries per block"
             )
-    # the root line
-    blocks = [HelmertBlock(np.ones((1, 1)))]
+    blocks = [(np.ones((1, 1)), None)]  # (pushed, runs) of each generation, the root line first
     for d in range(1, depth + 1):
         if not births[d]:
             # every vertex of generation d - 1 has one child, so A is the identity onto d
             blocks.append(blocks[-1])
             continue
-        runs = helmert_runs(trunc, d) if d - 1 in generations else None
-        blocks.append(HelmertBlock(shift.push(blocks[-1].dense(), d), runs))
-    # a block may stand for several generations, so no stored array may be written in place
-    for block in blocks:
-        block.pushed.setflags(write=False)
-    return blocks
+        above, runs = blocks[-1]
+        if runs is not None:
+            # block d - 1 made dense, for a moment, as the operand of the push
+            above = np.hstack([above, helmert_apply(runs, np.eye(len(runs[0])))])
+        blocks.append((shift.push(above, d), helmert_runs(trunc, d)))
+    pushed, runs = zip(*blocks)
+    # an array may stand for several generations, so none may be written in place
+    for block in pushed:
+        block.setflags(write=False)
+    return LiftSide(trunc.offsets, pushed, runs)
 
 
 def lift_graded_unitary(
@@ -271,38 +238,39 @@ def lift_graded_unitary(
     A kernel vector carried by generation n + 1 is paired with its image,
     the kernel vector of the same coordinate on the other side, and both
     are pushed forward by powers of the respective isometries A, so every
-    column lives on one generation: each side is built one generation
-    block at a time from its own shift (``_lift_side``).  Equal depth
-    profiles give both truncations the same width on every generation, so
-    both sides widen, and share blocks, on the same generations.
-    ``MAX_BLOCK_ENTRIES`` bounds the columns each block stores, which also
-    bounds the dense operand of its push.  A is an isometry, so the columns
-    stay orthonormal on both sides and the map is a genuine unitary
-    between the truncated spaces.  It intertwines because both shifts are
-    the same scalar times A on each generation; ``q`` only builds the
-    shifts whose weights ``_residual`` applies, a check independent of
-    this construction.
+    column lives on one generation: each side is built from its own shift
+    (``_lift_side``).  The unitary must count the kernel columns born on
+    every generation of either truncation (``kernel_births``); any other
+    raises ``ValueError`` naming the tree, before any push.  So both sides
+    widen, and share blocks, on the same generations, and A being an
+    isometry makes each a square orthogonal matrix: the map is a genuine
+    unitary between the truncated spaces.  It intertwines because both
+    shifts are the same scalar times A on each generation; ``q`` only
+    builds the shifts whose weights ``_residual`` applies, a check
+    independent of this construction.
     """
     for n in sorted(unitary.generations):
         if n + 2 > depth:
             raise TruncationLoss(f"generation {n} blocks need depth at least {n + 2}, got {depth}")
     shifts = make_shift(tree1, q, DIRICHLET, depth), make_shift(tree2, q, DIRICHLET, depth)
-    source, target = (_lift_side(shift, unitary.generations) for shift in shifts)
-    return LiftedUnitary(
-        source=BlockDiagonal(tuple(source)),
-        target=BlockDiagonal(tuple(target)),
-        domain=tuple(range(sum(b.shape[1] for b in source[:-1]))),
-        shifts=shifts,
-    )
+    for i, shift in enumerate(shifts, 1):
+        births = {d - 1: count for d, count in enumerate(kernel_births(shift.trunc)) if d and count}
+        if births != unitary.generations:
+            raise ValueError(
+                f"graded unitary {dict(unitary.generations)} does not match the births {births} of tree {i}"
+            )
+    source, target = (_lift_side(shift) for shift in shifts)
+    return LiftedUnitary(source=source, target=target, shifts=shifts)
 
 
 def _residual(lift: LiftedUnitary, seed: int) -> float:
-    """Largest relative defect |U S1 f - S2 U f| / |f| over ``_TRIALS`` random f in the domain."""
+    """Largest relative defect |U S1 f - S2 U f| / |f| over ``_TRIALS`` random f
+    supported above the horizon generation, whose image under S1 stays inside."""
     shift1, shift2 = lift.shifts
+    inside, n = shift1.trunc.span(shift1.horizon)
     rng = np.random.default_rng(seed)
-    coefficients = np.zeros((lift.source.shape[1], _TRIALS))
-    coefficients[list(lift.domain)] = rng.standard_normal((_TRIALS, len(lift.domain))).T
-    f = lift.source @ coefficients
+    f = np.zeros((n, _TRIALS))
+    f[:inside] = rng.standard_normal((_TRIALS, inside)).T
     # U S1 f and U f in one application of U = target @ source.T
     lifted = lift.target @ (lift.source.T @ np.hstack([shift1.act(f), f]))
     gap = lifted[:, :_TRIALS] - shift2.act(lifted[:, _TRIALS:])

@@ -341,11 +341,12 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     place = np.arange(len(parent)) - (np.cumsum(children) - children + 1)[parent]  # index among siblings
     # entries -sqrt(i/(i+1)) of h_i and 1/sqrt((i+1)(i+2)) of h_(i+1) at child i, 1/sqrt(2) at child 0
     helmert = np.sqrt(np.maximum(place, 0.5) / np.maximum(place + 1, 1))
-    reach = [np.where(children[parent] < 2, 0.0, helmert)]
-    reach[0][0] = 1.0  # the root line
-    for _ in range(nmax - 1):
-        reach.append(np.abs(w) * reach[-1][parent])
-    reach = np.maximum.accumulate(reach)[::-1]  # row p: the largest A_t over t <= nmax - p - 1
+    reach = np.empty((nmax, len(parent)))  # row t: A_t; sliced below, as nmax 0 leaves no row
+    reach[:1] = np.where(children[parent] < 2, 0.0, helmert)
+    reach[:1, 0] = 1.0  # the root line
+    for t in range(1, nmax):
+        np.multiply(np.abs(w), reach[t - 1][parent], out=reach[t])
+    reach = np.maximum.accumulate(reach, axis=0, out=reach)[::-1]  # row p: the largest A_t over t <= nmax - p - 1
     last = int(np.flatnonzero(born)[-1])  # the deepest birth
     coefficients = np.array([[u / v for u, v in depth_moments(shift.q, DUAL, g, nmax)] for g in range(last + 1)])
     diag_worst = float(np.max(np.abs(d[:, 0] - coefficients[0])))

@@ -8,8 +8,8 @@ its self-commutator, the push of S by its weights, one generation at a time,
 and the per-generation push reference for the float moment oracle built on
 it, the diagonal the kernel matrix oracle must reproduce, the
 pushed-column reference for the kernel suite's closed form, the walked
-kernel series order, and Fraction references for the exact difference
-checks."""
+kernel series order, Fraction references for the exact difference
+checks, and an array view that counts the elements its indexing reads."""
 
 import collections
 import itertools
@@ -26,6 +26,17 @@ from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, Wro
 from treeshift.numerics import HausdorffReport, pochhammer_ratios
 from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_births, kernel_columns, moment_bases
 from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach, dirichlet_coefficient
+
+class Reads(np.ndarray):
+    """An array counting, in ``Reads.count``, the elements its indexing returns."""
+
+    count = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        Reads.count += np.size(out)
+        return out
+
 
 # acceptance corpus: line, one 2-way branch, one 3-way branch,
 # branchings at depths 0 and 1, branchings at depths 1 and 3

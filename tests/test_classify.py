@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -39,7 +38,7 @@ from treeshift import (
     verify_intertwining,
 )
 from treeshift import classify
-from treeshift.classify import HelmertBlock, LiftedUnitary, _residual
+from treeshift.classify import GradedUnitary, LiftedUnitary, LiftSide, _residual
 from treeshift.errors import InvalidQ, NotEquivalentError, TruncationLoss
 from treeshift.shifts import DIRICHLET, ShiftOperator, kernel_births
 
@@ -234,10 +233,9 @@ _NORM_MATCH_TOL = 1e-10
 def _lift_pairs(shift1, shift2, pairs, check_norms):
     """Reference lift: push each column pair on its own and keep dense n x c blocks.
 
-    ``pairs`` holds (source array, target array, highest power); the
-    columns below the highest power form the domain.
+    ``pairs`` holds (source array, target array, highest power).
     """
-    cols1, cols2, domain = [], [], []
+    cols1, cols2 = [], []
     for a1, a2, max_power in pairs:
         for power in range(max_power + 1):
             if power:
@@ -245,16 +243,9 @@ def _lift_pairs(shift1, shift2, pairs, check_norms):
             n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
             if check_norms and abs(n1 - n2) > _NORM_MATCH_TOL * max(n1, n2):
                 raise AssertionError(f"moment mismatch at power {power}: {n1} vs {n2}")
-            if power < max_power:
-                domain.append(len(cols1))
             cols1.append(a1 / n1)
             cols2.append(a2 / n2)
-    return LiftedUnitary(
-        source=np.column_stack(cols1),
-        target=np.column_stack(cols2),
-        domain=tuple(domain),
-        shifts=(shift1, shift2),
-    )
+    return LiftedUnitary(source=np.column_stack(cols1), target=np.column_stack(cols2), shifts=(shift1, shift2))
 
 
 def reference_lift(tree1, tree2, q, unitary, depth):
@@ -309,22 +300,19 @@ def _lift_map(lift):
     return lift.target @ (lift.source.T @ np.eye(lift.source.shape[0]))
 
 
-def _unitary(tree1, tree2, q, drop=()):
-    """The graded unitary of an equivalent pair, without the generations in ``drop``."""
-    unitary = build_graded_unitary(decide_equivalence(tree1, tree2, q))
-    kept = {n: u for n, u in unitary.generations.items() if n not in drop}
-    return dataclasses.replace(unitary, generations=kept)
+def _unitary(tree1, tree2, q):
+    """The graded unitary of an equivalent pair."""
+    return build_graded_unitary(decide_equivalence(tree1, tree2, q))
 
 
-def _assert_lift_matches_reference(tree1, tree2, q, depth, drop=()):
+def _assert_lift_matches_reference(tree1, tree2, q, depth):
     # the whole map target @ source.T pins the column pairing: a permutation of the
     # columns on one side changes it
-    unitary = _unitary(tree1, tree2, q, drop)
+    unitary = _unitary(tree1, tree2, q)
     lift = lift_graded_unitary(tree1, tree2, q, unitary, depth)
     reference = reference_lift(tree1, tree2, q, unitary, depth)
     assert lift.source.shape == reference.source.shape
     assert lift.target.shape == reference.target.shape
-    assert len(lift.domain) == len(reference.domain)
     assert np.max(np.abs(_lift_map(lift) - _lift_map(reference))) < 1e-12
 
 
@@ -338,19 +326,6 @@ def test_block_lift_matches_reference_on_relabelled_copies(tree, seed, q, extra)
 @pytest.mark.parametrize("depth", [3, 6])
 def test_block_lift_matches_reference_on_profile_pair(q, depth):
     _assert_lift_matches_reference(*PROFILE_PAIR, q, depth)
-
-
-def test_block_lift_matches_reference_below_a_limited_horizon():
-    # DEEP13 branches at depths 1 and 3; a unitary without its generation-3
-    # block leaves the kernel columns born on generation 4 out, so the deeper
-    # generation blocks have more rows than columns
-    other = relabel_and_shuffle(DEEP13, 7)
-    _assert_lift_matches_reference(DEEP13, other, 2, 7, drop={3})
-    unitary = _unitary(DEEP13, other, 2, drop={3})
-    assert sorted(unitary.generations) == [1]
-    lift = lift_graded_unitary(DEEP13, other, 2, unitary, 7)
-    assert any(b.shape[0] > b.shape[1] for b in lift.source.blocks)
-    assert verify_intertwining(DEEP13, other, 2, unitary, 7) < 1e-12
 
 
 # two trees of one depth profile, often not isomorphic: the lift pairs kernel columns
@@ -378,13 +353,12 @@ def test_trees_of_one_profile_have_equal_kernel_births(tree, seed):
 
 
 _BINARY3 = tree_from_json(complete_binary(3))
-# (tree1, tree2, depth, generations left out of the unitary)
+# (tree1, tree2, depth)
 LIFT_PAIRS = {
-    "wide-split": (*PROFILE_PAIR, 7, ()),
-    "split-wide": (*reversed(PROFILE_PAIR), 7, ()),
-    "deep13": (DEEP13, relabel_and_shuffle(DEEP13, 7), 8, ()),
-    "deep13-limited": (DEEP13, relabel_and_shuffle(DEEP13, 7), 7, {3}),
-    "binary3": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 6, ()),
+    "wide-split": (*PROFILE_PAIR, 7),
+    "split-wide": (*reversed(PROFILE_PAIR), 7),
+    "deep13": (DEEP13, relabel_and_shuffle(DEEP13, 7), 8),
+    "binary3": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 6),
 }
 
 
@@ -393,29 +367,35 @@ def test_lift_blocks_are_one_generation_each():
     unitary = build_graded_unitary(decide_equivalence(wide, split, 3))
     lift = lift_graded_unitary(wide, split, 3, unitary, 7)
     sizes = [len(gen) for gen in wide.truncate(7).generations]
-    assert [b.shape for b in lift.source.blocks] == [(n, n) for n in sizes]
-    assert [b.shape for b in lift.target.blocks] == [(n, n) for n in sizes]
-    assert lift.domain == tuple(range(sum(sizes[:-1])))
+    for side in (lift.source, lift.target):
+        assert isinstance(side, LiftSide)
+        assert side.shape == side.T.shape == (sum(sizes), sum(sizes))
+        assert np.diff(side.offsets).tolist() == sizes
+        # block d is square: the columns pushed from generation d - 1, then the ones born on d
+        newborn = [0 if runs is None else len(runs[0]) for runs in side.runs]
+        assert [p.shape[0] for p in side.pushed] == sizes
+        assert [p.shape[1] + k for p, k in zip(side.pushed, newborn)] == sizes
 
 
 SHARING_PAIRS = {
-    "profile-pair": (*PROFILE_PAIR, 12, ()),
-    "binary3-12": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 12, ()),
+    "profile-pair": (*PROFILE_PAIR, 12),
+    "binary3-12": (_BINARY3, relabel_and_shuffle(_BINARY3, 3), 12),
     **LIFT_PAIRS,
 }
 
 
 @pytest.mark.parametrize("pair", sorted(SHARING_PAIRS))
 def test_lift_shares_the_block_above_exactly_where_no_width_changes(pair):
-    tree1, tree2, depth, drop = SHARING_PAIRS[pair]
-    unitary = _unitary(tree1, tree2, 2, drop)
+    tree1, tree2, depth = SHARING_PAIRS[pair]
+    unitary = _unitary(tree1, tree2, 2)
     lift = lift_graded_unitary(tree1, tree2, 2, unitary, depth)
     widths1, widths2 = ([len(gen) for gen in tree.truncate(depth).generations] for tree in (tree1, tree2))
     kept = [widths1[d] == widths1[d - 1] and widths2[d] == widths2[d - 1] for d in range(1, depth + 1)]
     assert any(kept)
     for d in range(1, depth + 1):
-        assert (lift.source.blocks[d] is lift.source.blocks[d - 1]) == kept[d - 1]
-        assert (lift.target.blocks[d] is lift.target.blocks[d - 1]) == kept[d - 1]
+        for side in (lift.source, lift.target):
+            assert (side.pushed[d] is side.pushed[d - 1]) == kept[d - 1]
+            assert (side.runs[d] is side.runs[d - 1]) == kept[d - 1]
 
 
 def test_lift_blocks_are_read_only():
@@ -425,15 +405,14 @@ def test_lift_blocks_are_read_only():
     widths1, widths2 = ([len(gen) for gen in tree.truncate(12).generations] for tree in (wide, split))
     widening = [d for d in range(1, 13) if widths1[d] != widths1[d - 1] or widths2[d] != widths2[d - 1]]
     assert widening
-    for blocks in (lift.source.blocks, lift.target.blocks):
-        assert all(isinstance(b, HelmertBlock) for b in blocks)
+    for side in (lift.source, lift.target):
         for d in range(13):
             with pytest.raises(ValueError, match="read-only"):
-                blocks[d].pushed[0, 0] = 0.0
+                side.pushed[d][0, 0] = 0.0
         # a widening block stores the columns of the block above, pushed; its newborn ones
         # are applied by prefix sums
         for d in widening:
-            assert blocks[d].pushed.shape[1] == blocks[d - 1].shape[1] < blocks[d].shape[1]
+            assert side.pushed[d].shape[1] == widths1[d - 1] < widths1[d] == side.pushed[d].shape[0]
     assert _residual(lift, seed=42) < 1e-12
     assert verify_intertwining(wide, split, 2, unitary, 12) < 1e-12
 
@@ -497,7 +476,7 @@ def test_lift_is_q_free_bit_for_bit(pair):
 
     def stored(q):
         lift = lift_graded_unitary(tree1, tree2, q, _unitary(tree1, tree2, q), 9)
-        return [b.pushed for b in (*lift.source.blocks, *lift.target.blocks)]
+        return [*lift.source.pushed, *lift.target.pushed]
 
     at_q2 = stored(2)
     for q in (1, 3, 6, 8):
@@ -509,6 +488,30 @@ def test_truncation_loss_when_blocks_need_more_depth():
     unitary = build_graded_unitary(decide_equivalence(wide, split, 2))
     with pytest.raises(TruncationLoss, match="generation 1 blocks need depth at least 3"):
         lift_graded_unitary(wide, split, 2, unitary, 2)
+
+
+@pytest.mark.parametrize(
+    ("pair", "generations", "message"),
+    [
+        # FORK3's unitary on the pair of FORK3 and DOUBLE01, equal in total only
+        (TOTALS_PAIR, {0: 2}, "graded unitary {0: 2} does not match the births {0: 1, 1: 1} of tree 2"),
+        # PROFILE_PAIR's unitary without its generation 0
+        (PROFILE_PAIR, {1: 2}, "graded unitary {1: 2} does not match the births {0: 1, 1: 2} of tree 1"),
+    ],
+    ids=["another-pair", "dropped-generation"],
+)
+def test_lift_refuses_a_unitary_the_trees_do_not_carry(monkeypatch, pair, generations, message):
+    pushes, push = [], ShiftOperator.push
+
+    def counting_push(self, block, generation):
+        pushes.append(generation)
+        return push(self, block, generation)
+
+    monkeypatch.setattr(ShiftOperator, "push", counting_push)
+    with pytest.raises(ValueError) as excinfo:
+        verify_intertwining(*pair, 2, GradedUnitary(generations), 6)
+    assert str(excinfo.value) == message
+    assert pushes == []
 
 
 def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):

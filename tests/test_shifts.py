@@ -13,6 +13,7 @@ from corpus import (
     FORK2,
     FORK3,
     LINE,
+    Reads,
     complete_binary,
     dict_apply,
     dict_apply_adjoint,
@@ -434,25 +435,14 @@ def test_descendant_oracle_is_the_per_generation_push_on_random_trees(tree, q, k
             _assert_oracle_is_the_pushed_reference(shift, v, kmax)
 
 
-class _Reads(np.ndarray):
-    """An array counting the elements its indexing returns."""
-
-    count = 0
-
-    def __getitem__(self, index):
-        out = super().__getitem__(index)
-        _Reads.count += np.size(out)
-        return out
-
-
 def _oracle_reads(width, kmax):
     shift = make_shift(tree_from_json(fan(width)), 2, DIRICHLET, 1 + kmax)
-    trunc = dataclasses.replace(shift.trunc, parent_index=shift.trunc.parent_index.view(_Reads))
-    shift = dataclasses.replace(shift, trunc=trunc, weights=shift.weights.view(_Reads))
-    _Reads.count = 0
+    trunc = dataclasses.replace(shift.trunc, parent_index=shift.trunc.parent_index.view(Reads))
+    shift = dataclasses.replace(shift, trunc=trunc, weights=shift.weights.view(Reads))
+    Reads.count = 0
     sequence = shift.moment_sequence_via_matrix("c0", kmax)
     assert all(abs(x - float(m)) <= 1e-12 * float(m) for x, m in zip(sequence, shift.moment_sequence("c0", kmax)))
-    return _Reads.count
+    return Reads.count
 
 
 def test_descendant_oracle_reads_do_not_grow_with_the_width():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +199,22 @@ def test_kernel_maxima_refuse_to_push_past_the_horizon():
         shift.push(np.ones((len(shift.trunc.generations[6]), 1)), 7)
     with pytest.raises(ValueError):
         kernel_compression_maxima(make_shift(DOUBLE01, 2, DIRICHLET, 10), 5)
+
+
+def test_kernel_maxima_peak_under_160_bytes_per_vertex():
+    # at nmax 5 the 6 x n array d and the 5 x n array of reach hold 88 B per vertex and the
+    # peak is about 142 B; a second copy of reach, as the accumulate of a list of rows
+    # makes, lifts it past 190 B
+    shift = make_shift(tree_from_json(fan(2000)), 2, DUAL, 30)
+    n = len(shift.weights)
+    tracemalloc.start()
+    try:
+        worst = kernel_compression_maxima(shift, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(worst) < 1e-10
+    assert peak < 160 * n
 
 
 @pytest.mark.parametrize("tree", [FORK2, DOUBLE01, DEEP13], ids=["fork2", "double01", "deep13"])

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from unittest import mock
 
@@ -16,6 +15,7 @@ from corpus import (
     FORK2,
     FORK3,
     LINE,
+    Reads,
     fan,
     prefix_trees,
     recursive_canonical_form,
@@ -294,16 +294,27 @@ def test_multiple_roots_names_the_same_vertex_under_every_hash_seed():
     assert messages == {"'x' has children but no parent\n"}
 
 
+def _position_reads(m):
+    """``position`` of c0, c10, ... and of each one's ray vertex ~2 on the fan of ``m``
+    children truncated at 3, and the elements of the cached ``_runs`` arrays it read
+    per lookup."""
+    trunc = tree_from_json(fan(m)).truncate(3)
+    order, starts, top, width = trunc._runs
+    trunc.__dict__["_runs"] = (order.view(Reads), starts.view(Reads), top, width)
+    names = [f"c{i}{ray}" for ray in ("", "~2") for i in range(0, m, 10)]
+    Reads.count = 0
+    positions = [trunc.position(v) for v in names]
+    return positions, Reads.count / len(names)
+
+
 def test_position_takes_constant_time_per_vertex():
-    # a scan of the vertex's generation would take 200,000 steps per lookup; a ray
+    # a scan of the vertex's generation would read 200,000 elements per lookup; a ray
     # continues past the deepest explicit vertex arithmetically
     m = 200000
-    trunc = tree_from_json(fan(m)).truncate(3)
+    positions, reads = _position_reads(m)
     picked = range(0, m, 10)
-    started = time.perf_counter()
-    assert [trunc.position(f"c{i}") for i in picked] == [1 + i for i in picked]
-    assert [trunc.position(f"c{i}~2") for i in picked] == [1 + 2 * m + i for i in picked]
-    assert time.perf_counter() - started < 1.0
+    assert positions == [1 + i for i in picked] + [1 + 2 * m + i for i in picked]
+    assert reads == _position_reads(2)[1] == 2
 
 
 # the corpus, plus a tree whose second level mixes chain products 4 and 6,
