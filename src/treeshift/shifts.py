@@ -7,10 +7,10 @@ n/((n + q - 1) s).  Both factor as S = sqrt(rho(n - 1)) A on generation
 n: rho is the ratio of the depth-(n - 1) ``moment_bases``, (n + q - 1)/n
 for the Dirichlet shift and its reciprocal for the dual, and A, the
 isometry that sends e_v to the sum of e_u/sqrt(s) over v's s children,
-reads neither q nor the kind.  ``make_shift`` keeps A and the float
-weights, the generation scalar times A; the exact numbers (moments,
-q-isometry defects) depend on depth alone and read off ``moment_bases``
-directly.
+reads neither q nor the kind.  ``make_shift`` keeps the float weights
+alone, the generation scalar times A; ``push`` derives A from the parent
+map.  The exact numbers (moments, q-isometry defects) depend on depth
+alone and read off ``moment_bases`` directly.
 
 The operator acts on coordinate arrays in truncation order (``act`` and
 ``act_adjoint``, and ``push``, which applies A one generation at a time),
@@ -89,15 +89,6 @@ def kernel_births(trunc: Truncation) -> list[int]:
     Helmert columns from the vertices of generation g - 1 that branch.
     """
     return [1] + np.diff(trunc.offsets, 2).tolist()
-
-
-def sibling_runs(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first index, length) of each run of two or more equal entries of ``parents``,
-    a slice of ``parent_index`` past the root: the sibling groups that branch.
-    The children of one vertex sit at consecutive positions, so the runs are sorted."""
-    counts = np.bincount(parents - parents[0])
-    branching = counts >= 2
-    return (np.cumsum(counts) - counts)[branching], counts[branching]
 
 
 def helmert_runs(trunc: Truncation, generation: int) -> tuple[np.ndarray, ...]:
@@ -180,7 +171,6 @@ class ShiftOperator:
     horizon: int
     trunc: Truncation
     weights: np.ndarray  # float weight into each vertex, truncation order; 0 at the root
-    isometry: np.ndarray  # 1/sqrt(sibling count) of each vertex, the weights of A; 0 at the root
 
     # -- structure -------------------------------------------------------------
 
@@ -214,7 +204,8 @@ class ShiftOperator:
 
     def push(self, block: np.ndarray, generation: int) -> np.ndarray:
         """A on columns supported on generation - 1, given as that generation's
-        rows (another row count raises ``ValueError``); returns the rows of ``generation``.
+        rows (another row count raises ``ValueError``); returns the rows of ``generation``,
+        each its parent's row times 1/sqrt(sibling count), read off the parent map.
         The push of S onto ``generation`` is this times the generation's scalar
         sqrt(rho(generation - 1)).  A push past the horizon raises ``TruncationLoss``
         instead of dropping the mass."""
@@ -226,7 +217,7 @@ class ShiftOperator:
         if block.shape[0] != (rows := start - self.trunc.span(generation - 1)[0]):
             raise ValueError(f"push onto generation {generation} needs {rows} rows, got {block.shape[0]}")
         parents = self.trunc.parent_index[start:end] - (start - rows)
-        return self.isometry[start:end, None] * block[parents]
+        return (1.0 / np.sqrt(np.bincount(parents)[parents]))[:, None] * block[parents]
 
     # -- vertex-keyed adapters ------------------------------------------------------
 
@@ -374,9 +365,7 @@ def make_shift(
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
     parent = trunc.parent_index
-    isometry = 1.0 / np.sqrt(np.bincount(parent[1:])[parent])
-    isometry[0] = 0.0  # the root has no parent
-    # sqrt(rho(n - 1)) on generation n, rho the exact ratio of the depth-(n - 1) moment bases
+    # sqrt(rho(n - 1)) on generation n, 0 on the root; rho the exact ratio of the depth-(n - 1) moment bases
     scale = [0.0] + [math.sqrt(Fraction(a) / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
     return ShiftOperator(
         tree=tree,
@@ -384,6 +373,6 @@ def make_shift(
         kind=kind,
         horizon=horizon,
         trunc=trunc,
-        weights=np.repeat(scale, np.diff(trunc.offsets)) * isometry,
-        isometry=isometry,
+        # times A, 1/sqrt(sibling count), each temporary freed as the next is made
+        weights=np.repeat(scale, np.diff(trunc.offsets)) * (1.0 / np.sqrt(np.bincount(parent[1:])[parent])),
     )

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
 from .shifts import (
-    DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q, sibling_runs
+    DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q
 )
 from .trees import Tree
 
@@ -338,7 +338,11 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     for p in range(1, nmax + 1):
         d[p] = np.bincount(parent, w * w * d[p - 1], minlength=len(parent))
     children = np.bincount(parent[1:], minlength=len(parent))
-    place = np.arange(len(parent)) - (np.cumsum(children) - children + 1)[parent]  # index among siblings
+    first = np.cumsum(children) - children + 1  # the position of each vertex's first child
+    owners = np.flatnonzero(children >= 2)  # the vertices whose children branch, in truncation order
+    firsts, sizes = first[owners], children[owners]
+    place = np.arange(len(parent)) - first[parent]  # index among siblings
+    del first  # n entries, freed before the nmax x n `reach` array is made
     # entries -sqrt(i/(i+1)) of h_i and 1/sqrt((i+1)(i+2)) of h_(i+1) at child i, 1/sqrt(2) at child 0
     helmert = np.sqrt(np.maximum(place, 0.5) / np.maximum(place + 1, 1))
     reach = np.empty((nmax, len(parent)))  # row t: A_t; sliced below, as nmax 0 leaves no row
@@ -351,11 +355,10 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
     coefficients = np.array([[u / v for u, v in depth_moments(shift.q, DUAL, g, nmax)] for g in range(last + 1)])
     diag_worst = float(np.max(np.abs(d[:, 0] - coefficients[0])))
     off_worst = 0.0
-    firsts, sizes = sibling_runs(parent[1:])
-    generation = np.searchsorted(shift.trunc.offsets, firsts + 1, side="right") - 1
+    generation = np.searchsorted(shift.trunc.offsets, firsts, side="right") - 1
     for m in np.unique(sizes).tolist():
         picked = sizes == m
-        kids = firsts[picked][:, None] + 1 + np.arange(m)
+        kids = firsts[picked][:, None] + np.arange(m)
         k = np.arange(1.0, m)
         dk = d[:, kids]  # (power, group, child)
         dev = dk - dk[..., :1]

@@ -41,9 +41,9 @@ RAY_SEPARATOR = "~"
 _TREE_FILE_KEYS = {"root", "children", "ray_leaves"}
 
 # vertices one truncation may hold.  Per vertex (tracemalloc, fan 20,000 and binary 13): a
-# shift keeps 40 bytes (peak 48), 336 MB at the limit; the vertex names the defect and
-# hausdorff suites build keep 72 more (peak 112), and the kernel suite's (nmax + 1) x n
-# and nmax x n arrays peak at 129 to 134 more, so that suite nears 1.5 GB at the limit
+# shift keeps 16 to 17 bytes (peak 33), about 138 MB at the limit; the vertex names the defect
+# and hausdorff suites build keep 64 more (peak 128), and the kernel suite's (nmax + 1) x n
+# and nmax x n arrays peak at 128 to 135 more, so that suite nears 1.3 GB at the limit
 MAX_TRUNCATION_VERTICES = 2**23
 
 
@@ -68,8 +68,10 @@ class Truncation:
 
     Generation n holds the positions ``offsets[n]:offsets[n + 1]``, children
     grouped by parent in parent order; ``parent_index`` maps a position to its
-    parent's, the root to itself.  Position i is ``tree.vertices[explicit[i]]``
-    if ``ray_step[i]`` is 0, else the ray vertex ``<that leaf>~<ray_step[i]>``.
+    parent's, the root to itself.  ``explicit[i]`` is the ``tree.vertices`` id of
+    position i's explicit vertex, or of its ray leaf, down to the deepest generation
+    with an explicit vertex; each generation below repeats that one.  Position i of
+    generation n is the id's vertex v if n = depth(v), else ``<v>~<n - depth(v)>``.
     Horizon vertices have no children here although the tree goes on below them.
     ``generations`` and ``vertices`` name the positions on first access.
     """
@@ -79,7 +81,6 @@ class Truncation:
     parent_index: np.ndarray
     offsets: np.ndarray
     explicit: np.ndarray
-    ray_step: np.ndarray
 
     def span(self, n: int) -> tuple[int, int]:
         """Positions (start, end) of generation n."""
@@ -89,8 +90,11 @@ class Truncation:
 
     @cached_property
     def vertices(self) -> tuple[str, ...]:
-        names, pairs = self.tree.vertices, zip(self.explicit.tolist(), self.ray_step.tolist())
-        return tuple(f"{names[e]}{RAY_SEPARATOR}{k}" if k else names[e] for e, k in pairs)
+        names, size, width = self.tree.vertices, int(self.offsets[-1]), int(self.offsets[-1] - self.offsets[-2])
+        ids = np.concatenate([self.explicit, np.resize(self.explicit[-width:], size - len(self.explicit))])
+        depths = np.array([self.tree.depths[v] for v in names])
+        steps = np.repeat(np.arange(self.horizon + 1), np.diff(self.offsets)) - depths[ids]
+        return tuple(f"{names[e]}{RAY_SEPARATOR}{k}" if k else names[e] for e, k in zip(ids.tolist(), steps.tolist()))
 
     @cached_property
     def generations(self) -> tuple[tuple[str, ...], ...]:
@@ -99,14 +103,13 @@ class Truncation:
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """The positions down to generation top = min(horizon, deepest explicit depth)
-        sorted by explicit id, stably, so id e at ray step k is ``order[starts[e] + k]``;
-        then top and its width: below top, a ray moves ``width`` positions per generation."""
+        """The positions of ``explicit`` sorted by id, stably, so id e at ray step k is
+        ``order[starts[e] + k]``; then top and its width: below top, a ray moves ``width``
+        positions per generation."""
         top = min(self.horizon, max(self.tree.depths.values()))
-        ids = self.explicit[: self.offsets[top + 1]]
-        counts = np.bincount(ids, minlength=len(self.tree.vertices))
+        counts = np.bincount(self.explicit, minlength=len(self.tree.vertices))
         width = int(self.offsets[top + 1] - self.offsets[top])
-        return np.argsort(ids, kind="stable"), np.cumsum(counts) - counts, top, width
+        return np.argsort(self.explicit, kind="stable"), np.cumsum(counts) - counts, top, width
 
     def position(self, v: str) -> int | None:
         """Position of vertex ``v``, parsing its name once; None if the truncation lacks it."""
@@ -229,31 +232,27 @@ class Tree:
         # consecutive ids in generation order; a ray vertex keeps its leaf's id
         kids = self._child_counts
         deepest = max(self.depths.values())
-        parents, explicit, steps = [np.zeros(1, int)], [np.zeros(1, int)], [np.zeros(1, int)]
+        parents, explicit = [np.zeros(1, int)], [np.zeros(1, int)]
         start, first = 0, 1
         for _ in range(min(horizon, deepest)):
             count = np.maximum(kids[explicit[-1]], 1)
             parents.append(np.repeat(np.arange(start, start + len(count)), count))
-            e, k = np.repeat(explicit[-1], count), np.repeat(steps[-1], count) + 1
+            e = np.repeat(explicit[-1], count)
             branch = kids[e] > 0
             born = int(np.count_nonzero(branch))
-            e[branch], k[branch] = np.arange(first, first + born), 0
+            e[branch] = np.arange(first, first + born)
             start, first = start + len(count), first + born
             explicit.append(e)
-            steps.append(k)
         # below the deepest explicit vertex every vertex has one child, the next on its ray
         below, width = max(0, horizon - deepest), len(explicit[-1])
         sizes = [len(e) for e in explicit] + [width] * below
         parents.append(np.arange(start, start + width * below))
-        explicit.append(np.tile(explicit[-1], below))
-        steps.append(np.tile(steps[-1], below) + np.repeat(np.arange(1, below + 1), width))
         return Truncation(
             tree=self,
             horizon=horizon,
             parent_index=np.concatenate(parents),
             offsets=np.concatenate([[0], np.cumsum(sizes)]),
             explicit=np.concatenate(explicit),
-            ray_step=np.concatenate(steps),
         )
 
     def depth_profile(self, horizon: int) -> DepthProfile:

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -227,16 +226,6 @@ def test_checks_pass_on_trees_branching_deeper_than_five(tree_file, capsys, suit
     assert json.loads(out)["results"]["all_passed"] is True
 
 
-def test_kernel_suite_on_fan_2000_is_fast(tree_file, capsys):
-    path = tree_file(fan(2000))
-    started = time.perf_counter()
-    code, out = _run(capsys, ["checks", path, "--q", "2", "--suite", "kernel"])
-    elapsed = time.perf_counter() - started
-    assert code == 0
-    assert json.loads(out)["results"]["all_passed"] is True
-    assert elapsed < 5.0
-
-
 def test_hausdorff_suite_at_a_deep_horizon_truncates_at_depth_ten(tree_file, capsys, monkeypatch):
     path = tree_file(fan(2000))
     argv = ["checks", path, "--q", "2", "--suite", "hausdorff", "--horizon"]
@@ -260,7 +249,9 @@ def _refuse(*_args, **_kwargs):
     raise AssertionError("the closed-form kernel suite builds no kernel column block or dense matrix")
 
 
-@pytest.mark.parametrize("tree", [fan(20000), complete_binary(13)], ids=["fan20000", "binary13"])
+@pytest.mark.parametrize(
+    "tree", [fan(20000), complete_binary(13), fan(2000)], ids=["fan20000", "binary13", "fan2000"]
+)
 def test_kernel_suite_on_wide_trees_passes_in_closed_form(tree_file, capsys, monkeypatch, tree):
     # 20,000 Helmert columns plus the root line on 20,000 rows would be 3.2 GB as one dense block
     for module in (shifts, spaces):
@@ -294,17 +285,21 @@ def test_equiv_verify_on_a_fan_of_20000_stores_no_helmert_block(tree_file, capsy
 
 def test_moments_refuses_a_truncation_over_the_vertex_limit(tree_file, capsys):
     # c0 sits at depth 1, so kmax 1,000 asks for 20,001 + 20,000 x 1,000 vertices
+    # refused before anything is allocated: one int64 array over the refused positions is 160 MB
     path = tree_file(fan(20000))
-    started = time.perf_counter()
-    code = main(["moments", path, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
-    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        code = main(["moments", path, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: truncation at horizon 1001 would hold 20020001 vertices, over the limit of 8388608"
     ]
-    assert elapsed < 1.0
+    assert peak < 64 * 2**20
 
 
 def test_reports_are_deterministic(tree_file, capsys):

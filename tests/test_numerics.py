@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +16,7 @@ from treeshift import (
     radial_integral,
     radial_integral_quadrature,
 )
+from treeshift import numerics
 from treeshift.errors import IndexOutOfRange
 from treeshift.numerics import alternating_binomial_sum_terms, hausdorff_check_terms, pochhammer_ratio_terms, pochhammer_ratios
 from treeshift.shifts import depth_moments
@@ -223,16 +223,18 @@ def test_pair_checks_equal_fraction_references_on_depth_moments(q, exact, kind):
             assert (m, k) == (1, at - 1) and value == Fraction(u, v) + 1 - Fraction(*terms[at - 1])
 
 
-def test_hausdorff_check_at_order_120_is_fast():
-    # dual moments at depth 10 for q = 4: (11)_k/(14)_k, 2 * 120 + 3 terms
+def test_hausdorff_check_at_order_120_is_fast(monkeypatch):
+    # dual moments at depth 10 for q = 4: (11)_k/(14)_k, 2 * 120 + 3 terms; a passing
+    # check works on integer numerators alone and builds no Fraction
     seq = list(pochhammer_ratios(11, 14, 242))
-    timings = []
-    for _ in range(3):
-        started = time.perf_counter()
-        report = hausdorff_check(seq, 120)
-        timings.append(time.perf_counter() - started)
-    assert report.passed
-    assert min(timings) < 0.05
+    terms = list(pochhammer_ratio_terms(11, 14, 242))
+
+    def refuse(*_args):
+        raise AssertionError("a passing check builds no Fraction")
+
+    monkeypatch.setattr(numerics, "Fraction", refuse)
+    assert hausdorff_check(seq, 120).passed
+    assert hausdorff_check_terms(terms, 120).passed
 
 
 def test_radial_integral_monomials():

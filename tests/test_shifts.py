@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,18 +197,32 @@ _QS = st.sampled_from([1, 2, 3, 4, Fraction(5, 2)])
 )
 def test_weights_factor_as_depth_scalar_times_isometry(tree, q, kind, horizon):
     shift = make_shift(tree, q, kind, horizon)
-    assert shift.weights[0] == shift.isometry[0] == squared_weight_formula(tree, q, kind, tree.root) == 0
+    assert shift.weights[0] == squared_weight_formula(tree, q, kind, tree.root) == 0
+    # A, the weights 1/sqrt(sibling count), from the tree alone
+    isometry = np.array([0.0] + [1 / math.sqrt(tree.sibling_count(v)) for v in shift.trunc.vertices[1:]])
     for i, v in enumerate(shift.trunc.vertices[1:], 1):
         a, b = moment_bases(q, kind, tree.depth_of(v) - 1)
-        isometry = 1 / math.sqrt(tree.sibling_count(v))
-        assert shift.isometry[i] == isometry
-        assert shift.weights[i] == math.sqrt(Fraction(a) / b) * isometry
+        assert shift.weights[i] == math.sqrt(Fraction(a) / b) * isometry[i]
         exact = math.sqrt(squared_weight_formula(tree, q, kind, v))
         assert abs(shift.weights[i] - exact) <= 2 * math.ulp(exact)
     # A*A = I: the squares of A over the children of each vertex above the horizon sum to 1
-    sums = np.bincount(shift.trunc.parent_index[1:], weights=shift.isometry[1:] ** 2)
+    sums = np.bincount(shift.trunc.parent_index[1:], weights=isometry[1:] ** 2)
     assert len(sums) == shift.trunc.span(horizon)[0]
     assert np.all(np.abs(sums - 1) <= 4 * math.ulp(1.0))
+
+
+def test_make_shift_keeps_under_20_bytes_per_vertex():
+    # a shift keeps its weights and its truncation's parent map, 16 B per vertex; A and
+    # a ray step per vertex, stored too, would add 16 more
+    tree = tree_from_json(fan(2000))
+    tree._child_counts  # the tree's own cache, built once per tree
+    tracemalloc.start()
+    try:
+        shift = make_shift(tree, 2, DIRICHLET, 30)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 20 * len(shift.weights)
 
 
 @settings(max_examples=60, deadline=None)

@@ -247,10 +247,16 @@ def test_position_agrees_with_the_name_index(tree, horizon):
 @settings(max_examples=60, deadline=None)
 @given(tree=prefix_trees(), horizon=st.integers(0, 8))
 def test_every_truncation_name_locates_to_its_stored_id_and_step(tree, horizon):
+    # below the stored generations each generation repeats the last stored one, and
+    # the step is the generation less the depth of the id's vertex
     trunc = tree.truncate(horizon)
-    for i, v in enumerate(trunc.vertices):
-        assert tree._locate(v) == (tree.vertices[trunc.explicit[i]], trunc.ray_step[i])
-        assert trunc.position(v) == i
+    stored, width = len(trunc.explicit), trunc.offsets[-1] - trunc.offsets[-2]
+    assert stored == trunc.offsets[min(horizon, max(tree.depths.values())) + 1]
+    for n, generation in enumerate(trunc.generations):
+        for i, v in enumerate(generation, trunc.offsets[n]):
+            base = tree.vertices[trunc.explicit[i if i < stored else stored - width + (i - stored) % width]]
+            assert tree._locate(v) == (base, n - tree.depths[base])
+            assert trunc.position(v) == i
 
 
 def _malformed_names(tree):
