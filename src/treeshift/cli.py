@@ -167,8 +167,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         raise ValueError("--verify-depth must be at least 1")
     tree1, tree2 = load_tree(args.tree1), load_tree(args.tree2)
     verdict = decide_equivalence(tree1, tree2, args.q)
-    # no verdict reads the horizon; it is validated and echoed in the report
-    if args.horizon < 0:
+    # no verdict reads the horizon; one given is validated and echoed in the report
+    if args.horizon is not None and args.horizon < 0:
         raise ValueError("horizon must be nonnegative")
     results = {
         "verdict": verdict.result,
@@ -198,12 +198,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
                 "depth": args.verify_depth,
                 "skipped": "depth profiles differ; no graded unitary",
             }
-    inputs = {
-        "tree1": _sha256(args.tree1),
-        "tree2": _sha256(args.tree2),
-        "q": args.q,
-        "horizon": args.horizon,
-    }
+    inputs = {"tree1": _sha256(args.tree1), "tree2": _sha256(args.tree2), "q": args.q}
+    if args.horizon is not None:
+        inputs["horizon"] = args.horizon
     _emit(_report("equiv", inputs, results))
     return EXIT_OK if verdict.equivalent else EXIT_FAILED
 
@@ -380,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree1")
     p.add_argument("tree2")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=int, default=None, help="echoed in the report; no verdict reads it")
     p.add_argument("--verify-depth", type=int, default=None)
     p.set_defaults(handler=_cmd_equiv)
 

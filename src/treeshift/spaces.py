@@ -21,6 +21,16 @@ a fixed integer over a moving one, each of q - 1 factors
 takes O(N) steps on integers below (l+N+q)^(q-1).  A series coefficient is
 the integer quotient u / v, which Python rounds correctly: the same double
 as ``float`` of the exact rational.
+
+On the Bergman side the coefficients C(n+l+q-1, q-1) / C(l+q-1, q-1) are
+polynomials in n, so at integer q a block's partial sum is a polynomial in
+1/(1-x) plus x^(N+1) times another: O(q) work at any order.
+``kernel_block_series`` takes that closed form whenever the remainder bound
+at |x| is below ``SERIES_TAIL_TOL``, and then adds only roundoff below 1e-14
+times the sum of the series' |terms|; above it, at small N with |x| near 1,
+the two parts cancel, and the series runs term by term, as it does on the
+Dirichlet side and at non-integer q.  Norms visit only the blocks each layer
+stores.
 """
 
 from __future__ import annotations
@@ -75,18 +85,60 @@ def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
 
 
 def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space: str) -> complex:
-    """Partial sum through ``order`` of block ``l``'s kernel series at x = z conj(w)."""
+    """Partial sum through ``order`` of block ``l``'s kernel series at x = z conj(w).
+
+    A Bergman block at integer q whose remainder bound at |x| (``_tail_bound``)
+    is below ``SERIES_TAIL_TOL`` is summed in closed form (``_bergman_block``);
+    every other block by its series, one term per power of x.
+    """
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
+    bases = moment_bases(q, _KERNEL_KIND[space], l)
+    if space == BERGMAN_SPACE and q.denominator == 1 and _tail_below_tol(int(q), abs(x), order):
+        return _bergman_block(int(q) - 1, l, complex(x), order)
     total, power = 0j, 1 + 0j
-    for u, v in pochhammer_ratio_terms(*moment_bases(q, _KERNEL_KIND[space], l), order):
+    for u, v in pochhammer_ratio_terms(*bases, order):
         total += (u / v) * power
         power *= x
     return total
 
 
-# remainder bound that ``kernel_series_order`` keeps a truncated series below
+def _bergman_block(m: int, l: int, x: complex, order: int) -> complex:
+    """The Bergman block's partial sum through ``order`` at q = m + 1, in O(q).
+
+    Its coefficients C(n+l+m, m) / C(l+m, m) are polynomials in n, and with
+    y = 1/(1-x) Vandermonde's identity sums them to
+
+        sum_(j=0..m) (C(l+m-1-j, m-j) - x^(N+1) C(l+N+m-j, m-j)) y^(j+1) / C(l+m, m),
+
+    C(-1, 0) = 1.  The x^(N+1) part is the series' remainder, so it is as small
+    as the remainder bound; each of its coefficients is taken times x^(N+1)
+    before any power of y, so that a coefficient above a float's range meets a
+    power that has underflowed.  Taken only below the tolerance: at small N
+    and |x| near 1 the two parts cancel.
+    """
+    y, power = 1 / (1 - x), x ** (order + 1)
+    scale = math.comb(l + m, m)
+    head = tail = 0j
+    for j in range(m, -1, -1):  # Horner in y
+        head = (head + (math.comb(l + m - 1 - j, m - j) if l + m > j else 1) / scale) * y
+        tail = (tail + power * (math.comb(l + order + m - j, m - j) / scale)) * y
+    return head - tail
+
+
+# remainder bound that ``kernel_series_order`` keeps a truncated series below;
+# the closed form of a Bergman block adds only roundoff, below 1e-14 times the
+# sum of the series' |terms| (the sum at |x|)
 SERIES_TAIL_TOL = 1e-12
+
+
+def _tail_below_tol(q: int, radius: float, order: int) -> bool:
+    """Whether the Bergman-side remainder bound of the order-``order`` sum at
+    ``radius`` is below ``SERIES_TAIL_TOL``; a bound past a float's range is not."""
+    try:
+        return radius < 1.0 and _tail_bound(q, BERGMAN_SPACE, radius, order) < SERIES_TAIL_TOL
+    except OverflowError:
+        return False
 
 
 def _tail_bound(q: int, space: str, radius: float, n: int) -> float:
@@ -204,40 +256,71 @@ def graded_function(
     branching = dict(tree.branching_vertices())
     built = []
     for root_coeff, blocks in layers:
+        layer = {None: (root_coeff,)}
         for v, coords in blocks.items():
-            if v not in branching:
+            count = branching.get(v)
+            if count is None:
                 raise UnknownVertex(f"{v!r} is not a branching vertex")
-            if len(coords) > branching[v] - 1:
-                raise ValueError(f"block {v!r} has dimension {branching[v] - 1}")
-        built.append({None: (root_coeff,), **{v: tuple(c) for v, c in blocks.items()}})
+            if len(coords) > count - 1:
+                raise ValueError(f"block {v!r} has dimension {count - 1}")
+            layer[v] = tuple(coords)
+        built.append(layer)
     return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
 def _graded_sum(f: GradedFunction, pairs: Callable[[int, int], Iterable[tuple[int, int]]]) -> Fraction | float:
-    """Sum over layers n and blocks of index l of the block's squared coordinates s
-    times u / v, the n-th of ``pairs(l, order)``.  Exact s add integer numerators over
-    one denominator per l, the lcm of den(s) v; float s add s * (u / v), the double
-    of s * Fraction(u, v), in (layer, block) order."""
-    tables = {l: list(pairs(l, len(f.layers) - 1)) for l in dict.fromkeys(f.blocks.values())}
-    exact, inexact = {}, None
+    """Sum over layers n and the blocks each layer stores, of index l, of the block's
+    squared coordinates s times u / v, the n-th of ``pairs(l, order)``, walked once per l
+    through its last layer.  Exact s add up per (l, n) and take that weight once, as an
+    integer numerator over one denominator per l, the lcm of den(s) v; float s add
+    s * (u / v), the double of s * Fraction(u, v), in (layer, block-table) order."""
+    blocks = f.blocks
+    exact: dict[int, dict[int, int | Fraction]] = {}  # l -> {n: the sum of the exact s of layer n}
+    inexact: list[tuple[int, int, int, float]] = []  # (n, table position, l, s)
+    position: dict | None = None
+    last: dict[int, int] = {}  # l -> the last layer with a nonzero s
     for n, layer in enumerate(f.layers):
-        for b, l in f.blocks.items():
-            s = _square(layer.get(b, ()))
-            if s:
-                u, v = tables[l][n]
-                if isinstance(s, (int, Fraction)):
-                    exact.setdefault(l, []).append((s.numerator * u, s.denominator * v))
+        for b, coords in layer.items():
+            l = blocks.get(b)
+            if l is None:  # not a block of the table
+                continue
+            s = 0
+            for c in coords:  # Python ints and Fractions square here, anything else in _square
+                if type(c) is int or type(c) is Fraction:
+                    s += c * c
                 else:
-                    inexact = (inexact or 0.0) + s * (u / v)
+                    s = _square(coords)
+                    break
+            if not s:
+                continue
+            last[l] = n
+            if isinstance(s, (int, Fraction)):
+                sums = exact.setdefault(l, {})
+                sums[n] = sums.get(n, 0) + s
+            else:
+                if position is None:
+                    position = {block: i for i, block in enumerate(blocks)}
+                inexact.append((n, position[b], l, s))
+    tables = {l: list(pairs(l, order)) for l, order in last.items()}
     total = Fraction(0)
-    for terms in exact.values():
+    for l, sums in exact.items():
+        table = tables[l]
+        terms = [(s.numerator * table[n][0], s.denominator * table[n][1]) for n, s in sums.items()]
         d = math.lcm(*(den for _num, den in terms))
         total += Fraction(sum(num * (d // den) for num, den in terms), d)
-    return total if inexact is None else total + inexact
+    if not inexact:
+        return total
+    inexact.sort(key=lambda entry: entry[:2])
+    value = 0.0
+    for n, _position, l, s in inexact:
+        u, v = tables[l][n]
+        value += s * (u / v)
+    return total + value
 
 
 def _graded_norm(f: GradedFunction, q: int | Fraction, kind: str) -> Fraction | float:
     """Squared norm whose layer weights are the ``kind`` shift's moments at depth l."""
+    moment_bases(q, kind, 0)  # checks q and kind, also for a function with no entries
     return _graded_sum(f, lambda l, order: pochhammer_ratio_terms(*moment_bases(q, kind, l), order))
 
 

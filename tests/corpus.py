@@ -341,6 +341,52 @@ def walked_series_order(q, space, radius):
         n += 1
 
 
+def _gaussian_power(x, e, bits):
+    """x^e for a complex float x, as (real, imaginary) ``Fraction`` parts: exact when
+    ``bits`` is None, else each product of the repeated squaring floored to ``bits``
+    bits, as the exact value holds about 53 e bits per part."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    den = max(re.denominator, im.denominator)  # both powers of two
+    base = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den.bit_length() - 1)
+    acc = (1, 0, 0)  # (a, b, k): the value (a + ib) / 2^k
+
+    def times(p, r):
+        a, b, k = p[0] * r[0] - p[1] * r[1], p[0] * r[1] + p[1] * r[0], p[2] + r[2]
+        cut = 0 if bits is None else max(max(abs(a), abs(b)).bit_length() - bits, 0)
+        return a >> cut, b >> cut, k - cut
+
+    while e:
+        if e & 1:
+            acc = times(acc, base)
+        e >>= 1
+        base = times(base, base) if e else base
+    return Fraction(acc[0], 1 << acc[2]), Fraction(acc[1], 1 << acc[2])
+
+
+def exact_bergman_block(q, l, x, order, bits=256):
+    """Reference for the Bergman block's partial sum through ``order`` at integer q, at
+    the exact value of the complex float x, as (real, imaginary) ``Fraction`` parts:
+
+        sum_(j<q) (C(l+m-1-j, m-j) - x^(N+1) C(l+N+m-j, m-j)) / (1-x)^(j+1) / C(l+m, m),
+
+    m = q - 1 and C(-1, 0) = 1, in Gaussian rationals; x^(N+1) as ``_gaussian_power``
+    gives it, the rest exact."""
+    m = q - 1
+    re, im = Fraction(x.real), Fraction(x.imag)
+    norm = (1 - re) ** 2 + im**2
+    y = ((1 - re) / norm, im / norm)  # 1 / (1 - x)
+    power = _gaussian_power(complex(x), order + 1, bits)
+    total, y_power = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    for j in range(m + 1):
+        y_power = (y_power[0] * y[0] - y_power[1] * y[1], y_power[0] * y[1] + y_power[1] * y[0])
+        head = math.comb(l + m - 1 - j, m - j) if l + m > j else 1
+        tail = math.comb(l + order + m - j, m - j)
+        c = (head - power[0] * tail, -power[1] * tail)
+        total = (total[0] + c[0] * y_power[0] - c[1] * y_power[1], total[1] + c[0] * y_power[1] + c[1] * y_power[0])
+    scale = math.comb(l + m, m)
+    return total[0] / scale, total[1] / scale
+
+
 def weighted_push(shift, block, generation):
     """S on columns supported on generation - 1, given as that generation's rows:
     the rows of ``generation``, each the weight into it times its parent's row.

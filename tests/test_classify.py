@@ -519,14 +519,16 @@ def test_verify_refuses_generation_blocks_over_the_limit(monkeypatch):
     # columns.  Generation 2 pushes the 2 columns of generation 1, so that block stores
     # them; generation 2 widens last and stores its 2 pushed columns only, its newborn
     # one applied by prefix sums: the largest stored block is 3 x 2
+    # at depth 3 that block sits on generation depth - 1, the deepest a lift can widen on
     unitary = build_graded_unitary(decide_equivalence(DOUBLE01, DOUBLE01, 2))
-    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 6)
-    assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10) < 1e-12
-    monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 5)
-    with pytest.raises(
-        ValueError, match="^lift needs a 3 x 2 block of stored columns on generation 2, over the limit of 5 float64"
-    ):
-        verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, 10)
+    for depth in (10, 3):
+        monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 6)
+        assert verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, depth) < 1e-12
+        monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 5)
+        with pytest.raises(
+            ValueError, match="^lift needs a 3 x 2 block of stored columns on generation 2, over the limit of 5 float64"
+        ):
+            verify_intertwining(DOUBLE01, DOUBLE01, 2, unitary, depth)
     # FORK3's identity graded unitary carries no matrix: generation 1 stores its one
     # pushed root column and applies both newborn ones by prefix sums
     monkeypatch.setattr(classify, "MAX_BLOCK_ENTRIES", 3)

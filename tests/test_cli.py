@@ -96,6 +96,18 @@ def test_profile_csv(tree_file, capsys):
     assert out.splitlines() == ["generation,defect", "0,1", "1,1"]
 
 
+def test_profile_csv_rows_follow_the_generations(tree_file, capsys):
+    # defects 2, 1 and 3 on generations 0, 2 and 10: neither the counts nor the
+    # generations as strings sort into generation order
+    children = {"r": ["a", "x", "y"], "a": ["b"], "b": ["c", "z"]}
+    children.update({f"c{k}" if k else "c": [f"c{k + 1}"] for k in range(7)})
+    children["c7"] = ["d", "e", "f", "g"]
+    tree = {"root": "r", "children": children, "ray_leaves": ["x", "y", "z", "d", "e", "f", "g"]}
+    code, out = _run(capsys, ["profile", tree_file(tree), "--horizon", "12", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == ["generation,defect", "0,2", "2,1", "10,3"]
+
+
 def test_equiv_exit_codes_and_witness(tree_file, capsys):
     f1, f2 = tree_file(FORK3, "t1.json"), tree_file(DOUBLE01, "t2.json")
     code, out = _run(capsys, ["equiv", f1, f2, "--q", "1", "--horizon", "6"])
@@ -121,6 +133,18 @@ def test_equiv_verdict_does_not_read_the_horizon(tree_file, capsys):
         assert report["results"]["witness_generation"] == 3
         outputs.append(json.dumps(report["results"], sort_keys=True))
     assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify-depth", "12"]], ids=["plain", "verify"])
+def test_equiv_echoes_the_horizon_only_when_given(tree_file, capsys, verify):
+    f1, f2 = tree_file(tree_to_json(DEEP13), "t1.json"), tree_file(tree_to_json(DEEP13), "t2.json")
+    code, without = _run(capsys, ["equiv", f1, f2, "--q", "2", *verify])
+    assert code == 0
+    code, given = _run(capsys, ["equiv", f1, f2, "--q", "2", "--horizon", "6", *verify])
+    assert code == 0
+    without, given = json.loads(without), json.loads(given)
+    assert "horizon" not in without["inputs"] and given["inputs"].pop("horizon") == 6
+    assert without == given
 
 
 def test_equiv_verify_residual(tree_file, capsys):
@@ -183,6 +207,15 @@ def test_moments_reports(tree_file, capsys):
         ["moments", path, "--q", "2", "--vertex", "r", "--kmax", "2", "--kind", "dual"],
     )
     assert json.loads(out)["results"]["moments"] == ["1", "1/2", "1/3"]
+
+
+def test_moments_below_depth_plus_kmax_skips_the_matrix_check(tree_file, capsys):
+    # c has depth 2, so powers up to 4 leave a horizon of 3
+    code, out = _run(capsys, ["moments", tree_file(DOUBLE01), "--q", "2", "--vertex", "c", "--kmax", "4", "--horizon", "3"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["matrix_check"] == {"ran": False, "horizon": 3}
+    assert results["moments"] == ["1", "4/3", "5/3", "2", "7/3"]
 
 
 def test_moments_csv_and_unknown_vertex(tree_file, capsys):
@@ -372,6 +405,16 @@ def test_checks_reject_bad_arguments_in_every_suite(tree_file, capsys, suite, fl
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [error]
+
+
+@pytest.mark.parametrize("suite", ["defect", "hausdorff", "pick", "cardid", "kernel", "all"])
+def test_checks_run_from_horizon_one(tree_file, capsys, suite):
+    # 1 is the smallest horizon: the checks run and pass, and 0 is refused
+    code, out = _run(capsys, ["checks", tree_file(DOUBLE01), "--q", "2", "--suite", suite, "--horizon", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["horizon"] == 1 and report["results"]["all_passed"] is True
+    assert main(["checks", tree_file(DOUBLE01), "--q", "2", "--suite", suite, "--horizon", "0"]) == 2
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
