@@ -71,7 +71,7 @@ def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
     dimensions; q >= 2 compares the profiles entrywise, and the witness is
     the first generation where they differ.
     """
-    if not isinstance(q, numbers.Integral) or q < 1:
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
         raise InvalidQ(f"q must be a positive integer, got {q!r}")
     p1, p2 = (tree.depth_profile(tree.branching_index()) for tree in (tree1, tree2))
     witness = None

@@ -35,6 +35,7 @@ siblings, and ``kernel_columns`` is their dense form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -327,7 +328,10 @@ class ShiftOperator:
 
 
 def require_q(q: int | Fraction) -> None:
-    """Reject a shift parameter outside its admissible range q >= 1."""
+    """Reject a shift parameter outside its admissible range: a rational q >= 1
+    (an int, a numpy integer or a ``Fraction``), never a float or a bool."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Rational):
+        raise InvalidQ(f"q must be an integer or a Fraction, got {q!r}")
     if q < 1:
         raise InvalidQ(f"q must be at least 1, got {q}")
 

@@ -28,16 +28,24 @@ polynomials in n, so at integer q a block's partial sum is a polynomial in
 ``kernel_block_series`` takes that closed form whenever the remainder bound
 at |x| is below ``SERIES_TAIL_TOL``, and then adds only roundoff below 1e-14
 times the sum of the series' |terms|; above it, at small N with |x| near 1,
-the two parts cancel, and the series runs term by term, as it does on the
-Dirichlet side and at non-integer q.  Norms visit only the blocks each layer
-stores.
+the two parts cancel, and the series runs term by term.  On the Dirichlet
+side the coefficients split into q - 1 partial fractions A_j / (n+l+j), so at
+integer q a block's whole sum is a combination of -log(1-x) and its own
+partial sums: O(q + l) work at any order.  It is taken where the remainder
+bound of the order is below the tolerance and a rounding bound, which grows
+with q and l and as |x| falls, is below ``CLOSED_FORM_RTOL``: the stated
+error, relative to the sum of |terms|, on top of the remainder bound.
+Elsewhere (small |x|, large q l) the series runs term by term, as it does on
+both sides at non-integer q.  Norms visit only the blocks each layer stores.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -85,22 +93,39 @@ def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
 
 
 def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space: str) -> complex:
-    """Partial sum through ``order`` of block ``l``'s kernel series at x = z conj(w).
+    """Block ``l``'s kernel series at x = z conj(w), through ``order`` or whole.
 
-    A Bergman block at integer q whose remainder bound at |x| (``_tail_bound``)
-    is below ``SERIES_TAIL_TOL`` is summed in closed form (``_bergman_block``);
-    every other block by its series, one term per power of x.
+    At integer q a block whose remainder bound at |x| (``_tail_bound``) is below
+    ``SERIES_TAIL_TOL`` is summed in closed form: a Bergman block's partial sum
+    through ``order`` (``_bergman_block``), and, where its rounding bound
+    (``_dirichlet_rounding_ok``) is below ``CLOSED_FORM_RTOL``, a Dirichlet
+    block's whole sum (``_dirichlet_block``), which lies within that remainder
+    bound of the partial sum.  Every other block is the partial sum of its
+    series, one term per power of x.
     """
-    if space not in _KERNEL_KIND:
-        raise ValueError(f"unknown space {space!r}")
-    bases = moment_bases(q, _KERNEL_KIND[space], l)
-    if space == BERGMAN_SPACE and q.denominator == 1 and _tail_below_tol(int(q), abs(x), order):
-        return _bergman_block(int(q) - 1, l, complex(x), order)
+    kind = _kernel_kind(q, space, order)
+    if q.denominator == 1 and _tail_below_tol(int(q), space, abs(x), order):
+        m = int(q) - 1
+        if space == BERGMAN_SPACE:
+            return _bergman_block(m, l, complex(x), order)
+        if _dirichlet_rounding_ok(m, l, abs(x)):
+            return _dirichlet_block(m, l, complex(x))
     total, power = 0j, 1 + 0j
-    for u, v in pochhammer_ratio_terms(*bases, order):
+    for u, v in pochhammer_ratio_terms(*moment_bases(q, kind, l), order):
         total += (u / v) * power
         power *= x
     return total
+
+
+def _kernel_kind(q: int | Fraction, space: str, order: int) -> str:
+    """The shift whose moments are ``space``'s kernel coefficients; rejects an
+    unknown space, a q outside q >= 1 and a negative order."""
+    if space not in _KERNEL_KIND:
+        raise ValueError(f"unknown space {space!r}")
+    require_q(q)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    return _KERNEL_KIND[space]
 
 
 def _bergman_block(m: int, l: int, x: complex, order: int) -> complex:
@@ -126,17 +151,63 @@ def _bergman_block(m: int, l: int, x: complex, order: int) -> complex:
     return head - tail
 
 
+def _dirichlet_block(m: int, l: int, x: complex) -> complex:
+    """The Dirichlet block's whole sum 2F1(1, l+1; l+m+1; x) at q = m + 1, in O(q + l).
+
+    Its coefficients (l+1)_m / (l+n+1)_m split into partial fractions
+    sum_(j=1..m) A_j / (n+l+j), A_j = (-1)^(j-1) m C(m-1, j-1) C(l+m, m), and
+    sum_n x^n / (n+a) = x^(-a) (-log(1-x) - S_(a-1)), S_a = sum_(k=1..a) x^k / k, so
+
+        sum_(j=1..m) A_j (-log(1-x) - S_(l+j-1)) / x^(l+j),
+
+    one running S for the m terms; 1/(1-x) at m = 0.  The A_j alternate in sign
+    and the differences cancel, so it is taken only where
+    ``_dirichlet_rounding_ok`` bounds the roundoff.
+    """
+    if m == 0:
+        return 1 / (1 - x)
+    log = -cmath.log(1 - x)
+    partial, power = 0j, 1 + 0j
+    for k in range(1, l + 1):
+        power *= x
+        partial += power / k
+    scale, total = m * math.comb(l + m, m), 0j
+    for j in range(1, m + 1):
+        power *= x
+        total += (-1) ** (j - 1) * scale * math.comb(m - 1, j - 1) * ((log - partial) / power)
+        partial += power / (l + j)
+    return total
+
+
 # remainder bound that ``kernel_series_order`` keeps a truncated series below;
 # the closed form of a Bergman block adds only roundoff, below 1e-14 times the
 # sum of the series' |terms| (the sum at |x|)
 SERIES_TAIL_TOL = 1e-12
+# relative error of a Dirichlet block in closed form, against the sum of the
+# series' |terms|, on top of the remainder bound: its rounding bound stays below it
+CLOSED_FORM_RTOL = 1e-13
 
 
-def _tail_below_tol(q: int, radius: float, order: int) -> bool:
-    """Whether the Bergman-side remainder bound of the order-``order`` sum at
-    ``radius`` is below ``SERIES_TAIL_TOL``; a bound past a float's range is not."""
+def _tail_below_tol(q: int, space: str, radius: float, order: int) -> bool:
+    """Whether the remainder bound of the order-``order`` sum at ``radius`` is
+    below ``SERIES_TAIL_TOL``; a bound past a float's range is not."""
     try:
-        return radius < 1.0 and _tail_bound(q, BERGMAN_SPACE, radius, order) < SERIES_TAIL_TOL
+        return radius < 1.0 and _tail_bound(q, space, radius, order) < SERIES_TAIL_TOL
+    except OverflowError:
+        return False
+
+
+def _dirichlet_rounding_ok(m: int, l: int, radius: float) -> bool:
+    """Whether the rounding bound eps sum_j |A_j| (1 + |log(1-r)|) / r^(l+m) of
+    ``_dirichlet_block`` at q = m + 1 is below ``CLOSED_FORM_RTOL``, with
+    sum_j |A_j| = m 2^(m-1) C(l+m, m).  Compared times r^(l+m), so that no small
+    r divides; a bound past a float's range is not below."""
+    if m == 0:  # 1/(1-x)
+        return True
+    try:
+        weight = float(m * 2 ** (m - 1) * math.comb(l + m, m))
+        rounding = sys.float_info.epsilon * weight * (1.0 - math.log1p(-radius))
+        return rounding < CLOSED_FORM_RTOL * radius ** (l + m)
     except OverflowError:
         return False
 
@@ -202,10 +273,13 @@ def kernel_apply(
 ) -> dict[str | None, tuple[complex, ...]]:
     """Apply the truncated kernel at (z, w) to block coordinates ``g``.
 
-    Each block of the kernel acts as the scalar partial sum of its series,
-    so coordinates scale blockwise; the series is summed once per distinct
+    Each block of the kernel acts as the scalar ``kernel_block_series``: the
+    partial sum through ``order`` of its series or, for a Dirichlet block in
+    closed form, its whole sum, within the remainder bound of that partial sum.
+    So coordinates scale blockwise; the series is summed once per distinct
     block index l among the blocks of ``g``.  Blocks missing from ``g`` are zero.
     """
+    _kernel_kind(q, space, order)
     if abs(z) >= 1 or abs(w) >= 1:
         raise OutsideDisc(f"|z|={abs(z)}, |w|={abs(w)}")
     x = complex(z) * complex(w).conjugate()
@@ -463,6 +537,7 @@ def kernel_compression_maxima(shift: ShiftOperator, nmax: int) -> tuple[float, f
 def radial_weight(q: int, l: int) -> dict[int, Fraction]:
     """Exact coefficients {j: c} of |z|^(2j) in the polynomial density w_l
     of the block of index l, for integer q >= 2 and l >= 0."""
+    require_q(q)
     if not isinstance(q, numbers.Integral) or q < 2:
         raise WrongQ(f"radial weights require integer q >= 2, got {q!r}")
     if l < 0:

@@ -387,6 +387,27 @@ def exact_bergman_block(q, l, x, order, bits=256):
     return total[0] / scale, total[1] / scale
 
 
+def exact_dirichlet_block(q, l, x, order, bits=256):
+    """Reference for the Dirichlet block's partial sum through ``order`` at integer q, at
+    the exact value of the complex float x, as (real, imaginary) ``Fraction`` parts:
+
+        sum_(n<=N) x^n (l+1)_(q-1) / (l+n+1)_(q-1),
+
+    in fixed point with ``bits`` fractional bits: x^n is x^(n-1) times the exact x and
+    each such product and each term is floored, so the sum is within (N+1)(N+2) 2^-bits
+    of the exact one."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    den = max(re.denominator, im.denominator)  # both powers of two
+    a, b, shift = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den.bit_length() - 1
+    fixed = math.prod(range(l + 1, l + q))
+    power, total = (1 << bits, 0), (0, 0)
+    for n in range(order + 1):
+        moving = math.prod(range(l + n + 1, l + n + q))
+        total = (total[0] + power[0] * fixed // moving, total[1] + power[1] * fixed // moving)
+        power = ((power[0] * a - power[1] * b) >> shift, (power[0] * b + power[1] * a) >> shift)
+    return Fraction(total[0], 1 << bits), Fraction(total[1], 1 << bits)
+
+
 def weighted_push(shift, block, generation):
     """S on columns supported on generation - 1, given as that generation's rows:
     the rows of ``generation``, each the weight into it times its parent's row.

@@ -73,7 +73,7 @@ def test_line_tree_self_equivalence():
 def test_q_must_be_a_positive_integer():
     with pytest.raises(InvalidQ):
         decide_equivalence(LINE, LINE, 0)
-    for q in (2.0, Fraction(2), np.float64(2.0), np.int64(0)):
+    for q in (2.0, Fraction(2), np.float64(2.0), np.int64(0), True):
         with pytest.raises(InvalidQ):
             decide_equivalence(LINE, LINE, q)
 

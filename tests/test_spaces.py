@@ -2,6 +2,7 @@ import cmath
 import collections.abc
 import dataclasses
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from corpus import (
     complete_binary,
     dense_compression_maxima,
     exact_bergman_block,
+    exact_dirichlet_block,
     expected_oracle_diagonal,
     fan,
     named_horizon,
@@ -36,7 +38,9 @@ from treeshift import (
     bergman_coefficient,
     bergman_norm,
     bergman_weight_moment,
+    build_graded_unitary,
     cokernel_dimension,
+    decide_equivalence,
     dirichlet_coefficient,
     dirichlet_measure_weights,
     dirichlet_norm,
@@ -53,11 +57,12 @@ from treeshift import (
     radial_weight,
     spaces,
     tree_from_json,
+    verify_intertwining,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from treeshift.numerics import pochhammer_ratios
 from treeshift.shifts import DIRICHLET
-from treeshift.spaces import SERIES_TAIL_TOL, kernel_block_series, kernel_compression_maxima
+from treeshift.spaces import CLOSED_FORM_RTOL, SERIES_TAIL_TOL, kernel_block_series, kernel_compression_maxima
 
 
 def test_dirichlet_coefficients():
@@ -438,10 +443,11 @@ def test_radial_weight_coefficients():
     assert radial_weight(3, 0) == {0: Fraction(2), 1: Fraction(-2)}
     with pytest.raises(WrongQ):
         radial_weight(1, 0)
-    # q >= 2 but not an integer; a numpy integer is one
-    for q in (Fraction(5, 2), 2.0):
-        with pytest.raises(WrongQ):
-            radial_weight(q, 1)
+    # q >= 2 but not an integer; a numpy integer is one, and a float is no q at all
+    with pytest.raises(WrongQ):
+        radial_weight(Fraction(5, 2), 1)
+    with pytest.raises(InvalidQ):
+        radial_weight(2.0, 1)
     assert radial_weight(np.int64(3), 0) == radial_weight(3, 0)
 
 
@@ -618,12 +624,19 @@ def _reference_norm(f, q, space):
 )
 @example(q=3, l=2, order=200, radius=0.5, angle=1.0, space="bergman")  # in closed form
 @example(q=6, l=0, order=5, radius=0.99, angle=math.pi, space="bergman")  # by the series
+@example(q=3, l=2, order=300, radius=0.9, angle=1.0, space="dirichlet")  # in closed form
+@example(q=3, l=2, order=200, radius=0.25, angle=1.0, space="dirichlet")  # by the series: rounding
+@example(q=6, l=0, order=200, radius=0.8, angle=1.0, space="dirichlet")  # by the series: rounding, by its log
+@example(q=2, l=0, order=5, radius=0.9, angle=1.0, space="dirichlet")  # by the series: remainder
 def test_block_series_equals_per_term_reference(q, l, order, radius, angle, space):
     x = cmath.rect(radius, angle)
     value = kernel_block_series(q, l, x, order, space)
     if space == "bergman" and _tail_below_tol(q, abs(x), order):
         # summed in closed form: within roundoff of the exact partial sum
         assert _closed_form_error(q, l, x, order, value) <= 1e-14
+    elif space == "dirichlet" and _dirichlet_in_closed_form(q, l, abs(x), order):
+        # the whole sum in closed form: within the stated error and the remainder bound
+        assert _within_stated_error(q, l, x, order, value)
     else:
         # summed term by term: the same bits as the per-term reference
         assert value == _reference_block_series(q, l, x, order, space)
@@ -633,6 +646,33 @@ def _tail_below_tol(q, r, order):
     """Whether the Bergman remainder bound r^(N+1) (N+q)^(q-1) / (1-r) of the
     order-N sum is below the tolerance: the rule for the closed form."""
     return r ** (order + 1) / (1 - r) * float(order + q) ** (q - 1) < SERIES_TAIL_TOL
+
+
+def _dirichlet_in_closed_form(q, l, r, order):
+    """The rule for a Dirichlet block in closed form: its remainder bound r^(N+1)/(1-r)
+    below the tolerance and, from q = 2 on, its rounding bound
+    eps sum_j |A_j| (1 + |log(1-r)|) / r^(l+q-1) below ``CLOSED_FORM_RTOL``, with
+    sum_j |A_j| = m 2^(m-1) C(l+m, m), m = q - 1, compared times r^(l+m)."""
+    if not (r < 1 and r ** (order + 1) / (1 - r) < SERIES_TAIL_TOL):
+        return False
+    m = q - 1
+    if m == 0:
+        return True
+    weight = float(m * 2 ** (m - 1) * math.comb(l + m, m))
+    return sys.float_info.epsilon * weight * (1.0 - math.log1p(-r)) < CLOSED_FORM_RTOL * r ** (l + m)
+
+
+def _within_stated_error(q, l, x, order, value):
+    """Whether value lies within ``CLOSED_FORM_RTOL`` times the sum of the series' |terms|,
+    plus the remainder bound r^(N+1)/(1-r), of the exact Dirichlet partial sum.  The sum
+    of |terms| is at least its first term, 1, and is summed only if the error exceeds that."""
+    re, im = exact_dirichlet_block(q, l, x, order)
+    error = math.hypot(float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
+    r = abs(x)
+    tail = r ** (order + 1) / (1 - r)
+    if error <= CLOSED_FORM_RTOL + tail:
+        return True
+    return error <= CLOSED_FORM_RTOL * float(exact_dirichlet_block(q, l, complex(r), order)[0]) + tail
 
 
 def _closed_form_error(q, l, x, order, value):
@@ -842,13 +882,8 @@ def test_integer_coordinates_give_a_fraction():
     assert type(h2_norm_via_measure_decomposition(f)) is Fraction
 
 
-@pytest.mark.parametrize("space", ["dirichlet", "bergman"])
-def test_series_order_in_the_thousands_is_linear_time(space, monkeypatch):
-    # q = 3 root line at x = 0.99: the coefficients are 2/((n+1)(n+2)) and
-    # (n+1)(n+2)/2, whose series have the closed forms below.
-    x = 0.99
-    order = kernel_series_order(3, space, x)
-    assert order == {"dirichlet": 3207, "bergman": 4898}[space]
+def _count_series_steps(monkeypatch):
+    """The list that every step of the series loop appends its pair to."""
     steps, walk = [], spaces.pochhammer_ratio_terms
 
     def counted(a, b, order):
@@ -857,14 +892,77 @@ def test_series_order_in_the_thousands_is_linear_time(space, monkeypatch):
             yield pair
 
     monkeypatch.setattr(spaces, "pochhammer_ratio_terms", counted)
+    return steps
+
+
+@pytest.mark.parametrize("space", ["dirichlet", "bergman"])
+def test_series_order_in_the_thousands_is_linear_time(space, monkeypatch):
+    # q = 3 root line at x = 0.99: the coefficients are 2/((n+1)(n+2)) and
+    # (n+1)(n+2)/2, whose series have the closed forms below.
+    x = 0.99
+    order = kernel_series_order(3, space, x)
+    assert order == {"dirichlet": 3207, "bergman": 4898}[space]
+    steps = _count_series_steps(monkeypatch)
     value = kernel_block_series(3, 0, x, order, space)
     if space == "dirichlet":
         expected = 2 * (-math.log(1 - x) / x + (math.log(1 - x) + x) / x**2)
     else:
         expected = 1 / (1 - x) ** 3
     assert value.real == pytest.approx(expected, rel=1e-12)
-    # one step per term on the Dirichlet side; the Bergman block is below the tolerance, in closed form
-    assert len(steps) == {"dirichlet": order + 1, "bergman": 0}[space]
+    # both blocks are below the tolerance and the Dirichlet one below its rounding bound, in closed form
+    assert steps == []
+
+
+def test_dirichlet_block_its_rounding_bound_refuses_takes_one_step_per_term(monkeypatch):
+    # q 6, l 40 at x 0.9: sum_j |A_j| = 80 C(45, 5) and 0.9^-45 put the rounding bound at 8e-6
+    x = 0.9
+    order = kernel_series_order(6, "dirichlet", x)
+    steps = _count_series_steps(monkeypatch)
+    value = kernel_block_series(6, 40, x, order, "dirichlet")
+    assert len(steps) == order + 1
+    assert value == _reference_block_series(6, 40, x, order, "dirichlet")
+
+
+def test_dirichlet_closed_form_is_within_its_stated_error(monkeypatch):
+    # q 1-8, l up to 200, r up to 0.999 and every order at or above the series order: an
+    # accepted block is within CLOSED_FORM_RTOL of the sum of |terms| of the exact partial
+    # sum, plus the remainder bound; a refused one asks for the series through its order,
+    # here recorded and not summed
+    series = []
+    monkeypatch.setattr(spaces, "pochhammer_ratio_terms", lambda a, b, order: series.append(order) or iter(()))
+    rng = np.random.default_rng(41)
+    accepted, refused = set(), set()
+    for _ in range(400):
+        q, l = int(rng.integers(1, 9)), int(rng.choice([rng.integers(0, 13), rng.integers(0, 201)]))
+        r = float(rng.choice([rng.random(), 1 - 10 ** -rng.uniform(0, 3), 0.999]))
+        x = cmath.rect(r, rng.uniform(0, 2 * math.pi))
+        order = kernel_series_order(q, "dirichlet", abs(x)) + int(rng.choice([0, 1, rng.integers(0, 1000)]))
+        series.clear()
+        value = kernel_block_series(q, l, x, order, "dirichlet")
+        if series:
+            assert series == [order]
+            refused.add(q)
+        else:
+            assert _within_stated_error(q, l, x, order, value)
+            accepted.add(q)
+    # 1/(1-x) at q = 1 is always taken; from q = 2 on, the bound refuses some block of every q
+    assert 1 not in refused and refused == set(range(2, 9))
+    assert {1, 2, 3, 4} <= accepted
+
+
+@pytest.mark.parametrize("x", [0j, 1e-300 + 0j, cmath.rect(1e-300, 2.0)])
+def test_dirichlet_block_at_tiny_x_divides_by_no_power_of_x(x):
+    # the rounding bound is compared times |x|^(l+q-1), which is 0 here, so from q = 2 on
+    # the series runs, with the per-term reference's bits; q = 1 is 1/(1-x)
+    for q in range(1, 9):
+        for l in (0, 1, 40, 200):
+            for order in (0, 1, 30):
+                value = kernel_block_series(q, l, x, order, "dirichlet")
+                assert _within_stated_error(q, l, x, order, value)
+                if q > 1:
+                    assert value == _reference_block_series(q, l, x, order, "dirichlet")
+                else:
+                    assert value == 1 / (1 - x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -875,7 +973,9 @@ def test_series_order_in_the_thousands_is_linear_time(space, monkeypatch):
     space=st.sampled_from(["dirichlet", "bergman"]),
 )
 def test_block_series_of_an_integral_fraction_q_equals_the_integer_q(l, order, x, space):
-    assert kernel_block_series(Fraction(3), l, x, order, space) == kernel_block_series(3, l, x, order, space)
+    value = kernel_block_series(3, l, x, order, space)
+    assert kernel_block_series(Fraction(3), l, x, order, space) == value
+    assert kernel_block_series(np.int64(3), l, x, order, space) == value
 
 
 def test_kernel_apply_sums_one_series_per_block_index(monkeypatch):
@@ -915,3 +1015,60 @@ def test_q_below_one_is_rejected(q):
     for space in ("dirichlet", "bergman"):
         with pytest.raises(InvalidQ):
             kernel_series_order(q, space, 0.5)
+
+
+def _q_entry_points():
+    """One call per public entry point that takes q, as a function of q."""
+    spec = kernel_block_spec(FORK2)
+    f = graded_function(FORK2, [(Fraction(1), {"r": (Fraction(1),)}), (2, {})])
+    unitary = build_graded_unitary(decide_equivalence(FORK2, FORK2, 2))
+    spaces_ = ("dirichlet", "bergman")
+    return {
+        "make_shift": lambda q: make_shift(FORK2, q, DIRICHLET, 4).weights.tolist(),
+        "decide_equivalence": lambda q: decide_equivalence(FORK2, SPLIT, q).result,
+        "verify_intertwining": lambda q: verify_intertwining(FORK2, FORK2, q, unitary, 4),
+        "dirichlet_coefficient": lambda q: dirichlet_coefficient(q, 1, 3),
+        "bergman_coefficient": lambda q: bergman_coefficient(q, 1, 3),
+        "kernel_series_order": lambda q: [kernel_series_order(q, space, 0.5) for space in spaces_],
+        "kernel_block_series": lambda q: [kernel_block_series(q, 1, 0.25, 5, space) for space in spaces_],
+        "kernel_apply": lambda q: kernel_apply(spec, q, "dirichlet", 0.3, 0.2, {None: (1.0,)}, 5),
+        "kernel_apply on no blocks": lambda q: kernel_apply(spec, q, "bergman", 0.3, 0.2, {}, 5),
+        "dirichlet_norm": lambda q: dirichlet_norm(f, q),
+        "bergman_norm": lambda q: bergman_norm(f, q),
+        "pick_property_check": lambda q: pick_property_check(q, None, 10),
+        "radial_weight": lambda q: radial_weight(q, 1),
+        "bergman_weight_moment": lambda q: bergman_weight_moment(q, 1, 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "q", [2.0, 2.5, True, np.int64(2), Fraction(5, 2)], ids=["2.0", "2.5", "True", "int64-2", "5/2"]
+)
+def test_one_rule_for_q_at_every_entry_point(q):
+    # a rational q >= 1 that is not a bool is a q (an integer one gives the int's results),
+    # a float or a bool is none; a claim that needs an integer q refuses 5/2 by its own error
+    for name, call in _q_entry_points().items():
+        if isinstance(q, (bool, float)):
+            with pytest.raises(InvalidQ):
+                call(q)
+        elif q.denominator == 1:
+            assert call(q) == call(int(q)), name
+        elif name == "decide_equivalence":
+            with pytest.raises(InvalidQ):
+                call(q)
+        elif name in ("radial_weight", "bergman_weight_moment"):
+            with pytest.raises(WrongQ):
+                call(q)
+        else:
+            call(q)
+
+
+def test_negative_order_is_refused():
+    message = "^order must be nonnegative, got -1$"
+    with pytest.raises(ValueError, match=message):
+        kernel_apply(kernel_block_spec(LINE), 2, "dirichlet", 0.3, 0.2, {None: (1,)}, -1)
+    with pytest.raises(ValueError, match=message):
+        kernel_apply(kernel_block_spec(LINE), 2, "dirichlet", 0.3, 0.2, {}, -1)
+    for space in ("dirichlet", "bergman"):
+        with pytest.raises(ValueError, match=message):
+            kernel_block_series(2, 0, 0.25, -1, space)
