@@ -58,9 +58,11 @@ def cokernel_dimension(tree: Tree) -> int:
     """Dimension of ker S*: 1 plus the total branching defect.
 
     The prefix-plus-rays representation always certifies a finite
-    branching index, so the total is exact.
+    branching index, so the total is exact: every explicit vertex but the
+    root has one parent and every leaf carries a ray, so 1 plus the sum of
+    (child count - 1) over the vertices with children is the ray-leaf count.
     """
-    return 1 + sum(count - 1 for _v, count in tree.branching_vertices())
+    return len(tree.ray_leaves)
 
 
 def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:

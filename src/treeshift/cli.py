@@ -209,7 +209,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
     depth = tree.depth_of(args.vertex)
     horizon = args.horizon if args.horizon is not None else max(1, depth + args.kmax)
-    shift = make_shift(tree, args.q, args.kind, horizon)
+    # the moments read the depth alone and the oracle the vertex's descendants, whose
+    # sibling counts the lineage keeps, so the shift needs no other branch of the tree
+    shift = make_shift(tree.lineage(args.vertex), args.q, args.kind, horizon)
     exact = shift.moment_sequence(args.vertex, args.kmax)
     check = {"ran": False, "horizon": horizon}
     if depth + args.kmax <= horizon:

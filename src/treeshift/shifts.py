@@ -369,8 +369,9 @@ def make_shift(
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
     parent = trunc.parent_index
-    # sqrt(rho(n - 1)) on generation n, 0 on the root; rho the exact ratio of the depth-(n - 1) moment bases
-    scale = [0.0] + [math.sqrt(Fraction(a) / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
+    # sqrt(rho(n - 1)) on generation n, 0 on the root; rho the ratio of the depth-(n - 1) moment bases,
+    # which a / b rounds correctly for an int, a numpy integer (below 2**53) or a Fraction q alike
+    scale = [0.0] + [math.sqrt(a / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
     return ShiftOperator(
         tree=tree,
         q=q,

@@ -88,7 +88,7 @@ class KernelBlockSpec:
 
 
 def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
-    blocks = ((v, tree.depths[v] + 1) for v, _count in tree.branching_vertices())
+    blocks = ((v, tree.depth_of(v) + 1) for v, _count in tree.branching_vertices())
     return KernelBlockSpec(blocks=((None, 0), *blocks))
 
 

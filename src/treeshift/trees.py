@@ -4,9 +4,17 @@ A tree is stored as a finite explicit prefix (the only part that can
 branch) together with a set of *ray leaves*: explicit vertices from which
 an infinite chain of single-child vertices descends.  Chain vertices are
 materialized on demand with synthetic identifiers ``<leaf>~<k>`` for the
-k-th descendant, so the same tree always produces the same names.  One
-resolver, ``Tree._locate``, turns a name into its explicit vertex and ray
-step; every vertex-level query reads it.
+k-th descendant, so the same tree always produces the same names.
+
+The explicit vertices are parsed once into integer arrays indexed by their
+breadth-first id: parent, child count, first child and depth, and, on the
+first truncation, the depth-first preorder rank.  Breadth-first order keeps
+siblings together, so the children of an id form one run of ids and each
+generation one range of ids.  A truncation sorts its positions by
+(generation, preorder rank of the explicit vertex) in one pass, with no loop
+over generations.  A name becomes an id through one dict, read by one
+resolver, ``Tree._locate``; every vertex-level query reads it and then the
+arrays alone.
 
 Every depth-indexed query (a truncation, a depth profile) takes an explicit
 horizon; there is no global default.
@@ -16,10 +24,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -92,8 +102,7 @@ class Truncation:
     def vertices(self) -> tuple[str, ...]:
         names, size, width = self.tree.vertices, int(self.offsets[-1]), int(self.offsets[-1] - self.offsets[-2])
         ids = np.concatenate([self.explicit, np.resize(self.explicit[-width:], size - len(self.explicit))])
-        depths = np.array([self.tree.depths[v] for v in names])
-        steps = np.repeat(np.arange(self.horizon + 1), np.diff(self.offsets)) - depths[ids]
+        steps = np.repeat(np.arange(self.horizon + 1), np.diff(self.offsets)) - self.tree.depth[ids]
         return tuple(f"{names[e]}{RAY_SEPARATOR}{k}" if k else names[e] for e, k in zip(ids.tolist(), steps.tolist()))
 
     @cached_property
@@ -106,7 +115,7 @@ class Truncation:
         """The positions of ``explicit`` sorted by id, stably, so id e at ray step k is
         ``order[starts[e] + k]``; then top and its width: below top, a ray moves ``width``
         positions per generation."""
-        top = min(self.horizon, max(self.tree.depths.values()))
+        top = min(self.horizon, self.tree.depth.item(-1))  # breadth-first: the last id is the deepest
         counts = np.bincount(self.explicit, minlength=len(self.tree.vertices))
         width = int(self.offsets[top + 1] - self.offsets[top])
         return np.argsort(self.explicit, kind="stable"), np.cumsum(counts) - counts, top, width
@@ -117,40 +126,47 @@ class Truncation:
             base, k = self.tree._locate(v)
         except UnknownVertex:
             return None
-        if (n := self.tree.depths[base] + k) > self.horizon:
+        if (n := self.tree.depth.item(base) + k) > self.horizon:
             return None
         order, starts, top, width = self._runs
         below = max(0, n - top)
-        return int(order[starts[self.tree._ids[base]] + k - below]) + below * width
+        return int(order[starts[base] + k - below]) + below * width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Validated leafless rooted directed tree (immutable).
+    """Validated leafless rooted directed tree (immutable), as arrays over breadth-first ids.
 
-    Construct through :func:`build_tree` or :func:`tree_from_json`; the
-    constructor itself performs no validation.
+    Id i names ``vertices[i]`` (``ids`` maps a name back); the root is id 0, and the
+    children of id i are the ids ``first_child[i]:first_child[i + 1]``, in child order.
+    ``preorder`` and the branching vertices are derived on first use.  Construct through
+    :func:`build_tree` or :func:`tree_from_json`; the constructor itself performs no
+    validation.
     """
 
     root: str
     vertices: tuple[str, ...]  # explicit vertices in breadth-first order
-    children: Mapping[str, tuple[str, ...]]  # explicit children only
     ray_leaves: frozenset[str]
-    parents: Mapping[str, str]  # explicit non-root vertex -> parent
-    depths: Mapping[str, int]  # explicit vertex -> depth
+    ids: Mapping[str, int]  # explicit vertex -> its position in ``vertices``, the id a truncation stores
+    parent: np.ndarray  # parent id; the root's is 0, itself
+    child_counts: np.ndarray  # explicit children; 0 exactly for a ray leaf
+    first_child: np.ndarray  # id of the first child, or where it would sit; one entry more, the vertex count
+    depth: np.ndarray  # nondecreasing, as ids are breadth-first
 
-    @cached_property
-    def _ids(self) -> Mapping[str, int]:
-        """Explicit vertex -> its position in ``vertices``, the id a truncation stores."""
-        return {v: i for i, v in enumerate(self.vertices)}
+    def __eq__(self, other: object) -> bool:
+        """The same names in the same breadth-first order, with the same parents and ray leaves."""
+        if not isinstance(other, Tree):
+            return NotImplemented
+        same = (self.vertices, self.ray_leaves) == (other.vertices, other.ray_leaves)
+        return same and np.array_equal(self.parent, other.parent)
 
     # -- vertex names and local structure ---------------------------------------
 
-    def _locate(self, v: str) -> tuple[str, int]:
-        """(v, 0) for an explicit vertex, (r, k) for the ray vertex ``<r>~<k>``; any other
-        name raises ``UnknownVertex``.  Every vertex-level query reads its name here alone."""
-        if v in self.depths:
-            return v, 0
+    def _locate(self, v: str) -> tuple[int, int]:
+        """(id of v, 0) for an explicit vertex, (id of r, k) for the ray vertex ``<r>~<k>``; any
+        other name raises ``UnknownVertex``.  Every vertex-level query reads its name here alone."""
+        if (i := self.ids.get(v)) is not None:
+            return i, 0
         base, sep, tail = v.rpartition(RAY_SEPARATOR)
         if not sep or base not in self.ray_leaves:
             raise UnknownVertex(v)
@@ -160,7 +176,7 @@ class Tree:
             raise UnknownVertex(v) from None
         if k < 1 or tail != str(k):  # one name per vertex: no sign, spaces or leading zeros
             raise UnknownVertex(v)
-        return base, k
+        return self.ids[base], k
 
     def contains(self, v: str) -> bool:
         """True for explicit vertices and well-formed ray vertices."""
@@ -171,38 +187,76 @@ class Tree:
         return True
 
     def depth_of(self, v: str) -> int:
-        base, k = self._locate(v)
-        return self.depths[base] + k
+        i, k = self._locate(v)
+        return self.depth.item(i) + k
 
     def parent_of(self, v: str) -> str | None:
-        base, k = self._locate(v)
-        if k == 0:
-            return self.parents.get(v)
-        return base if k == 1 else f"{base}{RAY_SEPARATOR}{k - 1}"
+        i, k = self._locate(v)
+        if k:
+            return self.vertices[i] if k == 1 else f"{self.vertices[i]}{RAY_SEPARATOR}{k - 1}"
+        return self.vertices[self.parent.item(i)] if i else None
 
     def children_of(self, v: str) -> tuple[str, ...]:
         """Materialized children, reaching into rays where needed."""
-        base, k = self._locate(v)
-        if k == 0 and v not in self.ray_leaves:
-            return self.children[v]
-        return (f"{base}{RAY_SEPARATOR}{k + 1}",)
+        i, k = self._locate(v)
+        if k or not self.child_counts.item(i):
+            return (f"{self.vertices[i]}{RAY_SEPARATOR}{k + 1}",)
+        return self.vertices[self.first_child.item(i) : self.first_child.item(i + 1)]
 
     def sibling_count(self, v: str) -> int:
         """Number of children of the parent: 1 on a ray, 0 for the root."""
-        if self._locate(v)[1]:
+        i, k = self._locate(v)
+        if k:
             return 1
-        return len(self.children[self.parents[v]]) if v in self.parents else 0
+        return self.child_counts.item(self.parent.item(i)) if i else 0
+
+    def lineage(self, v: str) -> Tree:
+        """The tree cut down to the ancestors and descendants of v's explicit vertex.
+
+        Every kept vertex keeps its name and depth, a ray leaf below v its ray, and a
+        vertex below v its sibling count; each ancestor keeps only the next one on the
+        way down.  O(depth + descendants)."""
+        base, _k = self._locate(v)
+        names, first = self.vertices, self.first_child
+        line = [base]
+        while line[-1]:
+            line.append(self.parent.item(line[-1]))
+        children = {names[p]: [names[u]] for u, p in zip(line, line[1:])}
+        below = [base]
+        for u in below:
+            if kids := range(first.item(u), first.item(u + 1)):
+                below += kids
+                children[names[u]] = list(names[kids.start : kids.stop])
+        rays = [names[u] for u in below if names[u] not in children]
+        return build_tree(self.root, children, rays)
 
     # -- global structure -----------------------------------------------------
 
     @cached_property
-    def _child_counts(self) -> np.ndarray:
-        """Explicit child count of each vertex of ``vertices``; 0 for a ray leaf."""
-        return np.array([len(self.children[v]) for v in self.vertices])
+    def preorder(self) -> np.ndarray:
+        """Rank of each id in the depth-first preorder, by pointer doubling in O(vertices x
+        log depth).  With f the first-child map (f(n) = n) and s_g the first id of generation
+        g, v at depth d follows its d ancestors, the ids left of its ancestor a_g in each
+        generation g < d and those left of its descendants f^k(v) in generation d + k:
+        d + sum_(g<d) (a_g - s_g) + sum_(k>=0) (f^k(v) - s_(d+k))."""
+        n, depth = len(self.vertices), self.depth
+        starts = depth.searchsorted(np.arange(depth.item(-1) + 2))
+        above, up, ahead, f = self.parent, self.parent, np.arange(n + 1) - n, self.first_child
+        while f[0] < n:  # until 2^j passes the depth: every jump then lands on the root and on n
+            above, up = above + above[up], up[up]
+            ahead, f = ahead + ahead[f], f[f]
+        left = np.cumsum(starts) - starts
+        return depth + above - left[depth] + ahead[:n] - ahead[starts[depth]]
+
+    @cached_property
+    def _branch_ids(self) -> np.ndarray:
+        """Ids of the vertices with at least two children, breadth-first."""
+        return np.flatnonzero(self.child_counts >= 2)
 
     @cached_property
     def _branching(self) -> tuple[tuple[str, int], ...]:
-        return tuple((v, c) for v, c in zip(self.vertices, self._child_counts.tolist()) if c >= 2)
+        ids = self._branch_ids
+        return tuple(zip(map(self.vertices.__getitem__, ids.tolist()), self.child_counts[ids].tolist()))
 
     def branching_vertices(self) -> tuple[tuple[str, int], ...]:
         """Vertices with at least two children, breadth-first, with counts.
@@ -213,54 +267,53 @@ class Tree:
 
     def branching_index(self) -> int:
         """0 when no vertex branches, else 1 + depth of the deepest one."""
-        return max((self.depths[v] + 1 for v, _ in self._branching), default=0)
+        ids = self._branch_ids
+        return self.depth.item(ids[-1]) + 1 if len(ids) else 0
 
     def truncate(self, horizon: int) -> Truncation:
         """Materialize every vertex of depth at most ``horizon``; more than
         ``MAX_TRUNCATION_VERTICES`` raise ``ValueError`` before any is built."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        # the explicit vertices, plus horizon - depth(r) below each ray leaf r
-        size = sum(n <= horizon for n in self.depths.values())
-        size += sum(max(0, horizon - self.depths[r]) for r in self.ray_leaves)
-        if size > MAX_TRUNCATION_VERTICES:
+        # stored down to top, the deepest explicit generation in reach: each explicit vertex,
+        # a ray leaf followed by its ray down to top; each generation below repeats top's
+        # vertices, one per ray leaf, one ray step further
+        top = min(horizon, self.depth.item(-1))
+        explicit = self.depth.searchsorted(top, side="right")
+        runs = 1 + (self.child_counts[:explicit] == 0) * (top - self.depth[:explicit])
+        stored, width = runs.sum().item(), len(self.ray_leaves)
+        if (size := stored + (horizon - top) * width) > MAX_TRUNCATION_VERTICES:
             raise ValueError(
                 f"truncation at horizon {horizon} would hold {size} vertices, "
                 f"over the limit of {MAX_TRUNCATION_VERTICES}"
             )
-        # explicit ids are breadth-first, so the explicit vertices of one depth take
-        # consecutive ids in generation order; a ray vertex keeps its leaf's id
-        kids = self._child_counts
-        deepest = max(self.depths.values())
-        parents, explicit = [np.zeros(1, int)], [np.zeros(1, int)]
-        start, first = 0, 1
-        for _ in range(min(horizon, deepest)):
-            count = np.maximum(kids[explicit[-1]], 1)
-            parents.append(np.repeat(np.arange(start, start + len(count)), count))
-            e = np.repeat(explicit[-1], count)
-            branch = kids[e] > 0
-            born = int(np.count_nonzero(branch))
-            e[branch] = np.arange(first, first + born)
-            start, first = start + len(count), first + born
-            explicit.append(e)
-        # below the deepest explicit vertex every vertex has one child, the next on its ray
-        below, width = max(0, horizon - deepest), len(explicit[-1])
-        sizes = [len(e) for e in explicit] + [width] * below
-        parents.append(np.arange(start, start + width * below))
+        # a generation lists its vertices in the preorder of their explicit ids, so sorting
+        # by (generation, preorder) places them; a parent, the explicit parent of an explicit
+        # vertex and the previous step of a ray, is found by its key
+        n, preorder = len(self.vertices), self.preorder
+        base, first = np.repeat(np.arange(explicit), runs), np.cumsum(runs) - runs
+        generation = np.arange(stored) - np.repeat(first - self.depth[:explicit], runs)
+        up = base.copy()
+        up[first] = self.parent[:explicit]
+        key = generation * n + preorder[base]
+        order = np.argsort(key, kind="stable")
+        parent_index = np.searchsorted(key[order], ((generation - 1) * n + preorder[up])[order])
+        below = width * np.arange(1, horizon - top + 1)
         return Truncation(
             tree=self,
             horizon=horizon,
-            parent_index=np.concatenate(parents),
-            offsets=np.concatenate([[0], np.cumsum(sizes)]),
-            explicit=np.concatenate(explicit),
+            parent_index=np.concatenate([parent_index, np.arange(stored - width, size - width)]),
+            offsets=np.concatenate([[0], np.cumsum(np.bincount(generation, minlength=top + 1)), stored + below]),
+            explicit=base[order],
         )
 
     def depth_profile(self, horizon: int) -> DepthProfile:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         entries: dict[int, int] = {}
-        for v, count in self._branching:
-            if (n := self.depths[v]) <= horizon:
+        ids = self._branch_ids
+        for n, count in zip(self.depth[ids].tolist(), self.child_counts[ids].tolist()):
+            if n <= horizon:
                 entries[n] = entries.get(n, 0) + (count - 1)
         exact = self.branching_index() <= horizon + 1
         return DepthProfile(entries=entries, exact_beyond_horizon=exact)
@@ -275,6 +328,56 @@ def _check_vertex_id(v: object) -> str:
     return v
 
 
+def _check_parent_chain(parent: Mapping[str, str], v: str) -> None:
+    """Raise CircuitDetected when the parent chain from ``v`` loops."""
+    seen = set()
+    current: str | None = v
+    while current is not None and current not in seen:
+        seen.add(current)
+        current = parent.get(current)
+    if current is not None:
+        raise CircuitDetected(f"circuit through {current!r}")
+
+
+def _depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of each id from the parent map, by pointer doubling: each round adds the
+    depth found so far at the ancestor reached so far, whose distance then doubles."""
+    depth, up = (np.arange(len(parent)) > 0).astype(np.int64), parent
+    while up[-1]:  # the last id is the deepest; once it jumps to the root, all do
+        depth, up = depth + depth[up], up[up]
+    return depth
+
+
+def _name_the_fault(root: str, children: Mapping[str, Sequence[str]], rays: frozenset[str]) -> None:
+    """Raise the first structural fault of a description that failed a bulk check of
+    ``build_tree``, walking it in input order, check by check in the order listed there,
+    so the error and the vertex it names do not depend on set order."""
+    parent: dict[str, str] = {}
+    for v, kids in children.items():
+        for u in kids:
+            if u in parent:
+                raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
+            parent[u] = v
+    if root in parent:
+        _check_parent_chain(parent, root)
+        raise MultipleRoots(f"declared root {root!r} has a parent")
+    for v, kids in children.items():
+        if v != root and v not in parent and kids:
+            raise MultipleRoots(f"{v!r} has children but no parent")
+    order = [root]
+    for v in order:
+        order += children.get(v, ())
+    if missing := sorted(rays.union(parent, children).difference(order)):
+        for v in missing:
+            _check_parent_chain(parent, v)
+        raise Disconnected(f"unreachable vertices: {missing}")
+    for v in order:
+        if v in rays and children.get(v):
+            raise RayLeafHasChildren(f"{v!r} is a ray leaf with explicit children")
+        if not children.get(v) and v not in rays:
+            raise LeafWithoutRay(f"{v!r} has no children and is not a ray leaf")
+
+
 def build_tree(
     root: str,
     children: Mapping[str, Sequence[str]],
@@ -285,78 +388,54 @@ def build_tree(
     The one check of the vertex ids (InvalidVertexId) and of repeated ray leaves
     (TreeFormatError); raises the specific structural error on violation:
     MultipleParents, CircuitDetected, MultipleRoots, Disconnected,
-    RayLeafHasChildren or LeafWithoutRay.
+    RayLeafHasChildren or LeafWithoutRay.  The checks run over whole lists, sets
+    and one joined string; only a failed one walks the input to name the vertex.
     """
-    root = _check_vertex_id(root)
-    child_map = {
-        _check_vertex_id(v): tuple(_check_vertex_id(u) for u in kids)
-        for v, kids in children.items()
-    }
-    listed = [_check_vertex_id(v) for v in ray_leaves]
-    if duplicates := sorted(v for v, count in Counter(listed).items() if count > 1):
-        raise TreeFormatError(f"duplicate ray leaves: {duplicates}")
+    listed = list(ray_leaves)
+    placed = list(chain.from_iterable(children.values()))
+    every = [root, *children, *placed, *listed]
+    try:
+        named = RAY_SEPARATOR not in "".join(every) and all(every)
+    except TypeError:  # an id that is not a string
+        named = False
+    if not named:
+        for v in (root, *chain.from_iterable((v, *kids) for v, kids in children.items()), *listed):
+            _check_vertex_id(v)
     rays = frozenset(listed)
+    if len(rays) != len(listed):
+        raise TreeFormatError(f"duplicate ray leaves: {sorted(v for v, c in Counter(listed).items() if c > 1)}")
 
-    universe = {root} | set(child_map)
-    for kids in child_map.values():
-        universe.update(kids)
+    # one walk from the root fixes the breadth-first ids; with every child listed
+    # once and the root never, it meets no vertex twice
+    once = set(placed)
+    order = [root]
+    if len(once) == len(placed) and root not in once:
+        for v in order:
+            order += children.get(v, ())
+    n = len(order)
+    child_counts = np.fromiter(map(len, map(children.get, order, repeat((), n))), np.int64, n)
+    ids = dict(zip(order, range(n)))
+    # the walk reached every child, so every vertex with children; the others are listed
+    # as ray leaves or with no children, and each leaf is a ray leaf
+    unlisted = chain(rays, compress(children, map(operator.not_, children.values())))
+    if (
+        n != len(placed) + 1
+        or not all(map(ids.__contains__, unlisted))
+        or any(map(children.get, rays))
+        or n - np.count_nonzero(child_counts) != len(rays)
+    ):
+        _name_the_fault(root, children, rays)
 
-    parent: dict[str, str] = {}
-    for v, kids in child_map.items():
-        for u in kids:
-            if u in parent:
-                raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
-            parent[u] = v
-
-    def check_parent_chain(v: str) -> None:
-        """Raise CircuitDetected when the parent chain from ``v`` loops."""
-        seen = set()
-        current: str | None = v
-        while current is not None and current not in seen:
-            seen.add(current)
-            current = parent.get(current)
-        if current is not None:
-            raise CircuitDetected(f"circuit through {current!r}")
-
-    if root in parent:
-        check_parent_chain(root)
-        raise MultipleRoots(f"declared root {root!r} has a parent")
-
-    for v, kids in child_map.items():  # input order, so the named vertex is the same in every run
-        if v != root and v not in parent and kids:
-            raise MultipleRoots(f"{v!r} has children but no parent")
-
-    # breadth-first reachability from the root fixes vertex order and depths
-    order: list[str] = [root]
-    depth: dict[str, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in child_map.get(v, ()):
-            depth[u] = depth[v] + 1
-            order.append(u)
-            queue.append(u)
-
-    missing = (universe | rays) - set(order)
-    for v in sorted(missing):
-        check_parent_chain(v)
-    if missing:
-        raise Disconnected(f"unreachable vertices: {sorted(missing)}")
-
-    full_children = {v: child_map.get(v, ()) for v in order}
-    for v in order:
-        if v in rays and full_children[v]:
-            raise RayLeafHasChildren(f"{v!r} is a ray leaf with explicit children")
-        if not full_children[v] and v not in rays:
-            raise LeafWithoutRay(f"{v!r} has no children and is not a ray leaf")
-
+    parent = np.concatenate([[0], np.repeat(np.arange(n), child_counts)])
     return Tree(
         root=root,
         vertices=tuple(order),
-        children=full_children,
         ray_leaves=rays,
-        parents=parent,
-        depths=depth,
+        ids=ids,
+        parent=parent,
+        child_counts=child_counts,
+        first_child=np.concatenate([[1], np.cumsum(child_counts) + 1]),
+        depth=_depths(parent),
     )
 
 
@@ -374,13 +453,12 @@ def sibling_chain_sums(tree: Tree, kmax: int) -> list[list[int]]:
     """
     if kmax < 1:
         raise ValueError("k must be at least 1")
-    ids, counts = tree._ids, tree._child_counts.tolist()
+    counts = tree.child_counts.tolist()
     products = [1] * len(counts)
-    for i, v in enumerate(tree.vertices[1:], 1):
-        parent = ids[tree.parents[v]]
-        products[i] = products[parent] * counts[parent]
-    inner = tree._child_counts > 0
-    runs = np.cumsum([0] + counts)[:-1][inner]  # the first child of each inner vertex, less one
+    for i, p in enumerate(tree.parent.tolist()[1:], 1):
+        products[i] = products[p] * counts[p]
+    inner = tree.child_counts > 0
+    runs = tree.first_child[:-1][inner] - 1  # the first child of each inner vertex, less one
     lcm = math.lcm(*set(products))
     levels = [np.array([lcm // p for p in products], dtype=object)]
     for _ in range(kmax):
@@ -395,12 +473,19 @@ def sibling_chain_identity_sum(tree: Tree, v: str, k: int) -> Fraction:
 
     Equals 1 exactly for every vertex and every k >= 1: the sum of 1 / P over the
     explicit descendants of v's explicit base, P their product of child counts below it.
+    Reads the child counts of the visited vertices alone.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    counts, first = tree.child_counts, tree.first_child
     level = [(tree._locate(v)[0], 1)]
     for _ in range(k):  # a ray leaf stands for its ray child
-        level = [(c, p * len(kids)) for u, p in level for kids in [tree.children[u] or (u,)] for c in kids]
+        level = [
+            (c, p * (m or 1))
+            for u, p in level
+            for m in [int(counts[u])]
+            for c in range(first.item(u), first.item(u + 1)) or (u,)
+        ]
     lcm = math.lcm(*{p for _u, p in level})
     return Fraction(sum(lcm // p for _u, p in level), lcm)
 
@@ -430,16 +515,17 @@ def tree_from_json(obj: object) -> Tree:
         raise TreeFormatError("'children' must be an object")
     if not isinstance(rays, list):
         raise TreeFormatError("'ray_leaves' must be a list")
-    for v, kids in children.items():
-        if not isinstance(kids, list):
-            raise TreeFormatError(f"children of {v!r} must be a list")
+    if not all(map(isinstance, children.values(), repeat(list))):
+        v = next(v for v, kids in children.items() if not isinstance(kids, list))
+        raise TreeFormatError(f"children of {v!r} must be a list")
     return build_tree(obj["root"], children, rays)
 
 
 def tree_to_json(tree: Tree) -> dict:
+    names, first = tree.vertices, tree.first_child.tolist()
     return {
         "root": tree.root,
-        "children": {v: list(kids) for v, kids in tree.children.items() if kids},
+        "children": {names[i]: list(names[a:b]) for i, (a, b) in enumerate(zip(first, first[1:])) if a < b},
         "ray_leaves": sorted(tree.ray_leaves),
     }
 

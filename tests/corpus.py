@@ -2,6 +2,8 @@
 a bounded hypothesis strategy for random prefix-plus-rays trees, a tree
 dealt the depth profile of another, the recursive canonical form that the
 isomorphism guards compare, a name-walking truncation reference, the
+dict-walking tree builder and per-generation array truncation that the
+array tree replaced, kept as differential references, the
 sibling-chain sums walked by vertex name, per-vertex references for the
 shift's vertex-keyed methods, its squared weights, its defect operator and
 its self-commutator, the push of S by its weights, one generation at a time,
@@ -16,13 +18,27 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treeshift import DIRICHLET, build_tree
-from treeshift.errors import IndexOutOfRange, TruncationLoss, UnknownVertex, WrongQ
+from treeshift import DIRICHLET, build_tree, tree_to_json
+from treeshift.errors import (
+    CircuitDetected,
+    Disconnected,
+    IndexOutOfRange,
+    InvalidVertexId,
+    LeafWithoutRay,
+    MultipleParents,
+    MultipleRoots,
+    RayLeafHasChildren,
+    TreeFormatError,
+    TruncationLoss,
+    UnknownVertex,
+    WrongQ,
+)
 from treeshift.numerics import HausdorffReport, pochhammer_ratios
 from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_births, kernel_columns, moment_bases
 from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach, dirichlet_coefficient
@@ -101,16 +117,20 @@ def fan(size):
     return {"root": "r", "children": {"r": leaves}, "ray_leaves": leaves}
 
 
+def path(size):
+    """A chain of ``size`` explicit edges with a ray on its last vertex, as JSON."""
+    children = {f"p{i}": [f"p{i + 1}"] for i in range(size)}
+    return {"root": "p0", "children": children, "ray_leaves": [f"p{size}"]}
+
+
 def relabel_and_shuffle(tree, seed):
     """The same tree with fresh vertex names and shuffled child orders."""
     rng = random.Random(seed)
     names = {v: f"v{i}" for i, v in enumerate(rng.sample(tree.vertices, len(tree.vertices)))}
     children = {}
-    for v, kids in tree.children.items():
-        if kids:
-            shuffled = list(kids)
-            rng.shuffle(shuffled)
-            children[names[v]] = [names[u] for u in shuffled]
+    for v, kids in tree_to_json(tree)["children"].items():
+        rng.shuffle(kids)
+        children[names[v]] = [names[u] for u in kids]
     return build_tree(names[tree.root], children, [names[v] for v in tree.ray_leaves])
 
 
@@ -166,6 +186,113 @@ def reference_truncate(tree, horizon):
         start += len(generations[n])
         generations.append(tuple(nxt))
     return tuple(generations), parent_index
+
+
+@dataclass(frozen=True)
+class ReferenceTree:
+    """What the dict-walking builder returns: the breadth-first names and string-keyed maps."""
+
+    root: str
+    vertices: tuple
+    children: dict  # explicit children only
+    ray_leaves: frozenset
+    parents: dict  # explicit non-root vertex -> parent
+    depths: dict  # explicit vertex -> depth
+
+
+def reference_build_tree(root, children, ray_leaves):
+    """The builder the array tree replaced: one check per id occurrence, a parent dict
+    walked per vertex and a breadth-first queue.  ``build_tree`` must raise what it
+    raises, with the same message, and build the same vertices, parents and depths."""
+
+    def check(v):
+        if not isinstance(v, str) or not v or "~" in v:
+            raise InvalidVertexId(f"bad vertex id {v!r}")
+        return v
+
+    root = check(root)
+    child_map = {check(v): tuple(check(u) for u in kids) for v, kids in children.items()}
+    listed = [check(v) for v in ray_leaves]
+    if duplicates := sorted(v for v, count in collections.Counter(listed).items() if count > 1):
+        raise TreeFormatError(f"duplicate ray leaves: {duplicates}")
+    rays = frozenset(listed)
+    universe = {root} | set(child_map)
+    for kids in child_map.values():
+        universe.update(kids)
+    parent = {}
+    for v, kids in child_map.items():
+        for u in kids:
+            if u in parent:
+                raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
+            parent[u] = v
+
+    def check_parent_chain(v):
+        seen = set()
+        current = v
+        while current is not None and current not in seen:
+            seen.add(current)
+            current = parent.get(current)
+        if current is not None:
+            raise CircuitDetected(f"circuit through {current!r}")
+
+    if root in parent:
+        check_parent_chain(root)
+        raise MultipleRoots(f"declared root {root!r} has a parent")
+    for v, kids in child_map.items():
+        if v != root and v not in parent and kids:
+            raise MultipleRoots(f"{v!r} has children but no parent")
+    order, depth, queue = [root], {root: 0}, collections.deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in child_map.get(v, ()):
+            depth[u] = depth[v] + 1
+            order.append(u)
+            queue.append(u)
+    missing = (universe | rays) - set(order)
+    for v in sorted(missing):
+        check_parent_chain(v)
+    if missing:
+        raise Disconnected(f"unreachable vertices: {sorted(missing)}")
+    full_children = {v: child_map.get(v, ()) for v in order}
+    for v in order:
+        if v in rays and full_children[v]:
+            raise RayLeafHasChildren(f"{v!r} is a ray leaf with explicit children")
+        if not full_children[v] and v not in rays:
+            raise LeafWithoutRay(f"{v!r} has no children and is not a ray leaf")
+    return ReferenceTree(root, tuple(order), full_children, rays, parent, depth)
+
+
+def reference_truncation_arrays(ref, horizon):
+    """(parent_index, offsets, explicit) of the truncation at ``horizon`` of a
+    ``ReferenceTree``, built as the array tree replaced: one ``np.repeat`` per
+    generation of the explicit prefix, breadth-first ids being consecutive per generation."""
+    kids = np.array([len(ref.children[v]) for v in ref.vertices])
+    deepest = max(ref.depths.values())
+    parents, explicit = [np.zeros(1, int)], [np.zeros(1, int)]
+    start, first = 0, 1
+    for _ in range(min(horizon, deepest)):
+        count = np.maximum(kids[explicit[-1]], 1)
+        parents.append(np.repeat(np.arange(start, start + len(count)), count))
+        e = np.repeat(explicit[-1], count)
+        branch = kids[e] > 0
+        born = int(np.count_nonzero(branch))
+        e[branch] = np.arange(first, first + born)
+        start, first = start + len(count), first + born
+        explicit.append(e)
+    below, width = max(0, horizon - deepest), len(explicit[-1])
+    sizes = [len(e) for e in explicit] + [width] * below
+    parents.append(np.arange(start, start + width * below))
+    return np.concatenate(parents), np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(explicit)
+
+
+def reference_preorder(ref):
+    """Depth-first preorder of a ``ReferenceTree``, children in order, by an explicit stack."""
+    order, stack = [], [ref.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(ref.children[v]))
+    return order
 
 
 def sibling_chain_identity_sums(tree, v, kmax):
@@ -321,7 +448,7 @@ def reference_kernel_basis(shift):
     for v, _count in tree.branching_vertices():
         l = tree.depth_of(v) + 1
         if l <= shift.horizon:
-            blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children[v])))
+            blocks.append(KernelBlock(vertex=v, l=l, vectors=helmert_vectors(tree.children_of(v))))
     return KernelBasis(blocks=tuple(blocks))
 
 

@@ -317,12 +317,12 @@ def test_equiv_verify_on_a_fan_of_20000_stores_no_helmert_block(tree_file, capsy
 
 
 def test_moments_refuses_a_truncation_over_the_vertex_limit(tree_file, capsys):
-    # c0 sits at depth 1, so kmax 1,000 asks for 20,001 + 20,000 x 1,000 vertices
+    # the root's own subtree is the fan, so kmax 1,000 asks for 20,001 + 20,000 x 999 vertices,
     # refused before anything is allocated: one int64 array over the refused positions is 160 MB
     path = tree_file(fan(20000))
     tracemalloc.start()
     try:
-        code = main(["moments", path, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
+        code = main(["moments", path, "--q", "2", "--vertex", "r", "--kmax", "1000"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,8 +330,26 @@ def test_moments_refuses_a_truncation_over_the_vertex_limit(tree_file, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: truncation at horizon 1001 would hold 20020001 vertices, over the limit of 8388608"
+        "error: truncation at horizon 1000 would hold 20000001 vertices, over the limit of 8388608"
     ]
+    assert peak < 64 * 2**20
+
+
+def test_moments_follows_the_vertex_subtree_alone(tree_file, capsys):
+    # c0's lineage is the root and c0's ray, so the fan's other 19,999 rays are not laid out:
+    # 1,002 vertices instead of 20,020,001, and the report of the same vertex on the fan of 2
+    path, small = tree_file(fan(20000), "fan20000.json"), tree_file(fan(2), "fan2.json")
+    tracemalloc.start()
+    try:
+        code, out = _run(capsys, ["moments", path, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["matrix_check"]["passed"] is True
+    _code, expected = _run(capsys, ["moments", small, "--q", "2", "--vertex", "c0", "--kmax", "1000"])
+    assert report["results"] == json.loads(expected)["results"]
     assert peak < 64 * 2**20
 
 
@@ -800,7 +818,7 @@ def test_emit_renders_each_distinct_assertion_body_once(tree_file, capsys, monke
 def _odd_tree_texts(draw):
     tree = draw(prefix_trees(max_vertices=5))
     names = dict(zip(tree.vertices, draw(st.lists(_odd_ids, min_size=len(tree.vertices), unique=True))))
-    children = {names[v]: [names[c] for c in kids] for v, kids in tree.children.items() if kids}
+    children = {names[v]: [names[c] for c in kids] for v, kids in tree_to_json(tree)["children"].items()}
     return json.dumps({"root": names[tree.root], "children": children, "ray_leaves": [names[v] for v in tree.ray_leaves]})
 
 

@@ -215,7 +215,7 @@ def test_make_shift_keeps_under_20_bytes_per_vertex():
     # a shift keeps its weights and its truncation's parent map, 16 B per vertex; A and
     # a ray step per vertex, stored too, would add 16 more
     tree = tree_from_json(fan(2000))
-    tree._child_counts  # the tree's own cache, built once per tree
+    tree.preorder  # the tree's own cache, built once per tree
     tracemalloc.start()
     try:
         shift = make_shift(tree, 2, DIRICHLET, 30)

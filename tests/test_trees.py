@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -17,9 +18,13 @@ from corpus import (
     LINE,
     Reads,
     fan,
+    path,
     prefix_trees,
     recursive_canonical_form,
+    reference_build_tree,
+    reference_preorder,
     reference_truncate,
+    reference_truncation_arrays,
     relabel_and_shuffle,
     sibling_chain_identity_sums,
 )
@@ -54,8 +59,15 @@ def smallest():
 
 def test_build_smallest_branching_tree(smallest):
     assert smallest.vertices == ("r", "a", "b", "c", "d")
-    assert smallest.depths == {"r": 0, "a": 1, "b": 1, "c": 2, "d": 2}
-    assert smallest.parents == {"a": "r", "b": "r", "c": "a", "d": "b"}
+    assert smallest.ids == {"r": 0, "a": 1, "b": 2, "c": 3, "d": 4}
+    assert smallest.depth.tolist() == [0, 1, 1, 2, 2]
+    assert smallest.parent.tolist() == [0, 0, 0, 1, 2]
+    assert smallest.child_counts.tolist() == [2, 1, 1, 0, 0]
+    assert smallest.first_child.tolist() == [1, 3, 4, 5, 5, 5]
+    assert smallest.preorder.tolist() == [0, 1, 3, 2, 4]
+    assert {v: smallest.depth_of(v) for v in smallest.vertices} == {"r": 0, "a": 1, "b": 1, "c": 2, "d": 2}
+    assert {v: smallest.parent_of(v) for v in smallest.vertices[1:]} == {"a": "r", "b": "r", "c": "a", "d": "b"}
+    assert smallest.parent_of("r") is None
 
 
 def test_two_cycle_is_a_circuit():
@@ -251,11 +263,11 @@ def test_every_truncation_name_locates_to_its_stored_id_and_step(tree, horizon):
     # the step is the generation less the depth of the id's vertex
     trunc = tree.truncate(horizon)
     stored, width = len(trunc.explicit), trunc.offsets[-1] - trunc.offsets[-2]
-    assert stored == trunc.offsets[min(horizon, max(tree.depths.values())) + 1]
+    assert stored == trunc.offsets[min(horizon, tree.depth.max()) + 1]
     for n, generation in enumerate(trunc.generations):
         for i, v in enumerate(generation, trunc.offsets[n]):
-            base = tree.vertices[trunc.explicit[i if i < stored else stored - width + (i - stored) % width]]
-            assert tree._locate(v) == (base, n - tree.depths[base])
+            base = trunc.explicit[i if i < stored else stored - width + (i - stored) % width]
+            assert tree._locate(v) == (base, n - tree.depth[base])
             assert trunc.position(v) == i
 
 
@@ -381,29 +393,18 @@ def test_sibling_chain_identity_sum_equals_the_whole_tree_sums_row_by_row(tree, 
         assert [sibling_chain_identity_sum(tree, v, k) for k in range(1, kmax + 1)] == [Fraction(n, n0) for n in row]
 
 
-class _CountedChildren(dict):
-    """The explicit child map of a tree, counting the vertices looked up."""
-
-    lookups = 0
-
-    def __getitem__(self, v):
-        self.lookups += 1
-        return super().__getitem__(v)
-
-
-def _counted(tree):
-    return dataclasses.replace(tree, children=_CountedChildren(tree.children))
-
-
 def test_sibling_chain_identity_sum_visits_the_subtree_alone():
-    # a fan of 2,000: c0 and its ray are one vertex per level, the root's subtree is the fan
-    tree = _counted(tree_from_json(fan(2000)))
+    # a fan of 2,000: c0 and its ray are one vertex per level, the root's subtree is the fan;
+    # one child count is read per visited vertex, and one first child per vertex with children
+    tree = tree_from_json(fan(2000))
+    tree = dataclasses.replace(tree, child_counts=tree.child_counts.view(Reads))
+    Reads.count = 0
     assert sibling_chain_identity_sum(tree, "c0", 5) == 1
-    assert tree.children.lookups == 5
+    assert Reads.count == 5
     assert sibling_chain_identity_sum(tree, "c7~3", 5) == 1
-    assert tree.children.lookups == 10
+    assert Reads.count == 10
     assert sibling_chain_identity_sum(tree, "r", 5) == 1
-    assert tree.children.lookups == 10 + 1 + 4 * 2000
+    assert Reads.count == 10 + 1 + 4 * 2000
     with pytest.raises(ValueError):
         sibling_chain_identity_sum(tree, "c0", 0)
 
@@ -452,11 +453,168 @@ def test_json_schema_is_strict():
 
 
 def test_load_checks_each_vertex_id_once(tmp_path, monkeypatch):
+    # valid ids pass in bulk, with no call per id; a bad one is named by one walk that
+    # checks each id occurrence once, in input order, up to the culprit
     path = tmp_path / "fan300.json"
     path.write_text(json.dumps(fan(300)))
     checked = []
     check = trees._check_vertex_id
     monkeypatch.setattr(trees, "_check_vertex_id", lambda v: checked.append(v) or check(v))
     assert len(trees.load_tree(str(path)).vertices) == 301
+    assert checked == []
+    bad = fan(300)
+    bad["ray_leaves"] = [*bad["ray_leaves"][:-1], "c299~1"]
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvalidVertexId, match=r"^bad vertex id 'c299~1'$"):
+        trees.load_tree(str(path))
     # the root, the one children key, its 300 children and the 300 ray leaves
     assert len(checked) == 1 + 1 + 300 + 300
+
+
+def _description(tree):
+    obj = tree_to_json(tree)
+    return obj["root"], obj["children"], obj["ray_leaves"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=prefix_trees(max_vertices=16), horizons=st.lists(st.integers(0, 20), min_size=1, max_size=4))
+def test_array_tree_and_truncation_equal_the_dict_references(tree, horizons):
+    ref = reference_build_tree(*_description(tree))
+    assert tree.vertices == ref.vertices
+    assert {v: tree.parent_of(v) for v in tree.vertices[1:]} == ref.parents
+    assert dict(zip(tree.vertices, tree.depth.tolist())) == ref.depths
+    assert [tree.vertices[i] for i in np.argsort(tree.preorder)] == reference_preorder(ref)
+    for horizon in horizons:
+        trunc = tree.truncate(horizon)
+        parent_index, offsets, explicit = reference_truncation_arrays(ref, horizon)
+        assert trunc.parent_index.tolist() == parent_index.tolist()
+        assert trunc.offsets.tolist() == offsets.tolist()
+        assert trunc.explicit.tolist() == explicit.tolist()
+        assert trunc.vertices == tuple(v for gen in reference_truncate(tree, horizon)[0] for v in gen)
+
+
+_BAD_IDS = st.sampled_from([7, None, "", "~", "a~1", ["x"]])
+
+
+@st.composite
+def _mutated_descriptions(draw):
+    """A valid description with one to three faults: a bad id, a repeated child or ray leaf, a
+    second parent, a cycle, a second root, an unreachable vertex, a ray leaf with children or a
+    leaf without a ray; the children keys are shuffled, as their order picks the vertex named."""
+    root, children, rays = _description(draw(prefix_trees(max_vertices=10)))
+    children = {v: list(kids) for v, kids in children.items()}
+    names, leaves = [root, *(u for kids in children.values() for u in kids)], list(rays)
+    pick = lambda seq: draw(st.sampled_from(seq))  # noqa: E731
+    for fault in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)):
+        if fault == 0:  # a bad id: the root, a children key, a child or a ray leaf
+            full = [v for v, kids in children.items() if kids]
+            where = draw(st.sampled_from(["root", "key", "child", "ray"] if full else ["root", "ray"]))
+            if where == "root":
+                root = draw(_BAD_IDS.filter(lambda v: not isinstance(v, list)))
+            elif where == "key":
+                key, bad = pick(list(children)), draw(st.sampled_from([7, "", "a~1"]))
+                children = {bad if v == key else v: kids for v, kids in children.items()}
+            elif where == "child":
+                kids = children[pick(full)]
+                kids[draw(st.integers(0, len(kids) - 1))] = draw(_BAD_IDS)
+            else:
+                rays.insert(draw(st.integers(0, len(rays))), draw(_BAD_IDS))
+        elif fault == 1 and (full := [v for v, kids in children.items() if kids]):
+            kids = children[pick(full)]
+            kids.insert(draw(st.integers(0, len(kids))), pick(kids))  # a repeated child
+        elif fault == 2:
+            rays.append(pick(names))  # a repeated ray leaf, or a ray on an inner vertex
+        elif fault == 3:
+            children.setdefault(pick(names), []).append(pick(names))  # a second parent, or a cycle
+        elif fault == 4:
+            children.setdefault(pick(names), []).append(root)  # the root below a vertex
+        elif fault == 5:
+            children["x"] = ["y"] if draw(st.booleans()) else ["y", pick(names)]  # a second root
+            rays.append("y")
+        elif fault == 6:
+            children["p"], children["q"] = ["q"], ["p"]  # a detached cycle
+        elif fault == 7:
+            if draw(st.booleans()):
+                rays.append("z")  # unreachable
+            else:
+                children["z"] = []
+        elif fault == 8:
+            children.setdefault(pick(leaves), []).append("w")  # a ray leaf with children
+            rays.append("w")
+        elif fault == 9 and (left := [v for v in leaves if v in rays]):
+            rays.remove(pick(left))  # a leaf without a ray
+    order = draw(st.permutations(list(children)))
+    return root, {v: children[v] for v in order}, draw(st.permutations(rays))
+
+
+def _outcome(build, description):
+    try:
+        tree = build(*description)
+    except Exception as exc:  # noqa: BLE001 -- the class and message are what is compared
+        return type(exc), str(exc)
+    return tree.vertices, tree.ray_leaves
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_descriptions())
+def test_build_raises_what_the_dict_reference_raises(description):
+    expected = _outcome(reference_build_tree, description)
+    assert _outcome(build_tree, description) == expected
+    if isinstance(expected[0], type):
+        assert issubclass(expected[0], (TreeFormatError, CircuitDetected, MultipleParents, MultipleRoots,
+                                        Disconnected, RayLeafHasChildren, LeafWithoutRay))
+    else:
+        tree, ref = build_tree(*description), reference_build_tree(*description)
+        assert {v: tree.parent_of(v) for v in tree.vertices[1:]} == ref.parents
+        assert dict(zip(tree.vertices, tree.depth.tolist())) == ref.depths
+
+
+def _python_calls(run):
+    """Python function calls (``call`` events of ``sys.setprofile``) made by ``run()``, with
+    the garbage collector off, so that no finalizer of other objects runs and is counted."""
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def test_load_and_truncate_make_as_many_calls_at_any_depth(tmp_path):
+    # an operation guard, not a clock: a build or a truncation that looped over the
+    # generations would make calls in proportion to the depth
+    calls = []
+    for m in (2000, 20000):
+        file = tmp_path / f"path{m}.json"
+        file.write_text(json.dumps(path(m)))
+        calls.append(_python_calls(lambda: trees.load_tree(str(file)).truncate(m + 2)))
+    assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("name", ["double01", "deep13"])
+def test_lineage_keeps_the_vertex_its_ancestors_and_its_descendants(name):
+    tree = CORPUS[name]
+    for v in (*tree.vertices, *(f"{r}~2" for r in tree.ray_leaves)):
+        cut = tree.lineage(v)
+        line, below = [v], [v]
+        while (up := tree.parent_of(line[-1])) is not None:
+            line.append(up)
+        for _ in range(4):
+            below = [u for w in below for u in tree.children_of(w)]
+            for u in below:
+                assert cut.depth_of(u) == tree.depth_of(u)
+                assert cut.sibling_count(u) == tree.sibling_count(u)
+                assert cut.children_of(u) == tree.children_of(u)
+        for u in line[1:]:
+            assert cut.children_of(u) == (line[line.index(u) - 1],)
+        assert cut.depth_of(v) == tree.depth_of(v)
+        assert set(cut.vertices) <= set(tree.vertices)
