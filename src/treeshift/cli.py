@@ -2,8 +2,11 @@
 
 Reports are JSON objects with sorted keys (byte-identical across runs on
 identical inputs); rationals are rendered as ``p/q`` strings and floats
-with 17 significant digits.  Exit codes: 0 success / equivalent, 1 failed
-assertion or not equivalent, 2 malformed input or arguments, 3 invariant violated.
+with 17 significant digits.  A ``checks`` report is written to stdout one
+assertion group at a time, never built whole.  Exit codes: 0 success /
+equivalent, 1 failed assertion or not equivalent, 2 malformed input or
+arguments, 3 invariant violated.  A reader that closes stdout before the
+report ends leaves the exit code as it was: every check has run by then.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -87,6 +91,7 @@ def _report(command: str, inputs: dict, results: dict) -> dict:
 _HOLE = "\x00treeshift-hole\x00"  # a cut-out value, found by its key and indentation
 _HOLE_TEXT = json.dumps(_HOLE)
 _ITEM = "\n      "  # an assertion, one level below the "assertions" key of "results"
+_NEXT = "," + _ITEM
 
 
 def _cut(text: str, key: str, start: int = 0) -> tuple[str, str]:
@@ -95,19 +100,43 @@ def _cut(text: str, key: str, start: int = 0) -> tuple[str, str]:
     return text[:cut], text[cut + len(_HOLE_TEXT) :]
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to stdout.  A reader that closes it before the end is not an error: the
+    rest is dropped, and the exit code, which every command knows before it writes, stands."""
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit; a devnull below it keeps that flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: dict) -> None:
-    """Print ``json.dumps(report, indent=2, sort_keys=True)``, with the assertion groups of its
-    results expanded: a group (rows, names) stands for {**body, "name": f"{prefix}[{v}]"} for
-    each name v, then each row (prefix, body); a name None stands for the bare prefix.  Each
-    distinct row body is rendered once, and each name escaped once by the C escaper of ``ensure_ascii``."""
+    """Print ``json.dumps(report, indent=2, sort_keys=True)`` piece by piece, as ``_render`` makes it."""
+    _write(_render(report))
+
+
+def _render(report: dict) -> Iterator[str]:
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline in pieces, with the
+    assertion groups of its results expanded: a group (rows, names) stands for {**body, "name":
+    f"{prefix}[{v}]"} for each name v, then each row (prefix, body); a name None stands for the
+    bare prefix.  The head up to the assertions is one piece, each group one, the tail one, so
+    no string the size of the report is built.  Each distinct row body is rendered once, and
+    each name escaped once per group by the C escaper of ``ensure_ascii``."""
     groups = report["results"].get("assertions")
     if groups is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        yield json.dumps(report, indent=2, sort_keys=True) + "\n"
         return
     text = json.dumps({**report, "results": {**report["results"], "assertions": _HOLE}}, indent=2, sort_keys=True)
     head, tail = _cut(text, '\n    "assertions": ', text.index('\n  "results": '))  # past "results", not in "inputs"
-    templates, items = {}, []
+    yield head
+    templates, lead = {}, "[" + _ITEM
     for rows, names in groups:
+        if not (rows and names):
+            continue
         parts = []
         for prefix, body in rows:
             key = repr(body)  # tells True, 1 and 1.0 apart, and None from [], as JSON does
@@ -116,10 +145,17 @@ def _emit(report: dict) -> None:
                 templates[key] = _cut(rendered, _ITEM + '  "name": ')
             before, after = templates[key]
             parts.append((before + encode_basestring_ascii(prefix)[:-1], after))
-        for v in names:
-            name = '"' if v is None else "[" + encode_basestring_ascii(v)[1:-1] + ']"'
-            items.extend(before + name + after for before, after in parts)
-    print(head + ("[" + _ITEM + ("," + _ITEM).join(items) + "\n    ]" if items else "[]") + tail)
+        # the group is its names, each once per row, with the glue between row i's name and
+        # row i + 1's: what follows the one, "," and the item indentation, what precedes the other
+        glues = [after + _NEXT + before for (_b, after), (before, _a) in zip(parts, parts[1:] + parts[:1])]
+        names = ['"' if v is None else "[" + encode_basestring_ascii(v)[1:-1] + ']"' for v in names]
+        if len(parts) > 1:  # one name's rows, with the glue of the last row left for the join
+            names = list(map(str.join, names, itertools.repeat(["", *glues[:-1], ""])))
+        names[0] = lead + parts[0][0] + names[0]
+        names[-1] += parts[-1][1]
+        yield glues[-1].join(names)
+        lead = _NEXT
+    yield ("\n    ]" if lead == _NEXT else "[]") + tail + "\n"
 
 
 def _profile_payload(tree: Tree, horizon: int) -> dict:
@@ -154,9 +190,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
     payload = _profile_payload(tree, args.horizon)
     if args.format == "csv":
-        print("generation,defect")
-        for n, value in sorted(payload["profile"].items(), key=lambda kv: int(kv[0])):
-            print(f"{n},{value}")
+        rows = sorted(payload["profile"].items(), key=lambda kv: int(kv[0]))
+        _write(["generation,defect\n", *(f"{n},{value}\n" for n, value in rows)])
         return EXIT_OK
     _emit(_report("profile", {"tree": _sha256(args.tree), "horizon": args.horizon}, payload))
     return EXIT_OK
@@ -224,9 +259,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             "passed": worst < 1e-10,
         }
     if args.format == "csv":
-        print("k,moment")
-        for k, value in enumerate(exact):
-            print(f"{k},{_rational(value)}")
+        _write(["k,moment\n", *(f"{k},{_rational(value)}\n" for k, value in enumerate(exact))])
         return EXIT_OK
     results = {
         "vertex": args.vertex,
@@ -285,7 +318,7 @@ def _suite_pick(tree: Tree, q: int, bound: int = 100) -> list[tuple]:
 
 def _suite_cardid(tree: Tree, kmax: int = 5) -> list[tuple]:
     rows = sibling_chain_sums(tree, kmax)
-    values = [None if all(n == n0 for n in row) else [_rational(Fraction(n, n0)) for n in row] for n0, *row in rows]
+    values = [None if row.count(n0) == len(row) else [_rational(Fraction(n, n0)) for n in row] for n0, *row in rows]
     return [  # one group per run of vertices with equal values, None where every sum is 1
         ([("sibling_chain_sum_one", {"passed": key is None, "values": key or ["1"] * kmax})], [v for v, _key in run])
         for key, run in itertools.groupby(zip(tree.vertices, values), key=lambda pair: pair[1])

@@ -215,8 +215,11 @@ class Tree:
 
         Every kept vertex keeps its name and depth, a ray leaf below v its ray, and a
         vertex below v its sibling count; each ancestor keeps only the next one on the
-        way down.  O(depth + descendants)."""
+        way down.  O(depth + descendants); the lineage of the root, or of a vertex on its ray,
+        is the tree itself."""
         base, _k = self._locate(v)
+        if not base:
+            return self
         names, first = self.vertices, self.first_child
         line = [base]
         while line[-1]:

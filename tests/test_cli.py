@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -784,6 +787,49 @@ def _stdlib(report):
 @example({"inputs": {}, "results": {"assertions": [([("p", {"name": "shadowed", "x": 1})], ["v"])]}})
 def test_emit_is_the_stdlib_rendering(report):
     assert _emitted(report) == _stdlib(report)
+
+
+def test_emit_writes_the_report_group_by_group(tree_file, monkeypatch):
+    # an allocation guard, not a clock: the fan-2,000 report of every suite is about 7 MB,
+    # and a report built whole before it is written holds several copies of it at once
+    reports = []
+    monkeypatch.setattr(cli, "_emit", reports.append)
+    assert main(["checks", tree_file(fan(2000)), "--q", "2", "--suite", "all", "--horizon", "8"]) == 0
+    monkeypatch.undo()
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(len(text))
+
+        def flush(self):
+            pass
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Sink()):
+            _emit(reports[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    groups = reports[0]["results"]["assertions"]
+    assert sum(writes) == len(_stdlib(reports[0])) > 7 * 10**6
+    assert peak < sum(writes) / 2
+    # no write is longer than one group's text, here framed as a report of that group alone
+    assert max(writes) <= max(len(_stdlib({"results": {"assertions": [group]}})) for group in groups)
+
+
+def test_a_reader_that_closes_stdout_early_is_not_an_error(tree_file):
+    # the report is about 7 MB, far more than a pipe holds, so the command is still
+    # writing when the reader closes its end after 10 bytes
+    path = tree_file(fan(2000))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "treeshift.cli", "checks", path, "--q", "2", "--suite", "all"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 0
 
 
 def _named_dicts(obj):

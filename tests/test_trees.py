@@ -618,3 +618,4 @@ def test_lineage_keeps_the_vertex_its_ancestors_and_its_descendants(name):
             assert cut.children_of(u) == (line[line.index(u) - 1],)
         assert cut.depth_of(v) == tree.depth_of(v)
         assert set(cut.vertices) <= set(tree.vertices)
+    assert tree.lineage(tree.root) is tree
