@@ -7,18 +7,21 @@ common denominator, and build a ``fractions.Fraction`` only for a value they
 return; floating point enters only through the Gauss-Legendre cross-check of
 the radial integrals.  Likewise the depth-only ratios (a)_n/(b)_n come as
 integer pairs: for integer bases they telescope to (lo)_m/(lo+n)_m or its
-reciprocal, m = |b - a|, two products of m factors, and the moving one takes
-one exact integer step per n.  A pair's quotient u / v is the correctly
-rounded double of the ratio, the same as ``float`` of its ``Fraction``.
+reciprocal, m = |b - a|, so the pair at any one n is the closed form
+perm(hi-1+n, m) against perm(hi-1, m), with no walk over the n below it;
+other rational bases step through ``Fraction``s once, up to the last n asked
+for.  A pair's quotient u / v is the correctly rounded double of the ratio,
+the same as ``float`` of its ``Fraction``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,29 +49,48 @@ def pochhammer_ratio(a: int | Fraction, b: int | Fraction, k: int) -> Fraction:
     return pochhammer(a, k) / pochhammer(b, k)
 
 
-def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
-    """Yield integers (u, v) with u / v = (a)_n / (b)_n for n = 0..order, not in lowest terms.
+def pochhammer_ratio_pairs(a: int | Fraction, b: int | Fraction, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Yield integers (u, v) with u / v = (a)_n / (b)_n, not in lowest terms, for
+    each n of ``ns``, distinct and ascending.
 
     Integer bases telescope: with lo, hi = sorted((a, b)) and m = hi - lo,
-    (a)_n / (b)_n is (lo)_m / (lo+n)_m or its reciprocal, so one product is
-    fixed and the other moves by the exact step Q_(n+1) = Q_n (hi+n) // (lo+n);
-    both stay below (hi+order)^m.  Other rational bases take the step
-    c_(n+1) = c_n (a+n)/(b+n) in ``Fraction``.
+    (a)_n / (b)_n is (lo)_m / (lo+n)_m or its reciprocal, so each pair is
+    perm(hi-1+n, m) against the fixed perm(hi-1, m), below (hi+n)^m, at the
+    cost of m multiplications whatever n is.  Other rational bases take the
+    step c_(n+1) = c_n (a+n)/(b+n) in ``Fraction`` (``_stepped_ratios``), once
+    up to the last n, and keep only the c of the requested n.
     """
     if a < 1 or b < 1:
         raise ValueError("bases must be at least 1")
     if a.denominator == b.denominator == 1:
         lo, hi = sorted((int(a), int(b)))
-        fixed = moving = math.prod(range(lo, hi))
-        rising = a > b  # the moving product is the numerator
-        for n in range(order + 1):
-            yield (moving, fixed) if rising else (fixed, moving)
-            moving = moving * (hi + n) // (lo + n)
+        m = hi - lo
+        fixed = math.perm(hi - 1, m)
+        if a > b:
+            for n in ns:
+                yield math.perm(hi - 1 + n, m), fixed
+        else:
+            for n in ns:
+                yield fixed, math.perm(hi - 1 + n, m)
         return
-    c = Fraction(1)
-    for n in range(order + 1):
+    steps, at = _stepped_ratios(a, b), -1
+    for n in ns:
+        c = next(itertools.islice(steps, n - at - 1, None))
+        at = n
         yield c.numerator, c.denominator
+
+
+def _stepped_ratios(a: Fraction, b: Fraction) -> Iterator[Fraction]:
+    """(a)_n / (b)_n for n = 0, 1, 2, ..., one ``Fraction`` step per n, as far as it is read."""
+    c = Fraction(1)
+    for n in itertools.count():
+        yield c
         c = c * (a + n) / (b + n)
+
+
+def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
+    """``pochhammer_ratio_pairs`` at n = 0..order."""
+    return pochhammer_ratio_pairs(a, b, range(order + 1))
 
 
 def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:

@@ -16,11 +16,14 @@ matrix oracle.  For integer q the coefficients telescope:
 
     (l+1)_n / (l+q)_n = prod_(i=1..q-1) (l+i) / (l+n+i),
 
-a fixed integer over a moving one, each of q - 1 factors
-(``numerics.pochhammer_ratio_terms``), so a series or norm through order N
-takes O(N) steps on integers below (l+N+q)^(q-1).  A series coefficient is
-the integer quotient u / v, which Python rounds correctly: the same double
-as ``float`` of the exact rational.
+a fixed integer over one of q - 1 factors that is a closed form at every n
+(``numerics.pochhammer_ratio_pairs``), so a series through order N takes
+O(N) steps on integers below (l+N+q)^(q-1), and a norm one pair per stored
+(l, n): O(layers + stored entries), with no table of weights.  At other q a
+norm streams one ``Fraction`` walk per block index up to its top stored
+layer.  A series coefficient or norm weight is the integer quotient u / v,
+which Python rounds correctly: the same double as ``float`` of the exact
+rational.
 
 On the Bergman side the coefficients C(n+l+q-1, q-1) / C(l+q-1, q-1) are
 polynomials in n, so at integer q a block's partial sum is a polynomial in
@@ -53,7 +56,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
+from .numerics import (
+    pochhammer_ratio, pochhammer_ratio_pairs, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
+)
 from .shifts import (
     DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q
 )
@@ -342,17 +347,16 @@ def graded_function(
     return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
-def _graded_sum(f: GradedFunction, pairs: Callable[[int, int], Iterable[tuple[int, int]]]) -> Fraction | float:
+def _graded_sum(f: GradedFunction, pairs: Callable[[int, list[int]], Iterable[tuple[int, int]]]) -> Fraction | float:
     """Sum over layers n and the blocks each layer stores, of index l, of the block's
-    squared coordinates s times u / v, the n-th of ``pairs(l, order)``, walked once per l
-    through its last layer.  Exact s add up per (l, n) and take that weight once, as an
-    integer numerator over one denominator per l, the lcm of den(s) v; float s add
-    s * (u / v), the double of s * Fraction(u, v), in (layer, block-table) order."""
+    squared coordinates s times u / v, the pair of n in ``pairs(l, ns)``, asked once per l
+    for the ascending layers ns that l stores.  Exact s add up per (l, n) and take that
+    weight once, as an integer numerator over one denominator per l, the lcm of den(s) v;
+    float s add s * (u / v), the double of s * Fraction(u, v), in (layer, block-table) order."""
     blocks = f.blocks
-    exact: dict[int, dict[int, int | Fraction]] = {}  # l -> {n: the sum of the exact s of layer n}
+    stored: dict[int, tuple[list[int], list]] = {}  # l -> (its layers with a nonzero s, the exact s of each summed)
     inexact: list[tuple[int, int, int, float]] = []  # (n, table position, l, s)
     position: dict | None = None
-    last: dict[int, int] = {}  # l -> the last layer with a nonzero s
     for n, layer in enumerate(f.layers):
         for b, coords in layer.items():
             l = blocks.get(b)
@@ -367,27 +371,37 @@ def _graded_sum(f: GradedFunction, pairs: Callable[[int, int], Iterable[tuple[in
                     break
             if not s:
                 continue
-            last[l] = n
+            entry = stored.get(l)
+            if entry is None:
+                entry = stored[l] = ([], [])
+            ns, sums = entry
+            if not ns or ns[-1] != n:
+                ns.append(n)
+                sums.append(0)  # stays 0 if layer n has only float s at l
             if isinstance(s, (int, Fraction)):
-                sums = exact.setdefault(l, {})
-                sums[n] = sums.get(n, 0) + s
+                sums[-1] += s
             else:
                 if position is None:
                     position = {block: i for i, block in enumerate(blocks)}
                 inexact.append((n, position[b], l, s))
-    tables = {l: list(pairs(l, order)) for l, order in last.items()}
     total = Fraction(0)
-    for l, sums in exact.items():
-        table = tables[l]
-        terms = [(s.numerator * table[n][0], s.denominator * table[n][1]) for n, s in sums.items()]
-        d = math.lcm(*(den for _num, den in terms))
-        total += Fraction(sum(num * (d // den) for num, den in terms), d)
+    weights: dict[int, dict[int, tuple[int, int]]] = {}  # l -> {n: (u, v)}, kept only if some s is a float
+    for l, (ns, sums) in stored.items():
+        row = list(pairs(l, ns))
+        if inexact:
+            weights[l] = dict(zip(ns, row))
+        terms = [
+            (s * u, v) if type(s) is int else (s.numerator * u, s.denominator * v) for s, (u, v) in zip(sums, row) if s
+        ]
+        if terms:
+            d = math.lcm(*(v for _u, v in terms))
+            total += Fraction(sum(u * (d // v) for u, v in terms), d)
     if not inexact:
         return total
     inexact.sort(key=lambda entry: entry[:2])
     value = 0.0
     for n, _position, l, s in inexact:
-        u, v = tables[l][n]
+        u, v = weights[l][n]
         value += s * (u / v)
     return total + value
 
@@ -395,7 +409,7 @@ def _graded_sum(f: GradedFunction, pairs: Callable[[int, int], Iterable[tuple[in
 def _graded_norm(f: GradedFunction, q: int | Fraction, kind: str) -> Fraction | float:
     """Squared norm whose layer weights are the ``kind`` shift's moments at depth l."""
     moment_bases(q, kind, 0)  # checks q and kind, also for a function with no entries
-    return _graded_sum(f, lambda l, order: pochhammer_ratio_terms(*moment_bases(q, kind, l), order))
+    return _graded_sum(f, lambda l, ns: pochhammer_ratio_pairs(*moment_bases(q, kind, l), ns))
 
 
 def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
@@ -416,7 +430,7 @@ def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
     :func:`dirichlet_norm` at q = 2 exactly; the weight is written out, not
     read off the moments, so that the two routes stay independent.
     """
-    return _graded_sum(f, lambda l, order: ((l + 1 + n, l + 1) for n in range(order + 1)))
+    return _graded_sum(f, lambda l, ns: [(l + 1 + n, l + 1) for n in ns])
 
 
 def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:

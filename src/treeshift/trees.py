@@ -358,6 +358,9 @@ def _name_the_fault(root: str, children: Mapping[str, Sequence[str]], rays: froz
     parent: dict[str, str] = {}
     for v, kids in children.items():
         for u in kids:
+            if parent.get(u) == v:  # v lists u twice
+                twice = sorted(w for w, count in Counter(kids).items() if count > 1)
+                raise TreeFormatError(f"duplicate children of {v!r}: {twice}")
             if u in parent:
                 raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
             parent[u] = v
@@ -388,8 +391,9 @@ def build_tree(
 ) -> Tree:
     """Validate a children-map description and return an immutable Tree.
 
-    The one check of the vertex ids (InvalidVertexId) and of repeated ray leaves
-    (TreeFormatError); raises the specific structural error on violation:
+    The one check of the vertex ids (InvalidVertexId), of repeated ray leaves and
+    of a child listed twice by its parent (TreeFormatError); raises the specific
+    structural error on violation:
     MultipleParents, CircuitDetected, MultipleRoots, Disconnected,
     RayLeafHasChildren or LeafWithoutRay.  The checks run over whole lists, sets
     and one joined string; only a failed one walks the input to name the vertex.

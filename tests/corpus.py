@@ -222,6 +222,9 @@ def reference_build_tree(root, children, ray_leaves):
     parent = {}
     for v, kids in child_map.items():
         for u in kids:
+            if parent.get(u) == v:
+                duplicates = sorted(w for w, count in collections.Counter(kids).items() if count > 1)
+                raise TreeFormatError(f"duplicate children of {v!r}: {duplicates}")
             if u in parent:
                 raise MultipleParents(f"{u!r} has parents {parent[u]!r} and {v!r}")
             parent[u] = v

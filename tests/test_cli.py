@@ -470,6 +470,15 @@ def test_duplicate_ray_leaves_exit_2(tree_file, capsys):
     assert captured.err.splitlines() == ["error: duplicate ray leaves: ['b']"]
 
 
+def test_a_child_listed_twice_by_its_parent_exits_2(tree_file, capsys):
+    tree = {"root": "r", "children": {"r": ["a", "b", "a", "b", "c"]}, "ray_leaves": ["a", "b", "c"]}
+    code = main(["validate", tree_file(tree)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: duplicate children of 'r': ['a', 'b']"]
+
+
 def _expand(groups):
     """The assertions that suite groups (rows, names) stand for, vertex-major."""
     return [

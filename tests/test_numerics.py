@@ -18,7 +18,9 @@ from treeshift import (
 )
 from treeshift import numerics
 from treeshift.errors import IndexOutOfRange
-from treeshift.numerics import alternating_binomial_sum_terms, hausdorff_check_terms, pochhammer_ratio_terms, pochhammer_ratios
+from treeshift.numerics import (
+    alternating_binomial_sum_terms, hausdorff_check_terms, pochhammer_ratio_pairs, pochhammer_ratio_terms, pochhammer_ratios
+)
 from treeshift.shifts import depth_moments
 
 
@@ -75,6 +77,10 @@ def test_pochhammer_ratio_terms_equal_per_term_ratios(a, b):
     for n, (u, v) in enumerate(terms):
         assert type(u) is int and type(v) is int
         assert Fraction(u, v) == pochhammer_ratio(a, b, n)
+    # at picked layers alone, the same integers
+    picked = [0, 1, 2, 7, 30, 31, 150, 299, 300]
+    assert list(pochhammer_ratio_pairs(a, b, picked)) == [terms[n] for n in picked]
+    assert list(pochhammer_ratio_pairs(a, b, [])) == []
 
 
 def test_pochhammer_ratio_terms_edges():

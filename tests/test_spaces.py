@@ -52,6 +52,7 @@ from treeshift import (
     kernel_series_order,
     log_convexity_check,
     make_shift,
+    numerics,
     pick_property_check,
     pochhammer_ratio,
     radial_weight,
@@ -593,7 +594,8 @@ def _reference_block_series(q, l, x, order, space):
 
 def _reference_norm(f, q, space):
     """Squared norm with every layer weight recomputed per n; the weights
-    of a space are the kernel coefficients of the other one."""
+    of a space are the kernel coefficients of the other one.  A zero entry
+    adds nothing and takes no weight, which at layer n costs n steps."""
     dual = "bergman" if space == "dirichlet" else "dirichlet"
 
     def weight(l, n):
@@ -605,7 +607,8 @@ def _reference_norm(f, q, space):
     total = Fraction(0)
     for n, layer in enumerate(f.layers):
         (root,) = layer[None]
-        total = total + square(root) * weight(0, n)
+        if square(root):
+            total = total + square(root) * weight(0, n)
         for v, l in f.blocks.items():
             block = sum((square(c) for c in layer.get(v, ())), start=Fraction(0))
             if v is not None and block:
@@ -776,6 +779,33 @@ def test_norms_at_non_integer_q_equal_per_term_reference(name, q, data):
     assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CORPUS)),
+    q=st.one_of(st.integers(min_value=1, max_value=6), st.sampled_from([Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)])),
+    exact=st.booleans(),
+    data=st.data(),
+)
+@example(name="double01", q=3, exact=False, data=None)
+def test_sparse_layer_norms_equal_per_term_reference(name, q, exact, data):
+    # a few entries on layers up to 2,000: each block index takes its weights at the
+    # stored layers only, and the float sums keep the per-term reference's bits
+    tree = CORPUS[name]
+    coords = _rational_coords if exact else _complex_coords
+    blocks = [(None, 2), *tree.branching_vertices()]
+    entry = st.tuples(st.integers(min_value=0, max_value=2000), st.sampled_from(blocks), st.lists(coords, min_size=1, max_size=3))
+    drawn = data.draw(st.lists(entry, min_size=1, max_size=4)) if data else [
+        (1999, blocks[-1], [1.5 + 0.5j]), (7, blocks[0], [-0.25j]), (1999, blocks[1], [3 - 1j])
+    ]
+    layers = [(0, {}) for _ in range(max(n for n, _block, _coords in drawn) + 1)]
+    for n, (v, count), values in drawn:
+        root, stored = layers[n]
+        layers[n] = (values[0], stored) if v is None else (root, {**stored, v: tuple(values[: count - 1])})
+    f = graded_function(tree, layers)
+    assert dirichlet_norm(f, q) == _reference_norm(f, q, "dirichlet")
+    assert bergman_norm(f, q) == _reference_norm(f, q, "bergman")
+
+
 def test_numpy_integer_coordinates_square_exactly():
     # a numpy square would wrap around: 2^66 to 0, 3037000500^2 to a negative
     big = graded_function(FORK2, [(np.int64(2**33), {})])
@@ -791,27 +821,78 @@ def test_norm_walks_the_pairs_once_per_block_index(monkeypatch):
     f = graded_function(DOUBLE01, layers)
     expected = {q: (dirichlet_norm(f, q), bergman_norm(f, q)) for q in (2, Fraction(5, 2))}
     h2 = dirichlet_norm(f, 2)
-    calls, walk = [], spaces.pochhammer_ratio_terms
+    calls, pairs = [], spaces.pochhammer_ratio_pairs
+    steps, stepped = collections.Counter(), numerics._stepped_ratios
 
-    def counted(a, b, order):
-        calls.append((a, b, order))
-        return walk(a, b, order)
+    def counted(a, b, ns):
+        calls.append((a, b, list(ns)))
+        return pairs(a, b, ns)
 
-    monkeypatch.setattr(spaces, "pochhammer_ratio_terms", counted)
-    for q, (dirichlet, bergman) in expected.items():
-        calls.clear()
-        assert dirichlet_norm(f, q) == dirichlet
-        # the root line, r and a: block indices 0, 1 and 2, each walked through order 199
-        assert sorted(calls) == [(l + q, l + 1, 199) for l in range(3)]
-        calls.clear()
-        assert bergman_norm(f, q) == bergman
-        assert sorted(calls) == [(l + 1, l + q, 199) for l in range(3)]
+    def counted_steps(a, b):
+        for c in stepped(a, b):
+            steps[a, b] += 1
+            yield c
+
+    monkeypatch.setattr(spaces, "pochhammer_ratio_pairs", counted)
+    monkeypatch.setattr(numerics, "_stepped_ratios", counted_steps)
+    for q, values in expected.items():
+        for norm, value, bases in (
+            (dirichlet_norm, values[0], lambda l: (l + q, l + 1)),
+            (bergman_norm, values[1], lambda l: (l + 1, l + q)),
+        ):
+            calls.clear()
+            steps.clear()
+            assert norm(f, q) == value
+            # the root line, r and a: block indices 0, 1 and 2, each asked once for its stored
+            # layers, 200 of them but a's zero at layer 0
+            stored = [range(200), range(200), range(1, 200)]
+            assert sorted(calls) == [(*bases(l), list(stored[l])) for l in range(3)]
+            if q == 2:  # integer bases: each pair in closed form, no walk
+                assert not steps
+            else:  # one Fraction walk per block index, through its top stored layer 199
+                assert steps == {bases(l): 200 for l in range(3)}
 
     def refuse(*args):
         raise AssertionError("the measure decomposition read moment_bases")
 
     monkeypatch.setattr(spaces, "moment_bases", refuse)
     assert h2_norm_via_measure_decomposition(f) == h2
+
+
+def _comb(depths):
+    """A path p0 ... p<depths> with a ray leaf s<i> beside each p<i + 1>: block indices 1 ... depths."""
+    children = {f"p{i}": [f"p{i + 1}", f"s{i}"] for i in range(depths)}
+    return tree_from_json({"root": "p0", "children": children, "ray_leaves": [f"s{i}" for i in range(depths)] + [f"p{depths}"]})
+
+
+def test_sparse_deep_norm_costs_its_entries(monkeypatch):
+    # block indices 1 ... 200 on 5,000 layers, one unit coordinate each: index l at layer 4,999 - l
+    tree = _comb(200)
+    blocks = dict(kernel_block_spec(tree).blocks)
+    layers = [(0, {})] * 5000
+    for v, _count in tree.branching_vertices():
+        layers[4999 - blocks[v]] = (0, {v: (1,)})
+    f = graded_function(tree, layers)
+    entries = sum(1 for layer in f.layers for coords in layer.values() if any(coords))
+    assert entries == 200
+    # at q 3 the weight of index l at layer n is C(l+2+n, 2) / C(l+2, 2) on the Dirichlet side
+    weights = [Fraction(math.comb(l + 2 + 4999 - l, 2), math.comb(l + 2, 2)) for l in range(1, 201)]
+    expected = {dirichlet_norm: sum(weights), bergman_norm: sum(1 / w for w in weights)}
+    for norm, value in expected.items():
+        tracemalloc.start()
+        try:
+            assert norm(f, 3) == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+    requested, pairs = [], spaces.pochhammer_ratio_pairs
+    monkeypatch.setattr(spaces, "pochhammer_ratio_pairs", lambda a, b, ns: requested.extend(ns) or pairs(a, b, ns))
+    for norm, value in expected.items():
+        requested.clear()
+        assert norm(f, 3) == value
+        assert len(requested) <= entries
+    assert dirichlet_norm(f, 2) == h2_norm_via_measure_decomposition(f)
 
 
 class _CountedTable(collections.abc.Mapping):

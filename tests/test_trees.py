@@ -450,6 +450,11 @@ def test_json_schema_is_strict():
     # build_tree is the one validator, so it refuses a repeated ray leaf too
     with pytest.raises(TreeFormatError, match=r"^duplicate ray leaves: \['a'\]$"):
         build_tree("r", {"r": ["a", "b"]}, ray_leaves=["a", "a"])
+    # and a child listed twice by its parent, named on the walk that finds a second parent
+    with pytest.raises(TreeFormatError, match=r"^duplicate children of 'r': \['a'\]$"):
+        build_tree("r", {"r": ["a", "a"]}, ray_leaves=["a"])
+    with pytest.raises(MultipleParents, match="^'a' has parents 'r' and 'b'$"):
+        build_tree("r", {"r": ["a", "b"], "b": ["a", "a"]}, ray_leaves=["a"])
 
 
 def test_load_checks_each_vertex_id_once(tmp_path, monkeypatch):
