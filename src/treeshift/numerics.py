@@ -9,9 +9,10 @@ the radial integrals.  Likewise the depth-only ratios (a)_n/(b)_n come as
 integer pairs: for integer bases they telescope to (lo)_m/(lo+n)_m or its
 reciprocal, m = |b - a|, so the pair at any one n is the closed form
 perm(hi-1+n, m) against perm(hi-1, m), with no walk over the n below it;
-other rational bases step through ``Fraction``s once, up to the last n asked
-for.  A pair's quotient u / v is the correctly rounded double of the ratio,
-the same as ``float`` of its ``Fraction``.
+other rational bases step through ``Fraction``s.  A pair's quotient u / v is
+the correctly rounded double of the ratio, the same as ``float`` of its
+``Fraction``.  The ratios at bases (l+1, l+q) read off one sequence,
+c(k) = (q)_k / k!, as c(l) / c(l+n) (``binomial_table``).
 """
 
 from __future__ import annotations
@@ -49,16 +50,14 @@ def pochhammer_ratio(a: int | Fraction, b: int | Fraction, k: int) -> Fraction:
     return pochhammer(a, k) / pochhammer(b, k)
 
 
-def pochhammer_ratio_pairs(a: int | Fraction, b: int | Fraction, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Yield integers (u, v) with u / v = (a)_n / (b)_n, not in lowest terms, for
-    each n of ``ns``, distinct and ascending.
+def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
+    """Yield integers (u, v) with u / v = (a)_n / (b)_n, not in lowest terms, for n = 0..order.
 
     Integer bases telescope: with lo, hi = sorted((a, b)) and m = hi - lo,
     (a)_n / (b)_n is (lo)_m / (lo+n)_m or its reciprocal, so each pair is
     perm(hi-1+n, m) against the fixed perm(hi-1, m), below (hi+n)^m, at the
     cost of m multiplications whatever n is.  Other rational bases take the
-    step c_(n+1) = c_n (a+n)/(b+n) in ``Fraction`` (``_stepped_ratios``), once
-    up to the last n, and keep only the c of the requested n.
+    step c_(n+1) = c_n (a+n)/(b+n) in ``Fraction`` (``_stepped_ratios``).
     """
     if a < 1 or b < 1:
         raise ValueError("bases must be at least 1")
@@ -67,20 +66,17 @@ def pochhammer_ratio_pairs(a: int | Fraction, b: int | Fraction, ns: Iterable[in
         m = hi - lo
         fixed = math.perm(hi - 1, m)
         if a > b:
-            for n in ns:
+            for n in range(order + 1):
                 yield math.perm(hi - 1 + n, m), fixed
         else:
-            for n in ns:
+            for n in range(order + 1):
                 yield fixed, math.perm(hi - 1 + n, m)
         return
-    steps, at = _stepped_ratios(a, b), -1
-    for n in ns:
-        c = next(itertools.islice(steps, n - at - 1, None))
-        at = n
+    for c in itertools.islice(_stepped_ratios(a, b), order + 1):
         yield c.numerator, c.denominator
 
 
-def _stepped_ratios(a: Fraction, b: Fraction) -> Iterator[Fraction]:
+def _stepped_ratios(a: int | Fraction, b: int | Fraction) -> Iterator[Fraction]:
     """(a)_n / (b)_n for n = 0, 1, 2, ..., one ``Fraction`` step per n, as far as it is read."""
     c = Fraction(1)
     for n in itertools.count():
@@ -88,9 +84,26 @@ def _stepped_ratios(a: Fraction, b: Fraction) -> Iterator[Fraction]:
         c = c * (a + n) / (b + n)
 
 
-def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
-    """``pochhammer_ratio_pairs`` at n = 0..order."""
-    return pochhammer_ratio_pairs(a, b, range(order + 1))
+def binomial_table(q: int | Fraction, ks: Iterable[int]) -> dict[int, int]:
+    """Positive integers proportional to c(k) = (q)_k / k! = C(k+q-1, k), at each k of ``ks``.
+
+    The table serves through its ratios: (l+1)_n / (l+q)_n = c(l) / c(l+n).
+    At integer q each entry is c(k) itself, ``math.comb(k+q-1, q-1)``.  At
+    other rational q one walk c(k+1) = c(k) (q+k)/(k+1) (``_stepped_ratios(q, 1)``)
+    runs up to the largest k, and the c(k) it keeps are scaled by the lcm of
+    their denominators.
+    """
+    if q.denominator == 1:
+        m = int(q) - 1
+        return {k: math.comb(k + m, m) for k in ks}
+    walked: dict[int, Fraction] = {}
+    steps, n = _stepped_ratios(q, 1), -1
+    for k in sorted(ks):
+        while n < k:
+            c, n = next(steps), n + 1
+        walked[k] = c
+    scale = math.lcm(*(c.denominator for c in walked.values()))
+    return {k: c.numerator * (scale // c.denominator) for k, c in walked.items()}
 
 
 def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -327,20 +328,23 @@ class ShiftOperator:
         return KernelBasis(blocks=tuple(blocks))
 
 
-def require_q(q: int | Fraction) -> None:
+def require_q(q: int | Fraction) -> int | Fraction:
     """Reject a shift parameter outside its admissible range: a rational q >= 1
-    (an int, a numpy integer or a ``Fraction``), never a float or a bool."""
+    (an int, a numpy integer or a ``Fraction``), never a float or a bool.
+    Returns q, an integral one read through ``operator.index`` as a Python int,
+    so that no sum n + q keeps the wrapping arithmetic of a small numpy dtype."""
     if isinstance(q, bool) or not isinstance(q, numbers.Rational):
         raise InvalidQ(f"q must be an integer or a Fraction, got {q!r}")
     if q < 1:
         raise InvalidQ(f"q must be at least 1, got {q}")
+    return q if type(q) is int or not isinstance(q, numbers.Integral) else operator.index(q)
 
 
 def moment_bases(q: int | Fraction, kind: str, n: int) -> tuple:
     """Bases (a, b) with ||S^k e_v||^2 = (a)_k/(b)_k at a depth-n vertex v:
     (n + q, n + 1) for the Dirichlet shift, swapped for its Cauchy dual.
     Every depth-only number of the package reads off this pair."""
-    require_q(q)
+    q = require_q(q)
     if kind == DIRICHLET:
         return n + q, n + 1
     if kind == DUAL:
@@ -370,7 +374,7 @@ def make_shift(
     trunc = tree.truncate(horizon)
     parent = trunc.parent_index
     # sqrt(rho(n - 1)) on generation n, 0 on the root; rho the ratio of the depth-(n - 1) moment bases,
-    # which a / b rounds correctly for an int, a numpy integer (below 2**53) or a Fraction q alike
+    # which a / b rounds correctly for an int (a numpy q read as one) or a Fraction q alike
     scale = [0.0] + [math.sqrt(a / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
     return ShiftOperator(
         tree=tree,

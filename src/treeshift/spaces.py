@@ -17,13 +17,16 @@ matrix oracle.  For integer q the coefficients telescope:
     (l+1)_n / (l+q)_n = prod_(i=1..q-1) (l+i) / (l+n+i),
 
 a fixed integer over one of q - 1 factors that is a closed form at every n
-(``numerics.pochhammer_ratio_pairs``), so a series through order N takes
-O(N) steps on integers below (l+N+q)^(q-1), and a norm one pair per stored
-(l, n): O(layers + stored entries), with no table of weights.  At other q a
-norm streams one ``Fraction`` walk per block index up to its top stored
-layer.  A series coefficient or norm weight is the integer quotient u / v,
-which Python rounds correctly: the same double as ``float`` of the exact
-rational.
+(``numerics.pochhammer_ratio_terms``), so a series through order N takes
+O(N) steps on integers below (l+N+q)^(q-1).  Every block's coefficients read
+off one sequence c(k) = (q)_k / k!: (l+1)_n / (l+q)_n = c(l) / c(l+n).  So a
+norm weighs block l at layer n by c(l+n) / c(l) on the Dirichlet side and by
+its reciprocal on the Bergman side, from one table of c over the stored
+k = l + n and l (``numerics.binomial_table``): binomial coefficients at
+integer q, one ``Fraction`` walk up to the largest k at other q.  It costs
+O(layers + stored entries) plus that table.  A series coefficient or a
+float norm term's weight is an integer quotient u / v, which Python rounds
+correctly: the same double as ``float`` of the exact rational.
 
 On the Bergman side the coefficients C(n+l+q-1, q-1) / C(l+q-1, q-1) are
 polynomials in n, so at integer q a block's partial sum is a polynomial in
@@ -48,16 +51,17 @@ import cmath
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
 from .numerics import (
-    pochhammer_ratio, pochhammer_ratio_pairs, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
+    binomial_table, pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
 )
 from .shifts import (
     DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q
@@ -93,7 +97,9 @@ class KernelBlockSpec:
 
 
 def kernel_block_spec(tree: Tree) -> KernelBlockSpec:
-    blocks = ((v, tree.depth_of(v) + 1) for v, _count in tree.branching_vertices())
+    depth = tree.depth  # read entry by entry: a fancy-indexed copy costs more than it saves on a few blocks
+    ids = tree._branch_ids.tolist()
+    blocks = ((v, depth.item(i) + 1) for (v, _count), i in zip(tree.branching_vertices(), ids))
     return KernelBlockSpec(blocks=((None, 0), *blocks))
 
 
@@ -239,7 +245,7 @@ def kernel_series_order(q: int, space: str, radius: float) -> int:
     branch.  It then steps with ``_tail_bound`` itself, so the order is the
     first n of the walk n = 0, 1, 2, ... whose bound is below the tolerance.
     """
-    require_q(q)
+    q = require_q(q)
     if space not in _KERNEL_KIND:
         raise ValueError(f"unknown space {space!r}")
     if not 0.0 <= radius < 1.0:
@@ -347,14 +353,20 @@ def graded_function(
     return GradedFunction(blocks=dict(kernel_block_spec(tree).blocks), layers=tuple(built))
 
 
-def _graded_sum(f: GradedFunction, pairs: Callable[[int, list[int]], Iterable[tuple[int, int]]]) -> Fraction | float:
+def _graded_sum(
+    f: GradedFunction, table: Callable[[set[int]], Mapping[int, int]], reciprocal: bool
+) -> Fraction | float:
     """Sum over layers n and the blocks each layer stores, of index l, of the block's
-    squared coordinates s times u / v, the pair of n in ``pairs(l, ns)``, asked once per l
-    for the ascending layers ns that l stores.  Exact s add up per (l, n) and take that
-    weight once, as an integer numerator over one denominator per l, the lcm of den(s) v;
-    float s add s * (u / v), the double of s * Fraction(u, v), in (layer, block-table) order."""
+    squared coordinates s times c(l+n) / c(l), or its reciprocal, with c the positive
+    integers that ``table`` returns for the set of every stored k = l + n and l.
+
+    Exact s are summed per (l, k) and then per l, and the sum is one ``Fraction``:
+    sum_l (E // c(l)) sum_k s c(k) / E with E the lcm of the c(l), or, reciprocal,
+    sum_l c(l) sum_k s (D // c(k)) / D with D the lcm of the c(k), shared by every
+    index.  Float s add s * (c(k) / c(l)), the double of s times the exact weight, in
+    (layer, block-table) order."""
     blocks = f.blocks
-    stored: dict[int, tuple[list[int], list]] = {}  # l -> (its layers with a nonzero s, the exact s of each summed)
+    rows: dict[int, dict[int, int | Fraction]] = {}  # l -> {k: the exact s at k summed, 0 if only float s}
     inexact: list[tuple[int, int, int, float]] = []  # (n, table position, l, s)
     position: dict | None = None
     for n, layer in enumerate(f.layers):
@@ -371,66 +383,61 @@ def _graded_sum(f: GradedFunction, pairs: Callable[[int, list[int]], Iterable[tu
                     break
             if not s:
                 continue
-            entry = stored.get(l)
-            if entry is None:
-                entry = stored[l] = ([], [])
-            ns, sums = entry
-            if not ns or ns[-1] != n:
-                ns.append(n)
-                sums.append(0)  # stays 0 if layer n has only float s at l
+            row = rows.get(l)
+            if row is None:
+                row = rows[l] = {}
             if isinstance(s, (int, Fraction)):
-                sums[-1] += s
+                row[l + n] = row.get(l + n, 0) + s
             else:
+                row.setdefault(l + n, 0)
                 if position is None:
                     position = {block: i for i, block in enumerate(blocks)}
                 inexact.append((n, position[b], l, s))
-    total = Fraction(0)
-    weights: dict[int, dict[int, tuple[int, int]]] = {}  # l -> {n: (u, v)}, kept only if some s is a float
-    for l, (ns, sums) in stored.items():
-        row = list(pairs(l, ns))
-        if inexact:
-            weights[l] = dict(zip(ns, row))
-        terms = [
-            (s * u, v) if type(s) is int else (s.numerator * u, s.denominator * v) for s, (u, v) in zip(sums, row) if s
-        ]
-        if terms:
-            d = math.lcm(*(v for _u, v in terms))
-            total += Fraction(sum(u * (d // v) for u, v in terms), d)
+    ks = set().union(*rows.values())
+    coeff = table(ks.union(rows))
+    if reciprocal:
+        den = math.lcm(*map(coeff.__getitem__, ks))
+        inner, outer = {k: den // coeff[k] for k in ks}, coeff
+    else:
+        den = math.lcm(*map(coeff.__getitem__, rows))
+        inner, outer = coeff, {l: den // coeff[l] for l in rows}
+    products = (outer[l] * sum(map(operator.mul, row.values(), map(inner.__getitem__, row))) for l, row in rows.items())
+    total = Fraction(sum(products), den)
     if not inexact:
         return total
     inexact.sort(key=lambda entry: entry[:2])
     value = 0.0
     for n, _position, l, s in inexact:
-        u, v = weights[l][n]
-        value += s * (u / v)
+        value += s * (coeff[l] / coeff[l + n] if reciprocal else coeff[l + n] / coeff[l])
     return total + value
 
 
-def _graded_norm(f: GradedFunction, q: int | Fraction, kind: str) -> Fraction | float:
-    """Squared norm whose layer weights are the ``kind`` shift's moments at depth l."""
-    moment_bases(q, kind, 0)  # checks q and kind, also for a function with no entries
-    return _graded_sum(f, lambda l, ns: pochhammer_ratio_pairs(*moment_bases(q, kind, l), ns))
+def _graded_norm(f: GradedFunction, q: int | Fraction, reciprocal: bool) -> Fraction | float:
+    """Squared norm whose weight at block l and layer n is c(l+n) / c(l), c(k) = (q)_k / k!
+    (``binomial_table``), or its reciprocal."""
+    q = require_q(q)  # checked also for a function with no entries
+    return _graded_sum(f, lambda ks: binomial_table(q, ks), reciprocal)
 
 
 def dirichlet_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     """Squared norm in the Dirichlet-side space (exact for rational input)."""
-    return _graded_norm(f, q, DIRICHLET)
+    return _graded_norm(f, q, False)
 
 
 def bergman_norm(f: GradedFunction, q: int | Fraction) -> Fraction | float:
     """Squared norm in the Bergman-side space (reciprocal layer weights)."""
-    return _graded_norm(f, q, DUAL)
+    return _graded_norm(f, q, True)
 
 
 def h2_norm_via_measure_decomposition(f: GradedFunction) -> Fraction | float:
     """Squared q=2 norm split as Hardy energy plus weighted Dirichlet energy.
 
     The density of the boundary measure is 1/(l+1) on the block of index l,
-    so the energy term of layer n carries the factor n.  Agrees with
-    :func:`dirichlet_norm` at q = 2 exactly; the weight is written out, not
-    read off the moments, so that the two routes stay independent.
+    so the energy term of layer n carries the factor n: the weight (l+1+n)/(l+1).
+    Agrees with :func:`dirichlet_norm` at q = 2 exactly; the weight is written
+    out, not read off the moments, so that the two routes stay independent.
     """
-    return _graded_sum(f, lambda l, ns: [(l + 1 + n, l + 1) for n in ns])
+    return _graded_sum(f, lambda ks: {k: k + 1 for k in ks}, False)
 
 
 def dirichlet_measure_weights(tree: Tree) -> dict[str | None, Fraction]:

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from corpus import LINE, reference_alternating_binomial_sum, reference_hausdorff_check
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from treeshift import (
 from treeshift import numerics
 from treeshift.errors import IndexOutOfRange
 from treeshift.numerics import (
-    alternating_binomial_sum_terms, hausdorff_check_terms, pochhammer_ratio_pairs, pochhammer_ratio_terms, pochhammer_ratios
+    alternating_binomial_sum_terms, binomial_table, hausdorff_check_terms, pochhammer_ratio_terms, pochhammer_ratios
 )
 from treeshift.shifts import depth_moments
 
@@ -77,10 +79,44 @@ def test_pochhammer_ratio_terms_equal_per_term_ratios(a, b):
     for n, (u, v) in enumerate(terms):
         assert type(u) is int and type(v) is int
         assert Fraction(u, v) == pochhammer_ratio(a, b, n)
-    # at picked layers alone, the same integers
+
+
+@pytest.mark.parametrize(
+    "q", [1, 2, 5, np.int64(3), np.uint8(4), Fraction(4), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)]
+)
+def test_binomial_table_is_proportional_to_the_rising_binomials(q):
+    # c(k) = (q)_k / k!, and (l+1)_n / (l+q)_n = c(l) / c(l+n) for every l and n
     picked = [0, 1, 2, 7, 30, 31, 150, 299, 300]
-    assert list(pochhammer_ratio_pairs(a, b, picked)) == [terms[n] for n in picked]
-    assert list(pochhammer_ratio_pairs(a, b, [])) == []
+    table = binomial_table(q, set(picked))
+    assert list(table) == picked or q.denominator == 1 and sorted(table) == picked
+    assert all(type(v) is int and v > 0 for v in table.values())
+    exact = int(q) if q.denominator == 1 else q  # a numpy q would wrap in the reference's own sums
+    c = {k: pochhammer_ratio(exact, 1, k) for k in picked}
+    if q.denominator == 1:  # the binomial coefficients themselves
+        assert table == {k: math.comb(k + exact - 1, k) for k in picked}
+    for l in picked:
+        for k in picked:
+            assert Fraction(table[k], table[l]) == c[k] / c[l]
+            if k >= l:
+                assert Fraction(table[l], table[k]) == pochhammer_ratio(l + 1, l + exact, k - l)
+    assert binomial_table(q, []) == {}
+
+
+def test_binomial_table_walks_once_through_the_largest_index(monkeypatch):
+    steps, stepped = [], numerics._stepped_ratios
+
+    def counted(a, b):
+        for c in stepped(a, b):
+            steps.append((a, b))
+            yield c
+
+    monkeypatch.setattr(numerics, "_stepped_ratios", counted)
+    binomial_table(Fraction(5, 2), {40, 3, 17})
+    assert steps == [(Fraction(5, 2), 1)] * 41  # c(0) ... c(40)
+    steps.clear()
+    binomial_table(3, {40, 3, 17})
+    binomial_table(Fraction(5, 2), set())
+    assert steps == []
 
 
 def test_pochhammer_ratio_terms_edges():

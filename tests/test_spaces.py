@@ -54,6 +54,7 @@ from treeshift import (
     make_shift,
     numerics,
     pick_property_check,
+    pochhammer,
     pochhammer_ratio,
     radial_weight,
     spaces,
@@ -816,46 +817,43 @@ def test_numpy_integer_coordinates_square_exactly():
         assert type(value) is Fraction and value == 3037000500**2 + 49 + 200**2 * (2 if norm is dirichlet_norm else Fraction(1, 2))
 
 
-def test_norm_walks_the_pairs_once_per_block_index(monkeypatch):
+def test_norm_walks_one_coefficient_table(monkeypatch):
     layers = [(Fraction(n + 1), {"r": (Fraction(1, n + 2),), "a": (Fraction(n),)}) for n in range(200)]
     f = graded_function(DOUBLE01, layers)
     expected = {q: (dirichlet_norm(f, q), bergman_norm(f, q)) for q in (2, Fraction(5, 2))}
     h2 = dirichlet_norm(f, 2)
-    calls, pairs = [], spaces.pochhammer_ratio_pairs
+    tables, table = [], spaces.binomial_table
     steps, stepped = collections.Counter(), numerics._stepped_ratios
 
-    def counted(a, b, ns):
-        calls.append((a, b, list(ns)))
-        return pairs(a, b, ns)
+    def counted(q, ks):
+        tables.append((q, set(ks)))
+        return table(q, ks)
 
     def counted_steps(a, b):
         for c in stepped(a, b):
             steps[a, b] += 1
             yield c
 
-    monkeypatch.setattr(spaces, "pochhammer_ratio_pairs", counted)
+    monkeypatch.setattr(spaces, "binomial_table", counted)
     monkeypatch.setattr(numerics, "_stepped_ratios", counted_steps)
     for q, values in expected.items():
-        for norm, value, bases in (
-            (dirichlet_norm, values[0], lambda l: (l + q, l + 1)),
-            (bergman_norm, values[1], lambda l: (l + 1, l + q)),
-        ):
-            calls.clear()
+        for norm, value in zip((dirichlet_norm, bergman_norm), values):
+            tables.clear()
             steps.clear()
             assert norm(f, q) == value
-            # the root line, r and a: block indices 0, 1 and 2, each asked once for its stored
-            # layers, 200 of them but a's zero at layer 0
-            stored = [range(200), range(200), range(1, 200)]
-            assert sorted(calls) == [(*bases(l), list(stored[l])) for l in range(3)]
-            if q == 2:  # integer bases: each pair in closed form, no walk
+            # the root line, r and a: block indices 0, 1 and 2 on layers 0..199, but a's zero at
+            # layer 0, so one table over k = l + n and l: 0..199, 1..200, 3..201 and 0, 1, 2
+            assert tables == [(q, set(range(202)))]
+            if q == 2:  # integer q: binomial coefficients in closed form, no walk
                 assert not steps
-            else:  # one Fraction walk per block index, through its top stored layer 199
-                assert steps == {bases(l): 200 for l in range(3)}
+            else:  # one Fraction walk, c(0) ... c(201), for every index
+                assert steps == {(q, 1): 202}
 
     def refuse(*args):
-        raise AssertionError("the measure decomposition read moment_bases")
+        raise AssertionError("the measure decomposition read moment_bases or the coefficient table")
 
     monkeypatch.setattr(spaces, "moment_bases", refuse)
+    monkeypatch.setattr(spaces, "binomial_table", refuse)
     assert h2_norm_via_measure_decomposition(f) == h2
 
 
@@ -886,13 +884,65 @@ def test_sparse_deep_norm_costs_its_entries(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-    requested, pairs = [], spaces.pochhammer_ratio_pairs
-    monkeypatch.setattr(spaces, "pochhammer_ratio_pairs", lambda a, b, ns: requested.extend(ns) or pairs(a, b, ns))
+    requested, table = [], spaces.binomial_table
+    monkeypatch.setattr(spaces, "binomial_table", lambda q, ks: requested.append(set(ks)) or table(q, ks))
     for norm, value in expected.items():
         requested.clear()
         assert norm(f, 3) == value
-        assert len(requested) <= entries
+        # one table entry per stored k = l + n (all 4,999 here) and one per block index l
+        assert requested == [{4999, *range(1, 201)}]
     assert dirichlet_norm(f, 2) == h2_norm_via_measure_decomposition(f)
+
+
+def test_comb_norms_at_a_rational_q_walk_once(monkeypatch):
+    # block indices 1 ... 200 on 2,000 layers, index l at layer 1,999 - l: every k = l + n is 1,999
+    tree = _comb(200)
+    blocks = dict(kernel_block_spec(tree).blocks)
+    layers = [(0, {})] * 2000
+    for v, _count in tree.branching_vertices():
+        layers[1999 - blocks[v]] = (0, {v: (1,)})
+    f = graded_function(tree, layers)
+    q = Fraction(5, 2)
+    # c(k) = (q)_k / k!, as direct products; the Dirichlet weight of index l at layer n is c(l+n) / c(l)
+    c = {k: pochhammer(q, k) / math.factorial(k) for k in (*range(1, 201), 1999)}
+    expected = {
+        dirichlet_norm: sum(c[1999] / c[l] for l in range(1, 201)),
+        bergman_norm: sum(c[l] / c[1999] for l in range(1, 201)),
+    }
+    assert c[1999] / c[200] == pochhammer_ratio(200 + q, 201, 1799)
+    steps, stepped = [], numerics._stepped_ratios
+
+    def counted_steps(a, b):
+        for value in stepped(a, b):
+            steps.append((a, b))
+            yield value
+
+    monkeypatch.setattr(numerics, "_stepped_ratios", counted_steps)
+    for norm, value in expected.items():
+        steps.clear()
+        assert norm(f, q) == value
+        assert steps == [(q, 1)] * 2000  # one walk, c(0) ... c(1999), for all 200 indices
+
+
+@pytest.mark.parametrize("q", [np.uint8(3), np.int64(3)])
+def test_numpy_integer_q_keeps_python_arithmetic_past_depth_255(q):
+    # n + q kept a uint8 q's dtype: 253 + 3 wrapped to 0 and 256 + 3 raised OverflowError
+    for kind in (DIRICHLET, DUAL):
+        assert np.array_equal(make_shift(LINE, q, kind, 300).weights, make_shift(LINE, 3, kind, 300).weights)
+    assert make_shift(LINE, q, DIRICHLET, 254).weights[-1] == make_shift(LINE, 3, DIRICHLET, 254).weights[-1] > 1
+    for space in ("dirichlet", "bergman"):
+        assert kernel_series_order(q, space, 0.99) == kernel_series_order(3, space, 0.99) > 256
+        for l, x, order in ((253, 0.5, 10), (300, 0.3 + 0.2j, 40), (260, 0.9, 400)):
+            assert kernel_block_series(q, l, x, order, space) == kernel_block_series(3, l, x, order, space)
+    tree = _comb(270)
+    blocks = dict(kernel_block_spec(tree).blocks)
+    layers = [(Fraction(1, 3), {}) for _ in range(300)]
+    for v, _count in tree.branching_vertices():  # two indices a layer, k = l + n up to 434
+        root, stored = layers[299 - blocks[v] // 2]
+        layers[299 - blocks[v] // 2] = (root, {**stored, v: (blocks[v] - 100,)})
+    f = graded_function(tree, layers)
+    for norm in (dirichlet_norm, bergman_norm):
+        assert norm(f, q) == norm(f, 3)
 
 
 class _CountedTable(collections.abc.Mapping):
