@@ -1,7 +1,7 @@
 """Unitary equivalence of Dirichlet shifts on two trees.
 
 For q = 1 the shifts are isometries and equivalence is decided by the
-cokernel dimension alone.  For integer q >= 2 the complete invariant is
+cokernel dimension alone.  For every rational q > 1 the complete invariant is
 the depth profile: generation by generation, the branching defect counts
 must agree.  In the equivalent case the identity between the cokernel
 blocks of each generation intertwines the two shifts; it is lifted to
@@ -22,14 +22,16 @@ dense only as the operand of the next generation's push.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidQ, NotEquivalentError, TruncationLoss
-from .shifts import DIRICHLET, ShiftOperator, helmert_adjoint, helmert_apply, helmert_runs, kernel_births, make_shift
+from .errors import NotEquivalentError, TruncationLoss
+from .shifts import (
+    DIRICHLET, ShiftOperator, helmert_adjoint, helmert_apply, helmert_runs, kernel_births, make_shift, require_q
+)
 from .trees import DepthProfile, Tree
 
 EQUIVALENT = "equivalent"
@@ -65,16 +67,16 @@ def cokernel_dimension(tree: Tree) -> int:
     return len(tree.ray_leaves)
 
 
-def decide_equivalence(tree1: Tree, tree2: Tree, q: int) -> EquivalenceVerdict:
+def decide_equivalence(tree1: Tree, tree2: Tree, q: int | Fraction) -> EquivalenceVerdict:
     """Decide whether the two Dirichlet shifts are unitarily equivalent.
 
     Both depth profiles are read down to the branching index, so they are
     complete and every verdict is exact.  q = 1 compares cokernel
-    dimensions; q >= 2 compares the profiles entrywise, and the witness is
-    the first generation where they differ.
+    dimensions; every rational q > 1 compares the profiles entrywise, as the
+    generation scalars rho(n) are then distinct, and the witness is the first
+    generation where they differ.
     """
-    if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 1:
-        raise InvalidQ(f"q must be a positive integer, got {q!r}")
+    q = require_q(q)
     p1, p2 = (tree.depth_profile(tree.branching_index()) for tree in (tree1, tree2))
     witness = None
     if q == 1:

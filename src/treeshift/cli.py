@@ -51,6 +51,9 @@ EXIT_FAILED = 1
 EXIT_FORMAT = 2
 EXIT_INVARIANT = 3
 
+# a verified intertwining residual at or above this exits 3, the bound the acceptance gate and golden tolerance hold
+VERIFY_RESIDUAL_BOUND = 1e-8
+
 
 def _rational(x: Fraction) -> str:
     return str(x)
@@ -221,6 +224,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             residual = verify_intertwining(
                 tree1, tree2, args.q, unitary, args.verify_depth, seed=_seed()
             )
+            if not residual < VERIFY_RESIDUAL_BOUND:  # a NaN fails too
+                bound = f"{VERIFY_RESIDUAL_BOUND:g}"
+                print(f"error: intertwining residual {_float(residual)} is not below {bound}", file=sys.stderr)
+                return EXIT_INVARIANT
             results["intertwining"] = {
                 "depth": args.verify_depth,
                 "residual": _float(residual),

@@ -1,24 +1,25 @@
-"""Exact rational helpers: rising factorials, finite differences, disc integrals.
+"""Exact rational helpers: the sequence c(k) = (q)_k / k!, finite differences, disc integrals.
 
-Everything that feeds an identity check stays exact.  The finite-difference
-checks take integer pairs (u, v) (their ``Fraction`` forms read each entry
-with ``as_integer_ratio``), bring them once onto integer numerators over a
-common denominator, and build a ``fractions.Fraction`` only for a value they
-return; floating point enters only through the Gauss-Legendre cross-check of
-the radial integrals.  Likewise the depth-only ratios (a)_n/(b)_n come as
-integer pairs: for integer bases they telescope to (lo)_m/(lo+n)_m or its
-reciprocal, m = |b - a|, so the pair at any one n is the closed form
-perm(hi-1+n, m) against perm(hi-1, m), with no walk over the n below it;
-other rational bases step through ``Fraction``s.  A pair's quotient u / v is
-the correctly rounded double of the ratio, the same as ``float`` of its
-``Fraction``.  The ratios at bases (l+1, l+q) read off one sequence,
-c(k) = (q)_k / k!, as c(l) / c(l+n) (``binomial_table``).
+Everything that feeds an identity check stays exact.  Every depth-only
+number of the package is a ratio of one sequence, c(k) = (q)_k / k! =
+C(k+q-1, k): ``binomial_ratios`` yields c(n+k) / c(n) as integer pairs (u, v),
+binomial coefficients at integer q and one ``Fraction`` step per k at other
+rational q, and ``binomial_table`` gives integers proportional to c over a
+set of k.  A pair's quotient u / v is the correctly rounded double of the
+ratio, the same as ``float`` of its ``Fraction``.  The finite-difference
+checks take such pairs (their ``Fraction`` forms read each entry with
+``as_integer_ratio``), bring them once onto integer numerators over a common
+denominator, and build a ``fractions.Fraction`` only for a value they return;
+floating point enters only through the Gauss-Legendre cross-check of the
+radial integrals.  ``pochhammer`` and ``pochhammer_ratio`` are the plain
+``Fraction`` products, an independent reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,6 +40,7 @@ def pochhammer(x: int | Fraction, k: int) -> Fraction:
         raise ValueError("exponent must be nonnegative")
     if x < 1:
         raise ValueError("base must be at least 1")
+    x = operator.index(x) if isinstance(x, numbers.Integral) else x  # no numpy dtype's wrapping sums
     result = Fraction(1)
     for i in range(k):
         result *= x + i
@@ -50,38 +52,23 @@ def pochhammer_ratio(a: int | Fraction, b: int | Fraction, k: int) -> Fraction:
     return pochhammer(a, k) / pochhammer(b, k)
 
 
-def pochhammer_ratio_terms(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[tuple[int, int]]:
-    """Yield integers (u, v) with u / v = (a)_n / (b)_n, not in lowest terms, for n = 0..order.
+def binomial_ratios(q: int | Fraction, n: int, order: int) -> Iterator[tuple[int, int]]:
+    """Yield integers (u, v) with u / v = c(n+k) / c(n), c(k) = (q)_k / k! = C(k+q-1, k), for k = 0..order.
 
-    Integer bases telescope: with lo, hi = sorted((a, b)) and m = hi - lo,
-    (a)_n / (b)_n is (lo)_m / (lo+n)_m or its reciprocal, so each pair is
-    perm(hi-1+n, m) against the fixed perm(hi-1, m), below (hi+n)^m, at the
-    cost of m multiplications whatever n is.  Other rational bases take the
-    step c_(n+1) = c_n (a+n)/(b+n) in ``Fraction`` (``_stepped_ratios``).
+    At integer q each pair is C(n+k+q-1, q-1) against the fixed C(n+q-1, q-1), O(q)
+    multiplications whatever n and k are; at other rational q one ``Fraction`` step
+    c(k+1) = c(k) (q+k)/(k+1) per k, from c(n) / c(n) = 1.
     """
-    if a < 1 or b < 1:
-        raise ValueError("bases must be at least 1")
-    if a.denominator == b.denominator == 1:
-        lo, hi = sorted((int(a), int(b)))
-        m = hi - lo
-        fixed = math.perm(hi - 1, m)
-        if a > b:
-            for n in range(order + 1):
-                yield math.perm(hi - 1 + n, m), fixed
-        else:
-            for n in range(order + 1):
-                yield fixed, math.perm(hi - 1 + n, m)
+    if q.denominator == 1:
+        m = int(q) - 1
+        fixed = math.comb(n + m, m)
+        for k in range(n, n + order + 1):
+            yield math.comb(k + m, m), fixed
         return
-    for c in itertools.islice(_stepped_ratios(a, b), order + 1):
-        yield c.numerator, c.denominator
-
-
-def _stepped_ratios(a: int | Fraction, b: int | Fraction) -> Iterator[Fraction]:
-    """(a)_n / (b)_n for n = 0, 1, 2, ..., one ``Fraction`` step per n, as far as it is read."""
     c = Fraction(1)
-    for n in itertools.count():
-        yield c
-        c = c * (a + n) / (b + n)
+    for k in range(n, n + order + 1):
+        yield c.numerator, c.denominator
+        c = c * (q + k) / (k + 1)
 
 
 def binomial_table(q: int | Fraction, ks: Iterable[int]) -> dict[int, int]:
@@ -89,27 +76,18 @@ def binomial_table(q: int | Fraction, ks: Iterable[int]) -> dict[int, int]:
 
     The table serves through its ratios: (l+1)_n / (l+q)_n = c(l) / c(l+n).
     At integer q each entry is c(k) itself, ``math.comb(k+q-1, q-1)``.  At
-    other rational q one walk c(k+1) = c(k) (q+k)/(k+1) (``_stepped_ratios(q, 1)``)
-    runs up to the largest k, and the c(k) it keeps are scaled by the lcm of
+    other rational q one ``binomial_ratios`` walk runs from the smallest k to
+    the largest, and the c(k) / c(smallest k) it keeps are scaled by the lcm of
     their denominators.
     """
     if q.denominator == 1:
         m = int(q) - 1
         return {k: math.comb(k + m, m) for k in ks}
-    walked: dict[int, Fraction] = {}
-    steps, n = _stepped_ratios(q, 1), -1
-    for k in sorted(ks):
-        while n < k:
-            c, n = next(steps), n + 1
-        walked[k] = c
-    scale = math.lcm(*(c.denominator for c in walked.values()))
-    return {k: c.numerator * (scale // c.denominator) for k, c in walked.items()}
-
-
-def pochhammer_ratios(a: int | Fraction, b: int | Fraction, order: int) -> Iterator[Fraction]:
-    """Yield (a)_n / (b)_n for n = 0..order in lowest terms, from ``pochhammer_ratio_terms``."""
-    for u, v in pochhammer_ratio_terms(a, b, order):
-        yield Fraction(u, v)
+    ks = set(ks)
+    low = min(ks, default=0)
+    walked = [(k, pair) for k, pair in enumerate(binomial_ratios(q, low, max(ks, default=-1) - low), low) if k in ks]
+    scale = math.lcm(*(v for _k, (_u, v) in walked))
+    return {k: u * (scale // v) for k, (u, v) in walked}
 
 
 def _common_numerators(terms: Sequence[tuple[int, int]]) -> tuple[list[int], int]:

@@ -3,14 +3,15 @@
 Two weight systems are built from the same tree: the Dirichlet shift,
 whose squared weight into a vertex v at depth n with sibling count s is
 (n + q - 1)/(n s), and its Cauchy dual, with squared weight
-n/((n + q - 1) s).  Both factor as S = sqrt(rho(n - 1)) A on generation
-n: rho is the ratio of the depth-(n - 1) ``moment_bases``, (n + q - 1)/n
-for the Dirichlet shift and its reciprocal for the dual, and A, the
-isometry that sends e_v to the sum of e_u/sqrt(s) over v's s children,
-reads neither q nor the kind.  ``make_shift`` keeps the float weights
-alone, the generation scalar times A; ``push`` derives A from the parent
-map.  The exact numbers (moments, q-isometry defects) depend on depth
-alone and read off ``moment_bases`` directly.
+n/((n + q - 1) s).  Every depth-only number reads off one sequence,
+c(k) = (q)_k / k!: the moments of a depth-n vertex are c(n+k) / c(n) for
+the Dirichlet shift and the reciprocal for the dual (``depth_moments``, the
+one place that tells the kinds apart).  Both shifts factor as
+S = sqrt(rho(n - 1)) A on generation n, rho(n) the k = 1 moment at depth n,
+and A, the isometry that sends e_v to the sum of e_u/sqrt(s) over v's s
+children, reads neither q nor the kind.  ``make_shift`` keeps the float
+weights alone, the generation scalar times A; ``push`` derives A from the
+parent map.
 
 The operator acts on coordinate arrays in truncation order (``act`` and
 ``act_adjoint``, and ``push``, which applies A one generation at a time),
@@ -34,6 +35,7 @@ siblings, and ``kernel_columns`` is their dense form.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -44,7 +46,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InvalidQ, TruncationLoss
-from .numerics import alternating_binomial_sum_terms, pochhammer_ratio_terms, pochhammer_ratios
+from .numerics import alternating_binomial_sum_terms, binomial_ratios
 from .trees import Tree, Truncation
 
 DIRICHLET = "dirichlet"
@@ -267,7 +269,7 @@ class ShiftOperator:
 
     def moment_sequence(self, v: str, kmax: int) -> list[Fraction]:
         """Moments for k = 0..kmax in lowest terms, the one place they become ``Fraction``s."""
-        return list(pochhammer_ratios(*moment_bases(self.q, self.kind, self.tree.depth_of(v)), kmax))
+        return [Fraction(u, w) for u, w in depth_moments(self.q, self.kind, self.tree.depth_of(v), kmax)]
 
     def _pushes(self, v: str, kmax: int) -> list[tuple[int, int, np.ndarray]]:
         """S^k e_v, k = 0..kmax, on v's k-th descendants (consecutive positions) as pieces (start, stride,
@@ -340,21 +342,18 @@ def require_q(q: int | Fraction) -> int | Fraction:
     return q if type(q) is int or not isinstance(q, numbers.Integral) else operator.index(q)
 
 
-def moment_bases(q: int | Fraction, kind: str, n: int) -> tuple:
-    """Bases (a, b) with ||S^k e_v||^2 = (a)_k/(b)_k at a depth-n vertex v:
-    (n + q, n + 1) for the Dirichlet shift, swapped for its Cauchy dual.
-    Every depth-only number of the package reads off this pair."""
-    q = require_q(q)
-    if kind == DIRICHLET:
-        return n + q, n + 1
-    if kind == DUAL:
-        return n + 1, n + q
-    raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
-
-
 def depth_moments(q: int | Fraction, kind: str, n: int, kmax: int) -> Iterator[tuple[int, int]]:
-    """Moments of a depth-n vertex, k = 0..kmax, as ``pochhammer_ratio_terms`` pairs; q and kind checked at the call."""
-    return pochhammer_ratio_terms(*moment_bases(q, kind, n), kmax)
+    """Moments ||S^k e_v||^2 of a depth-n vertex v, k = 0..kmax, as integer pairs (u, v):
+    c(n+k) / c(n) = (n+q)_k / (n+1)_k, c(k) = (q)_k / k! (``binomial_ratios``), for the
+    Dirichlet shift, the reciprocal for its Cauchy dual.  Every depth-only number of the
+    package reads off these pairs; q, the kind and n >= 0 are checked at the call."""
+    q = require_q(q)
+    if kind not in (DIRICHLET, DUAL):
+        raise ValueError(f"kind must be {DIRICHLET!r} or {DUAL!r}")
+    if n < 0:
+        raise ValueError(f"depth must be nonnegative, got {n}")
+    pairs = binomial_ratios(q, n, kmax)
+    return pairs if kind == DIRICHLET else map(operator.itemgetter(1, 0), pairs)
 
 
 def make_shift(
@@ -368,14 +367,18 @@ def make_shift(
     The truncation depth is always explicit; exactness guarantees are
     stated relative to it.
     """
-    moment_bases(q, kind, 0)  # rejects an unknown kind and q < 1 before truncating
+    depth_moments(q, kind, 0, 0)  # rejects an unknown kind and q < 1 before truncating
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     trunc = tree.truncate(horizon)
     parent = trunc.parent_index
-    # sqrt(rho(n - 1)) on generation n, 0 on the root; rho the ratio of the depth-(n - 1) moment bases,
-    # which a / b rounds correctly for an int (a numpy q read as one) or a Fraction q alike
-    scale = [0.0] + [math.sqrt(a / b) for a, b in (moment_bases(q, kind, n) for n in range(horizon))]
+    # sqrt(rho(n - 1)) on generation n, 0 on the root.  rho(n), the k = 1 moment at depth n, is
+    # m(n + 1) / m(n) for the moments m at any depth d <= n, an integer quotient rounded correctly;
+    # read in runs of 64 generations from d, so that the pairs of a rational q stay short
+    scale = [0.0]
+    for d in range(0, horizon, 64):
+        moments = depth_moments(q, kind, d, min(64, horizon - d))
+        scale += [math.sqrt(u * b / (v * a)) for (a, b), (u, v) in itertools.pairwise(moments)]
     return ShiftOperator(
         tree=tree,
         q=q,

@@ -3,46 +3,31 @@ carried by a tree shift.
 
 Both spaces decompose over the same blocks: the root line plus one block
 per branching vertex.  Indexing each block by l (0 for the root line,
-depth(v) + 1 for a branching vertex v), the kernel coefficients of block l
-are the moments at depth l (``shifts.moment_bases``) of one of the shifts:
+depth(v) + 1 for a branching vertex v), every coefficient and weight is a
+ratio of one sequence c(k) = (q)_k / k! (``numerics``): the kernel
+coefficients of block l are the moments at depth l (``shifts.depth_moments``)
+of one of the shifts,
 
-    holomorphic Dirichlet side:  (l+1)_n / (l+q)_n   (Cauchy dual)
-    Bergman side:                (l+q)_n / (l+1)_n   (Dirichlet shift)
+    holomorphic Dirichlet side:  c(l) / c(l+n) = (l+1)_n / (l+q)_n   (Cauchy dual)
+    Bergman side:                c(l+n) / c(l) = (l+q)_n / (l+1)_n   (Dirichlet shift)
 
-and the corresponding squared-norm weights are the reciprocals.  All
-coefficient and norm computations are exact rationals; floating point
-enters only through kernel evaluation at points of the disc and the
-matrix oracle.  For integer q the coefficients telescope:
+and the squared-norm weights are the reciprocals.  A series reads the pairs
+of ``depth_moments``, O(q) integer work per term at integer q; a norm reads
+one table of c over the stored k = l + n and l (``numerics.binomial_table``),
+so it costs O(layers + stored entries) plus that table.  A coefficient is an
+exact rational, and a series coefficient or a float norm term's weight an
+integer quotient u / v, which Python rounds correctly: the same double as
+``float`` of the exact rational.  Floating point enters only through kernel
+evaluation at points of the disc and the matrix oracle.
 
-    (l+1)_n / (l+q)_n = prod_(i=1..q-1) (l+i) / (l+n+i),
-
-a fixed integer over one of q - 1 factors that is a closed form at every n
-(``numerics.pochhammer_ratio_terms``), so a series through order N takes
-O(N) steps on integers below (l+N+q)^(q-1).  Every block's coefficients read
-off one sequence c(k) = (q)_k / k!: (l+1)_n / (l+q)_n = c(l) / c(l+n).  So a
-norm weighs block l at layer n by c(l+n) / c(l) on the Dirichlet side and by
-its reciprocal on the Bergman side, from one table of c over the stored
-k = l + n and l (``numerics.binomial_table``): binomial coefficients at
-integer q, one ``Fraction`` walk up to the largest k at other q.  It costs
-O(layers + stored entries) plus that table.  A series coefficient or a
-float norm term's weight is an integer quotient u / v, which Python rounds
-correctly: the same double as ``float`` of the exact rational.
-
-On the Bergman side the coefficients C(n+l+q-1, q-1) / C(l+q-1, q-1) are
-polynomials in n, so at integer q a block's partial sum is a polynomial in
-1/(1-x) plus x^(N+1) times another: O(q) work at any order.
-``kernel_block_series`` takes that closed form whenever the remainder bound
-at |x| is below ``SERIES_TAIL_TOL``, and then adds only roundoff below 1e-14
-times the sum of the series' |terms|; above it, at small N with |x| near 1,
-the two parts cancel, and the series runs term by term.  On the Dirichlet
-side the coefficients split into q - 1 partial fractions A_j / (n+l+j), so at
-integer q a block's whole sum is a combination of -log(1-x) and its own
-partial sums: O(q + l) work at any order.  It is taken where the remainder
-bound of the order is below the tolerance and a rounding bound, which grows
-with q and l and as |x| falls, is below ``CLOSED_FORM_RTOL``: the stated
-error, relative to the sum of |terms|, on top of the remainder bound.
-Elsewhere (small |x|, large q l) the series runs term by term, as it does on
-both sides at non-integer q.  Norms visit only the blocks each layer stores.
+At integer q two closed forms replace a series where they are accurate.  The
+Bergman coefficients are polynomials in n, so a partial sum is a polynomial in
+1/(1-x) plus x^(N+1) times another, O(q) work, taken where the remainder bound
+at |x| is below ``SERIES_TAIL_TOL``.  The Dirichlet coefficients split into
+q - 1 partial fractions, so a whole sum combines -log(1-x) and its own partial
+sums, O(q + l) work, taken where a rounding bound is also below
+``CLOSED_FORM_RTOL``.  Elsewhere, and at non-integer q, the series runs term
+by term.  Norms visit only the blocks each layer stores.
 """
 
 from __future__ import annotations
@@ -60,12 +45,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from .numerics import (
-    binomial_table, pochhammer_ratio, pochhammer_ratio_terms, radial_integral, radial_integral_quadrature
-)
-from .shifts import (
-    DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, moment_bases, require_q
-)
+from .numerics import binomial_table, radial_integral, radial_integral_quadrature
+from .shifts import DIRICHLET, DUAL, ShiftOperator, depth_moments, kernel_births, kernel_columns, require_q
 from .trees import Tree
 
 DIRICHLET_SPACE = "dirichlet"
@@ -77,8 +58,12 @@ _KERNEL_KIND = {DIRICHLET_SPACE: DUAL, BERGMAN_SPACE: DIRICHLET}
 
 def dirichlet_coefficient(q: int | Fraction, l: int, n: int) -> Fraction:
     """Kernel power-series coefficient of the Dirichlet-side space on
-    block ``l``: the n-th Cauchy-dual moment at depth l."""
-    return pochhammer_ratio(*moment_bases(q, DUAL, l), n)
+    block ``l``: the n-th Cauchy-dual moment at depth l, c(l) / c(l+n)."""
+    q = require_q(q)
+    if l < 0 or n < 0:
+        raise ValueError(f"block index and power must be nonnegative, got {l} and {n}")
+    c = binomial_table(q, (l, l + n))
+    return Fraction(c[l], c[l + n])
 
 
 def bergman_coefficient(q: int | Fraction, l: int, n: int) -> Fraction:
@@ -122,7 +107,7 @@ def kernel_block_series(q: int | Fraction, l: int, x: complex, order: int, space
         if _dirichlet_rounding_ok(m, l, abs(x)):
             return _dirichlet_block(m, l, complex(x))
     total, power = 0j, 1 + 0j
-    for u, v in pochhammer_ratio_terms(*moment_bases(q, kind, l), order):
+    for u, v in depth_moments(q, kind, l, order):
         total += (u / v) * power
         power *= x
     return total
@@ -614,4 +599,4 @@ def pick_property_check(q: int, branch_depth: int | None, bound: int) -> PickRep
     branching vertex otherwise; the block's index is l = branch_depth + 1.
     """
     l = 0 if branch_depth is None else branch_depth + 1
-    return log_convexity_check(*moment_bases(q, DUAL, l), bound)
+    return log_convexity_check(l + 1, l + require_q(q), bound)

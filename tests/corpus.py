@@ -39,8 +39,8 @@ from treeshift.errors import (
     UnknownVertex,
     WrongQ,
 )
-from treeshift.numerics import HausdorffReport, pochhammer_ratios
-from treeshift.shifts import DUAL, KernelBasis, KernelBlock, kernel_births, kernel_columns, moment_bases
+from treeshift.numerics import HausdorffReport, pochhammer_ratio
+from treeshift.shifts import KernelBasis, KernelBlock, kernel_births, kernel_columns
 from treeshift.spaces import BERGMAN_SPACE, SERIES_TAIL_TOL, PickReport, _births_in_reach, dirichlet_coefficient
 
 class Reads(np.ndarray):
@@ -582,7 +582,7 @@ def dense_compression_maxima(shift, nmax):
     born = _births_in_reach(shift, nmax)
     trunc = shift.trunc
     last = max(g for g, count in enumerate(born) if count) + nmax
-    coefficients = [list(map(float, pochhammer_ratios(*moment_bases(shift.q, DUAL, g), nmax))) for g in range(last + 1)]
+    coefficients = [[float(pochhammer_ratio(g + 1, g + shift.q, n)) for n in range(nmax + 1)] for g in range(last + 1)]
     off_worst = diag_worst = 0.0
     block = kernel_columns(trunc, 0)
     for landing in range(last + 1):

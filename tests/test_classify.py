@@ -73,9 +73,26 @@ def test_line_tree_self_equivalence():
 def test_q_must_be_a_positive_integer():
     with pytest.raises(InvalidQ):
         decide_equivalence(LINE, LINE, 0)
-    for q in (2.0, Fraction(2), np.float64(2.0), np.int64(0), True):
+    for q in (2.0, np.float64(2.0), np.int64(0), True):
         with pytest.raises(InvalidQ):
             decide_equivalence(LINE, LINE, q)
+    # every rational q >= 1 is a q, by the one rule of ``require_q``
+    assert decide_equivalence(*PROFILE_PAIR, Fraction(2)) == decide_equivalence(*PROFILE_PAIR, 2)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [PROFILE_PAIR, PROFILE_PAIR[::-1], TOTALS_PAIR, (DEEP13, DEEP13_WIDER), (DEEP13, DOUBLE01), (FORK3, DOUBLE01)],
+    ids=["profile", "profile-reversed", "totals", "deep13-wider", "deep13-double01", "fork3-double01"],
+)
+def test_a_rational_q_gives_the_q2_verdicts(pair):
+    # the profile criterion holds for every q > 1, where the generation scalars rho(n) are distinct
+    q = Fraction(5, 2)
+    verdict = decide_equivalence(*pair, q)
+    assert verdict == decide_equivalence(*pair, 2)
+    if verdict.equivalent:
+        depth = max(tree.branching_index() for tree in pair) + 4
+        assert verify_intertwining(*pair, q, build_graded_unitary(verdict), depth) < 1e-8
 
 
 def test_numpy_integer_q_is_accepted():

@@ -163,6 +163,35 @@ def test_equiv_verify_residual(tree_file, capsys):
     assert intertwining["seed"] == 42
 
 
+@pytest.mark.parametrize("scale", [1.5, 1.0], ids=["one-weight-off", "exact"])
+def test_equiv_verify_residual_at_or_above_its_bound_exits_3(tree_file, capsys, monkeypatch, scale):
+    # one weight of the first shift scaled: the lift still reads the profiles equivalent, but
+    # the residual shows the shifts do not intertwine, which is an invariant violated
+    path = tree_file(tree_to_json(WIDE))
+    argv = ["equiv", path, path, "--q", "2", "--verify-depth", "10"]
+    exact_code, exact_out = _run(capsys, argv)
+    built = []
+
+    def perturbed(*args):
+        shift = make_shift(*args)
+        if not built:
+            shift.weights[3] *= scale
+        built.append(shift)
+        return shift
+
+    monkeypatch.setattr(classify, "make_shift", perturbed)
+    code = main(argv)
+    captured = capsys.readouterr()
+    if scale == 1.0:  # a passing run keeps its bytes
+        assert (code, captured.out, captured.err) == (exact_code, exact_out, "") == (0, exact_out, "")
+        return
+    assert code == cli.EXIT_INVARIANT == 3 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    residual = float(line.split()[3])
+    assert residual >= cli.VERIFY_RESIDUAL_BOUND == 1e-8 and residual > 0.05
+    assert line == f"error: intertwining residual {cli._float(residual)} is not below 1e-08"
+
+
 def test_equiv_verify_decides_equivalence_once(tree_file, capsys, monkeypatch):
     calls = []
 

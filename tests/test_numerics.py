@@ -20,9 +20,7 @@ from treeshift import (
 )
 from treeshift import numerics
 from treeshift.errors import IndexOutOfRange
-from treeshift.numerics import (
-    alternating_binomial_sum_terms, binomial_table, hausdorff_check_terms, pochhammer_ratio_terms, pochhammer_ratios
-)
+from treeshift.numerics import alternating_binomial_sum_terms, binomial_ratios, binomial_table, hausdorff_check_terms
 from treeshift.shifts import depth_moments
 
 
@@ -59,6 +57,14 @@ def test_pochhammer_ratio_reciprocity(a, b, k):
     assert pochhammer_ratio(a, b, k) * pochhammer_ratio(b, a, k) == 1
 
 
+def _moments_with_bases(a, b, order):
+    """``depth_moments`` read as (a)_k / (b)_k, k = 0..order: bases (n+q, n+1) are the Dirichlet
+    moments of depth n, and (n+1, n+q) the dual ones, for q = |a - b| + 1."""
+    if a >= b:
+        return depth_moments(a - b + 1, DIRICHLET, int(b) - 1, order)
+    return depth_moments(b - a + 1, DUAL, int(a) - 1, order)
+
+
 @given(
     a=st.integers(min_value=1, max_value=15),
     b=st.integers(min_value=1, max_value=15),
@@ -66,7 +72,7 @@ def test_pochhammer_ratio_reciprocity(a, b, k):
 )
 def test_pochhammer_ratios_match_per_term_ratios(a, b, order):
     expected = [pochhammer_ratio(a, b, n) for n in range(order + 1)]
-    assert list(pochhammer_ratios(a, b, order)) == expected
+    assert [Fraction(u, v) for u, v in _moments_with_bases(a, b, order)] == expected
 
 
 @pytest.mark.parametrize(
@@ -74,11 +80,48 @@ def test_pochhammer_ratios_match_per_term_ratios(a, b, order):
     [(7, 7 + gap) for gap in range(-6, 7)] + [(4, 3 + Fraction(3)), (4, 3 + Fraction(5, 2)), (Fraction(7, 3), 2)],
 )
 def test_pochhammer_ratio_terms_equal_per_term_ratios(a, b):
-    terms = list(pochhammer_ratio_terms(a, b, 300))
+    terms = list(_moments_with_bases(a, b, 300))
     assert len(terms) == 301
     for n, (u, v) in enumerate(terms):
         assert type(u) is int and type(v) is int
         assert Fraction(u, v) == pochhammer_ratio(a, b, n)
+
+
+@pytest.mark.parametrize("base", [np.uint8(4), np.int64(4)], ids=["uint8", "int64"])
+def test_pochhammer_reads_a_numpy_base_as_a_python_int(base):
+    # x + i kept a uint8 base's dtype, which wrapped past 255 with a RuntimeWarning
+    assert pochhammer(base, 300) == pochhammer(4, 300)
+    assert pochhammer_ratio(base, 1, 300) == pochhammer_ratio(4, 1, 300) == math.comb(303, 3)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [1, 2, 3, 6, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3), np.int64(3), np.uint8(3)],
+    ids=["1", "2", "3", "6", "3/2", "5/2", "7/3", "int64-3", "uint8-3"],
+)
+def test_depth_moments_equal_pochhammer_ratios(q):
+    # the moments of a depth-n vertex, c(n+k) / c(n) = (n+q)_k / (n+1)_k and its reciprocal
+    for n in range(41):
+        dirichlet = list(depth_moments(q, DIRICHLET, n, 60))
+        dual = list(depth_moments(q, DUAL, n, 60))
+        assert len(dirichlet) == len(dual) == 61
+        for k, ((u, v), (s, t)) in enumerate(zip(dirichlet, dual)):
+            assert all(type(x) is int for x in (u, v, s, t))
+            expected = pochhammer_ratio(n + q, n + 1, k)
+            assert Fraction(u, v) == expected and Fraction(s, t) == 1 / expected
+    for kind in (DIRICHLET, DUAL):
+        with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+            depth_moments(q, kind, -1, 3)
+    with pytest.raises(ValueError):
+        depth_moments(q, "other", 0, 3)
+
+
+def test_binomial_ratios_at_an_integer_q_read_no_walk():
+    # C(n+k+q-1, q-1) against C(n+q-1, q-1): the pair at any k costs O(q), whatever n is
+    fixed = math.comb(10**6 + 3, 3)
+    assert list(binomial_ratios(4, 10**6, 1)) == [(fixed, fixed), (math.comb(10**6 + 4, 3), fixed)]
+    assert list(binomial_ratios(3, 2, -1)) == [] == list(binomial_ratios(Fraction(5, 2), 2, -1))
+    assert list(binomial_ratios(Fraction(5, 2), 0, 2)) == [(1, 1), (5, 2), (35, 8)]
 
 
 @pytest.mark.parametrize(
@@ -103,36 +146,20 @@ def test_binomial_table_is_proportional_to_the_rising_binomials(q):
 
 
 def test_binomial_table_walks_once_through_the_largest_index(monkeypatch):
-    steps, stepped = [], numerics._stepped_ratios
+    steps, walk = [], numerics.binomial_ratios
 
-    def counted(a, b):
-        for c in stepped(a, b):
-            steps.append((a, b))
-            yield c
+    def counted(q, n, order):
+        for pair in walk(q, n, order):
+            steps.append((q, n, order))
+            yield pair
 
-    monkeypatch.setattr(numerics, "_stepped_ratios", counted)
+    monkeypatch.setattr(numerics, "binomial_ratios", counted)
     binomial_table(Fraction(5, 2), {40, 3, 17})
-    assert steps == [(Fraction(5, 2), 1)] * 41  # c(0) ... c(40)
+    assert steps == [(Fraction(5, 2), 3, 37)] * 38  # c(3) ... c(40), from the smallest index
     steps.clear()
     binomial_table(3, {40, 3, 17})
     binomial_table(Fraction(5, 2), set())
     assert steps == []
-
-
-def test_pochhammer_ratio_terms_edges():
-    assert list(pochhammer_ratio_terms(3, 3, 2)) == [(1, 1)] * 3
-    assert list(pochhammer_ratio_terms(2, 3, -1)) == []
-    with pytest.raises(ValueError):
-        list(pochhammer_ratio_terms(Fraction(1, 2), 2, 3))
-
-
-def test_pochhammer_ratios_edges():
-    assert list(pochhammer_ratios(3, Fraction(5, 2), 2)) == [1, Fraction(6, 5), Fraction(48, 35)]
-    assert list(pochhammer_ratios(2, 3, -1)) == []
-    with pytest.raises(ValueError):
-        list(pochhammer_ratios(2, 0, 3))
-    with pytest.raises(ValueError):
-        list(pochhammer_ratios(0, 2, 3))
 
 
 def test_alternating_sum_examples():
@@ -268,8 +295,8 @@ def test_pair_checks_equal_fraction_references_on_depth_moments(q, exact, kind):
 def test_hausdorff_check_at_order_120_is_fast(monkeypatch):
     # dual moments at depth 10 for q = 4: (11)_k/(14)_k, 2 * 120 + 3 terms; a passing
     # check works on integer numerators alone and builds no Fraction
-    seq = list(pochhammer_ratios(11, 14, 242))
-    terms = list(pochhammer_ratio_terms(11, 14, 242))
+    terms = list(depth_moments(4, DUAL, 10, 242))
+    seq = [Fraction(u, v) for u, v in terms]
 
     def refuse(*_args):
         raise AssertionError("a passing check builds no Fraction")

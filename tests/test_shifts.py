@@ -40,7 +40,7 @@ import treeshift
 from treeshift import DIRICHLET, DUAL, cokernel_dimension, make_shift, tree_from_json
 from treeshift.errors import InvalidQ, TruncationLoss, UnknownVertex
 from treeshift.numerics import hausdorff_check
-from treeshift.shifts import helmert_adjoint, helmert_apply, helmert_runs, kernel_columns, moment_bases
+from treeshift.shifts import depth_moments, helmert_adjoint, helmert_apply, helmert_runs, kernel_columns
 
 
 def vec_inner(f, g):
@@ -76,19 +76,19 @@ def test_child_weight_sums_are_exact(name, q):
     tree = CORPUS[name]
     shift = make_shift(tree, q, DIRICHLET, 6)
     for n, gen in enumerate(shift.trunc.generations[:-1]):
-        a, b = moment_bases(q, DIRICHLET, n)
         for v in gen:
             total = sum(
                 (squared_weight_formula(tree, q, DIRICHLET, u) for u in tree.children_of(v)),
                 start=Fraction(0),
             )
-            assert total == Fraction(a) / b == Fraction(n + q) / (n + 1)
+            assert total == _row_sum(q, n) == Fraction(n + q) / (n + 1)
 
 
 def _row_sum(q, n):
-    """The sum of the Dirichlet squared weights into the children of a depth-n vertex."""
-    a, b = moment_bases(q, DIRICHLET, n)
-    return Fraction(a) / b
+    """The sum of the Dirichlet squared weights into the children of a depth-n vertex: rho(n),
+    the k = 1 moment at depth n."""
+    _one, (u, v) = depth_moments(q, DIRICHLET, n, 1)
+    return Fraction(u, v)
 
 
 def test_row_sum_range():
@@ -201,14 +201,29 @@ def test_weights_factor_as_depth_scalar_times_isometry(tree, q, kind, horizon):
     # A, the weights 1/sqrt(sibling count), from the tree alone
     isometry = np.array([0.0] + [1 / math.sqrt(tree.sibling_count(v)) for v in shift.trunc.vertices[1:]])
     for i, v in enumerate(shift.trunc.vertices[1:], 1):
-        a, b = moment_bases(q, kind, tree.depth_of(v) - 1)
-        assert shift.weights[i] == math.sqrt(Fraction(a) / b) * isometry[i]
+        n = tree.depth_of(v) - 1
+        rho = Fraction(n + q, n + 1) if kind == DIRICHLET else Fraction(n + 1, n + q)
+        assert shift.weights[i] == math.sqrt(rho) * isometry[i]
         exact = math.sqrt(squared_weight_formula(tree, q, kind, v))
         assert abs(shift.weights[i] - exact) <= 2 * math.ulp(exact)
     # A*A = I: the squares of A over the children of each vertex above the horizon sum to 1
     sums = np.bincount(shift.trunc.parent_index[1:], weights=isometry[1:] ** 2)
     assert len(sums) == shift.trunc.span(horizon)[0]
     assert np.all(np.abs(sums - 1) <= 4 * math.ulp(1.0))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6, Fraction(5, 2), Fraction(7, 3), np.int64(3)], ids=str)
+@pytest.mark.parametrize("kind", [DIRICHLET, DUAL])
+def test_weights_are_the_rounded_row_sums_bit_for_bit(q, kind):
+    # sqrt((n+q)/(n+1)) into generation n + 1, or the root of its reciprocal, times 1/sqrt(s)
+    for tree in CORPUS.values():
+        shift = make_shift(tree, q, kind, 70)
+        counts = np.bincount(shift.trunc.parent_index[1:])
+        for n, (start, end) in enumerate(zip(shift.trunc.offsets[1:-1].tolist(), shift.trunc.offsets[2:].tolist())):
+            a, b = n + int(q) if q.denominator == 1 else n + q, n + 1
+            rho = math.sqrt(a / b if kind == DIRICHLET else b / a)
+            expected = [(rho * (1.0 / math.sqrt(s))).hex() for s in counts[shift.trunc.parent_index[start:end]].tolist()]
+            assert [w.hex() for w in shift.weights[start:end].tolist()] == expected
 
 
 def test_make_shift_keeps_under_20_bytes_per_vertex():

@@ -62,7 +62,6 @@ from treeshift import (
     verify_intertwining,
 )
 from treeshift.errors import InvalidQ, OutsideDisc, TruncationLoss, UnknownVertex, WrongQ
-from treeshift.numerics import pochhammer_ratios
 from treeshift.shifts import DIRICHLET
 from treeshift.spaces import CLOSED_FORM_RTOL, SERIES_TAIL_TOL, kernel_block_series, kernel_compression_maxima
 
@@ -520,7 +519,9 @@ def test_log_convexity_closed_form_equals_the_loop(bound):
 
 def _reference_log_convexity(k, l, bound):
     """Log-convexity compared as c_n^2 <= c_{n-1} c_{n+1} in exact Fractions."""
-    c = list(pochhammer_ratios(k, l, bound + 1))
+    c = [pochhammer_ratio(k, l, 0)]  # raises ValueError for a base below 1
+    for n in range(bound + 1):
+        c.append(c[-1] * (k + n) / (l + n))
     for n in range(1, bound + 1):
         if c[n] * c[n] > c[n - 1] * c[n + 1]:
             return PickReport(passed=False, checked_through=bound, witness=n)
@@ -823,19 +824,19 @@ def test_norm_walks_one_coefficient_table(monkeypatch):
     expected = {q: (dirichlet_norm(f, q), bergman_norm(f, q)) for q in (2, Fraction(5, 2))}
     h2 = dirichlet_norm(f, 2)
     tables, table = [], spaces.binomial_table
-    steps, stepped = collections.Counter(), numerics._stepped_ratios
+    steps, walk = collections.Counter(), numerics.binomial_ratios
 
     def counted(q, ks):
         tables.append((q, set(ks)))
         return table(q, ks)
 
-    def counted_steps(a, b):
-        for c in stepped(a, b):
-            steps[a, b] += 1
-            yield c
+    def counted_steps(q, n, order):
+        for pair in walk(q, n, order):
+            steps[q, n, order] += 1
+            yield pair
 
     monkeypatch.setattr(spaces, "binomial_table", counted)
-    monkeypatch.setattr(numerics, "_stepped_ratios", counted_steps)
+    monkeypatch.setattr(numerics, "binomial_ratios", counted_steps)
     for q, values in expected.items():
         for norm, value in zip((dirichlet_norm, bergman_norm), values):
             tables.clear()
@@ -847,12 +848,12 @@ def test_norm_walks_one_coefficient_table(monkeypatch):
             if q == 2:  # integer q: binomial coefficients in closed form, no walk
                 assert not steps
             else:  # one Fraction walk, c(0) ... c(201), for every index
-                assert steps == {(q, 1): 202}
+                assert steps == {(q, 0, 201): 202}
 
     def refuse(*args):
-        raise AssertionError("the measure decomposition read moment_bases or the coefficient table")
+        raise AssertionError("the measure decomposition read the moments or the coefficient table")
 
-    monkeypatch.setattr(spaces, "moment_bases", refuse)
+    monkeypatch.setattr(spaces, "depth_moments", refuse)
     monkeypatch.setattr(spaces, "binomial_table", refuse)
     assert h2_norm_via_measure_decomposition(f) == h2
 
@@ -910,18 +911,18 @@ def test_comb_norms_at_a_rational_q_walk_once(monkeypatch):
         bergman_norm: sum(c[l] / c[1999] for l in range(1, 201)),
     }
     assert c[1999] / c[200] == pochhammer_ratio(200 + q, 201, 1799)
-    steps, stepped = [], numerics._stepped_ratios
+    steps, walk = [], numerics.binomial_ratios
 
-    def counted_steps(a, b):
-        for value in stepped(a, b):
-            steps.append((a, b))
-            yield value
+    def counted_steps(q, n, order):
+        for pair in walk(q, n, order):
+            steps.append((q, n, order))
+            yield pair
 
-    monkeypatch.setattr(numerics, "_stepped_ratios", counted_steps)
+    monkeypatch.setattr(numerics, "binomial_ratios", counted_steps)
     for norm, value in expected.items():
         steps.clear()
         assert norm(f, q) == value
-        assert steps == [(q, 1)] * 2000  # one walk, c(0) ... c(1999), for all 200 indices
+        assert steps == [(q, 1, 1998)] * 1999  # one walk, c(1) ... c(1999), for all 200 indices
 
 
 @pytest.mark.parametrize("q", [np.uint8(3), np.int64(3)])
@@ -1015,14 +1016,14 @@ def test_integer_coordinates_give_a_fraction():
 
 def _count_series_steps(monkeypatch):
     """The list that every step of the series loop appends its pair to."""
-    steps, walk = [], spaces.pochhammer_ratio_terms
+    steps, walk = [], spaces.depth_moments
 
-    def counted(a, b, order):
-        for pair in walk(a, b, order):
+    def counted(q, kind, l, order):
+        for pair in walk(q, kind, l, order):
             steps.append(pair)
             yield pair
 
-    monkeypatch.setattr(spaces, "pochhammer_ratio_terms", counted)
+    monkeypatch.setattr(spaces, "depth_moments", counted)
     return steps
 
 
@@ -1060,7 +1061,7 @@ def test_dirichlet_closed_form_is_within_its_stated_error(monkeypatch):
     # sum, plus the remainder bound; a refused one asks for the series through its order,
     # here recorded and not summed
     series = []
-    monkeypatch.setattr(spaces, "pochhammer_ratio_terms", lambda a, b, order: series.append(order) or iter(()))
+    monkeypatch.setattr(spaces, "depth_moments", lambda q, kind, l, order: series.append(order) or iter(()))
     rng = np.random.default_rng(41)
     accepted, refused = set(), set()
     for _ in range(400):
@@ -1184,9 +1185,6 @@ def test_one_rule_for_q_at_every_entry_point(q):
                 call(q)
         elif q.denominator == 1:
             assert call(q) == call(int(q)), name
-        elif name == "decide_equivalence":
-            with pytest.raises(InvalidQ):
-                call(q)
         elif name in ("radial_weight", "bergman_weight_moment"):
             with pytest.raises(WrongQ):
                 call(q)
